@@ -12,11 +12,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "fmt",
     "atomic_write_text",
     "write_json",
-    "write_csv_rows",
     "write_trajectory_csv",
     "write_grid_csv",
 ]
@@ -39,33 +40,28 @@ def write_json(path, obj) -> None:
     atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv_rows(path, header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    atomic_write_text(path, "\n".join(lines) + "\n")
+_CHUNK_ROWS = 2048
 
 
 def write_trajectory_csv(traj, path) -> None:
+    """One row per sample; ``%.17g`` prints as ``fmt`` and ``%d`` the integer ``p``, ``q``.
+
+    Each chunk of rows is one ``%`` call on the repeated row template, so only
+    one chunk of Python floats is alive at a time.
+    """
     from .simulator import TRAJECTORY_COLUMNS
 
-    columns = [traj.column(name) for name in TRAJECTORY_COLUMNS]
-    int_cols = {TRAJECTORY_COLUMNS.index("p"), TRAJECTORY_COLUMNS.index("q")}
-
-    def rows():
-        for k in range(len(traj)):
-            yield [
-                str(int(col[k])) if i in int_cols else fmt(col[k])
-                for i, col in enumerate(columns)
-            ]
-
-    write_csv_rows(path, TRAJECTORY_COLUMNS, rows())
+    row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
+    table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
+    parts = [",".join(TRAJECTORY_COLUMNS) + "\n"]
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[lo : lo + _CHUNK_ROWS]
+        parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    atomic_write_text(path, "".join(parts))
 
 
 def write_grid_csv(grid, path) -> None:
-    header = ("e", "edot", "admissible", "delta_L", "sign")
-
-    def rows():
-        for e, edot, admissible, value, sign in grid.rows():
-            yield (fmt(e), fmt(edot), str(admissible), fmt(value), str(sign))
-
-    write_csv_rows(path, header, rows())
+    lines = ["e,edot,admissible,delta_L,sign"]
+    for e, edot, admissible, value, sign in grid.rows():
+        lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

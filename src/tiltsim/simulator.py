@@ -18,15 +18,14 @@ import numpy as np
 
 from .analysis import (
     DELTA_L_CAP,
+    TWO_PI,
     ErrorState,
-    acceleration_angle,
     critical_lyapunov,
     feasible_cone,
     in_admissible_region,
 )
-from .controller import clamp, desired_accel, raw_inversion
-from .gait import GaitSchedule, PRESETS, reference_at, yaw_at
-from .plant import DEFAULT_PARAMS, ModelParams, VehicleState, accelerate
+from .gait import GaitSchedule, PRESETS
+from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
 __all__ = [
     "SimConfig",
@@ -161,143 +160,148 @@ class Trajectory:
         write_trajectory_csv(self, path)
 
 
-def _controller_forces(t, x, y, vx, vy, lam, params):
-    ref = reference_at(t)
-    state = VehicleState(x, y, vx, vy)
-    acc = desired_accel(state, ref, params)
-    raw = raw_inversion(acc, lam, params)
-    cmd = clamp(raw)
-    ax, ay = accelerate(cmd, lam, params)
-    return ax, ay
+def _yaw(k: int, m: int, gait: GaitSchedule) -> float:
+    """Yaw on grid step ``k``, ``m`` steps per half period: switches land on grid points."""
+    return gait.phase_sign * gait.amplitude * (1.0 if (k // m) % 2 == 0 else -1.0)
 
 
-def _rk4_step(x, y, vx, vy, t, dt, lam, params):
+def _kernel(params: ModelParams, lam: float):
+    """Float-only ``f(t, x, y, vx, vy) -> (ax_d, ay_d, sq1, sq2, ax, ay)`` at yaw ``lam``.
+
+    Same floating-point operations, in the same order, as the dataclass
+    oracle ``reference_at -> desired_accel -> raw_inversion -> clamp ->
+    accelerate``, and the same ``ValueError`` on a non-finite desired
+    acceleration or raw command (which a non-finite state always causes).
+    """
+    kx1, kx2, ky1, ky2, mass = params.kx1, params.kx2, params.ky1, params.ky2, params.m
+    cos_th, sin_th = math.cos(params.theta), math.sin(params.theta)
+    scale = 0.5 * params.m / params.k_thrust
+    kc, ks = params.k_thrust * cos_th, params.k_thrust * sin_th
+    c, s = math.cos(lam), math.sin(lam)
+    isfinite = math.isfinite
+
+    def f(t, x, y, vx, vy):
+        # reference_at(t): xr = t*t/2, vxr = t, axr = 1, zero laterally
+        ax_d = 1.0 + kx1 * (t - vx) + kx2 * (0.5 * t * t - x)
+        ay_d = 0.0 + ky1 * (0.0 - vy) + ky2 * (0.0 - y)
+        u = (c * ax_d + s * ay_d) / cos_th
+        v = (-s * ax_d + c * ay_d) / sin_th
+        sq1 = scale * (u + v)
+        sq2 = scale * (u - v)
+        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            raise ValueError(f"non-finite controller output at t={t}")
+        # max(sq, 0.0), which keeps a -0.0
+        w1 = sq1 if sq1 >= 0.0 else 0.0
+        w2 = sq2 if sq2 >= 0.0 else 0.0
+        fx = kc * (w1 + w2)
+        fy = ks * (w1 - w2)
+        return ax_d, ay_d, sq1, sq2, (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+
+    return f
+
+
+def _rk4(f, t, dt, x, y, vx, vy, a1x, a1y):
+    """Finish an RK4 step of kernel ``f`` from stage 1; ``ValueError`` if non-finite."""
     h2 = 0.5 * dt
-    a1x, a1y = _controller_forces(t, x, y, vx, vy, lam, params)
-    a2x, a2y = _controller_forces(
-        t + h2, x + h2 * vx, y + h2 * vy, vx + h2 * a1x, vy + h2 * a1y, lam, params
-    )
     v2x, v2y = vx + h2 * a1x, vy + h2 * a1y
-    a3x, a3y = _controller_forces(
-        t + h2, x + h2 * v2x, y + h2 * v2y, vx + h2 * a2x, vy + h2 * a2y, lam, params
-    )
+    _, _, _, _, a2x, a2y = f(t + h2, x + h2 * vx, y + h2 * vy, v2x, v2y)
     v3x, v3y = vx + h2 * a2x, vy + h2 * a2y
-    a4x, a4y = _controller_forces(
-        t + dt, x + dt * v3x, y + dt * v3y, vx + dt * a3x, vy + dt * a3y, lam, params
-    )
+    _, _, _, _, a3x, a3y = f(t + h2, x + h2 * v2x, y + h2 * v2y, v3x, v3y)
     v4x, v4y = vx + dt * a3x, vy + dt * a3y
-    return (
+    _, _, _, _, a4x, a4y = f(t + dt, x + dt * v3x, y + dt * v3y, v4x, v4y)
+    nxt = (
         x + dt * (vx + 2.0 * v2x + 2.0 * v3x + v4x) / 6.0,
         y + dt * (vy + 2.0 * v2y + 2.0 * v3y + v4y) / 6.0,
         vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0,
         vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0,
     )
+    if not all(map(math.isfinite, nxt)):
+        raise ValueError(f"non-finite state after the step from t={t}")
+    return nxt
 
 
 def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
-    """One RK4 step of the closed loop from ``t`` to ``t + dt``.
+    """One RK4 step of the closed loop from grid time ``t`` to ``t + dt``.
 
-    The yaw is held at its value at ``t`` for the whole step; the reference
-    and controller are re-evaluated at every stage.
+    The yaw is held at its value on grid step ``round(t / dt)``, as in ``run``.
     """
-    lam = yaw_at(t, config.gait)
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    lam = _yaw(round(t / config.dt), config.steps_per_half, config.gait)
+    f = _kernel(config.params, lam)
     try:
-        nxt = _rk4_step(state.x, state.y, state.vx, state.vy, t, config.dt, lam, config.params)
-        return VehicleState(*nxt)
-    except (ValueError, OverflowError) as exc:
+        _, _, _, _, ax, ay = f(t, state.x, state.y, state.vx, state.vy)
+        return VehicleState(*_rk4(f, t, config.dt, state.x, state.y, state.vx, state.vy, ax, ay))
+    except ValueError as exc:
         raise DivergenceError(t, state=state) from exc
+
+
+# floats that run() logs per row, in this order
+_LOGGED = ("x", "y", "vx", "vy", "ax_d", "ay_d", "w1sq_raw", "w2sq_raw")
 
 
 def run(config: SimConfig) -> Trajectory:
     """Integrate the closed loop over the configured horizon and log it.
 
-    Deterministic for a fixed config. Yaw switching is decided by the step
-    index, not by floating-point comparison of times, so switches always
-    land exactly on grid points. On divergence the partial trajectory is
-    attached to the raised error.
+    Deterministic for a fixed config; the yaw follows the step index (see
+    ``_yaw``). Row k logs the state at step k and stage 1 of the step from
+    it. On divergence the partial trajectory, up to the last fully logged
+    row, is attached to the raised error.
     """
     params, gait, dt = config.params, config.gait, config.dt
-    n = config.n_steps
-    m = config.steps_per_half
-    size = n + 1
-    cols = {
-        name: np.empty(size, dtype=np.int64 if name in ("p", "q") else np.float64)
-        for name in TRAJECTORY_COLUMNS
-    }
-    lam_col = np.empty(size)
-    axd_col = np.empty(size)
-    ayd_col = np.empty(size)
+    n, m = config.n_steps, config.steps_per_half
+    s0 = config.initial_state
+    x, y, vx, vy = s0.x, s0.y, s0.vx, s0.vy
+    log: list[float] = []
+    try:
+        for k in range(n + 1):
+            t = k * dt
+            if k % m == 0:
+                f = _kernel(params, _yaw(k, m, gait))
+            ax_d, ay_d, sq1, sq2, ax, ay = f(t, x, y, vx, vy)
+            log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
+            if k < n:
+                x, y, vx, vy = _rk4(f, t, dt, x, y, vx, vy, ax, ay)
+    except ValueError as exc:
+        raise DivergenceError(t, _trajectory(log, config), VehicleState(x, y, vx, vy)) from exc
+    return _trajectory(log, config)
 
-    x, y, vx, vy = (
-        config.initial_state.x,
-        config.initial_state.y,
-        config.initial_state.vx,
-        config.initial_state.vy,
-    )
 
-    def log_row(k, t, lam):
-        ref = reference_at(t)
-        state = VehicleState(x, y, vx, vy)
-        acc = desired_accel(state, ref, params)
-        raw = raw_inversion(acc, lam, params)
-        cmd = clamp(raw)
-        ey = ref.yr - y
-        eydot = ref.vyr - vy
-        lo, hi = feasible_cone(lam, params)
-        cols["t"][k] = t
-        cols["x"][k] = x
-        cols["y"][k] = y
-        cols["vx"][k] = vx
-        cols["vy"][k] = vy
-        cols["ex"][k] = ref.xr - x
-        cols["ey"][k] = ey
-        cols["exdot"][k] = ref.vxr - vx
-        cols["eydot"][k] = eydot
-        cols["w1sq_raw"][k] = raw.sq1
-        cols["w2sq_raw"][k] = raw.sq2
-        cols["w1sq"][k] = cmd.w1sq
-        cols["w2sq"][k] = cmd.w2sq
-        cols["p"][k] = 1 if raw.sq1 > 0.0 else 0
-        cols["q"][k] = 1 if raw.sq2 > 0.0 else 0
-        cols["lyap"][k] = 0.5 * eydot * eydot + 0.5 * params.ky2 * ey * ey
-        if acc.ax_d == 0.0 and acc.ay_d == 0.0:
-            cols["angle_des"][k] = math.nan
-        else:
-            cols["angle_des"][k] = acceleration_angle(acc.ax_d, acc.ay_d)
-        cols["angle_lo"][k] = lo
-        cols["angle_hi"][k] = hi
-        lam_col[k] = lam
-        axd_col[k] = acc.ax_d
-        ayd_col[k] = acc.ay_d
-
-    def partial(k_done):
-        data = {name: cols[name][: k_done + 1] for name in TRAJECTORY_COLUMNS}
+def _trajectory(log: list[float], config: SimConfig) -> Trajectory:
+    """Build every column of a run from its flat per-row log (see ``_LOGGED``)."""
+    params, gait, m = config.params, config.gait, config.steps_per_half
+    width = len(_LOGGED)
+    cols = {name: np.array(log[i::width], dtype=np.float64) for i, name in enumerate(_LOGGED)}
+    # math.atan2, not np.arctan2: the two differ in the last bit on some rows
+    ax_d, ay_d = cols["ax_d"].tolist(), cols["ay_d"].tolist()
+    angle = [math.atan2(ay, ax) % TWO_PI if ax or ay else math.nan for ax, ay in zip(ax_d, ay_d)]
+    cols["angle_des"] = np.array(angle, dtype=np.float64)
+    k = np.arange(len(log) // width)
+    t = k * config.dt
+    half = (k // m) % 2  # 0 in the first half of each period, 1 in the second
+    yaws = (_yaw(0, m, gait), _yaw(m, m, gait))
+    lo_of, hi_of = np.array([feasible_cone(lam, params) for lam in yaws]).T
+    sq1, sq2 = cols["w1sq_raw"], cols["w2sq_raw"]
+    # a diverging run can overflow here; its partial log is still wanted
+    with np.errstate(over="ignore", invalid="ignore"):
+        ey = 0.0 - cols["y"]
+        eydot = 0.0 - cols["vy"]
         return Trajectory(
-            **data,
-            lam=lam_col[: k_done + 1],
-            ax_d=axd_col[: k_done + 1],
-            ay_d=ayd_col[: k_done + 1],
+            t=t,
+            ex=0.5 * t * t - cols["x"],
+            ey=ey,
+            exdot=t - cols["vx"],
+            eydot=eydot,
+            w1sq=np.where(sq1 >= 0.0, sq1, 0.0),
+            w2sq=np.where(sq2 >= 0.0, sq2, 0.0),
+            p=(sq1 > 0.0).astype(np.int64),
+            q=(sq2 > 0.0).astype(np.int64),
+            lyap=0.5 * eydot * eydot + 0.5 * params.ky2 * ey * ey,
+            angle_lo=lo_of[half],
+            angle_hi=hi_of[half],
+            lam=np.array(yaws)[half],
+            **cols,
         )
-
-    for k in range(size):
-        t = k * dt
-        # yaw from the half-period index; immune to float boundary rounding
-        half_index = k // m
-        lam = gait.phase_sign * gait.amplitude * (1.0 if half_index % 2 == 0 else -1.0)
-        log_row(k, t, lam)
-        if k == n:
-            break
-        try:
-            x, y, vx, vy = _rk4_step(x, y, vx, vy, t, dt, lam, params)
-            if not (
-                math.isfinite(x) and math.isfinite(y) and math.isfinite(vx) and math.isfinite(vy)
-            ):
-                raise ValueError("non-finite state")
-        except (ValueError, OverflowError) as exc:
-            raise DivergenceError(
-                t, partial(k), state=VehicleState(x, y, vx, vy)
-            ) from exc
-    return partial(n)
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -22,6 +24,40 @@ ky2 = 2e7
 duration = 6.0
 y0 = 0.5
 """
+
+
+# the diverging gain overflows the raw command already at the first row
+NONFINITE_COMMAND_CONFIG = """\
+[model]
+ky2 = 1e307
+
+[sim]
+y0 = 0.5
+"""
+
+# SHA-256 of (trajectory.csv, manifest.ini) from `simulate --duration 2.0`,
+# recorded with the simulator that ran the dataclass pipeline in every RK4
+# stage; run-vs-run tests cannot see a change that alters both runs alike
+GOLDEN_SHA256 = {
+    "large": (
+        ["--preset", "large"],
+        None,
+        "6f554ee91895aa39b0267a25164c6720456629dff1a152b7fa45a5de4219d66e",
+        "3b280bf9f11c3b46a6fe366afe7720197da88da5a1a506e100ee04660a77bfeb",
+    ),
+    "small": (
+        ["--preset", "small"],
+        None,
+        "9671ce53b539de55dfd2cd3b02490d88b84c3a5213d2e3ac3942f3c0777cec74",
+        "9a857f5a72d5ed0566721cba43d580d837e5d7bdff18174c9986252249a2165c",
+    ),
+    "large_y0": (
+        ["--preset", "large"],
+        "[sim]\ny0 = 0.01\n",
+        "f38dcadc6a985433d4790682119fb35d5908e6b2753d9dafab4791ed3f47f2fb",
+        "03751f47ae3c50e03b8d2932ce3f0e4de27d13d4ddcda30899e49e51d368562c",
+    ),
+}
 
 
 def read_json(path):
@@ -107,6 +143,30 @@ class TestSimulate:
         assert (out / "trajectory.csv").exists()
         report = read_json(out / "report.json")
         assert report["diverged"] is True
+
+    def test_nonfinite_controller_output_is_divergence(self, tmp_path, capsys):
+        cfg = tmp_path / "div.ini"
+        cfg.write_text(NONFINITE_COMMAND_CONFIG)
+        out = tmp_path / "run"
+        rc = main(["simulate", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 3
+        assert "divergence" in capsys.readouterr().err
+        assert read_json(out / "report.json")["diverged"] is True
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
+    def test_golden_bytes(self, case, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        flags, ini, traj_sha, manifest_sha = GOLDEN_SHA256[case]
+        out = tmp_path / "run"
+        argv = ["simulate", *flags, "--duration", "2.0", "--out-dir", str(out)]
+        if ini is not None:
+            (tmp_path / "sim.ini").write_text(ini)
+            argv += ["--config", str(tmp_path / "sim.ini")]
+        assert main(argv) == 0
+        assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == traj_sha
+        assert hashlib.sha256((out / "manifest.ini").read_bytes()).hexdigest() == manifest_sha
 
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TILTSIM_DURATION", "2")

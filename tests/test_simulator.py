@@ -1,24 +1,35 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from tiltsim import (
     DEFAULT_PARAMS,
     DivergenceError,
     ErrorState,
+    GaitSchedule,
     ModelParams,
     SimConfig,
     TRAJECTORY_COLUMNS,
+    Trajectory,
     VehicleState,
+    accelerate,
+    clamp,
+    desired_accel,
     half_period_map,
     preset,
+    raw_inversion,
+    reference_at,
     run,
     s11_flow,
     step,
     verify_trajectory,
 )
+from tiltsim.output import fmt, write_trajectory_csv
+from tiltsim.simulator import _kernel
 
 SQRT3 = math.sqrt(3.0)
 
@@ -93,6 +104,64 @@ class TestStep:
             err.append(math.hypot(s.y - ref.y, s.vy - ref.vy))
         ratio = err[0] / err[1]
         assert 8.0 < ratio < 40.0
+
+    def test_matches_run_across_yaw_switches(self):
+        # at period 0.2 and dt 0.01, fmod(k * dt, period) puts grid time k
+        # in the wrong half period for some k, the first at k = 30; step()
+        # must pick the yaw by step index as run() does
+        cfg = SimConfig(gait=GaitSchedule(amplitude=math.pi / 3, period=0.2), dt=0.01, duration=0.6)
+        traj = run(cfg)
+        states = [cfg.initial_state]
+        for k in range(cfg.n_steps):
+            states.append(step(states[-1], k * cfg.dt, cfg))
+        for name in ("x", "y", "vx", "vy"):
+            stepped = [getattr(s, name).hex() for s in states]
+            assert stepped == [v.hex() for v in traj.column(name).tolist()], name
+
+
+def _pipeline(params, lam, t, x, y, vx, vy):
+    """The public dataclass path that the simulator kernel must reproduce."""
+    acc = desired_accel(VehicleState(x, y, vx, vy), reference_at(t), params)
+    raw = raw_inversion(acc, lam, params)
+    ax, ay = accelerate(clamp(raw), lam, params)
+    return acc.ax_d, acc.ay_d, raw.sq1, raw.sq2, ax, ay
+
+
+_coord = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_gain = st.floats(0.1, 100.0)
+
+
+class TestKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        params=st.builds(
+            ModelParams,
+            m=st.floats(0.1, 10.0),
+            theta=st.floats(0.01, 1.56),
+            k_thrust=st.floats(1e-4, 1.0),
+            kx1=_gain,
+            kx2=_gain,
+            ky1=_gain,
+            ky2=_gain,
+        ),
+        amplitude=st.floats(0.01, 1.56),
+        sign=st.sampled_from([-1.0, 1.0]),
+        t=st.floats(0.0, 100.0),
+        state=st.tuples(_coord, _coord, _coord, _coord),
+    )
+    def test_matches_dataclass_pipeline_bit_for_bit(self, params, amplitude, sign, t, state):
+        f = _kernel(params, sign * amplitude)
+        try:
+            expected = _pipeline(params, sign * amplitude, t, *state)
+        except ValueError:
+            with pytest.raises(ValueError):
+                f(t, *state)
+            return
+        assert [v.hex() for v in f(t, *state)] == [v.hex() for v in expected]
 
 
 class TestRun:
@@ -288,6 +357,28 @@ class TestTrajectoryCsv:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_array_equal(data[:, 0], small_run.t)
         np.testing.assert_array_equal(data[:, 5], small_run.ex)
+
+    def test_fields_match_fmt(self, tmp_path):
+        # more rows than one writer chunk, every float column holding the
+        # awkward values at shifted rows
+        values = np.resize([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0], 4099)
+        cols = {f.name: np.roll(values, i) for i, f in enumerate(dataclasses.fields(Trajectory))}
+        cols["p"] = np.resize(np.array([0, 1], dtype=np.int64), len(values))
+        cols["q"] = np.resize(np.array([1, 1, 0], dtype=np.int64), len(values))
+        traj = Trajectory(**cols)
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(traj, path)
+        text = path.read_text()
+        assert text.endswith("\n")
+        header, *rows = text[:-1].split("\n")
+        assert header == ",".join(TRAJECTORY_COLUMNS)
+        assert len(rows) == len(values)
+        for k, row in enumerate(rows):
+            expected = [
+                str(int(v)) if name in ("p", "q") else fmt(v)
+                for name, v in ((name, traj.column(name)[k]) for name in TRAJECTORY_COLUMNS)
+            ]
+            assert row.split(",") == expected, k
 
     def test_byte_determinism(self, tmp_path):
         cfg = SimConfig(gait=preset("large"), duration=2.0)
