@@ -14,8 +14,17 @@ For the default gain pair (ky1, ky2) = (9, 18) the unsaturated decay has
 real rates -3 and -6 and the time to reach the switching threshold has a
 closed form. For other gains the linear flow is still evaluated
 analytically (2x2 linear ODE) but threshold crossings are found by
-bracketed root search, and the half-period map falls back to an
-event-driven segment loop that tolerates multiple regime changes.
+bracketed root search, and the half-period map is an event-driven segment
+loop that tolerates multiple regime changes.
+
+Both engines take arrays of start cells. ``_map`` picks the engine for the
+gains and is what every grid, capture check, critical-level search and
+single-state map goes through. The event-driven engine advances all live
+cells one segment at a time; its threshold-crossing scan samples every
+cell at once, then ``brentq`` refines each cell's first bracket, one call
+per cell. Cells that do not settle within ``_MAX_SEGMENTS`` segments are
+reported, not dropped: the grid raises, the capture check counts them as
+violations, and the critical-level search skips and counts them.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ TWO_PI = 2.0 * math.pi
 DELTA_L_CAP = 0.75
 
 _MAX_SEGMENTS = 64
+_SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
 
 
 @dataclass(frozen=True)
@@ -186,6 +196,12 @@ def _hit_time_default_pos(e0, edot0):
     return np.log(np.maximum(z, 1.0)) / 3.0
 
 
+def _hit_time_pos(e0: float, edot0: float, params: ModelParams) -> float:
+    if _has_default_rates(params):
+        return float(_hit_time_default_pos(e0, edot0))
+    return _hit_time_generic(e0, edot0, params)
+
+
 def hitting_time_pos(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
     """Time for the unsaturated decay to reach ky1*edot + ky2*e = +1/sqrt(3).
 
@@ -196,48 +212,70 @@ def hitting_time_pos(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> fl
     """
     if not in_admissible_region(s0, +1, params):
         raise ValueError(_region_error(+1))
-    if _has_default_rates(params):
-        return float(_hit_time_default_pos(s0.e, s0.edot))
-    return _hit_time_generic(s0.e, s0.edot, INV_SQRT3, params)
+    return _hit_time_pos(s0.e, s0.edot, params)
 
 
 def hitting_time_neg(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
     """Mirror of ``hitting_time_pos`` for the -1/sqrt(3) threshold."""
     if not in_admissible_region(s0, -1, params):
         raise ValueError(_region_error(-1))
-    if _has_default_rates(params):
-        a = INV_SQRT3 / 9.0
-        b = 2.0 * s0.e + s0.edot / 3.0
-        c = 4.0 * s0.e + 4.0 * s0.edot / 3.0
-        z = (b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
-        return math.log(max(z, 1.0)) / 3.0
-    return _hit_time_generic(-s0.e, -s0.edot, INV_SQRT3, params)
+    return _hit_time_pos(-s0.e, -s0.edot, params)
 
 
-def _hit_time_generic(e0, edot0, bound, params: ModelParams, t_max: float = 8.0) -> float:
-    """First crossing of the PD output with ``bound`` along the linear flow."""
+def _gap(e0: float, edot0: float, bound: float, params: ModelParams):
+    """PD output minus ``bound`` along the linear flow from one start state."""
 
     def gap(t):
         e, edot = _linear_flow(e0, edot0, t, params)
         return _pd_output(e, edot, params) - bound
 
-    g0 = gap(0.0)
-    if g0 <= 0.0:
+    return gap
+
+
+def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start: float):
+    """First crossing of the PD output with ``bound`` along the linear flow.
+
+    For each cell of the 1-D arrays ``e`` and ``edot`` the gap is sampled at
+    ``t_start`` and at ``horizon * i / n`` for i = 1..n, all cells of a block
+    at once. The first sample where the gap is zero is returned as is; the
+    first sample interval where its sign changes is refined by ``brentq``.
+    Cells without a crossing get NaN. Blocks hold at most ``_SCAN_BLOCK``
+    samples, which caps the memory of a large grid.
+    """
+    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), e.shape)
+    out = np.full(e.shape, np.nan)
+    steps = np.arange(1, n + 1)
+    rows = max(1, _SCAN_BLOCK // (n + 1))
+    for lo in range(0, e.size, rows):
+        ec, dc = e[lo : lo + rows, None], edot[lo : lo + rows, None]
+        t = np.empty((ec.shape[0], n + 1))
+        t[:, 0] = t_start
+        t[:, 1:] = horizon[lo : lo + rows, None] * steps / n
+        g = _pd_output(*_linear_flow(ec, dc, t, params), params) - bound
+        above = g > 0.0
+        event = (g[:, 1:] == 0.0) | (above[:, :-1] != above[:, 1:])
+        first = event.argmax(axis=1) + 1
+        for r in np.nonzero(event.any(axis=1))[0]:
+            i = first[r]
+            if g[r, i] == 0.0:
+                out[lo + r] = t[r, i]
+            else:
+                gap = _gap(float(ec[r, 0]), float(dc[r, 0]), bound, params)
+                out[lo + r] = brentq(gap, t[r, i - 1], t[r, i], xtol=1e-14)
+    return out
+
+
+def _hit_time_generic(e0: float, edot0: float, params: ModelParams, t_max: float = 8.0) -> float:
+    """First crossing of the PD output with +1/sqrt(3) along the linear flow."""
+    if _gap(e0, edot0, INV_SQRT3, params)(0.0) <= 0.0:
         return 0.0
-    n = 512
-    prev_t, prev_g = 0.0, g0
-    for i in range(1, n + 1):
-        t = t_max * i / n
-        g = gap(t)
-        if g <= 0.0:
-            if g == 0.0:
-                return t
-            return brentq(gap, prev_t, t, xtol=1e-14)
-        prev_t, prev_g = t, g
-    raise ValueError(
-        f"unsaturated flow does not reach the threshold within {t_max} s for "
-        f"gains ky1={params.ky1}, ky2={params.ky2}"
-    )
+    t = _crossing_time(np.array([e0]), np.array([edot0]), INV_SQRT3, params, t_max, 512, 0.0)
+    if np.isnan(t[0]):
+        raise ValueError(
+            f"unsaturated flow does not reach the threshold within {t_max} s for "
+            f"gains ky1={params.ky1}, ky2={params.ky2}"
+        )
+    return float(t[0])
 
 
 def hitting_time_simulated(
@@ -258,9 +296,10 @@ def hitting_time_simulated(
     k1g, k2g = params.ky1, params.ky2
     sgn = float(lambda_sign)
 
-    def rk4_advance(e, edot, h, nsub=1):
-        hh = h / nsub
-        for _ in range(nsub):
+    def rk4_advance(e, edot, h):
+        # eight RK4 sub-steps across h, for the bisection
+        hh = h / 8
+        for _ in range(8):
             a1 = -k1g * edot - k2g * e
             e2, d2 = e + 0.5 * hh * edot, edot + 0.5 * hh * a1
             a2 = -k1g * d2 - k2g * e2
@@ -282,13 +321,23 @@ def hitting_time_simulated(
         return 0.0
     t = 0.0
     t_max = 8.0
+    # the scan takes single RK4 steps of length step, written out
+    half = 0.5 * step
     while t < t_max:
-        e_next, edot_next = rk4_advance(e, edot, step)
-        if gap(e_next, edot_next) <= 0.0:
+        a1 = -k1g * edot - k2g * e
+        e2, d2 = e + half * edot, edot + half * a1
+        a2 = -k1g * d2 - k2g * e2
+        e3, d3 = e + half * d2, edot + half * a2
+        a3 = -k1g * d3 - k2g * e3
+        e4, d4 = e + step * d3, edot + step * a3
+        a4 = -k1g * d4 - k2g * e4
+        e_next = e + step * (edot + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
+        edot_next = edot + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
+        if sgn * (k1g * edot_next + k2g * e_next - bound) <= 0.0:
             lo, hi = 0.0, step
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                em, dm = rk4_advance(e, edot, mid, nsub=8)
+                em, dm = rk4_advance(e, edot, mid)
                 if gap(em, dm) <= 0.0:
                     hi = mid
                 else:
@@ -315,7 +364,7 @@ def _saturated_exit_time(e, edot, bound, accel, params: ModelParams):
 
     Along the constant-push flow the PD output is quadratic in time; an
     exit is a root where the output moves across the threshold away from
-    the clamped side. Returns None when no such root exists.
+    the clamped side. Array valued; NaN where no such root exists.
     """
     k1g, k2g = params.ky1, params.ky2
     c2 = 0.5 * k2g * accel
@@ -326,67 +375,89 @@ def _saturated_exit_time(e, edot, bound, accel, params: ModelParams):
     # locked together so the exit direction is sign(-accel).
     exit_dir = -1.0 if accel > 0.0 else 1.0
     disc = c1 * c1 - 4.0 * c2 * c0
-    if disc < 0.0:
-        return None
-    rad = math.sqrt(disc)
-    roots = sorted(((-c1 - rad) / (2.0 * c2), (-c1 + rad) / (2.0 * c2)))
-    for t in roots:
-        if t > 1e-12 and exit_dir * (c1 + 2.0 * c2 * t) > 0.0:
-            return t
-    return None
+    rad = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    r_minus, r_plus = (-c1 - rad) / (2.0 * c2), (-c1 + rad) / (2.0 * c2)
+    first, second = np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus)
+
+    def exits(t):
+        return (t > 1e-12) & (exit_dir * (c1 + 2.0 * c2 * t) > 0.0)
+
+    return np.where(exits(first), first, np.where(exits(second), second, np.nan))
 
 
-def _linear_crossing_time(e, edot, bound, params: ModelParams, horizon: float):
-    """First crossing of the PD output with ``bound`` within ``horizon``."""
-
-    def gap(t):
-        et, dt_ = _linear_flow(e, edot, t, params)
-        return _pd_output(et, dt_, params) - bound
-
-    n = 256
-    t_prev = 1e-12
-    g_prev = gap(t_prev)
-    for i in range(1, n + 1):
-        t = horizon * i / n
-        g = gap(t)
-        if g == 0.0:
-            return t
-        if (g_prev > 0.0) != (g > 0.0):
-            return brentq(gap, t_prev, t, xtol=1e-14)
-        t_prev, g_prev = t, g
-    return None
-
-
-def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
-    """Event-driven half-period map valid for arbitrary positive gains."""
-    bound = lambda_sign * INV_SQRT3
-    accel = -lambda_sign * INV_SQRT3
-    remaining = half_period
-    # the threshold itself is saturated (tie rule); the band absorbs the
-    # rounding left behind by the root search that lands us on it
-    eps = 1e-10
-    for _ in range(_MAX_SEGMENTS):
-        g = _pd_output(e, edot, params)
-        saturated = g <= bound + eps if lambda_sign > 0 else g >= bound - eps
-        if saturated:
-            t_exit = _saturated_exit_time(e, edot, bound, accel, params)
-        else:
-            t_exit = _linear_crossing_time(e, edot, bound, params, remaining)
-        if t_exit is None or t_exit >= remaining:
-            adv, switch = remaining, False
-        else:
-            adv, switch = t_exit, True
-        if saturated:
-            e, edot = _saturated_flow(e, edot, adv, accel)
-        else:
-            e, edot = _linear_flow(e, edot, adv, params)
-        remaining -= adv
-        if not switch or remaining <= 1e-15:
-            return float(e), float(edot)
-    raise RuntimeError(
+def _unsettled_error(params: ModelParams) -> str:
+    return (
         "half-period map did not settle within "
         f"{_MAX_SEGMENTS} regime segments (gains ky1={params.ky1}, ky2={params.ky2})"
     )
+
+
+def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
+    """Event-driven half-period map valid for arbitrary positive gains.
+
+    Arrays in give ``(e, edot, unsettled)`` out: ``unsettled`` marks the
+    cells that still switch regime after ``_MAX_SEGMENTS`` segments, and
+    those carry NaN. Scalars in give two floats out, and a cell that does
+    not settle raises ``RuntimeError``. Each segment advances all live
+    cells at once: saturated cells by the constant push up to their exit
+    time, the others by the linear flow up to their threshold crossing.
+    """
+    scalar = np.ndim(e) == 0 and np.ndim(edot) == 0
+    e = np.array(e, dtype=float, ndmin=1)
+    edot = np.array(edot, dtype=float, ndmin=1)
+    bound = lambda_sign * INV_SQRT3
+    accel = -lambda_sign * INV_SQRT3
+    remaining = np.full(e.shape, float(half_period))
+    # the threshold itself is saturated (tie rule); the band absorbs the
+    # rounding left behind by the root search that lands us on it
+    eps = 1e-10
+    live = np.arange(e.size)
+    for _ in range(_MAX_SEGMENTS):
+        if live.size == 0:
+            break
+        el, dl, rl = e[live], edot[live], remaining[live]
+        g = _pd_output(el, dl, params)
+        sat = g <= bound + eps if lambda_sign > 0 else g >= bound - eps
+        lin = ~sat
+        t_exit = np.empty(live.shape)
+        t_exit[sat] = _saturated_exit_time(el[sat], dl[sat], bound, accel, params)
+        t_exit[lin] = _crossing_time(el[lin], dl[lin], bound, params, rl[lin], 256, 1e-12)
+        switch = t_exit < rl  # NaN (no exit) runs out the half period
+        adv = np.where(switch, t_exit, rl)
+        e_sat, d_sat = _saturated_flow(el[sat], dl[sat], adv[sat], accel)
+        e_lin, d_lin = _linear_flow(el[lin], dl[lin], adv[lin], params)
+        e[live[sat]], edot[live[sat]] = e_sat, d_sat
+        e[live[lin]], edot[live[lin]] = e_lin, d_lin
+        remaining[live] = rl - adv
+        live = live[switch & (remaining[live] > 1e-15)]
+    unsettled = np.zeros(e.shape, dtype=bool)
+    unsettled[live] = True
+    e[live] = edot[live] = np.nan
+    if scalar:
+        if unsettled[0]:
+            raise RuntimeError(_unsettled_error(params))
+        return float(e[0]), float(edot[0])
+    return e, edot, unsettled
+
+
+def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
+    """Half-period map of 1-D arrays of start cells, with the engine for the gains.
+
+    The default gains take the closed form, others the event-driven engine.
+    Returns ``(e, edot, unsettled)``; unsettled cells carry NaN.
+    """
+    if _has_default_rates(params):
+        e1, ed1 = _map_default(e, edot, lambda_sign, params, half_period)
+        return e1, ed1, np.zeros(np.shape(e1), dtype=bool)
+    return _map_generic(e, edot, lambda_sign, params, half_period)
+
+
+def _map_settled(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
+    """``_map`` for callers that cannot skip a cell: raises if one does not settle."""
+    e1, ed1, unsettled = _map(e, edot, lambda_sign, params, half_period)
+    if unsettled.any():
+        raise RuntimeError(_unsettled_error(params))
+    return e1, ed1
 
 
 def half_period_map(
@@ -404,11 +475,8 @@ def half_period_map(
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
-    if _has_default_rates(params):
-        e, edot = _map_default(s0.e, s0.edot, lambda_sign, params, half_period)
-        return ErrorState(float(e), float(edot))
-    e, edot = _map_generic(s0.e, s0.edot, lambda_sign, params, half_period)
-    return ErrorState(e, edot)
+    e, edot = _map_settled(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params, half_period)
+    return ErrorState(float(e[0]), float(edot[0]))
 
 
 def delta_l(
@@ -514,15 +582,7 @@ def delta_l_grid(
     if mask.any():
         e0, ed0 = E[mask], Ed[mask]
         l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
-        if _has_default_rates(params):
-            e1, ed1 = _map_default(e0, ed0, lambda_sign, params, half_period)
-        else:
-            e1 = np.empty_like(e0)
-            ed1 = np.empty_like(ed0)
-            for k in range(e0.size):
-                e1[k], ed1[k] = _map_generic(
-                    float(e0[k]), float(ed0[k]), lambda_sign, params, half_period
-                )
+        e1, ed1 = _map_settled(e0, ed0, lambda_sign, params, half_period)
         l1 = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1
         values[mask] = l1 - l0
     return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign)
@@ -561,7 +621,8 @@ def verify_quadrant_capture(
     """Check that the half-period map sends its capture region to the mirror.
 
     Every admissible start cell must land in the opposite-sign capture
-    region; violations are collected, not raised.
+    region; violations are collected, not raised. A cell whose map does not
+    settle is a violation.
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
@@ -573,18 +634,8 @@ def verify_quadrant_capture(
     if not mask.any():
         return report
     e0, ed0 = E[mask], Ed[mask]
-    if _has_default_rates(params):
-        e1, ed1 = _map_default(e0, ed0, lambda_sign, params, half_period)
-    else:
-        e1 = np.empty_like(e0)
-        ed1 = np.empty_like(ed0)
-        for k in range(e0.size):
-            try:
-                e1[k], ed1[k] = _map_generic(
-                    float(e0[k]), float(ed0[k]), lambda_sign, params, half_period
-                )
-            except RuntimeError:
-                e1[k], ed1[k] = np.nan, np.nan
+    # cells that do not settle carry NaN and count as violations
+    e1, ed1, _ = _map(e0, ed0, lambda_sign, params, half_period)
     captured = _region_mask(e1, ed1, -lambda_sign, params, 0.0)
     captured &= np.isfinite(e1) & np.isfinite(ed1)
     for k in np.nonzero(~captured)[0]:
@@ -600,6 +651,8 @@ class CriticalLyapunov:
     grid_max: float
     n_positive_cells: int
     resolution: int
+    # ellipse samples skipped because their half-period map did not settle
+    n_unsettled: int = 0
 
     @property
     def sup_bound(self) -> float:
@@ -613,6 +666,7 @@ class CriticalLyapunov:
             "n_positive_cells": self.n_positive_cells,
             "resolution": self.resolution,
             "sup_bound": self.sup_bound,
+            "n_unsettled": self.n_unsettled,
         }
 
 
@@ -667,27 +721,38 @@ def critical_lyapunov(
     if witness_phi is not None:
         phis = np.append(phis, witness_phi)
 
+    n_unsettled = 0
+
     def intersects(level: float) -> bool:
+        # Cells are mapped in order and the search stops at the first
+        # nonnegative change. The closed form maps all cells for about the
+        # cost of one, so it takes them in one chunk; the event-driven engine
+        # takes chunks of 1, 2, 4, ... cells. Cells that do not settle are
+        # skipped; those before the first nonnegative change are counted.
+        nonlocal n_unsettled
         e, edot = _ellipse_points(level, phis, params)
         for sign in (+1, -1):
             sel = _region_mask(e, edot, sign, params, 0.0)
-            if not sel.any():
-                continue
-            l0 = np.full(int(sel.sum()), level)
-            if _has_default_rates(params):
-                e1, ed1 = _map_default(e[sel], edot[sel], sign, params, half_period)
-                l1 = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1
-                if np.any(l1 - l0 >= 0.0):
+            e_sel, ed_sel = e[sel], edot[sel]
+            start, size = 0, e_sel.size if _has_default_rates(params) else 1
+            while start < e_sel.size:
+                chunk = slice(start, start + size)
+                e1, ed1, unsettled = _map(e_sel[chunk], ed_sel[chunk], sign, params, half_period)
+                grows = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
+                if grows.any():
+                    n_unsettled += int(unsettled[: grows.argmax()].sum())
                     return True
-            else:
-                for ek, edk in zip(e[sel], edot[sel]):
-                    try:
-                        e1, ed1 = _map_generic(float(ek), float(edk), sign, params, half_period)
-                    except RuntimeError:
-                        continue
-                    if 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0:
-                        return True
+                n_unsettled += int(unsettled.sum())
+                start, size = start + size, 2 * size
         return False
+
+    def result(level: float) -> CriticalLyapunov:
+        if n_unsettled:
+            warnings.warn(
+                f"{n_unsettled} ellipse samples did not settle within {_MAX_SEGMENTS} "
+                "regime segments and were skipped"
+            )
+        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, n_unsettled)
 
     lo = grid_max
     hi = grid_max
@@ -697,14 +762,14 @@ def critical_lyapunov(
             break
     else:
         warnings.warn("could not bracket the critical level from above")
-        return CriticalLyapunov(float(hi), grid_max, n_pos, resolution)
+        return result(hi)
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
         if intersects(mid):
             lo = mid
         else:
             hi = mid
-    return CriticalLyapunov(float(lo), grid_max, n_pos, resolution)
+    return result(lo)
 
 
 def acceleration_angle(ax: float, ay: float) -> float:

@@ -19,6 +19,8 @@ from .analysis import (
     DELTA_L_CAP,
     ErrorState,
     INV_SQRT3,
+    _map_settled,
+    _region_mask,
     delta_l_grid,
     half_period_map,
     hitting_time_neg,
@@ -151,23 +153,17 @@ def _check_capture(resolution, params) -> LemmaCheck:
 
 def _check_self_map(resolution, params) -> LemmaCheck:
     e_vals = np.linspace(-2.0, 2.0, resolution)
-    bad = 0
-    n = 0
-    for e in e_vals:
-        for edot in e_vals:
-            s = ErrorState(float(e), float(edot))
-            if not in_admissible_region(s, +1, params):
-                continue
-            n += 1
-            mid = half_period_map(s, +1, params)
-            if not in_admissible_region(mid, -1, params):
-                bad += 1
-                continue
-            end = half_period_map(mid, -1, params)
-            if not in_admissible_region(end, +1, params):
-                bad += 1
+    E, Ed = np.meshgrid(e_vals, e_vals, indexing="ij")
+    start = _region_mask(E, Ed, +1, params, 0.0)
+    mid_e, mid_ed = _map_settled(E[start], Ed[start], +1, params, 1.0)
+    mid_ok = _region_mask(mid_e, mid_ed, -1, params, 0.0)
+    end_e, end_ed = _map_settled(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
+    end_ok = _region_mask(end_e, end_ed, +1, params, 0.0)
+    bad = int((~mid_ok).sum() + (~end_ok).sum())
     return LemmaCheck(
-        "two_half_period_self_map", bad == 0, {"n_checked": n, "n_violations": bad}
+        "two_half_period_self_map",
+        bad == 0,
+        {"n_checked": int(start.sum()), "n_violations": bad},
     )
 
 

@@ -6,6 +6,10 @@ threshold crossings are located by bisection on re-integrated sub-steps.
 The switched-loop oracle rebuilds the controller composition (PD law,
 inversion, clamp, thrust) directly in numpy instead of calling the
 analysis module.
+
+The scalar-loop oracles at the end are the reference for the array paths:
+they call the half-period map one cell at a time, as the array code did
+before it took whole grids.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from tiltsim import ErrorState, half_period_map, in_admissible_region
 
 SQRT3 = math.sqrt(3.0)
 
@@ -151,3 +157,67 @@ def sample_capture_region(rng, n, lambda_sign, ky1, ky2, box=2.0):
             es.append(lambda_sign * e)
             eds.append(lambda_sign * ed)
     return np.array(es), np.array(eds)
+
+
+def self_map_counts(resolution, params):
+    """(n_checked, n_violations) of the two-half-period self-map, cell by cell."""
+    e_vals = np.linspace(-2.0, 2.0, resolution)
+    bad = 0
+    n = 0
+    for e in e_vals:
+        for edot in e_vals:
+            s = ErrorState(float(e), float(edot))
+            if not in_admissible_region(s, +1, params):
+                continue
+            n += 1
+            mid = half_period_map(s, +1, params)
+            if not in_admissible_region(mid, -1, params):
+                bad += 1
+                continue
+            end = half_period_map(mid, -1, params)
+            if not in_admissible_region(end, +1, params):
+                bad += 1
+    return n, bad
+
+
+def scalar_critical_search(map_cell, level, witness_phi, ky1, ky2, refine_tol=1e-4, n_angles=4096):
+    """Critical-level search after the grid pass, one ellipse cell at a time.
+
+    Starts from the grid level ``level``, brackets from above and bisects
+    as ``critical_lyapunov`` does. ``map_cell(e, edot, sign)`` maps one
+    cell; a cell whose map raises ``RuntimeError`` is skipped and counted.
+    Returns (level, number of skipped cells).
+    """
+    phis = np.append(np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False), witness_phi)
+    skipped = 0
+
+    def intersects(lv):
+        nonlocal skipped
+        e = math.sqrt(2.0 * lv / ky2) * np.cos(phis)
+        edot = math.sqrt(2.0 * lv) * np.sin(phis)
+        for sign in (+1, -1):
+            sel = (sign * (ky1 * edot + ky2 * e) >= 1.0 / SQRT3) & (sign * e >= 0) & (sign * edot >= 0)
+            for ek, edk in zip(e[sel], edot[sel]):
+                try:
+                    e1, ed1 = map_cell(float(ek), float(edk), sign)
+                except RuntimeError:
+                    skipped += 1
+                    continue
+                if 0.5 * ed1 * ed1 + 0.5 * ky2 * e1 * e1 - lv >= 0.0:
+                    return True
+        return False
+
+    lo = hi = level
+    for _ in range(60):
+        hi = hi * 1.25 + 1e-9
+        if not intersects(hi):
+            break
+    else:
+        return hi, skipped
+    while hi - lo > refine_tol:
+        mid = 0.5 * (lo + hi)
+        if intersects(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, skipped

@@ -1,10 +1,13 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
+from tiltsim import analysis
 from tiltsim import (
     DEFAULT_PARAMS,
     DELTA_L_CAP,
@@ -27,6 +30,7 @@ from tiltsim import (
     verify_quadrant_capture,
 )
 from tiltsim.analysis import _map_default, _map_generic
+from tiltsim.checks import _check_self_map
 
 SQRT3 = math.sqrt(3.0)
 INV3 = 1.0 / SQRT3
@@ -126,6 +130,15 @@ class TestHittingTimes:
             tn = hitting_time_neg(ErrorState(-e, -ed))
             assert tn == pytest.approx(tp, abs=1e-13)
 
+    def test_neg_mirrors_pos_exactly(self):
+        rng = np.random.default_rng(61)
+        for ky1, ky2, n in ((9.0, 18.0, 5000), (6.0, 10.0, 40)):
+            p = ModelParams(ky1=ky1, ky2=ky2)
+            e0, ed0 = oc.sample_capture_region(rng, n, +1, ky1, ky2)
+            for e, ed in zip(e0, ed0):
+                tp = hitting_time_pos(ErrorState(e, ed), p)
+                assert hitting_time_neg(ErrorState(-e, -ed), p) == tp
+
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="first-quadrant"):
             hitting_time_pos(ErrorState(-0.1, 0.0))
@@ -213,6 +226,52 @@ class TestHalfPeriodMap:
             out = half_period_map(ErrorState(e0[i], ed0[i]), +1, p)
             assert out.e == pytest.approx(eo[i], abs=1e-6)
             assert out.edot == pytest.approx(edo[i], abs=1e-6)
+
+
+_gain = st.floats(0.5, 40.0)
+# (ky1, ky2) pairs: any pair (distinct or complex rates), or ky1^2 = 4*ky2
+# (repeated rate)
+_gains = st.one_of(
+    st.tuples(_gain, _gain),
+    st.integers(1, 10).map(lambda k: (2.0 * k, float(k * k))),
+)
+_cell = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+
+
+class TestArrayEngine:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gains=_gains,
+        sign=st.sampled_from((1, -1)),
+        cells=st.lists(_cell, min_size=1, max_size=12),
+        max_segments=st.sampled_from((1, 2, 64)),
+    )
+    @example(gains=(6.0, 9.0), sign=1, cells=[(0.5, 0.2), (1.0, 1.5)], max_segments=64)
+    @example(gains=(2.0, 30.0), sign=-1, cells=[(-0.5, -0.2), (-1.0, 0.3)], max_segments=64)
+    def test_batch_matches_scalar_calls(self, gains, sign, cells, max_segments):
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        e0 = np.array([c[0] for c in cells])
+        ed0 = np.array([c[1] for c in cells])
+        with mock.patch.object(analysis, "_MAX_SEGMENTS", max_segments):
+            e1, ed1, unsettled = _map_generic(e0, ed0, sign, p, 1.0)
+            for k in range(len(cells)):
+                try:
+                    want = _map_generic(float(e0[k]), float(ed0[k]), sign, p, 1.0)
+                except RuntimeError:
+                    assert unsettled[k]
+                    assert np.isnan(e1[k]) and np.isnan(ed1[k])
+                    continue
+                assert not unsettled[k]
+                got = np.array([e1[k], ed1[k]])
+                assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("ky1, ky2, res", [(9.0, 18.0, 101), (6.0, 12.0, 37), (1.0, 2.0, 21)])
+    def test_self_map_check_matches_scalar_loop(self, ky1, ky2, res):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        n, bad = oc.self_map_counts(res, p)
+        check = _check_self_map(res, p)
+        assert check.detail == {"n_checked": n, "n_violations": bad}
+        assert check.passed == (bad == 0)
 
 
 class TestLyapunovAlongHalfPeriod:
@@ -355,6 +414,60 @@ class TestCriticalLyapunov:
         c1 = critical_lyapunov(resolution=100)
         c2 = critical_lyapunov(resolution=200)
         assert abs(c1.l_critical - c2.l_critical) / c2.l_critical < 0.01
+
+    def test_generic_gains_regression(self):
+        # recorded with the cell-by-cell engine this replaced
+        crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=6.0, ky2=12.0))
+        assert crit.l_critical == 0.8713017756479291
+        assert crit.grid_max == 0.7744904667981592
+        assert crit.n_positive_cells == 30
+        assert crit.n_unsettled == 0
+
+    @pytest.mark.parametrize(
+        "ky1, ky2, l_critical, grid_max, n_positive",
+        [
+            (5.0, 20.0, 27406278.768203944, 42.0, 122),
+            (6.0, 22.0, 30016400.555403337, 46.0, 122),
+            (7.0, 23.0, 31321461.449003033, 48.0, 122),
+            (8.0, 24.0, 32626522.34260273, 50.0, 120),
+        ],
+    )
+    def test_unbracketed_pairs_unchanged(self, ky1, ky2, l_critical, grid_max, n_positive):
+        # recorded with the cell-by-cell engine this replaced
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            crit = critical_lyapunov(resolution=16, params=ModelParams(ky1=ky1, ky2=ky2))
+        assert [str(w.message) for w in caught] == [
+            "could not bracket the critical level from above"
+        ]
+        assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
+            l_critical,
+            grid_max,
+            n_positive,
+        )
+
+    def test_unsettled_cells_counted(self, monkeypatch):
+        p = ModelParams(ky1=6.0, ky2=12.0)
+        # one grid cell, on the threshold at rest: it starts clamped and
+        # stays clamped, so it settles in one segment and gains energy
+        e0 = INV3 / 12.0
+        while 12.0 * e0 < INV3:
+            e0 = math.nextafter(e0, 1.0)
+        monkeypatch.setattr(analysis, "_MAX_SEGMENTS", 1)
+        with pytest.warns(UserWarning, match="did not settle"):
+            crit = critical_lyapunov((e0, e0), (0.0, 0.0), 1, p, n_angles=256)
+        assert crit.n_positive_cells == 1
+        assert crit.n_unsettled > 0
+        assert crit.to_dict()["n_unsettled"] == crit.n_unsettled
+        level, skipped = oc.scalar_critical_search(
+            lambda e, ed, sign: _map_generic(e, ed, sign, p, 1.0),
+            crit.grid_max,
+            0.0,
+            6.0,
+            12.0,
+            n_angles=256,
+        )
+        assert (crit.l_critical, crit.n_unsettled) == (level, skipped)
 
     def test_degenerate_when_no_positive_cells(self):
         # far corner of the admissible region: every cell loses energy
