@@ -25,6 +25,10 @@ cell at once, then ``brentq`` refines each cell's first bracket, one call
 per cell. Cells that do not settle within ``_MAX_SEGMENTS`` segments are
 reported, not dropped: the grid raises, the capture check counts them as
 violations, and the critical-level search skips and counts them.
+
+Only the event-driven engine solves for roots. ``scipy.optimize`` is
+imported by the first ``brentq`` call in a process (about 0.6 s, once), so
+default-gain work never loads it.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
+import scipy  # fails here when scipy is missing; brentq loads scipy.optimize
 
 from .plant import DEFAULT_PARAMS, ModelParams
 
@@ -71,6 +75,18 @@ DELTA_L_CAP = 0.75
 
 _MAX_SEGMENTS = 64
 _SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
+
+
+def brentq(f, a, b, **kwargs):
+    """``scipy.optimize.brentq``, with ``scipy.optimize`` imported on first use.
+
+    Only the event-driven engine solves for roots, and ``scipy.optimize``
+    takes most of the package's import time, so the closed-form path never
+    loads it.
+    """
+    import scipy.optimize
+
+    return scipy.optimize.brentq(f, a, b, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -653,6 +669,9 @@ class CriticalLyapunov:
     resolution: int
     # ellipse samples skipped because their half-period map did not settle
     n_unsettled: int = 0
+    # False when no level above the grid maximum cleared the nonnegative-change
+    # set: l_critical is then the last search bound, not a critical level
+    bracketed: bool = True
 
     @property
     def sup_bound(self) -> float:
@@ -667,6 +686,7 @@ class CriticalLyapunov:
             "resolution": self.resolution,
             "sup_bound": self.sup_bound,
             "n_unsettled": self.n_unsettled,
+            "bracketed": self.bracketed,
         }
 
 
@@ -746,13 +766,13 @@ def critical_lyapunov(
                 start, size = start + size, 2 * size
         return False
 
-    def result(level: float) -> CriticalLyapunov:
+    def result(level: float, bracketed: bool = True) -> CriticalLyapunov:
         if n_unsettled:
             warnings.warn(
                 f"{n_unsettled} ellipse samples did not settle within {_MAX_SEGMENTS} "
                 "regime segments and were skipped"
             )
-        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, n_unsettled)
+        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, n_unsettled, bracketed)
 
     lo = grid_max
     hi = grid_max
@@ -762,7 +782,7 @@ def critical_lyapunov(
             break
     else:
         warnings.warn("could not bracket the critical level from above")
-        return result(hi)
+        return result(hi, bracketed=False)
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
         if intersects(mid):

@@ -26,6 +26,11 @@ EXIT_CHECKS_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
+UNBRACKETED_NOTE = (
+    "note: L_critical is the last search bound, not a critical level "
+    "(the search could not bracket the level from above)"
+)
+
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="INI config file")
@@ -157,6 +162,7 @@ def cmd_sweep_delta_l(args) -> int:
         summary["note"] = "no admissible cells in the requested ranges"
         summary["l_critical"] = None
         summary["sup_bound"] = None
+        summary["bracketed"] = None
     else:
         crit = critical_lyapunov(
             sweep.e_range(),
@@ -167,6 +173,7 @@ def cmd_sweep_delta_l(args) -> int:
         )
         summary["l_critical"] = crit.l_critical
         summary["sup_bound"] = crit.sup_bound
+        summary["bracketed"] = crit.bracketed
     write_json(out_dir / "delta_l_summary.json", summary)
     peak = summary["max_delta_l"]
     print(f"admissible cells: {summary['n_admissible']}")
@@ -175,6 +182,8 @@ def cmd_sweep_delta_l(args) -> int:
     if summary.get("l_critical") is not None:
         print(f"L_critical: {fmt(summary['l_critical'])}")
         print(f"supremum bound: {fmt(summary['sup_bound'])}")
+        if not summary["bracketed"]:
+            print(UNBRACKETED_NOTE)
     return EXIT_OK
 
 
@@ -214,6 +223,8 @@ def cmd_critical_lyapunov(args) -> int:
     print(f"grid max: {fmt(crit.grid_max)}")
     print(f"nonnegative-change cells: {crit.n_positive_cells}")
     print(f"supremum bound: {fmt(crit.sup_bound)}")
+    if not crit.bracketed:
+        print(UNBRACKETED_NOTE)
     return EXIT_OK
 
 

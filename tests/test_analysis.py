@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from unittest import mock
@@ -476,6 +477,66 @@ class TestCriticalLyapunov:
             crit = critical_lyapunov((1.5, 2.0), (1.5, 2.0), 40)
         assert crit.l_critical == 0.0
         assert crit.n_positive_cells == 0
+
+    @pytest.mark.parametrize("ky1, ky2", [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0)])
+    def test_unbracketed_level_flagged(self, ky1, ky2):
+        with pytest.warns(UserWarning, match="could not bracket"):
+            crit = critical_lyapunov(resolution=16, params=ModelParams(ky1=ky1, ky2=ky2))
+        assert crit.bracketed is False
+        assert crit.to_dict()["bracketed"] is False
+
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0)])
+    def test_bracketed_level_flagged(self, ky1, ky2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=ky1, ky2=ky2))
+        assert crit.bracketed is True
+        assert crit.to_dict()["bracketed"] is True
+
+
+class TestRootSolver:
+    def test_module_level_function(self):
+        assert inspect.isfunction(analysis.brentq)
+        assert analysis.brentq.__module__ == "tiltsim.analysis"
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2.0, 0.0, 2.0),
+            (math.cos, 0.0, 2.0),
+            (lambda x: math.exp(x) - 3.0, -1.0, 3.0),
+            (lambda x: math.tanh(x - 0.3) + 1e-12, -5.0, 5.0),
+        ],
+    )
+    def test_same_root_as_scipy(self, f, a, b):
+        import scipy.optimize
+
+        assert analysis.brentq(f, a, b) == scipy.optimize.brentq(f, a, b)
+        assert analysis.brentq(f, a, b, xtol=1e-14) == scipy.optimize.brentq(f, a, b, xtol=1e-14)
+
+    def test_generic_engine_calls_module_global(self, monkeypatch):
+        # one generic sweep-delta-l: the lambda = +1 grid, then the search
+        p = ModelParams(ky1=5.0, ky2=20.0)
+        grid = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, +1, p)
+        solver = analysis.brentq
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "brentq", counting)
+        grid_again = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, +1, p)
+        n_grid = len(calls)
+        with pytest.warns(UserWarning, match="could not bracket"):
+            crit = critical_lyapunov(resolution=16, params=p)
+        assert (n_grid, len(calls)) == (64, 252)
+        np.testing.assert_array_equal(grid_again.values, grid.values)
+        assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
+            27406278.768203944,
+            42.0,
+            122,
+        )
 
 
 class TestAngles:

@@ -2,11 +2,15 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tiltsim.cli import main
+import tiltsim
+from tiltsim.cli import UNBRACKETED_NOTE, main
 
 # gain set that breaks the saturation-stability structure: the decay is too
 # slow to reach the switching threshold within a half period
@@ -14,6 +18,13 @@ BAD_GAINS_CONFIG = """\
 [model]
 ky1 = 1.0
 ky2 = 2.0
+"""
+
+# gains at which the critical-level search cannot bracket the level at res 16
+UNBRACKETED_GAINS_CONFIG = """\
+[model]
+ky1 = 5.0
+ky2 = 20.0
 """
 
 DIVERGING_CONFIG = """\
@@ -280,6 +291,35 @@ class TestSweepDeltaL:
         rc = main(["sweep-delta-l", "--grid-res", "0", "--out-dir", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_unbracketed_level_flagged(self, tmp_path, capsys):
+        cfg = tmp_path / "gains.ini"
+        cfg.write_text(UNBRACKETED_GAINS_CONFIG)
+        out = tmp_path / "sweep"
+        with pytest.warns(UserWarning, match="could not bracket"):
+            rc = main(
+                ["sweep-delta-l", "--config", str(cfg), "--grid-res", "16", "--out-dir", str(out)]
+            )
+        assert rc == 0
+        summary = read_json(out / "delta_l_summary.json")
+        assert summary["l_critical"] == 27406278.768203944
+        assert summary["bracketed"] is False
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if "search bound" in l] == [UNBRACKETED_NOTE]
+
+    def test_bracketed_level_not_flagged(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        assert main(["sweep-delta-l", "--grid-res", "16", "--out-dir", str(out)]) == 0
+        assert read_json(out / "delta_l_summary.json")["bracketed"] is True
+        assert "search bound" not in capsys.readouterr().out
+
+    def test_no_level_no_bracket_flag(self, tmp_path):
+        out = tmp_path / "sweep"
+        argv = ["sweep-delta-l", "--grid-res", "1", "--e-min", "-1", "--e-max", "-1"]
+        argv += ["--edot-min", "1", "--edot-max", "1", "--out-dir", str(out)]
+        assert main(argv) == 0
+        summary = read_json(out / "delta_l_summary.json")
+        assert (summary["l_critical"], summary["bracketed"]) == (None, None)
+
 
 class TestHittingTime:
     def test_known_state(self, capsys):
@@ -321,6 +361,35 @@ class TestCriticalLyapunov:
         assert data["l_critical"] > 0
         assert data["sup_bound"] == pytest.approx(data["l_critical"] + 0.75)
         assert "L_critical:" in capsys.readouterr().out
+
+    def test_unbracketed_level_flagged(self, tmp_path, capsys):
+        cfg = tmp_path / "gains.ini"
+        cfg.write_text(UNBRACKETED_GAINS_CONFIG)
+        out = tmp_path / "crit"
+        with pytest.warns(UserWarning, match="could not bracket"):
+            rc = main(
+                [
+                    "critical-lyapunov",
+                    "--config",
+                    str(cfg),
+                    "--grid-res",
+                    "16",
+                    "--out-dir",
+                    str(out),
+                ]
+            )
+        assert rc == 0
+        data = read_json(out / "critical_lyapunov.json")
+        assert data["l_critical"] == 27406278.768203944
+        assert data["bracketed"] is False
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if "search bound" in l] == [UNBRACKETED_NOTE]
+
+    def test_bracketed_level_not_flagged(self, tmp_path, capsys):
+        out = tmp_path / "crit"
+        assert main(["critical-lyapunov", "--grid-res", "40", "--out-dir", str(out)]) == 0
+        assert read_json(out / "critical_lyapunov.json")["bracketed"] is True
+        assert "search bound" not in capsys.readouterr().out
 
 
 class TestVerifyLemmas:
@@ -365,3 +434,41 @@ class TestVerifyLemmas:
         report = read_json(out / "lemma_report.json")
         assert rc in (0, 1)
         assert len(report["checks"]) == 9
+
+
+# Runs in a fresh interpreter: argv[1] is the output directory, argv[2] an
+# INI file with non-default gains. Prints which scipy modules are loaded
+# after import, after the default-gain commands and after a generic sweep.
+IMPORT_PROBE = """\
+import json, sys, warnings
+warnings.simplefilter("ignore")
+import tiltsim.cli as cli
+out, gains = sys.argv[1], sys.argv[2]
+seen = {"import": ["scipy" in sys.modules, "scipy.optimize" in sys.modules]}
+cli.main(["verify-lemmas", "--seed", "0", "--out-dir", out])
+cli.main(["critical-lyapunov", "--out-dir", out])
+cli.main(["sweep-delta-l", "--grid-res", "16", "--out-dir", out])
+seen["default_gains"] = "scipy.optimize" in sys.modules
+cli.main(["sweep-delta-l", "--grid-res", "16", "--config", gains, "--out-dir", out])
+seen["generic_gains"] = "scipy.optimize" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+class TestImportCost:
+    def test_root_solver_loaded_only_for_generic_gains(self, tmp_path):
+        gains = tmp_path / "gains.ini"
+        gains.write_text(UNBRACKETED_GAINS_CONFIG)
+        src = str(Path(tiltsim.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE, str(tmp_path / "out"), str(gains)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [True, False], "default_gains": False, "generic_gains": True}
