@@ -29,6 +29,13 @@ violations, and the critical-level search skips and counts them.
 Only the event-driven engine solves for roots. ``scipy.optimize`` is
 imported by the first ``brentq`` call in a process (about 0.6 s, once), so
 default-gain work never loads it.
+
+The closed forms are cross-checked by an independent event oracle,
+``_event_hitting_times``, behind ``hitting_time_simulated``: fixed-step RK4
+on the unsaturated flow, which is linear, so one step is a 2x2 matrix R.
+The scan evaluates every state's threshold gap at each step of a block of
+steps from the powers R^1..R^B, and the bracketing steps of all states are
+refined together by bisection on eight RK4 sub-steps.
 """
 
 from __future__ import annotations
@@ -75,6 +82,9 @@ DELTA_L_CAP = 0.75
 
 _MAX_SEGMENTS = 64
 _SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
+_EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
+_EVENT_T_MAX = 8.0
+_NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 
 
 def brentq(f, a, b, **kwargs):
@@ -294,6 +304,84 @@ def _hit_time_generic(e0: float, edot0: float, params: ModelParams, t_max: float
     return float(t[0])
 
 
+def _rk4_matrix(h, params: ModelParams):
+    """One RK4 step of the linear flow as a matrix on (e, edot); ``h`` may be an array.
+
+    RK4 on y' = Ay is exact on the Taylor polynomial
+    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, built here by Horner's rule.
+    """
+    a = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
+    x = np.asarray(h, dtype=float)[..., None, None] * a
+    eye = np.eye(2)
+    return eye + x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
+
+
+def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float = 1e-4):
+    """Event-detected threshold crossing times of fixed-step RK4, many states at once.
+
+    ``e``, ``edot`` and ``lambda_sign`` (scalars or 1-D arrays) are broadcast
+    together, and the times come back as a 1-D array. Each state
+    is mirrored into the first quadrant, where the event is the PD output
+    falling to +1/sqrt(3). The scan takes RK4 steps of length ``step`` in
+    blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
+    is one product of the rows c*R^k with the block's start states, and the
+    first step whose end gap is nonpositive brackets the crossing. The
+    brackets are then halved 60 times, all cells at once, on eight RK4
+    sub-steps across the trial length. States on or past the threshold give
+    0.0, states without a crossing within ``_EVENT_T_MAX`` give NaN.
+    """
+    e, edot, sgn = np.broadcast_arrays(
+        np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
+    )
+    y = np.stack([sgn * e, sgn * edot], axis=-1).reshape(-1, 2)
+
+    def gap(y):
+        return params.ky1 * y[:, 1] + params.ky2 * y[:, 0] - INV_SQRT3
+
+    times = np.full(y.shape[0], np.nan)
+    times[gap(y) <= 0.0] = 0.0
+    n_steps = int(round(_EVENT_T_MAX / step))
+    powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
+    powers[0] = _rk4_matrix(step, params)
+    m = 1
+    while m < _EVENT_BLOCK:
+        powers[m : 2 * m] = powers[:m] @ powers[m - 1]
+        m *= 2
+    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k - 1 is c*R^k
+    live = np.nonzero(np.isnan(times))[0]
+    y_live = y[live]
+    start_idx, start_y = [], []
+    for first in range(0, n_steps, _EVENT_BLOCK):
+        if live.size == 0:
+            break
+        n_block = min(_EVENT_BLOCK, n_steps - first)
+        crossed = gap_rows[:n_block] @ y_live.T - INV_SQRT3 <= 0.0
+        hit = crossed.any(axis=0)
+        k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
+        times[live[hit]] = (first + k) * step
+        # the state at the start of the bracketing step
+        start = y_live[hit]
+        later = k > 0
+        start[later] = (powers[k[later] - 1] @ start[later, :, None])[..., 0]
+        start_idx.append(live[hit])
+        start_y.append(start)
+        live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
+    if start_idx:
+        idx, y0 = np.concatenate(start_idx), np.concatenate(start_y)
+        lo, hi = np.zeros(idx.size), np.full(idx.size, step)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            sub = _rk4_matrix(mid / 8.0, params)
+            ym = y0[:, :, None]
+            for _ in range(8):
+                ym = sub @ ym
+            below = gap(ym[:, :, 0]) <= 0.0
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+        times[idx] += 0.5 * (lo + hi)
+    return times
+
+
 def hitting_time_simulated(
     s0: ErrorState,
     lambda_sign: int,
@@ -304,63 +392,15 @@ def hitting_time_simulated(
 
     Integrates the unsaturated dynamics with fixed-step RK4 until the PD
     output crosses the threshold, then refines by bisection on re-integrated
-    sub-steps. Used as the cross-check channel for the closed forms.
+    sub-steps. Used as the cross-check channel for the closed forms; a
+    one-state call of ``_event_hitting_times``.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
-    bound = lambda_sign * INV_SQRT3
-    k1g, k2g = params.ky1, params.ky2
-    sgn = float(lambda_sign)
-
-    def rk4_advance(e, edot, h):
-        # eight RK4 sub-steps across h, for the bisection
-        hh = h / 8
-        for _ in range(8):
-            a1 = -k1g * edot - k2g * e
-            e2, d2 = e + 0.5 * hh * edot, edot + 0.5 * hh * a1
-            a2 = -k1g * d2 - k2g * e2
-            e3, d3 = e + 0.5 * hh * d2, edot + 0.5 * hh * a2
-            a3 = -k1g * d3 - k2g * e3
-            e4, d4 = e + hh * d3, edot + hh * a3
-            a4 = -k1g * d4 - k2g * e4
-            e, edot = (
-                e + hh * (edot + 2.0 * d2 + 2.0 * d3 + d4) / 6.0,
-                edot + hh * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0,
-            )
-        return e, edot
-
-    def gap(e, edot):
-        return sgn * (_pd_output(e, edot, params) - bound)
-
-    e, edot = s0.e, s0.edot
-    if gap(e, edot) <= 0.0:
-        return 0.0
-    t = 0.0
-    t_max = 8.0
-    # the scan takes single RK4 steps of length step, written out
-    half = 0.5 * step
-    while t < t_max:
-        a1 = -k1g * edot - k2g * e
-        e2, d2 = e + half * edot, edot + half * a1
-        a2 = -k1g * d2 - k2g * e2
-        e3, d3 = e + half * d2, edot + half * a2
-        a3 = -k1g * d3 - k2g * e3
-        e4, d4 = e + step * d3, edot + step * a3
-        a4 = -k1g * d4 - k2g * e4
-        e_next = e + step * (edot + 2.0 * d2 + 2.0 * d3 + d4) / 6.0
-        edot_next = edot + step * (a1 + 2.0 * a2 + 2.0 * a3 + a4) / 6.0
-        if sgn * (k1g * edot_next + k2g * e_next - bound) <= 0.0:
-            lo, hi = 0.0, step
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                em, dm = rk4_advance(e, edot, mid)
-                if gap(em, dm) <= 0.0:
-                    hi = mid
-                else:
-                    lo = mid
-            return t + 0.5 * (lo + hi)
-        e, edot, t = e_next, edot_next, t + step
-    raise ValueError(f"no threshold crossing detected within {t_max} s")
+    t = _event_hitting_times(s0.e, s0.edot, lambda_sign, params, step)[0]
+    if np.isnan(t):
+        raise ValueError(_NO_EVENT_ERROR)
+    return float(t)
 
 
 def _map_default(e0, edot0, lambda_sign: int, params: ModelParams, half_period: float):

@@ -19,17 +19,17 @@ from .analysis import (
     DELTA_L_CAP,
     ErrorState,
     INV_SQRT3,
+    _NO_EVENT_ERROR,
+    _event_hitting_times,
+    _linear_flow,
     _map_settled,
     _region_mask,
+    _saturated_flow,
     delta_l_grid,
     half_period_map,
     hitting_time_neg,
     hitting_time_pos,
-    hitting_time_simulated,
     in_admissible_region,
-    lyapunov,
-    s11_flow,
-    saturated_flow,
     verify_quadrant_capture,
 )
 from .controller import (
@@ -80,6 +80,10 @@ def _sample_region(rng, n, lambda_sign, params):
     return states
 
 
+def _closed_hitting_time(s, sign, params) -> float:
+    return hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
+
+
 def _check_clamp_rule(rng, n, params) -> LemmaCheck:
     worst = 0.0
     for _ in range(n):
@@ -117,7 +121,7 @@ def _check_hitting_range(rng, n, params) -> LemmaCheck:
     worst_t = -math.inf
     for sign in (+1, -1):
         for s in _sample_region(rng, n, sign, params):
-            t = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
+            t = _closed_hitting_time(s, sign, params)
             if not (0.0 <= t < 1.0):
                 return LemmaCheck(
                     "hitting_time_range", False, {"state": [s.e, s.edot], "t": t}
@@ -127,12 +131,13 @@ def _check_hitting_range(rng, n, params) -> LemmaCheck:
 
 
 def _check_hitting_residual(rng, n, params) -> LemmaCheck:
-    worst = 0.0
-    for sign in (+1, -1):
-        for s in _sample_region(rng, n, sign, params):
-            t_closed = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
-            t_event = hitting_time_simulated(s, sign, params)
-            worst = max(worst, abs(t_closed - t_event))
+    samples = [(sign, s) for sign in (+1, -1) for s in _sample_region(rng, n, sign, params)]
+    t_closed = np.array([_closed_hitting_time(s, sign, params) for sign, s in samples])
+    signs, e, edot = np.array([(sign, s.e, s.edot) for sign, s in samples]).T
+    t_event = _event_hitting_times(e, edot, signs, params)
+    if np.isnan(t_event).any():
+        raise ValueError(_NO_EVENT_ERROR)
+    worst = float(np.max(np.abs(t_closed - t_event), initial=0.0))
     return LemmaCheck(
         "hitting_time_residual", worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
     )
@@ -200,19 +205,18 @@ def _check_local_max(rng, n, params) -> LemmaCheck:
     worst = -math.inf
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
-        for s in _sample_region(rng, n, sign, params):
-            t_hit = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
-            mid = s11_flow(s, t_hit, params)
-            values = []
-            for tau in taus:
-                if tau <= t_hit:
-                    values.append(lyapunov(s11_flow(s, float(tau), params), params))
-                else:
-                    values.append(
-                        lyapunov(saturated_flow(mid, float(tau - t_hit), -sign), params)
-                    )
-            endpoint = max(values[0], values[-1])
-            worst = max(worst, max(values) - endpoint)
+        states = _sample_region(rng, n, sign, params)
+        t_hit = np.array([_closed_hitting_time(s, sign, params) for s in states])[:, None]
+        e0, edot0 = np.array([(s.e, s.edot) for s in states]).T[:, :, None]
+        e_mid, edot_mid = _linear_flow(e0, edot0, t_hit, params)
+        e_lin, edot_lin = _linear_flow(e0, edot0, taus, params)
+        e_sat, edot_sat = _saturated_flow(e_mid, edot_mid, taus - t_hit, -sign * INV_SQRT3)
+        on_lin = taus <= t_hit
+        e = np.where(on_lin, e_lin, e_sat)
+        edot = np.where(on_lin, edot_lin, edot_sat)
+        values = 0.5 * edot * edot + 0.5 * params.ky2 * e * e
+        endpoint = np.maximum(values[:, 0], values[:, -1])
+        worst = max(worst, float(np.max(values.max(axis=1) - endpoint)))
     return LemmaCheck(
         "lyapunov_local_max", worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
     )

@@ -191,6 +191,7 @@ def cmd_hitting_time(args) -> int:
     cfg, _ = _resolve(args)
     state = ErrorState(args.e, args.edot)
     sign = 1 if args.branch == "pos" else -1
+    admissible = analysis.in_admissible_region(state, sign, cfg.params)
     try:
         if sign > 0:
             t_closed = analysis.hitting_time_pos(state, cfg.params)
@@ -198,7 +199,10 @@ def cmd_hitting_time(args) -> int:
             t_closed = analysis.hitting_time_neg(state, cfg.params)
         t_event = analysis.hitting_time_simulated(state, sign, cfg.params)
     except ValueError as exc:
-        print(f"inadmissible state: {exc}", file=sys.stderr)
+        # both hitting times raise ValueError for an inadmissible state and for
+        # a flow that never reaches the threshold
+        label = "no threshold crossing" if admissible else "inadmissible state"
+        print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     residual = abs(t_closed - t_event)
     print(f"hitting time: {fmt(t_closed)}")

@@ -8,8 +8,8 @@ inversion, clamp, thrust) directly in numpy instead of calling the
 analysis module.
 
 The scalar-loop oracles at the end are the reference for the array paths:
-they call the half-period map one cell at a time, as the array code did
-before it took whole grids.
+they call the half-period map, or the flows, one cell at a time, as the
+array code did before it took whole grids.
 """
 
 from __future__ import annotations
@@ -18,7 +18,17 @@ import math
 
 import numpy as np
 
-from tiltsim import ErrorState, half_period_map, in_admissible_region
+from tiltsim import (
+    ErrorState,
+    half_period_map,
+    hitting_time_neg,
+    hitting_time_pos,
+    in_admissible_region,
+    lyapunov,
+    s11_flow,
+    saturated_flow,
+)
+from tiltsim.checks import _sample_region
 
 SQRT3 = math.sqrt(3.0)
 
@@ -178,6 +188,36 @@ def self_map_counts(resolution, params):
             if not in_admissible_region(end, +1, params):
                 bad += 1
     return n, bad
+
+
+def local_max_report(rng, n, params):
+    """``lyapunov_local_max`` check report, one state and one tau at a time.
+
+    Samples with the check's own sampler, so the same rng gives the same
+    states, then evaluates the Lyapunov log on 201 taus of the half period
+    through the scalar flow functions.
+    """
+    worst = -math.inf
+    taus = np.linspace(0.0, 1.0, 201)
+    for sign in (+1, -1):
+        for s in _sample_region(rng, n, sign, params):
+            t_hit = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
+            mid = s11_flow(s, t_hit, params)
+            values = []
+            for tau in taus:
+                if tau <= t_hit:
+                    values.append(lyapunov(s11_flow(s, float(tau), params), params))
+                else:
+                    values.append(
+                        lyapunov(saturated_flow(mid, float(tau - t_hit), -sign), params)
+                    )
+            endpoint = max(values[0], values[-1])
+            worst = max(worst, max(values) - endpoint)
+    return {
+        "name": "lyapunov_local_max",
+        "passed": worst <= 1e-9,
+        "detail": {"max_overshoot": worst, "tolerance": 1e-9},
+    }
 
 
 def scalar_critical_search(map_cell, level, witness_phi, ky1, ky2, refine_tol=1e-4, n_angles=4096):

@@ -30,8 +30,8 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _map_default, _map_generic
-from tiltsim.checks import _check_self_map
+from tiltsim.analysis import _event_hitting_times, _map_default, _map_generic
+from tiltsim.checks import _check_local_max, _check_self_map, run_lemma_checks
 
 SQRT3 = math.sqrt(3.0)
 INV3 = 1.0 / SQRT3
@@ -273,6 +273,94 @@ class TestArrayEngine:
         check = _check_self_map(res, p)
         assert check.detail == {"n_checked": n, "n_violations": bad}
         assert check.passed == (bad == 0)
+
+
+class TestEventEngine:
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 9.0), (2.0, 5.0)])
+    def test_against_event_oracle(self, ky1, ky2):
+        # distinct, repeated and complex rates
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        rng = np.random.default_rng(71)
+        for sign in (+1, -1):
+            e0, ed0 = oc.sample_capture_region(rng, 30, sign, ky1, ky2)
+            want = oc.event_hitting_times(e0, ed0, sign, ky1, ky2)
+            assert np.isfinite(want).all()
+            got = _event_hitting_times(e0, ed0, sign, p)
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def test_both_signs_in_one_call(self):
+        rng = np.random.default_rng(73)
+        e_pos, ed_pos = oc.sample_capture_region(rng, 20, +1, 9.0, 18.0)
+        e_neg, ed_neg = oc.sample_capture_region(rng, 20, -1, 9.0, 18.0)
+        sign = np.repeat([1.0, -1.0], 20)
+        e0, ed0 = np.r_[e_pos, e_neg], np.r_[ed_pos, ed_neg]
+        both = _event_hitting_times(e0, ed0, sign, DEFAULT_PARAMS)
+        apart = np.r_[
+            _event_hitting_times(e_pos, ed_pos, +1, DEFAULT_PARAMS),
+            _event_hitting_times(e_neg, ed_neg, -1, DEFAULT_PARAMS),
+        ]
+        assert both.tobytes() == apart.tobytes()
+
+    def test_on_or_past_threshold_is_exactly_zero(self):
+        e = INV3 / 18.0
+        while 18.0 * e - INV3 > 0.0:
+            e = math.nextafter(e, 0.0)
+        t = _event_hitting_times([e, 0.0, 1.0], [0.0, INV3 / 9.0, -3.0], +1, DEFAULT_PARAMS)
+        assert t.tolist() == [0.0, 0.0, 0.0]
+        t = _event_hitting_times([-e, 0.0], [0.0, -INV3 / 9.0], -1, DEFAULT_PARAMS)
+        assert t.tolist() == [0.0, 0.0]
+        assert hitting_time_simulated(ErrorState(e, 0.0), +1) == 0.0
+
+    def test_no_crossing_is_nan(self):
+        # admissible, but the slow decay stays above the threshold for 8 s
+        p = ModelParams(ky1=0.05, ky2=0.04)
+        t = _event_hitting_times([20.0, 0.5], [20.0, 0.2], +1, p)
+        assert np.isnan(t[0]) and np.isfinite(t[1])
+        with pytest.raises(ValueError, match=r"^no threshold crossing detected within 8\.0 s$"):
+            hitting_time_simulated(ErrorState(20.0, 20.0), +1, p)
+        with pytest.raises(ValueError, match="first-quadrant"):
+            hitting_time_simulated(ErrorState(-0.1, 0.0), +1, p)
+
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0)])
+    def test_scalar_wrapper_is_one_cell_call(self, ky1, ky2):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        rng = np.random.default_rng(79)
+        for sign in (+1, -1):
+            e0, ed0 = oc.sample_capture_region(rng, 10, sign, ky1, ky2)
+            for e, ed in zip(e0, ed0):
+                want = _event_hitting_times(np.array([e]), np.array([ed]), sign, p)
+                got = hitting_time_simulated(ErrorState(e, ed), sign, p)
+                assert np.float64(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(gains=_gains, cells=st.lists(_cell, min_size=1, max_size=8))
+    def test_odd_symmetry_exact(self, gains, cells):
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        e0 = np.array([c[0] for c in cells])
+        ed0 = np.array([c[1] for c in cells])
+        pos = _event_hitting_times(e0, ed0, +1, p)
+        neg = _event_hitting_times(-e0, -ed0, -1, p)
+        assert pos.tobytes() == neg.tobytes()
+
+
+class TestLemmaChecks:
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_local_max_matches_scalar_loop(self, ky1, ky2, seed):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        got = _check_local_max(np.random.default_rng(seed), 20, p).to_dict()
+        want = oc.local_max_report(np.random.default_rng(seed), 20, p)
+        assert got == want
+        assert np.float64(got["detail"]["max_overshoot"]).tobytes() == np.float64(
+            want["detail"]["max_overshoot"]
+        ).tobytes()
+
+    def test_seeds_pass_with_tight_residual(self):
+        for seed in range(32):
+            report = run_lemma_checks(seed=seed)
+            assert [c["name"] for c in report["checks"] if not c["passed"]] == []
+            residual = next(c for c in report["checks"] if c["name"] == "hitting_time_residual")
+            assert residual["detail"]["max_residual"] < 1e-12
 
 
 class TestLyapunovAlongHalfPeriod:

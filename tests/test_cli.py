@@ -27,6 +27,13 @@ ky1 = 5.0
 ky2 = 20.0
 """
 
+# gains whose unsaturated decay is too slow to reach the threshold in 8 s
+SLOW_DECAY_CONFIG = """\
+[model]
+ky1 = 0.05
+ky2 = 0.04
+"""
+
 DIVERGING_CONFIG = """\
 [model]
 ky2 = 2e7
@@ -350,6 +357,16 @@ class TestHittingTime:
         rc = main(["hitting-time", "-0.1", "0"])
         assert rc == 2
         assert "first-quadrant" in capsys.readouterr().err
+
+    def test_slow_decay_is_not_called_inadmissible(self, tmp_path, capsys):
+        cfg = tmp_path / "slow.ini"
+        cfg.write_text(SLOW_DECAY_CONFIG)
+        assert main(["hitting-time", "20", "20", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("no threshold crossing: ")
+        assert "inadmissible" not in err
+        assert main(["hitting-time", "-1", "1", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("inadmissible state: ")
 
 
 class TestCriticalLyapunov:
