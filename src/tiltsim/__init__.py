@@ -48,6 +48,7 @@ from .analysis import (
     delta_l_grid,
     feasible_cone,
     half_period_map,
+    hitting_time,
     hitting_time_neg,
     hitting_time_pos,
     hitting_time_simulated,
@@ -110,6 +111,7 @@ __all__ = [
     "delta_l_grid",
     "feasible_cone",
     "half_period_map",
+    "hitting_time",
     "hitting_time_neg",
     "hitting_time_pos",
     "hitting_time_simulated",

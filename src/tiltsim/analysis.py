@@ -24,7 +24,19 @@ cells one segment at a time; its threshold-crossing scan samples every
 cell at once, then ``brentq`` refines each cell's first bracket, one call
 per cell. Cells that do not settle within ``_MAX_SEGMENTS`` segments are
 reported, not dropped: the grid raises, the capture check counts them as
-violations, and the critical-level search skips and counts them.
+violations, and the critical-level search skips and counts them. A grid is
+mapped once (``_map_grid``) for the Lyapunov-change grid, the capture check
+and the grid checks of ``verify-lemmas`` alike.
+
+Threshold hitting times go through one array function, ``_hit_times``: the
+closed form at the default gains, else one crossing scan for all states.
+
+The critical-level search grows a bracket from the grid maximum by 1.25x,
+up to 60 times. Once the first level meets the nonnegative-change set, the
+first +1-region ellipse cell of each further level is mapped in one call;
+a level whose first cell gains energy meets the set for sure and is
+skipped. ``sweep-delta-l`` hands its own grid to the search
+(``_critical_from``), so only the other sign's grid is computed again.
 
 Only the event-driven engine solves for roots. ``scipy.optimize`` is
 imported by the first ``brentq`` call in a process (about 0.6 s, once), so
@@ -57,6 +69,7 @@ __all__ = [
     "s11_flow",
     "saturated_flow",
     "in_admissible_region",
+    "hitting_time",
     "hitting_time_pos",
     "hitting_time_neg",
     "hitting_time_simulated",
@@ -222,30 +235,30 @@ def _hit_time_default_pos(e0, edot0):
     return np.log(np.maximum(z, 1.0)) / 3.0
 
 
-def _hit_time_pos(e0: float, edot0: float, params: ModelParams) -> float:
-    if _has_default_rates(params):
-        return float(_hit_time_default_pos(e0, edot0))
-    return _hit_time_generic(e0, edot0, params)
+def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS) -> float:
+    """Time for the unsaturated decay to reach ky1*edot + ky2*e = lambda_sign/sqrt(3).
+
+    Requires the start state in the capture region of ``lambda_sign``; the
+    result then lies in [0, 1) for the default gains, reaching 0 exactly on
+    the threshold. Default gains use the closed form, other gains a
+    bracketed root search on the analytic flow, which raises ``ValueError``
+    when the flow does not reach the threshold within 8 s.
+    """
+    if not in_admissible_region(s0, lambda_sign, params):
+        raise ValueError(_region_error(lambda_sign))
+    t = _hit_times(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params)
+    _require_hits(t, params)
+    return float(t[0])
 
 
 def hitting_time_pos(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """Time for the unsaturated decay to reach ky1*edot + ky2*e = +1/sqrt(3).
-
-    Requires the start state in the first-quadrant capture region; the
-    result then lies in [0, 1), reaching 0 exactly on the threshold. Default
-    gains use the closed form, other gains a bracketed root search on the
-    analytic flow.
-    """
-    if not in_admissible_region(s0, +1, params):
-        raise ValueError(_region_error(+1))
-    return _hit_time_pos(s0.e, s0.edot, params)
+    """``hitting_time`` for the +1/sqrt(3) threshold (first-quadrant region)."""
+    return hitting_time(s0, +1, params)
 
 
 def hitting_time_neg(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """Mirror of ``hitting_time_pos`` for the -1/sqrt(3) threshold."""
-    if not in_admissible_region(s0, -1, params):
-        raise ValueError(_region_error(-1))
-    return _hit_time_pos(-s0.e, -s0.edot, params)
+    """``hitting_time`` for the -1/sqrt(3) threshold: the mirror of ``hitting_time_pos``."""
+    return hitting_time(s0, -1, params)
 
 
 def _gap(e0: float, edot0: float, bound: float, params: ModelParams):
@@ -291,17 +304,30 @@ def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start
     return out
 
 
-def _hit_time_generic(e0: float, edot0: float, params: ModelParams, t_max: float = 8.0) -> float:
-    """First crossing of the PD output with +1/sqrt(3) along the linear flow."""
-    if _gap(e0, edot0, INV_SQRT3, params)(0.0) <= 0.0:
-        return 0.0
-    t = _crossing_time(np.array([e0]), np.array([edot0]), INV_SQRT3, params, t_max, 512, 0.0)
-    if np.isnan(t[0]):
+def _hit_times(e, edot, lambda_sign: int, params: ModelParams):
+    """Threshold hitting times of 1-D arrays of states in the ``lambda_sign`` region.
+
+    Each state is mirrored into the first quadrant. The default gains take
+    the closed form; other gains take one ``_crossing_time`` scan over 8 s
+    for all states whose gap is positive at t = 0, and 0.0 for the others.
+    States whose flow does not reach the threshold get NaN.
+    """
+    e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
+    if _has_default_rates(params):
+        return _hit_time_default_pos(e, edot)
+    t = np.zeros(e.shape)
+    live = _pd_output(*_linear_flow(e, edot, 0.0, params), params) - INV_SQRT3 > 0.0
+    t[live] = _crossing_time(e[live], edot[live], INV_SQRT3, params, _EVENT_T_MAX, 512, 0.0)
+    return t
+
+
+def _require_hits(t, params: ModelParams) -> None:
+    """Raise the no-crossing ``ValueError`` if any time from ``_hit_times`` is NaN."""
+    if np.isnan(t).any():
         raise ValueError(
-            f"unsaturated flow does not reach the threshold within {t_max} s for "
+            f"unsaturated flow does not reach the threshold within {_EVENT_T_MAX} s for "
             f"gains ky1={params.ky1}, ky2={params.ky2}"
         )
-    return float(t[0])
 
 
 def _rk4_matrix(h, params: ModelParams):
@@ -613,37 +639,6 @@ class DeltaLGrid:
                 )
 
 
-def delta_l_grid(
-    e_range: tuple[float, float],
-    edot_range: tuple[float, float],
-    resolution: int,
-    lambda_sign: int,
-    params: ModelParams = DEFAULT_PARAMS,
-    half_period: float = 1.0,
-) -> DeltaLGrid:
-    """Evaluate the half-period Lyapunov change on a grid of start states.
-
-    ``resolution`` is the number of samples per axis. Cells outside the
-    capture region for ``lambda_sign`` are masked rather than rejected.
-    """
-    if lambda_sign not in (-1, 1):
-        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
-    e_vals = np.linspace(e_range[0], e_range[1], resolution)
-    ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
-    E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
-    mask = _region_mask(E, Ed, lambda_sign, params, 0.0)
-    values = np.full(E.shape, np.nan)
-    if mask.any():
-        e0, ed0 = E[mask], Ed[mask]
-        l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
-        e1, ed1 = _map_settled(e0, ed0, lambda_sign, params, half_period)
-        l1 = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1
-        values[mask] = l1 - l0
-    return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign)
-
-
 @dataclass
 class CaptureReport:
     """Outcome of mapping every admissible grid cell across a half period."""
@@ -666,6 +661,77 @@ class CaptureReport:
         }
 
 
+@dataclass
+class _GridMap:
+    """One half-period map of the admissible cells of a grid.
+
+    ``delta_l_grid``, ``verify_quadrant_capture`` and the grid checks of
+    ``verify-lemmas`` read it, so each grid is mapped once. ``e0``, ``ed0``
+    are the admissible start cells in row-major order, ``e1``, ``ed1`` their
+    images, NaN where ``unsettled``; ``grid`` holds the Lyapunov change,
+    NaN on masked and unsettled cells.
+    """
+
+    grid: DeltaLGrid
+    e0: np.ndarray
+    ed0: np.ndarray
+    e1: np.ndarray
+    ed1: np.ndarray
+    unsettled: np.ndarray
+
+    def delta_l(self, params: ModelParams) -> DeltaLGrid:
+        """The grid, for callers that cannot skip a cell: raises if one does not settle."""
+        if self.unsettled.any():
+            raise RuntimeError(_unsettled_error(params))
+        return self.grid
+
+    def capture(self, params: ModelParams) -> CaptureReport:
+        """Cells that do not land in the mirrored region are violations, unsettled ones too."""
+        sign = self.grid.lambda_sign
+        report = CaptureReport(lambda_sign=sign, n_admissible=self.e0.size)
+        captured = _region_mask(self.e1, self.ed1, -sign, params, 0.0)
+        captured &= np.isfinite(self.e1) & np.isfinite(self.ed1)
+        for k in np.nonzero(~captured)[0]:
+            report.violations.append((float(self.e0[k]), float(self.ed0[k])))
+        return report
+
+
+def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
+    e_vals = np.linspace(e_range[0], e_range[1], resolution)
+    ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
+    E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
+    mask = _region_mask(E, Ed, lambda_sign, params, 0.0)
+    e0, ed0 = E[mask], Ed[mask]
+    e1, ed1, unsettled = _map(e0, ed0, lambda_sign, params, half_period)
+    values = np.full(E.shape, np.nan)
+    l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
+    values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
+    grid = DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign)
+    return _GridMap(grid, e0, ed0, e1, ed1, unsettled)
+
+
+def delta_l_grid(
+    e_range: tuple[float, float],
+    edot_range: tuple[float, float],
+    resolution: int,
+    lambda_sign: int,
+    params: ModelParams = DEFAULT_PARAMS,
+    half_period: float = 1.0,
+) -> DeltaLGrid:
+    """Evaluate the half-period Lyapunov change on a grid of start states.
+
+    ``resolution`` is the number of samples per axis. Cells outside the
+    capture region for ``lambda_sign`` are masked rather than rejected.
+    """
+    if lambda_sign not in (-1, 1):
+        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
+    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).delta_l(
+        params
+    )
+
+
 def verify_quadrant_capture(
     e_range: tuple[float, float],
     edot_range: tuple[float, float],
@@ -682,21 +748,9 @@ def verify_quadrant_capture(
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    e_vals = np.linspace(e_range[0], e_range[1], resolution)
-    ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
-    E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
-    mask = _region_mask(E, Ed, lambda_sign, params, 0.0)
-    report = CaptureReport(lambda_sign=lambda_sign, n_admissible=int(mask.sum()))
-    if not mask.any():
-        return report
-    e0, ed0 = E[mask], Ed[mask]
-    # cells that do not settle carry NaN and count as violations
-    e1, ed1, _ = _map(e0, ed0, lambda_sign, params, half_period)
-    captured = _region_mask(e1, ed1, -lambda_sign, params, 0.0)
-    captured &= np.isfinite(e1) & np.isfinite(ed1)
-    for k in np.nonzero(~captured)[0]:
-        report.violations.append((float(e0[k]), float(ed0[k])))
-    return report
+    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).capture(
+        params
+    )
 
 
 @dataclass(frozen=True)
@@ -730,13 +784,6 @@ class CriticalLyapunov:
         }
 
 
-def _ellipse_points(level: float, phis: np.ndarray, params: ModelParams):
-    # level sets of the Lyapunov function: ky2*e^2/2 + edot^2/2 = level
-    e = math.sqrt(2.0 * level / params.ky2) * np.cos(phis)
-    edot = math.sqrt(2.0 * level) * np.sin(phis)
-    return e, edot
-
-
 def critical_lyapunov(
     e_range: tuple[float, float] = (-2.0, 2.0),
     edot_range: tuple[float, float] = (-2.0, 2.0),
@@ -755,16 +802,35 @@ def critical_lyapunov(
     the ellipse densely in both capture regions. Returns a degenerate zero
     level (with a warning) when no cell has nonnegative change.
     """
+    grid = delta_l_grid(e_range, edot_range, resolution, +1, params, half_period)
+    return _critical_from(grid, e_range, edot_range, params, half_period, refine_tol, n_angles)
+
+
+def _critical_from(
+    grid: DeltaLGrid,
+    e_range: tuple[float, float],
+    edot_range: tuple[float, float],
+    params: ModelParams,
+    half_period: float,
+    refine_tol: float = 1e-4,
+    n_angles: int = 4096,
+) -> CriticalLyapunov:
+    """``critical_lyapunov`` from the grid of one yaw sign, as a sweep has it.
+
+    The grid of the other sign is computed here, over the same ranges and
+    resolution, so a sweep does not compute its own grid twice.
+    """
+    resolution = len(grid.e_values)
+    other = delta_l_grid(e_range, edot_range, resolution, -grid.lambda_sign, params, half_period)
     witness_phi = None
     grid_max = -math.inf
     n_pos = 0
-    for sign in (+1, -1):
-        grid = delta_l_grid(e_range, edot_range, resolution, sign, params, half_period)
-        pos = grid.mask & (grid.values >= 0.0)
+    for g in (grid, other) if grid.lambda_sign > 0 else (other, grid):
+        pos = g.mask & (g.values >= 0.0)
         n_pos += int(pos.sum())
         if not pos.any():
             continue
-        E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
+        E, Ed = np.meshgrid(g.e_values, g.edot_values, indexing="ij")
         levels = 0.5 * Ed[pos] ** 2 + 0.5 * params.ky2 * E[pos] ** 2
         k = int(np.argmax(levels))
         if levels[k] > grid_max:
@@ -780,8 +846,13 @@ def critical_lyapunov(
     phis = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
     if witness_phi is not None:
         phis = np.append(phis, witness_phi)
+    # level sets of the Lyapunov function: ky2*e^2/2 + edot^2/2 = level
+    cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 
     n_unsettled = 0
+
+    def grows(e1, ed1, level):
+        return 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
 
     def intersects(level: float) -> bool:
         # Cells are mapped in order and the search stops at the first
@@ -790,7 +861,8 @@ def critical_lyapunov(
         # takes chunks of 1, 2, 4, ... cells. Cells that do not settle are
         # skipped; those before the first nonnegative change are counted.
         nonlocal n_unsettled
-        e, edot = _ellipse_points(level, phis, params)
+        e = math.sqrt(2.0 * level / params.ky2) * cos_phi
+        edot = math.sqrt(2.0 * level) * sin_phi
         for sign in (+1, -1):
             sel = _region_mask(e, edot, sign, params, 0.0)
             e_sel, ed_sel = e[sel], edot[sel]
@@ -798,13 +870,30 @@ def critical_lyapunov(
             while start < e_sel.size:
                 chunk = slice(start, start + size)
                 e1, ed1, unsettled = _map(e_sel[chunk], ed_sel[chunk], sign, params, half_period)
-                grows = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
-                if grows.any():
-                    n_unsettled += int(unsettled[: grows.argmax()].sum())
+                hit = grows(e1, ed1, level)
+                if hit.any():
+                    n_unsettled += int(unsettled[: hit.argmax()].sum())
                     return True
                 n_unsettled += int(unsettled.sum())
                 start, size = start + size, 2 * size
         return False
+
+    def first_cell_grows(levels: np.ndarray) -> np.ndarray:
+        # Whether the first +1-region ellipse cell of each level grows, all
+        # levels in one map call: such a level intersects for sure, and
+        # ``intersects`` would stop at that cell without counting any. Levels
+        # are positive, so only angles with cos and sin >= 0 give e and
+        # edot >= 0; the other angles are left out of the arrays.
+        quad = np.flatnonzero((cos_phi >= 0.0) & (sin_phi >= 0.0))
+        e = np.sqrt(2.0 * levels[:, None] / params.ky2) * cos_phi[quad]
+        edot = np.sqrt(2.0 * levels[:, None]) * sin_phi[quad]
+        sel = _region_mask(e, edot, +1, params, 0.0)
+        rows = np.flatnonzero(sel.any(axis=1))
+        cols = sel.argmax(axis=1)[rows]
+        e1, ed1, _ = _map(e[rows, cols], edot[rows, cols], +1, params, half_period)
+        out = np.zeros(levels.shape, dtype=bool)
+        out[rows] = grows(e1, ed1, levels[rows])
+        return out
 
     def result(level: float, bracketed: bool = True) -> CriticalLyapunov:
         if n_unsettled:
@@ -814,15 +903,23 @@ def critical_lyapunov(
             )
         return CriticalLyapunov(float(level), grid_max, n_pos, resolution, n_unsettled, bracketed)
 
+    # upper bracket: the first of 60 growing levels whose ellipse misses the
+    # nonnegative-change set; levels whose first cell grows are skipped
+    levels = [grid_max * 1.25 + 1e-9]
+    while len(levels) < 60:
+        levels.append(levels[-1] * 1.25 + 1e-9)
     lo = grid_max
-    hi = grid_max
-    for _ in range(60):
-        hi = hi * 1.25 + 1e-9
-        if not intersects(hi):
-            break
+    if intersects(levels[0]):
+        skip = first_cell_grows(np.array(levels[1:]))
+        for level, sure in zip(levels[1:], skip):
+            if not sure and not intersects(level):
+                hi = level
+                break
+        else:
+            warnings.warn("could not bracket the critical level from above")
+            return result(levels[-1], bracketed=False)
     else:
-        warnings.warn("could not bracket the critical level from above")
-        return result(hi, bracketed=False)
+        hi = levels[0]
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
         if intersects(mid):

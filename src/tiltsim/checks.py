@@ -6,10 +6,18 @@ range and residual, quadrant capture, the half-period Lyapunov-change cap,
 endpoint-maximality of the Lyapunov log, and odd symmetry of the
 half-period map. Checks report pass/fail with details instead of raising,
 so a gain setting that breaks the analysis is flagged, not fatal.
+
+Apart from the two controller-rule checks, which exercise the scalar
+controller API, the checks work on arrays. ``_sample_region`` draws blocks
+of (e, edot) pairs, then redraws exactly the attempts that one scalar draw
+per value would have made, so the generator stream, and with it every
+report, is the same as with scalar draws. The three grid checks share one
+half-period map per yaw sign.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -17,20 +25,16 @@ import numpy as np
 
 from .analysis import (
     DELTA_L_CAP,
-    ErrorState,
     INV_SQRT3,
     _NO_EVENT_ERROR,
     _event_hitting_times,
+    _hit_times,
     _linear_flow,
+    _map_grid,
     _map_settled,
     _region_mask,
+    _require_hits,
     _saturated_flow,
-    delta_l_grid,
-    half_period_map,
-    hitting_time_neg,
-    hitting_time_pos,
-    in_admissible_region,
-    verify_quadrant_capture,
 )
 from .controller import (
     RawCommand,
@@ -64,24 +68,30 @@ def _guarded(name: str, fn) -> LemmaCheck:
 
 
 def _sample_region(rng, n, lambda_sign, params):
-    states = []
-    attempts = 0
-    while len(states) < n:
-        attempts += 1
-        if attempts > 1000 * n:
-            raise ValueError(
-                f"could not sample {n} admissible states for yaw sign {lambda_sign}"
-            )
-        e = rng.uniform(0.0, 2.0)
-        edot = rng.uniform(0.0, 2.0)
-        s = ErrorState(lambda_sign * e, lambda_sign * edot)
-        if in_admissible_region(s, lambda_sign, params):
-            states.append(s)
-    return states
+    """``n`` admissible states ``(e, edot)`` for the yaw sign, as a scalar loop draws them.
 
-
-def _closed_hitting_time(s, sign, params) -> float:
-    return hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
+    Each attempt draws e, then edot, uniform on [0, 2) and mirrors them by
+    the yaw sign; admissible pairs are kept, and the search gives up after
+    1000*n attempts. Attempts are drawn in blocks of n, n, 2n, 4n, ...
+    pairs; then the generator is reset and redraws exactly the attempts
+    used, so it leaves the stream where one scalar draw per value would.
+    """
+    start = rng.bit_generator.state
+    limit = 1000 * n
+    drawn = 0
+    hits = np.empty(0, dtype=np.intp)
+    while hits.size < n:
+        if drawn == limit:
+            raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
+        size = min(max(drawn, n), limit - drawn)
+        e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(size, 2)).T
+        ok = _region_mask(e, edot, lambda_sign, params, 0.0)
+        hits = np.concatenate([hits, drawn + np.flatnonzero(ok)])
+        drawn += e.size
+    rng.bit_generator.state = start
+    used = hits[n - 1] + 1 if n else 0
+    e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(used, 2)).T
+    return e[hits[:n]], edot[hits[:n]]
 
 
 def _check_clamp_rule(rng, n, params) -> LemmaCheck:
@@ -120,21 +130,30 @@ def _check_region_rule(rng, n, params) -> LemmaCheck:
 def _check_hitting_range(rng, n, params) -> LemmaCheck:
     worst_t = -math.inf
     for sign in (+1, -1):
-        for s in _sample_region(rng, n, sign, params):
-            t = _closed_hitting_time(s, sign, params)
-            if not (0.0 <= t < 1.0):
-                return LemmaCheck(
-                    "hitting_time_range", False, {"state": [s.e, s.edot], "t": t}
-                )
-            worst_t = max(worst_t, t)
+        e, edot = _sample_region(rng, n, sign, params)
+        t = _hit_times(e, edot, sign, params)
+        bad = ~((0.0 <= t) & (t < 1.0))
+        if bad.any():
+            k = bad.argmax()
+            _require_hits(t[k], params)
+            return LemmaCheck(
+                "hitting_time_range",
+                False,
+                {"state": [float(e[k]), float(edot[k])], "t": float(t[k])},
+            )
+        worst_t = max(worst_t, float(np.max(t, initial=-math.inf)))
     return LemmaCheck("hitting_time_range", True, {"n_per_region": n, "max_t": worst_t})
 
 
 def _check_hitting_residual(rng, n, params) -> LemmaCheck:
-    samples = [(sign, s) for sign in (+1, -1) for s in _sample_region(rng, n, sign, params)]
-    t_closed = np.array([_closed_hitting_time(s, sign, params) for sign, s in samples])
-    signs, e, edot = np.array([(sign, s.e, s.edot) for sign, s in samples]).T
-    t_event = _event_hitting_times(e, edot, signs, params)
+    signs = (+1, -1)
+    samples = [_sample_region(rng, n, sign, params) for sign in signs]
+    t_closed = np.concatenate(
+        [_hit_times(e, ed, sign, params) for sign, (e, ed) in zip(signs, samples)]
+    )
+    _require_hits(t_closed, params)
+    e, edot = np.concatenate(samples, axis=1)
+    t_event = _event_hitting_times(e, edot, np.repeat(signs, n), params)
     if np.isnan(t_event).any():
         raise ValueError(_NO_EVENT_ERROR)
     worst = float(np.max(np.abs(t_closed - t_event), initial=0.0))
@@ -143,11 +162,16 @@ def _check_hitting_residual(rng, n, params) -> LemmaCheck:
     )
 
 
-def _check_capture(resolution, params) -> LemmaCheck:
-    reports = {
-        sign: verify_quadrant_capture((-2.0, 2.0), (-2.0, 2.0), resolution, sign, params)
+def _grid_maps(resolution, params):
+    """The resolution x resolution grid on [-2, 2]^2 of each yaw sign, mapped once."""
+    return {
+        sign: _map_grid((-2.0, 2.0), (-2.0, 2.0), resolution, sign, params, 1.0)
         for sign in (+1, -1)
     }
+
+
+def _check_capture(maps, params) -> LemmaCheck:
+    reports = {sign: m.capture(params) for sign, m in maps.items()}
     passed = all(r.passed for r in reports.values())
     return LemmaCheck(
         "quadrant_capture",
@@ -156,11 +180,10 @@ def _check_capture(resolution, params) -> LemmaCheck:
     )
 
 
-def _check_self_map(resolution, params) -> LemmaCheck:
-    e_vals = np.linspace(-2.0, 2.0, resolution)
-    E, Ed = np.meshgrid(e_vals, e_vals, indexing="ij")
-    start = _region_mask(E, Ed, +1, params, 0.0)
-    mid_e, mid_ed = _map_settled(E[start], Ed[start], +1, params, 1.0)
+def _check_self_map(maps, params) -> LemmaCheck:
+    start = maps[+1]
+    start.delta_l(params)  # raises if a start cell does not settle
+    mid_e, mid_ed = start.e1, start.ed1
     mid_ok = _region_mask(mid_e, mid_ed, -1, params, 0.0)
     end_e, end_ed = _map_settled(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
     end_ok = _region_mask(end_e, end_ed, +1, params, 0.0)
@@ -168,16 +191,16 @@ def _check_self_map(resolution, params) -> LemmaCheck:
     return LemmaCheck(
         "two_half_period_self_map",
         bad == 0,
-        {"n_checked": int(start.sum()), "n_violations": bad},
+        {"n_checked": int(start.e0.size), "n_violations": bad},
     )
 
 
-def _check_delta_l_bound(resolution, params) -> LemmaCheck:
+def _check_delta_l_bound(maps, params) -> LemmaCheck:
     tol = 1e-3
     details = {}
     ok = True
     for sign in (+1, -1):
-        grid = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), resolution, sign, params)
+        grid = maps[sign].delta_l(params)
         peak = grid.max_delta_l()
         arg = grid.argmax_state()
         if peak is None:
@@ -205,9 +228,10 @@ def _check_local_max(rng, n, params) -> LemmaCheck:
     worst = -math.inf
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
-        states = _sample_region(rng, n, sign, params)
-        t_hit = np.array([_closed_hitting_time(s, sign, params) for s in states])[:, None]
-        e0, edot0 = np.array([(s.e, s.edot) for s in states]).T[:, :, None]
+        e0, edot0 = _sample_region(rng, n, sign, params)
+        t_hit = _hit_times(e0, edot0, sign, params)[:, None]
+        _require_hits(t_hit, params)
+        e0, edot0 = e0[:, None], edot0[:, None]
         e_mid, edot_mid = _linear_flow(e0, edot0, t_hit, params)
         e_lin, edot_lin = _linear_flow(e0, edot0, taus, params)
         e_sat, edot_sat = _saturated_flow(e_mid, edot_mid, taus - t_hit, -sign * INV_SQRT3)
@@ -223,11 +247,11 @@ def _check_local_max(rng, n, params) -> LemmaCheck:
 
 
 def _check_odd_symmetry(rng, n, params) -> LemmaCheck:
-    worst = 0.0
-    for s in _sample_region(rng, n, +1, params):
-        fwd = half_period_map(s, +1, params)
-        mirrored = half_period_map(ErrorState(-s.e, -s.edot), -1, params)
-        worst = max(worst, abs(fwd.e + mirrored.e), abs(fwd.edot + mirrored.edot))
+    e, edot = _sample_region(rng, n, +1, params)
+    fwd_e, fwd_ed = _map_settled(e, edot, +1, params, 1.0)
+    mirrored_e, mirrored_ed = _map_settled(-e, -edot, -1, params, 1.0)
+    diffs = np.abs(np.concatenate([fwd_e + mirrored_e, fwd_ed + mirrored_ed]))
+    worst = float(np.max(diffs, initial=0.0))
     return LemmaCheck("odd_symmetry", worst < 1e-12, {"max_abs_diff": worst})
 
 
@@ -239,6 +263,9 @@ def run_lemma_checks(
 ) -> dict:
     """Run the whole invariant suite and return a JSON-ready report."""
     rng = np.random.default_rng(seed)
+    # the three grid checks share one map per sign; an exception is not
+    # cached, so a map that raises fails each of them, as it did one by one
+    grid_maps = functools.cache(lambda: _grid_maps(resolution, params))
     checks = [
         _guarded("clamp_switch_consistency", lambda: _check_clamp_rule(rng, n_samples, params)),
         _guarded("region_rule_consistency", lambda: _check_region_rule(rng, n_samples, params)),
@@ -247,9 +274,9 @@ def run_lemma_checks(
             "hitting_time_residual",
             lambda: _check_hitting_residual(rng, max(10, n_samples // 10), params),
         ),
-        _guarded("quadrant_capture", lambda: _check_capture(resolution, params)),
-        _guarded("two_half_period_self_map", lambda: _check_self_map(resolution, params)),
-        _guarded("delta_l_bound", lambda: _check_delta_l_bound(resolution, params)),
+        _guarded("quadrant_capture", lambda: _check_capture(grid_maps(), params)),
+        _guarded("two_half_period_self_map", lambda: _check_self_map(grid_maps(), params)),
+        _guarded("delta_l_bound", lambda: _check_delta_l_bound(grid_maps(), params)),
         _guarded(
             "lyapunov_local_max", lambda: _check_local_max(rng, max(10, n_samples // 10), params)
         ),

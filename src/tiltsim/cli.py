@@ -8,6 +8,7 @@ configuration error, 3 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -127,7 +128,10 @@ def cmd_simulate(args) -> int:
         print(f"divergence: {exc}", file=sys.stderr)
         if exc.trajectory is not None:
             write_trajectory_csv(exc.trajectory, out_dir / "trajectory.csv")
-        write_json(out_dir / "report.json", {"passed": False, "diverged": True, "t": exc.t})
+        # enough to reproduce: simulator.step(state, t, config) fails again
+        report = {"passed": False, "diverged": True, "t": exc.t, "step": exc.step, "yaw": exc.yaw}
+        report["state"] = dataclasses.asdict(exc.state)
+        write_json(out_dir / "report.json", report)
         return EXIT_DIVERGED
     report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution)
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
@@ -164,12 +168,9 @@ def cmd_sweep_delta_l(args) -> int:
         summary["sup_bound"] = None
         summary["bracketed"] = None
     else:
-        crit = critical_lyapunov(
-            sweep.e_range(),
-            sweep.edot_range(),
-            sweep.resolution,
-            cfg.params,
-            half_period=cfg.gait.half_period,
+        # the search takes this grid and computes only the other sign's
+        crit = analysis._critical_from(
+            grid, sweep.e_range(), sweep.edot_range(), cfg.params, cfg.gait.half_period
         )
         summary["l_critical"] = crit.l_critical
         summary["sup_bound"] = crit.sup_bound
@@ -193,10 +194,7 @@ def cmd_hitting_time(args) -> int:
     sign = 1 if args.branch == "pos" else -1
     admissible = analysis.in_admissible_region(state, sign, cfg.params)
     try:
-        if sign > 0:
-            t_closed = analysis.hitting_time_pos(state, cfg.params)
-        else:
-            t_closed = analysis.hitting_time_neg(state, cfg.params)
+        t_closed = analysis.hitting_time(state, sign, cfg.params)
         t_event = analysis.hitting_time_simulated(state, sign, cfg.params)
     except ValueError as exc:
         # both hitting times raise ValueError for an inadmissible state and for

@@ -232,6 +232,8 @@ def resolve_config(
         raise ConfigError(f"[sweep] lambda_sign must be -1 or +1, got {sweep.lambda_sign}")
     if sweep.resolution < 1:
         raise ConfigError(f"[sweep] resolution must be at least 1, got {sweep.resolution}")
+    if sweep.seed < 0:
+        raise ConfigError(f"[sweep] seed must be nonnegative, got {sweep.seed}")
 
     cfg = ExperimentConfig(
         params=params,

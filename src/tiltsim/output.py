@@ -43,25 +43,31 @@ def write_json(path, obj) -> None:
 _CHUNK_ROWS = 2048
 
 
-def write_trajectory_csv(traj, path) -> None:
-    """One row per sample; ``%.17g`` prints as ``fmt`` and ``%d`` the integer ``p``, ``q``.
+def _write_table(path, header: str, row: str, table: np.ndarray) -> None:
+    """Write ``header`` and one ``row`` template per table row, a chunk of rows per ``%`` call.
 
-    Each chunk of rows is one ``%`` call on the repeated row template, so only
-    one chunk of Python floats is alive at a time.
+    Only one chunk of Python floats is alive at a time; ``%.17g`` prints as
+    ``fmt`` does and ``%d`` an integer-valued column.
     """
-    from .simulator import TRAJECTORY_COLUMNS
-
-    row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
-    table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
-    parts = [",".join(TRAJECTORY_COLUMNS) + "\n"]
+    parts = [header]
     for lo in range(0, len(table), _CHUNK_ROWS):
         chunk = table[lo : lo + _CHUNK_ROWS]
         parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
     atomic_write_text(path, "".join(parts))
 
 
+def write_trajectory_csv(traj, path) -> None:
+    """One row per sample, with ``p`` and ``q`` as integers."""
+    from .simulator import TRAJECTORY_COLUMNS
+
+    row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
+    table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
+    _write_table(path, ",".join(TRAJECTORY_COLUMNS) + "\n", row, table)
+
+
 def write_grid_csv(grid, path) -> None:
-    lines = ["e,edot,admissible,delta_L,sign"]
-    for e, edot, admissible, value, sign in grid.rows():
-        lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """One row per grid cell, row-major, as listed by ``DeltaLGrid.rows``."""
+    E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
+    columns = (E, Ed, grid.mask, grid.values, grid.sign_map())
+    table = np.column_stack([np.ravel(c).astype(float) for c in columns])
+    _write_table(path, "e,edot,admissible,delta_L,sign\n", "%.17g,%.17g,%d,%.17g,%d\n", table)

@@ -100,8 +100,10 @@ class SimConfig:
 class DivergenceError(RuntimeError):
     """The integration produced a non-finite state.
 
-    Carries the time at which the step failed, the last finite state, and
-    (from ``run``) the partial trajectory up to that sample.
+    Carries the time at which the step failed, the last finite state, the
+    step index and yaw of the failing step, and (from ``run``) the partial
+    trajectory up to that sample. ``step(state, t, config)`` from that state
+    and time fails again.
     """
 
     def __init__(
@@ -109,11 +111,15 @@ class DivergenceError(RuntimeError):
         t: float,
         trajectory: "Trajectory | None" = None,
         state: VehicleState | None = None,
+        step: int | None = None,
+        yaw: float | None = None,
     ):
         super().__init__(f"state became non-finite during the step starting at t={t}")
         self.t = t
         self.trajectory = trajectory
         self.state = state
+        self.step = step
+        self.yaw = yaw
 
 
 @dataclass
@@ -227,13 +233,14 @@ def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
     """
     if t < 0.0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    lam = _yaw(round(t / config.dt), config.steps_per_half, config.gait)
+    k = round(t / config.dt)
+    lam = _yaw(k, config.steps_per_half, config.gait)
     f = _kernel(config.params, lam)
     try:
         _, _, _, _, ax, ay = f(t, state.x, state.y, state.vx, state.vy)
         return VehicleState(*_rk4(f, t, config.dt, state.x, state.y, state.vx, state.vy, ax, ay))
     except ValueError as exc:
-        raise DivergenceError(t, state=state) from exc
+        raise DivergenceError(t, state=state, step=k, yaw=lam) from exc
 
 
 # floats that run() logs per row, in this order
@@ -263,7 +270,8 @@ def run(config: SimConfig) -> Trajectory:
             if k < n:
                 x, y, vx, vy = _rk4(f, t, dt, x, y, vx, vy, ax, ay)
     except ValueError as exc:
-        raise DivergenceError(t, _trajectory(log, config), VehicleState(x, y, vx, vy)) from exc
+        state = VehicleState(x, y, vx, vy)
+        raise DivergenceError(t, _trajectory(log, config), state, k, _yaw(k, m, gait)) from exc
     return _trajectory(log, config)
 
 

@@ -28,7 +28,7 @@ from tiltsim import (
     s11_flow,
     saturated_flow,
 )
-from tiltsim.checks import _sample_region
+from tiltsim.output import atomic_write_text, fmt
 
 SQRT3 = math.sqrt(3.0)
 
@@ -190,17 +190,37 @@ def self_map_counts(resolution, params):
     return n, bad
 
 
+def scalar_sample_region(rng, n, lambda_sign, params):
+    """``n`` admissible states drawn one value at a time, as the checks' sampler once did.
+
+    Each attempt draws e, then edot, uniform on [0, 2), mirrored by the yaw
+    sign; the search gives up after 1000*n attempts.
+    """
+    states = []
+    attempts = 0
+    while len(states) < n:
+        attempts += 1
+        if attempts > 1000 * n:
+            raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
+        e = rng.uniform(0.0, 2.0)
+        edot = rng.uniform(0.0, 2.0)
+        s = ErrorState(lambda_sign * e, lambda_sign * edot)
+        if in_admissible_region(s, lambda_sign, params):
+            states.append(s)
+    return states
+
+
 def local_max_report(rng, n, params):
     """``lyapunov_local_max`` check report, one state and one tau at a time.
 
-    Samples with the check's own sampler, so the same rng gives the same
-    states, then evaluates the Lyapunov log on 201 taus of the half period
+    Samples with ``scalar_sample_region``, which draws what the check's
+    sampler draws from the same rng, then evaluates the Lyapunov log on 201 taus of the half period
     through the scalar flow functions.
     """
     worst = -math.inf
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
-        for s in _sample_region(rng, n, sign, params):
+        for s in scalar_sample_region(rng, n, sign, params):
             t_hit = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
             mid = s11_flow(s, t_hit, params)
             values = []
@@ -226,7 +246,7 @@ def scalar_critical_search(map_cell, level, witness_phi, ky1, ky2, refine_tol=1e
     Starts from the grid level ``level``, brackets from above and bisects
     as ``critical_lyapunov`` does. ``map_cell(e, edot, sign)`` maps one
     cell; a cell whose map raises ``RuntimeError`` is skipped and counted.
-    Returns (level, number of skipped cells).
+    Returns (level, number of skipped cells, whether the level was bracketed).
     """
     phis = np.append(np.linspace(0.0, 2.0 * math.pi, n_angles, endpoint=False), witness_phi)
     skipped = 0
@@ -253,11 +273,40 @@ def scalar_critical_search(map_cell, level, witness_phi, ky1, ky2, refine_tol=1e
         if not intersects(hi):
             break
     else:
-        return hi, skipped
+        return hi, skipped, False
     while hi - lo > refine_tol:
         mid = 0.5 * (lo + hi)
         if intersects(mid):
             lo = mid
         else:
             hi = mid
-    return lo, skipped
+    return lo, skipped, True
+
+
+def grid_level_and_witness(grids, ky2):
+    """Largest Lyapunov level of a nonnegative-change cell, and its ellipse angle.
+
+    Visits the cells of ``grids`` (the +1 grid, then the -1 grid) one at a
+    time in row-major order; the first cell of the largest level wins.
+    """
+    best, witness = -math.inf, None
+    for grid in grids:
+        for i, e in enumerate(grid.e_values):
+            for j, edot in enumerate(grid.edot_values):
+                if not (grid.mask[i, j] and grid.values[i, j] >= 0.0):
+                    continue
+                level = 0.5 * edot**2 + 0.5 * ky2 * e**2
+                if level > best:
+                    best = float(level)
+                    witness = math.atan2(
+                        edot / math.sqrt(2.0 * best), e / math.sqrt(2.0 * best / ky2)
+                    )
+    return best, witness
+
+
+def write_grid_csv(grid, path):
+    """The grid CSV written one f-string row at a time, as the writer once did."""
+    lines = ["e,edot,admissible,delta_L,sign"]
+    for e, edot, admissible, value, sign in grid.rows():
+        lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
+    atomic_write_text(path, "\n".join(lines) + "\n")

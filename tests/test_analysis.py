@@ -30,8 +30,14 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _event_hitting_times, _map_default, _map_generic
-from tiltsim.checks import _check_local_max, _check_self_map, run_lemma_checks
+from tiltsim.analysis import _event_hitting_times, _hit_times, _map_default, _map_generic
+from tiltsim.checks import (
+    _check_local_max,
+    _check_self_map,
+    _grid_maps,
+    _sample_region,
+    run_lemma_checks,
+)
 
 SQRT3 = math.sqrt(3.0)
 INV3 = 1.0 / SQRT3
@@ -174,6 +180,27 @@ class TestHittingTimes:
         assert t == pytest.approx(t_oracle, abs=1e-6)
 
 
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0), (2.0, 5.0)])
+    def test_array_times_equal_scalar_calls(self, ky1, ky2):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        rng = np.random.default_rng(83)
+        for sign in (+1, -1):
+            e0, ed0 = oc.sample_capture_region(rng, 30, sign, ky1, ky2)
+            want = [analysis.hitting_time(ErrorState(e, ed), sign, p) for e, ed in zip(e0, ed0)]
+            assert _hit_times(e0, ed0, sign, p).tobytes() == np.array(want).tobytes()
+
+    def test_no_crossing_error_names_the_horizon(self):
+        p = ModelParams(ky1=0.05, ky2=0.04)
+        # the second state starts below the threshold
+        t = _hit_times(np.array([20.0, 0.5]), np.array([20.0, 0.2]), +1, p)
+        assert np.isnan(t[0]) and t[1] == 0.0
+        message = r"^unsaturated flow does not reach the threshold within 8\.0 s for gains"
+        with pytest.raises(ValueError, match=message):
+            hitting_time_pos(ErrorState(20.0, 20.0), p)
+        with pytest.raises(ValueError, match=message):
+            hitting_time_neg(ErrorState(-20.0, -20.0), p)
+
+
 class TestHalfPeriodMap:
     def test_origin_rejected(self):
         with pytest.raises(ValueError):
@@ -270,7 +297,7 @@ class TestArrayEngine:
     def test_self_map_check_matches_scalar_loop(self, ky1, ky2, res):
         p = ModelParams(ky1=ky1, ky2=ky2)
         n, bad = oc.self_map_counts(res, p)
-        check = _check_self_map(res, p)
+        check = _check_self_map(_grid_maps(res, p), p)
         assert check.detail == {"n_checked": n, "n_violations": bad}
         assert check.passed == (bad == 0)
 
@@ -361,6 +388,47 @@ class TestLemmaChecks:
             assert [c["name"] for c in report["checks"] if not c["passed"]] == []
             residual = next(c for c in report["checks"] if c["name"] == "hitting_time_residual")
             assert residual["detail"]["max_residual"] < 1e-12
+
+
+    def test_no_crossing_fails_range_check_with_the_error(self, monkeypatch):
+        # a horizon shorter than most hitting times: the first sampled state
+        # past it fails the check with the no-crossing message
+        monkeypatch.setattr(analysis, "_EVENT_T_MAX", 0.05)
+        report = run_lemma_checks(ModelParams(ky1=6.0, ky2=10.0), resolution=8, seed=0)
+        check = next(c for c in report["checks"] if c["name"] == "hitting_time_range")
+        assert check["detail"] == {
+            "error": "ValueError: unsaturated flow does not reach the threshold within "
+            "0.05 s for gains ky1=6.0, ky2=10.0"
+        }
+
+
+class TestSampler:
+    # (0.15, 0.15) admits about 0.3% of the draws, so the blocks grow many times
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0), (0.15, 0.15)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("n", [0, 1, 20, 200])
+    def test_same_states_and_next_draw_as_scalar_loop(self, ky1, ky2, sign, n):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        seed = [n, sign + 1]
+        rng, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        e, edot = _sample_region(rng, n, sign, p)
+        want = oc.scalar_sample_region(rng_scalar, n, sign, p)
+        assert e.tobytes() == np.array([s.e for s in want], dtype=float).tobytes()
+        assert edot.tobytes() == np.array([s.edot for s in want], dtype=float).tobytes()
+        assert rng.uniform() == rng_scalar.uniform()
+
+    @pytest.mark.parametrize("ky1, ky2", [(0.1, 0.1), (0.145, 0.145)])
+    def test_attempt_limit_error_and_stream(self, ky1, ky2):
+        # (0.1, 0.1) admits nothing in [0, 2)^2, (0.145, 0.145) about 5e-5
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        rng, rng_scalar = np.random.default_rng(3), np.random.default_rng(3)
+        with pytest.raises(ValueError) as scalar_err:
+            oc.scalar_sample_region(rng_scalar, 5, -1, p)
+        with pytest.raises(ValueError) as err:
+            _sample_region(rng, 5, -1, p)
+        assert str(err.value) == str(scalar_err.value)
+        assert str(err.value) == "could not sample 5 admissible states for yaw sign -1"
+        assert rng.uniform() == rng_scalar.uniform()
 
 
 class TestLyapunovAlongHalfPeriod:
@@ -535,6 +603,24 @@ class TestCriticalLyapunov:
             n_positive,
         )
 
+    @pytest.mark.parametrize(
+        "ky1, ky2", [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0), (6.0, 12.0)]
+    )
+    def test_search_matches_scalar_loop(self, ky1, ky2):
+        # the batched upward bracket and the chunked ellipse maps against one
+        # ellipse cell at a time
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            crit = critical_lyapunov(resolution=16, params=p)
+        grids = [delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, sign, p) for sign in (+1, -1)]
+        level, witness = oc.grid_level_and_witness(grids, ky2)
+        assert level == crit.grid_max
+        want = oc.scalar_critical_search(
+            lambda e, ed, sign: _map_generic(e, ed, sign, p, 1.0), level, witness, ky1, ky2
+        )
+        assert (crit.l_critical, crit.n_unsettled, crit.bracketed) == want
+
     def test_unsettled_cells_counted(self, monkeypatch):
         p = ModelParams(ky1=6.0, ky2=12.0)
         # one grid cell, on the threshold at rest: it starts clamped and
@@ -548,7 +634,7 @@ class TestCriticalLyapunov:
         assert crit.n_positive_cells == 1
         assert crit.n_unsettled > 0
         assert crit.to_dict()["n_unsettled"] == crit.n_unsettled
-        level, skipped = oc.scalar_critical_search(
+        level, skipped, _ = oc.scalar_critical_search(
             lambda e, ed, sign: _map_generic(e, ed, sign, p, 1.0),
             crit.grid_max,
             0.0,

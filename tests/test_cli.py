@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import tiltsim
+from tiltsim import simulator
 from tiltsim.cli import UNBRACKETED_NOTE, main
+from tiltsim.config import resolve_config
 
 # gain set that breaks the saturation-stability structure: the decay is too
 # slow to reach the switching threshold within a half period
@@ -75,6 +77,16 @@ GOLDEN_SHA256 = {
         "f38dcadc6a985433d4790682119fb35d5908e6b2753d9dafab4791ed3f47f2fb",
         "03751f47ae3c50e03b8d2932ce3f0e4de27d13d4ddcda30899e49e51d368562c",
     ),
+}
+
+
+# SHA-256 of lemma_report.json from `verify-lemmas --seed S` at the default
+# resolution, recorded with the checks that sampled and mapped one state at a
+# time
+LEMMA_REPORT_SHA256 = {
+    0: "88fca06d4c65677b5563db122fb6925f6f6fb0160d2fd0eb137ca028685d0232",
+    7: "0d628697deeb5c392fa32f581f27a455fd912a987d573948f4ed880ea7f6d26e",
+    31: "7a7b3d61da97a11aa16ec0fbec2715cba86e042ec1317e4fe4f97523292f98ba",
 }
 
 
@@ -161,6 +173,24 @@ class TestSimulate:
         assert (out / "trajectory.csv").exists()
         report = read_json(out / "report.json")
         assert report["diverged"] is True
+
+    def test_divergence_report_reproduces_the_failing_step(self, tmp_path):
+        cfg_path = tmp_path / "div.ini"
+        cfg_path.write_text(DIVERGING_CONFIG)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+        report = read_json(out / "report.json")
+        # the state, step and yaw of the failing step, and no timing
+        assert sorted(report) == ["diverged", "passed", "state", "step", "t", "yaw"]
+        assert sorted(report["state"]) == ["vx", "vy", "x", "y"]
+        assert all(math.isfinite(v) for v in report["state"].values())
+        sim_cfg = resolve_config(cfg_path, {}, {}).sim_config()
+        assert report["t"] == report["step"] * sim_cfg.dt
+        state = simulator.VehicleState(**report["state"])
+        with pytest.raises(simulator.DivergenceError) as err:
+            simulator.step(state, report["t"], sim_cfg)
+        assert err.value.yaw == report["yaw"]
+        assert err.value.step == report["step"]
 
     def test_nonfinite_controller_output_is_divergence(self, tmp_path, capsys):
         cfg = tmp_path / "div.ini"
@@ -444,6 +474,31 @@ class TestVerifyLemmas:
         # the slow decay never reaches the threshold inside a half period
         assert "hitting_time_range" in failing or "quadrant_capture" in failing
         assert "[FAIL]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", sorted(LEMMA_REPORT_SHA256))
+    def test_golden_report_bytes(self, seed, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        out = tmp_path / "lemmas"
+        assert main(["verify-lemmas", "--seed", str(seed), "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "lemma_report.json").read_bytes()).hexdigest()
+        assert digest == LEMMA_REPORT_SHA256[seed]
+
+    @pytest.mark.parametrize("source", ["flag", "env", "config"])
+    def test_negative_seed_is_config_error(self, source, tmp_path, monkeypatch, capsys):
+        argv = ["verify-lemmas", "--grid-res", "2", "--out-dir", str(tmp_path / "lemmas")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "env":
+            monkeypatch.setenv("TILTSIM_SEED", "-1")
+        else:
+            (tmp_path / "seed.ini").write_text("[sweep]\nseed = -1\n")
+            argv += ["--config", str(tmp_path / "seed.ini")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: [sweep] seed must be nonnegative, got -1\n"
+        assert not (tmp_path / "lemmas").exists()
 
     def test_coarse_resolution_still_runs(self, tmp_path):
         out = tmp_path / "lemmas"
