@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from pathlib import Path
 from . import analysis
 from .analysis import ErrorState, critical_lyapunov, delta_l_grid
 from .checks import run_lemma_checks
-from .config import ConfigError, ENV_PREFIX, resolve_config, write_manifest
+from .config import KEYS, ConfigError, ENV_PREFIX, resolve_config, write_manifest
 from .output import fmt, write_grid_csv, write_json, write_trajectory_csv
 from .simulator import DivergenceError, run, verify_trajectory
 
@@ -33,77 +34,49 @@ UNBRACKETED_NOTE = (
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _command(sub, name: str, help: str, func, sweep: bool = False) -> argparse.ArgumentParser:
+    """A subcommand with the common flags, and the sweep flags if ``sweep``."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", type=Path, help="INI config file")
     parser.add_argument("--out-dir", type=Path, help="output directory (default ./out)")
-    parser.add_argument("--preset", help="gait preset name: small or large")
-    parser.add_argument("--dt", type=float, help="integrator step (s)")
-    parser.add_argument("--duration", type=float, help="simulated horizon (s)")
-    parser.add_argument("--amplitude", type=float, help="gait yaw amplitude (rad)")
-    parser.add_argument("--period", type=float, help="gait period (s)")
-    parser.add_argument("--grid-res", type=int, help="grid resolution per axis")
-    parser.add_argument("--seed", type=int, help="seed for randomized property sampling")
+    for key in sorted(KEYS, key=lambda k: k.sweep):  # common flags first
+        if key.flag and (sweep or not key.sweep):
+            parser.add_argument("--" + key.flag, type=key.type, help=key.help)
+    parser.set_defaults(func=func)
+    return parser
 
 
-def _sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--e-min", type=float, help="grid lower bound along e")
-    parser.add_argument("--e-max", type=float, help="grid upper bound along e")
-    parser.add_argument("--edot-min", type=float, help="grid lower bound along edot")
-    parser.add_argument("--edot-max", type=float, help="grid upper bound along edot")
-    parser.add_argument("--lambda-sign", type=int, choices=(-1, 1), help="yaw sign for the sweep")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="tiltsim",
         description="Tilt-vehicle gait simulation and saturation-stability verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run the closed loop and verify the log")
-    _add_common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_sweep = sub.add_parser("sweep-delta-l", help="grid sweep of the half-period Lyapunov change")
-    _add_common(p_sweep)
-    _sweep_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep_delta_l)
-
-    p_hit = sub.add_parser("hitting-time", help="threshold hitting time for one error state")
-    _add_common(p_hit)
+    _command(sub, "simulate", "run the closed loop and verify the log", cmd_simulate)
+    _command(
+        sub,
+        "sweep-delta-l",
+        "grid sweep of the half-period Lyapunov change",
+        cmd_sweep_delta_l,
+        sweep=True,
+    )
+    p_hit = _command(
+        sub, "hitting-time", "threshold hitting time for one error state", cmd_hitting_time
+    )
     p_hit.add_argument("e", type=float, help="lateral position error")
     p_hit.add_argument("edot", type=float, help="lateral velocity error")
     p_hit.add_argument("--branch", choices=("pos", "neg"), default="pos")
-    p_hit.set_defaults(func=cmd_hitting_time)
-
-    p_crit = sub.add_parser("critical-lyapunov", help="critical Lyapunov level and supremum bound")
-    _add_common(p_crit)
-    _sweep_flags(p_crit)
-    p_crit.set_defaults(func=cmd_critical_lyapunov)
-
-    p_ver = sub.add_parser("verify-lemmas", help="run the full invariant suite")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify_lemmas)
-
+    _command(
+        sub,
+        "critical-lyapunov",
+        "critical Lyapunov level and supremum bound",
+        cmd_critical_lyapunov,
+        sweep=True,
+    )
+    _command(sub, "verify-lemmas", "run the full invariant suite", cmd_verify_lemmas)
     return parser
-
-
-def _overrides_from(args) -> dict:
-    pairs = {
-        ("gait", "preset"): getattr(args, "preset", None),
-        ("gait", "amplitude"): getattr(args, "amplitude", None),
-        ("gait", "period"): getattr(args, "period", None),
-        ("sim", "dt"): getattr(args, "dt", None),
-        ("sim", "duration"): getattr(args, "duration", None),
-        ("sweep", "resolution"): getattr(args, "grid_res", None),
-        ("sweep", "seed"): getattr(args, "seed", None),
-        ("sweep", "e_min"): getattr(args, "e_min", None),
-        ("sweep", "e_max"): getattr(args, "e_max", None),
-        ("sweep", "edot_min"): getattr(args, "edot_min", None),
-        ("sweep", "edot_max"): getattr(args, "edot_max", None),
-        ("sweep", "lambda_sign"): getattr(args, "lambda_sign", None),
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
 
 
 def _resolve(args):
@@ -112,7 +85,8 @@ def _resolve(args):
         env_path = os.environ.get(ENV_PREFIX + "CONFIG")
         if env_path:
             config_path = Path(env_path)
-    cfg = resolve_config(config_path, _overrides_from(args), dict(os.environ))
+    overrides = {(k.section, k.key): getattr(args, k.dest, None) for k in KEYS if k.flag}
+    cfg = resolve_config(config_path, overrides, dict(os.environ))
     out_dir = args.out_dir or Path(os.environ.get(ENV_PREFIX + "OUT_DIR", "out"))
     return cfg, out_dir
 

@@ -6,14 +6,20 @@ run with no config at all. Environment variables with the TILTSIM_ prefix
 override file values, and command-line flags override both. A resolved
 configuration can be echoed back as a manifest file that reproduces the
 run bit-identically when fed back in.
+
+Every settable value is declared once, in ``KEYS``: file validation, typed
+parsing, the environment variables, the flags of ``tiltsim.cli`` and the
+manifest all follow from that table.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .gait import GaitSchedule, preset
 from .plant import ModelParams, VehicleState
@@ -25,37 +31,70 @@ __all__ = [
     "SweepSpec",
     "ExperimentConfig",
     "ENV_PREFIX",
+    "KEYS",
     "resolve_config",
     "write_manifest",
 ]
 
 ENV_PREFIX = "TILTSIM_"
 
-_SCHEMA = {
-    "model": ("m", "theta", "k_thrust", "kx1", "kx2", "ky1", "ky2"),
-    "gait": ("preset", "amplitude", "period", "phase_sign"),
-    "sim": ("dt", "duration", "x0", "y0", "vx0", "vy0"),
-    "sweep": (
-        "e_min",
-        "e_max",
-        "edot_min",
-        "edot_max",
-        "resolution",
-        "lambda_sign",
-        "seed",
-    ),
-}
 
-# environment variables mirroring the command-line flags
-_ENV_MAP = {
-    "PRESET": ("gait", "preset"),
-    "AMPLITUDE": ("gait", "amplitude"),
-    "PERIOD": ("gait", "period"),
-    "DT": ("sim", "dt"),
-    "DURATION": ("sim", "duration"),
-    "GRID_RES": ("sweep", "resolution"),
-    "SEED": ("sweep", "seed"),
-}
+class Key(NamedTuple):
+    """One settable value: an INI key and, optionally, its command-line flag.
+
+    A common flag is taken by every command and has an environment variable,
+    the flag upper-cased with the prefix; a sweep flag is taken only by the
+    sweep commands and has none.
+    """
+
+    section: str
+    key: str
+    type: type
+    flag: str | None = None
+    help: str | None = None
+    sweep: bool = False
+
+    @property
+    def dest(self) -> str:
+        """Attribute that argparse stores the flag under."""
+        return self.flag.replace("-", "_")
+
+    @property
+    def env(self) -> str | None:
+        return ENV_PREFIX + self.dest.upper() if self.flag and not self.sweep else None
+
+
+# every settable value; sections and keys are written to the manifest in this order
+KEYS = (
+    Key("model", "m", float),
+    Key("model", "theta", float),
+    Key("model", "k_thrust", float),
+    Key("model", "kx1", float),
+    Key("model", "kx2", float),
+    Key("model", "ky1", float),
+    Key("model", "ky2", float),
+    Key("gait", "preset", str, "preset", "gait preset name: small or large"),
+    Key("gait", "amplitude", float, "amplitude", "gait yaw amplitude (rad)"),
+    Key("gait", "period", float, "period", "gait period (s)"),
+    Key("gait", "phase_sign", int),
+    Key("sim", "dt", float, "dt", "integrator step (s)"),
+    Key("sim", "duration", float, "duration", "simulated horizon (s)"),
+    Key("sim", "x0", float),
+    Key("sim", "y0", float),
+    Key("sim", "vx0", float),
+    Key("sim", "vy0", float),
+    Key("sweep", "e_min", float, "e-min", "grid lower bound along e", sweep=True),
+    Key("sweep", "e_max", float, "e-max", "grid upper bound along e", sweep=True),
+    Key("sweep", "edot_min", float, "edot-min", "grid lower bound along edot", sweep=True),
+    Key("sweep", "edot_max", float, "edot-max", "grid upper bound along edot", sweep=True),
+    Key("sweep", "resolution", int, "grid-res", "grid resolution per axis"),
+    Key("sweep", "lambda_sign", int, "lambda-sign", "yaw sign for the sweep", sweep=True),
+    Key("sweep", "seed", int, "seed", "seed for randomized property sampling"),
+)
+
+_NAMES = {(k.section, k.key) for k in KEYS}
+_SECTIONS = tuple(dict.fromkeys(k.section for k in KEYS))
+_EXPECTED = {float: "a finite number", int: "an integer"}
 
 
 class ConfigError(Exception):
@@ -76,6 +115,14 @@ class SweepSpec:
 
     def e_range(self) -> tuple[float, float]:
         return (self.e_min, self.e_max)
+
+    def __post_init__(self) -> None:
+        if self.lambda_sign not in (-1, 1):
+            raise ValueError(f"lambda_sign must be -1 or +1, got {self.lambda_sign}")
+        if self.resolution < 1:
+            raise ValueError(f"resolution must be at least 1, got {self.resolution}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def edot_range(self) -> tuple[float, float]:
         return (self.edot_min, self.edot_max)
@@ -100,7 +147,7 @@ class ExperimentConfig:
         )
 
 
-def _read_file(path) -> dict[str, dict[str, str]]:
+def _read_file(path) -> dict[tuple[str, str], str]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
@@ -109,40 +156,38 @@ def _read_file(path) -> dict[str, dict[str, str]]:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
-    values: dict[str, dict[str, str]] = {}
+    values: dict[tuple[str, str], str] = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(
-                f"unknown section [{section}] in {path}; expected one of {sorted(_SCHEMA)}"
+                f"unknown section [{section}] in {path}; expected one of {sorted(_SECTIONS)}"
             )
         for key, value in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _NAMES:
                 raise ConfigError(
-                    f"unknown key '{key}' in section [{section}] of {path}; "
-                    f"expected one of {sorted(_SCHEMA[section])}"
+                    f"unknown key '{key}' in section [{section}] of {path}; expected one of "
+                    f"{sorted(k.key for k in KEYS if k.section == section)}"
                 )
-            values.setdefault(section, {})[key] = value
+            values[section, key] = value
     return values
 
 
-def _as_float(values, section, key):
-    raw = values.get(section, {}).get(key)
-    if raw is None:
-        return None
+def _parse(key: Key, raw: str):
     try:
-        return float(raw)
+        value = key.type(raw)
     except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected a number, got {raw!r}") from None
+        value = None
+    if value is None or (key.type is float and not math.isfinite(value)):
+        raise ConfigError(f"[{key.section}] {key.key}: expected {_EXPECTED[key.type]}, got {raw!r}")
+    return value
 
 
-def _as_int(values, section, key):
-    raw = values.get(section, {}).get(key)
-    if raw is None:
-        return None
+def _build(prefix: str, make, /, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ``ValueError`` reported as a ConfigError after ``prefix``."""
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected an integer, got {raw!r}") from None
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
 
 
 def resolve_config(
@@ -155,134 +200,55 @@ def resolve_config(
     ``overrides`` maps (section, key) to already-typed or string values and
     wins over everything else.
     """
-    values: dict[str, dict[str, str]] = {}
-    if config_path is not None:
-        values = _read_file(config_path)
-    if env:
-        for suffix, (section, key) in _ENV_MAP.items():
-            raw = env.get(ENV_PREFIX + suffix)
-            if raw is not None:
-                values.setdefault(section, {})[key] = raw
-    if overrides:
-        for (section, key), value in overrides.items():
-            if value is None:
-                continue
-            if section not in _SCHEMA or key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown override [{section}] {key}")
-            values.setdefault(section, {})[key] = str(value)
+    raw = _read_file(config_path) if config_path is not None else {}
+    for k in KEYS:
+        if env and k.env in env:
+            raw[k.section, k.key] = env[k.env]
+    for name, value in (overrides or {}).items():
+        if value is None:
+            continue
+        if name not in _NAMES:
+            raise ConfigError(f"unknown override [{name[0]}] {name[1]}")
+        raw[name] = str(value)
 
-    model_kwargs = {}
-    for key in _SCHEMA["model"]:
-        val = _as_float(values, "model", key)
-        if val is not None:
-            model_kwargs[key] = val
-    try:
-        params = ModelParams(**model_kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
+    def typed(section):
+        """The keys of ``section`` that are set, parsed to their types."""
+        keys = (k for k in KEYS if k.section == section and (section, k.key) in raw)
+        return {k.key: _parse(k, raw[section, k.key]) for k in keys}
 
-    preset_name = values.get("gait", {}).get("preset", "small")
-    try:
-        base = preset(preset_name)
-    except ValueError as exc:
-        raise ConfigError(f"[gait] preset: {exc}") from exc
-    gait_kwargs = {}
-    amplitude = _as_float(values, "gait", "amplitude")
-    if amplitude is not None:
-        gait_kwargs["amplitude"] = amplitude
-    period = _as_float(values, "gait", "period")
-    if period is not None:
-        gait_kwargs["period"] = period
-    phase_sign = _as_int(values, "gait", "phase_sign")
-    if phase_sign is not None:
-        gait_kwargs["phase_sign"] = phase_sign
-    try:
-        gait = dataclasses.replace(base, **gait_kwargs) if gait_kwargs else base
-    except ValueError as exc:
-        raise ConfigError(f"[gait]: {exc}") from exc
-
-    dt = _as_float(values, "sim", "dt")
-    duration = _as_float(values, "sim", "duration")
-    state_kwargs = {}
-    for cfg_key, field in (("x0", "x"), ("y0", "y"), ("vx0", "vx"), ("vy0", "vy")):
-        val = _as_float(values, "sim", cfg_key)
-        if val is not None:
-            state_kwargs[field] = val
-    try:
-        initial_state = VehicleState(
-            state_kwargs.get("x", 0.0),
-            state_kwargs.get("y", 0.0),
-            state_kwargs.get("vx", 0.0),
-            state_kwargs.get("vy", 0.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"[sim] initial state: {exc}") from exc
-
-    sweep_kwargs = {}
-    for key in ("e_min", "e_max", "edot_min", "edot_max"):
-        val = _as_float(values, "sweep", key)
-        if val is not None:
-            sweep_kwargs[key] = val
-    for key in ("resolution", "lambda_sign", "seed"):
-        val = _as_int(values, "sweep", key)
-        if val is not None:
-            sweep_kwargs[key] = val
-    sweep = SweepSpec(**sweep_kwargs)
-    if sweep.lambda_sign not in (-1, 1):
-        raise ConfigError(f"[sweep] lambda_sign must be -1 or +1, got {sweep.lambda_sign}")
-    if sweep.resolution < 1:
-        raise ConfigError(f"[sweep] resolution must be at least 1, got {sweep.resolution}")
-    if sweep.seed < 0:
-        raise ConfigError(f"[sweep] seed must be nonnegative, got {sweep.seed}")
-
-    cfg = ExperimentConfig(
-        params=params,
-        gait=gait,
-        dt=dt if dt is not None else 1e-3,
-        duration=duration if duration is not None else 20.0,
-        initial_state=initial_state,
-        sweep=sweep,
-    )
-    try:
-        cfg.sim_config()
-    except ValueError as exc:
-        raise ConfigError(f"[sim]: {exc}") from exc
-    return cfg
+    params = _build("[model]: ", ModelParams, **typed("model"))
+    gait_kwargs = typed("gait")
+    base = _build("[gait] preset: ", preset, gait_kwargs.pop("preset", "small"))
+    gait = _build("[gait]: ", dataclasses.replace, base, **gait_kwargs)
+    sim_kwargs = typed("sim")
+    # x0, y0, vx0 and vy0 are the initial state's fields with a 0 suffix; the
+    # fields they leave unset keep SimConfig's default start
+    state = {key[:-1]: sim_kwargs.pop(key) for key in list(sim_kwargs) if key.endswith("0")}
+    start = SimConfig.initial_state
+    initial_state = _build("[sim] initial state: ", dataclasses.replace, start, **state)
+    sweep = _build("[sweep] ", SweepSpec, **typed("sweep"))
+    sim = _build("[sim]: ", SimConfig, params, gait, initial_state=initial_state, **sim_kwargs)
+    return ExperimentConfig(params, gait, sim.dt, sim.duration, initial_state, sweep)
 
 
 def write_manifest(cfg: ExperimentConfig, path) -> None:
-    """Echo the fully resolved configuration as a reload-able config file."""
-    p, g, s = cfg.params, cfg.gait, cfg.sweep
-    lines = [
-        "[model]",
-        f"m = {fmt(p.m)}",
-        f"theta = {fmt(p.theta)}",
-        f"k_thrust = {fmt(p.k_thrust)}",
-        f"kx1 = {fmt(p.kx1)}",
-        f"kx2 = {fmt(p.kx2)}",
-        f"ky1 = {fmt(p.ky1)}",
-        f"ky2 = {fmt(p.ky2)}",
-        "",
-        "[gait]",
-        f"amplitude = {fmt(g.amplitude)}",
-        f"period = {fmt(g.period)}",
-        f"phase_sign = {g.phase_sign}",
-        "",
-        "[sim]",
-        f"dt = {fmt(cfg.dt)}",
-        f"duration = {fmt(cfg.duration)}",
-        f"x0 = {fmt(cfg.initial_state.x)}",
-        f"y0 = {fmt(cfg.initial_state.y)}",
-        f"vx0 = {fmt(cfg.initial_state.vx)}",
-        f"vy0 = {fmt(cfg.initial_state.vy)}",
-        "",
-        "[sweep]",
-        f"e_min = {fmt(s.e_min)}",
-        f"e_max = {fmt(s.e_max)}",
-        f"edot_min = {fmt(s.edot_min)}",
-        f"edot_max = {fmt(s.edot_max)}",
-        f"resolution = {s.resolution}",
-        f"lambda_sign = {s.lambda_sign}",
-        f"seed = {s.seed}",
-    ]
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
+    """Echo the fully resolved configuration as a reload-able config file.
+
+    The gait is written as the amplitude, period and phase sign it resolved
+    to, so ``preset`` is left out.
+    """
+    owners = {"model": cfg.params, "gait": cfg.gait, "sim": cfg, "sweep": cfg.sweep}
+    blocks = []
+    for section, owner in owners.items():
+        lines = [f"[{section}]"]
+        for k in KEYS:
+            if k.section != section or k.type is str:
+                continue
+            if hasattr(owner, k.key):
+                value = getattr(owner, k.key)
+            else:  # x0, y0, vx0 and vy0 live on the initial state
+                value = getattr(cfg.initial_state, k.key[:-1])
+            # str, not fmt, for integers: fmt(10**20) is '1e+20'
+            lines.append(f"{k.key} = {fmt(value) if k.type is float else value}")
+        blocks.append("\n".join(lines))
+    atomic_write_text(Path(path), "\n\n".join(blocks) + "\n")

@@ -12,7 +12,7 @@ angle against the feasible cone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,28 +37,6 @@ __all__ = [
     "VerificationReport",
     "verify_trajectory",
 ]
-
-TRAJECTORY_COLUMNS = (
-    "t",
-    "x",
-    "y",
-    "vx",
-    "vy",
-    "ex",
-    "ey",
-    "exdot",
-    "eydot",
-    "w1sq_raw",
-    "w2sq_raw",
-    "w1sq",
-    "w2sq",
-    "p",
-    "q",
-    "lyap",
-    "angle_des",
-    "angle_lo",
-    "angle_hi",
-)
 
 _GRID_TOL = 1e-9
 
@@ -164,6 +142,12 @@ class Trajectory:
         from .output import write_trajectory_csv
 
         write_trajectory_csv(self, path)
+
+
+# the CSV columns: every logged field but the yaw and the desired acceleration
+TRAJECTORY_COLUMNS = tuple(
+    f.name for f in fields(Trajectory) if f.name not in ("lam", "ax_d", "ay_d")
+)
 
 
 def _yaw(k: int, m: int, gait: GaitSchedule) -> float:
