@@ -20,13 +20,15 @@ loop that tolerates multiple regime changes.
 Both engines take arrays of start cells. ``_map`` picks the engine for the
 gains and is what every grid, capture check, critical-level search and
 single-state map goes through. The event-driven engine advances all live
-cells one segment at a time; its threshold-crossing scan samples every
-cell at once, then ``brentq`` refines each cell's first bracket, one call
-per cell. Cells that do not settle within ``_MAX_SEGMENTS`` segments are
-reported, not dropped: the grid raises, the capture check counts them as
-violations, and the critical-level search skips and counts them. A grid is
-mapped once (``_map_grid``) for the Lyapunov-change grid, the capture check
-and the grid checks of ``verify-lemmas`` alike.
+cells one segment at a time. Its threshold-crossing scan (``_crossing_time``)
+samples every cell at once, and one array root solve (``_newton``) refines
+the first bracket of every cell of a scan block together: a regula falsi
+point, then Newton steps on the closed-form slope of the PD output, about
+four passes in all. Cells that do not settle within ``_MAX_SEGMENTS``
+segments are reported, not dropped: the grid raises, the capture check
+counts them as violations, and the critical-level search skips and counts
+them. A grid is mapped once (``_map_grid``) for the Lyapunov-change grid,
+the capture check and the grid checks of ``verify-lemmas`` alike.
 
 Threshold hitting times go through one array function, ``_hit_times``: the
 closed form at the default gains, else one crossing scan for all states.
@@ -38,9 +40,7 @@ a level whose first cell gains energy meets the set for sure and is
 skipped. ``sweep-delta-l`` hands its own grid to the search
 (``_critical_from``), so only the other sign's grid is computed again.
 
-Only the event-driven engine solves for roots. ``scipy.optimize`` is
-imported by the first ``brentq`` call in a process (about 0.6 s, once), so
-default-gain work never loads it.
+No command loads ``scipy.optimize``: both engines solve with numpy alone.
 
 The closed forms are cross-checked by an independent event oracle,
 ``_event_hitting_times``, behind ``hitting_time_simulated``: fixed-step RK4
@@ -57,7 +57,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy  # fails here when scipy is missing; brentq loads scipy.optimize
+# No code path uses scipy. The benchmark reads ``sys.modules["scipy"]`` and
+# wraps ``brentq`` by name, so both stay until the benchmark stops using them.
+import scipy
 
 from .plant import DEFAULT_PARAMS, ModelParams
 
@@ -97,15 +99,14 @@ _MAX_SEGMENTS = 64
 _SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
 _EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
+_RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 
 
 def brentq(f, a, b, **kwargs):
     """``scipy.optimize.brentq``, with ``scipy.optimize`` imported on first use.
 
-    Only the event-driven engine solves for roots, and ``scipy.optimize``
-    takes most of the package's import time, so the closed-form path never
-    loads it.
+    No code path calls it; the engines use ``_newton``.
     """
     import scipy.optimize
 
@@ -240,8 +241,8 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
 
     Requires the start state in the capture region of ``lambda_sign``; the
     result then lies in [0, 1) for the default gains, reaching 0 exactly on
-    the threshold. Default gains use the closed form, other gains a
-    bracketed root search on the analytic flow, which raises ``ValueError``
+    the threshold. Default gains use the closed form, other gains a crossing
+    scan and root solve on the analytic flow, which raises ``ValueError``
     when the flow does not reach the threshold within 8 s.
     """
     if not in_admissible_region(s0, lambda_sign, params):
@@ -261,14 +262,59 @@ def hitting_time_neg(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> fl
     return hitting_time(s0, -1, params)
 
 
-def _gap(e0: float, edot0: float, bound: float, params: ModelParams):
-    """PD output minus ``bound`` along the linear flow from one start state."""
+def _gap_and_slope(e, edot, t, bound, params: ModelParams):
+    """The PD output's gap to ``bound`` at time ``t`` along the linear flow, and its slope.
 
-    def gap(t):
-        e, edot = _linear_flow(e0, edot0, t, params)
-        return _pd_output(e, edot, params) - bound
+    The slope is ky1*edot' + ky2*edot = (ky2 - ky1^2)*edot - ky1*ky2*e.
+    """
+    k1, k2 = params.ky1, params.ky2
+    e, edot = _linear_flow(e, edot, t, params)
+    return _pd_output(e, edot, params) - bound, (k2 - k1 * k1) * edot - k1 * k2 * e
 
-    return gap
+
+def _newton(gap, a, b, ga, gb):
+    """Roots of ``gap`` in the brackets [a, b] of 1-D arrays, all cells at once.
+
+    ``gap(t, k)`` returns the gap and its time derivative for the cells with
+    indices ``k`` at times ``t``. ``ga`` and ``gb`` are the gap at the bracket
+    ends, one of them > 0 and the other <= 0; a zero end is the root. The
+    first point of a cell is the regula falsi point of its bracket, each later
+    one a Newton step from the last point. A step shorter than half the
+    tolerance is stretched to that length, so that it lands across the root.
+    The midpoint replaces a point that is not strictly inside the bracket, a
+    Newton step longer than half the Newton step before it, and any step after
+    a stretched one. Every point replaces the bracket end of its sign. So
+    between two midpoints, each of which halves the bracket, the steps halve
+    down to half the tolerance, and every cell stops; on the engine's scans
+    it stops after four passes. A cell stops on an exact zero or on brentq's
+    test |b - a| <= 1e-14 + 4*eps*|x|, which is wider than the float spacing,
+    and returns the end with the smaller gap, as brentq does. Stopped cells
+    leave the arrays, so a cell's root does not depend on the other cells.
+    """
+    root = np.where(gb == 0.0, b, a)
+    live = np.flatnonzero((ga != 0.0) & (gb != 0.0))
+    a, b, ga, gb = a[live], b[live], ga[live], gb[live]
+    x = b - gb * (b - a) / (gb - ga)
+    limit = np.full(live.shape, np.inf)  # twice the longest Newton step allowed next
+    while live.size:
+        inside = (x > np.minimum(a, b)) & (x < np.maximum(a, b))
+        x, limit = np.where(inside, x, 0.5 * (a + b)), np.where(inside, limit, np.inf)
+        gx, slope = gap(x, live)
+        to_b = (gx > 0.0) == (gb > 0.0)
+        a, ga = np.where(to_b, a, x), np.where(to_b, ga, gx)
+        b, gb = np.where(to_b, x, b), np.where(to_b, gx, gb)
+        half_tol = 0.5 * (1e-14 + _RTOL * np.abs(x))
+        done = (gx == 0.0) | (np.abs(b - a) <= 2.0 * half_tol)
+        root[live[done]] = np.where(np.abs(ga) < np.abs(gb), a, b)[done]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = -gx / slope  # not finite on a flat gap: the midpoint follows
+        ok, short = np.abs(step) <= 0.5 * limit, np.abs(step) < half_tol
+        limit = np.where(short, 0.0, np.abs(step))
+        step = np.where(short, np.copysign(half_tol, step), step)
+        x = np.where(ok, x + step, np.nan)  # NaN fails the inside test: the midpoint
+        go = ~done
+        live, x, limit, a, b, ga, gb = (v[go] for v in (live, x, limit, a, b, ga, gb))
+    return root
 
 
 def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start: float):
@@ -276,31 +322,32 @@ def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start
 
     For each cell of the 1-D arrays ``e`` and ``edot`` the gap is sampled at
     ``t_start`` and at ``horizon * i / n`` for i = 1..n, all cells of a block
-    at once. The first sample where the gap is zero is returned as is; the
-    first sample interval where its sign changes is refined by ``brentq``.
-    Cells without a crossing get NaN. Blocks hold at most ``_SCAN_BLOCK``
-    samples, which caps the memory of a large grid.
+    at once. The first sample interval where the gap reaches zero or changes
+    sign brackets the crossing, and one ``_newton`` call refines the brackets
+    of all cells of the block, with the gap's slope in closed form
+    (``_gap_and_slope``). Cells without a crossing get NaN. Blocks hold at
+    most ``_SCAN_BLOCK`` samples, which caps the memory of a large grid.
     """
     horizon = np.broadcast_to(np.asarray(horizon, dtype=float), e.shape)
     out = np.full(e.shape, np.nan)
     steps = np.arange(1, n + 1)
     rows = max(1, _SCAN_BLOCK // (n + 1))
     for lo in range(0, e.size, rows):
-        ec, dc = e[lo : lo + rows, None], edot[lo : lo + rows, None]
-        t = np.empty((ec.shape[0], n + 1))
+        ec, dc = e[lo : lo + rows], edot[lo : lo + rows]
+        t = np.empty((ec.size, n + 1))
         t[:, 0] = t_start
         t[:, 1:] = horizon[lo : lo + rows, None] * steps / n
-        g = _pd_output(*_linear_flow(ec, dc, t, params), params) - bound
+        g = _pd_output(*_linear_flow(ec[:, None], dc[:, None], t, params), params) - bound
         above = g > 0.0
         event = (g[:, 1:] == 0.0) | (above[:, :-1] != above[:, 1:])
-        first = event.argmax(axis=1) + 1
-        for r in np.nonzero(event.any(axis=1))[0]:
-            i = first[r]
-            if g[r, i] == 0.0:
-                out[lo + r] = t[r, i]
-            else:
-                gap = _gap(float(ec[r, 0]), float(dc[r, 0]), bound, params)
-                out[lo + r] = brentq(gap, t[r, i - 1], t[r, i], xtol=1e-14)
+        hit = np.flatnonzero(event.any(axis=1))
+        i = event.argmax(axis=1)[hit] + 1
+        eh, dh = ec[hit], dc[hit]
+
+        def gap(t, k):
+            return _gap_and_slope(eh[k], dh[k], t, bound, params)
+
+        out[lo + hit] = _newton(gap, t[hit, i - 1], t[hit, i], g[hit, i - 1], g[hit, i])
     return out
 
 

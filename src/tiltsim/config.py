@@ -123,6 +123,11 @@ class SweepSpec:
             raise ValueError(f"resolution must be at least 1, got {self.resolution}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        for axis, lo, hi in (("e", self.e_min, self.e_max), ("edot", self.edot_min, self.edot_max)):
+            if self.resolution > 1 and lo == hi:
+                raise ValueError(
+                    f"{axis}_min and {axis}_max must differ when resolution > 1, both are {lo}"
+                )
 
     def edot_range(self) -> tuple[float, float]:
         return (self.edot_min, self.edot_max)

@@ -688,29 +688,107 @@ class TestRootSolver:
         assert analysis.brentq(f, a, b) == scipy.optimize.brentq(f, a, b)
         assert analysis.brentq(f, a, b, xtol=1e-14) == scipy.optimize.brentq(f, a, b, xtol=1e-14)
 
-    def test_generic_engine_calls_module_global(self, monkeypatch):
+    def test_generic_engine_never_calls_brentq(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(analysis, "brentq", refuse)
+        p = ModelParams(ky1=6.0, ky2=12.0)
+        crit = critical_lyapunov(resolution=12, params=p)
+        assert crit.bracketed and crit.l_critical > crit.grid_max
+        half_period_map(ErrorState(0.5, 0.2), +1, p)
+        assert 0.0 < hitting_time_neg(ErrorState(-0.5, -0.2), p) < 8.0
+
+    def test_solver_call_and_pass_counts(self, monkeypatch):
         # one generic sweep-delta-l: the lambda = +1 grid, then the search
         p = ModelParams(ky1=5.0, ky2=20.0)
         grid = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, +1, p)
-        solver = analysis.brentq
-        calls = []
+        solver = analysis._newton
+        calls = []  # (cells, passes) per solver call
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:])
-            return solver(*args, **kwargs)
+        def counting(gap, a, *rest):
+            passes = []
 
-        monkeypatch.setattr(analysis, "brentq", counting)
+            def counted(t, k):
+                passes.append(k.size)
+                return gap(t, k)
+
+            root = solver(counted, a, *rest)
+            calls.append((a.size, len(passes)))
+            return root
+
+        monkeypatch.setattr(analysis, "_newton", counting)
         grid_again = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, +1, p)
         n_grid = len(calls)
         with pytest.warns(UserWarning, match="could not bracket"):
             crit = critical_lyapunov(resolution=16, params=p)
-        assert (n_grid, len(calls)) == (64, 252)
+        # the grids, then the first level's first cell and one cell of each
+        # of the other 59 levels: 252 cells in all, one per former brentq call
+        assert calls[:n_grid] == [(64, 4)]
+        assert calls[n_grid:] == [(64, 4), (64, 4), (1, 4), (59, 4)]
         np.testing.assert_array_equal(grid_again.values, grid.values)
         assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
             27406278.768203944,
             42.0,
             122,
         )
+
+    @pytest.mark.parametrize(
+        "slope",
+        [
+            lambda t: 1.0 + t * t + 2.0 * t * (t - 0.3),  # exact
+            lambda t: np.zeros_like(t),  # flat: every step is the midpoint
+            lambda t: -1.0 - t * t,  # wrong sign: steps leave the bracket
+            lambda t: np.full_like(t, 1e300),  # tiny steps, stretched to half the tolerance
+        ],
+        ids=["exact", "flat", "wrong-sign", "huge"],
+    )
+    def test_any_slope_ends_on_the_root(self, slope):
+        def gap(t, k):
+            return (t - 0.3) * (1.0 + t * t), slope(t)
+
+        a, b = np.array([0.0, 0.0, 0.3]), np.array([1.0, 0.3, 0.9])
+        root = analysis._newton(gap, a, b, gap(a, None)[0], gap(b, None)[0])
+        assert root[1:].tolist() == [0.3, 0.3]  # an exact zero at an end
+        assert abs(root[0] - 0.3) <= 1e-14 + 4.0 * np.finfo(float).eps * 0.3
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gains=_gains,
+        cells=st.lists(_cell, min_size=1, max_size=8),
+        sign=st.sampled_from((1, -1)),
+        n=st.sampled_from((4, 64, 512)),
+    )
+    @example(gains=(9.0, 18.0), cells=[(0.5, 0.5), (1.0, -0.3)], sign=1, n=4)  # distinct
+    @example(gains=(6.0, 9.0), cells=[(0.5, 0.2), (-1.0, -1.5)], sign=-1, n=64)  # repeated
+    @example(gains=(2.0, 30.0), cells=[(1.0, 0.3), (0.1, 2.0)], sign=1, n=512)  # complex
+    def test_roots_match_scipy_brentq(self, gains, cells, sign, n):
+        import scipy.optimize  # the test oracle; the package never calls it
+
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        bound = sign * INV3
+        e0 = np.array([c[0] for c in cells])
+        ed0 = np.array([c[1] for c in cells])
+        t = np.linspace(0.0, 8.0, n + 1)
+        g, _ = analysis._gap_and_slope(e0[:, None], ed0[:, None], t, bound, p)
+        change = (g[:, :-1] > 0.0) != (g[:, 1:] > 0.0)
+        rows = np.flatnonzero(change.any(axis=1))
+        i = change.argmax(axis=1)[rows]
+
+        def gap(t, k):
+            return analysis._gap_and_slope(e0[rows][k], ed0[rows][k], t, bound, p)
+
+        roots = analysis._newton(gap, t[i], t[i + 1], g[rows, i], g[rows, i + 1])
+        for r, k, root in zip(rows, i, roots):
+
+            def f(s):
+                return analysis._gap_and_slope(e0[r], ed0[r], s, bound, p)[0]
+
+            # a bracket with three roots has no single answer to compare
+            dense = f(np.linspace(t[k], t[k + 1], 2001)) > 0.0
+            if np.count_nonzero(dense[:-1] != dense[1:]) == 1:
+                want = scipy.optimize.brentq(f, t[k], t[k + 1], xtol=1e-14)
+                assert abs(root - want) <= 1e-13
 
 
 class TestAngles:

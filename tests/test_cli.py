@@ -510,25 +510,30 @@ class TestVerifyLemmas:
 
 # Runs in a fresh interpreter: argv[1] is the output directory, argv[2] an
 # INI file with non-default gains. Prints which scipy modules are loaded
-# after import, after the default-gain commands and after a generic sweep.
+# after import, and whether scipy.optimize is loaded after each command.
 IMPORT_PROBE = """\
 import json, sys, warnings
 warnings.simplefilter("ignore")
 import tiltsim.cli as cli
 out, gains = sys.argv[1], sys.argv[2]
-seen = {"import": ["scipy" in sys.modules, "scipy.optimize" in sys.modules]}
-cli.main(["verify-lemmas", "--seed", "0", "--out-dir", out])
-cli.main(["critical-lyapunov", "--out-dir", out])
-cli.main(["sweep-delta-l", "--grid-res", "16", "--out-dir", out])
-seen["default_gains"] = "scipy.optimize" in sys.modules
-cli.main(["sweep-delta-l", "--grid-res", "16", "--config", gains, "--out-dir", out])
-seen["generic_gains"] = "scipy.optimize" in sys.modules
+seen = {"import": ["scipy" in sys.modules, "scipy.optimize" in sys.modules], "commands": {}}
+for argv in (
+    ["verify-lemmas", "--seed", "0"],
+    ["critical-lyapunov"],
+    ["sweep-delta-l", "--grid-res", "16"],
+    ["sweep-delta-l", "--grid-res", "16", "--config", gains],
+    ["hitting-time", "0.5", "0.2", "--config", gains],
+    ["verify-lemmas", "--grid-res", "16", "--config", gains],
+):
+    cli.main([*argv, "--out-dir", out])
+    gains_used = "generic" if gains in argv else "default"
+    seen["commands"][f"{argv[0]} {gains_used}"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))
 """
 
 
 class TestImportCost:
-    def test_root_solver_loaded_only_for_generic_gains(self, tmp_path):
+    def test_no_command_loads_scipy_optimize(self, tmp_path):
         gains = tmp_path / "gains.ini"
         gains.write_text(UNBRACKETED_GAINS_CONFIG)
         src = str(Path(tiltsim.__file__).resolve().parents[1])
@@ -543,4 +548,12 @@ class TestImportCost:
         )
         assert proc.returncode == 0, proc.stderr
         seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen == {"import": [True, False], "default_gains": False, "generic_gains": True}
+        assert seen["import"] == [True, False]
+        assert seen["commands"] == {
+            "verify-lemmas default": False,
+            "critical-lyapunov default": False,
+            "sweep-delta-l default": False,
+            "sweep-delta-l generic": False,
+            "hitting-time generic": False,
+            "verify-lemmas generic": False,
+        }

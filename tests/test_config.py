@@ -272,6 +272,29 @@ class TestNonFiniteSweepBounds:
         assert not out.exists()
 
 
+class TestZeroWidthSweepRange:
+    @pytest.mark.parametrize(
+        "command, flags, pair",
+        [
+            ("critical-lyapunov", ["--e-min", "0.5", "--e-max", "0.5"], "e_min and e_max"),
+            ("sweep-delta-l", ["--edot-min", "1", "--edot-max", "1"], "edot_min and edot_max"),
+        ],
+    )
+    def test_flag_is_config_error(self, command, flags, pair, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli.main([command, "--grid-res", "8", *flags, "--out-dir", str(out)]) == 2
+        assert f"configuration error: [sweep] {pair} must differ" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_file_is_config_error(self, tmp_path, capsys):
+        path = _ini(tmp_path / "in.ini", {("sweep", "e_min"): "1", ("sweep", "e_max"): "1"})
+        out = tmp_path / "sweep"
+        argv = ["sweep-delta-l", "--grid-res", "4", "--config", str(path), "--out-dir", str(out)]
+        assert cli.main(argv) == 2
+        assert "e_min and e_max must differ" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReadme:
     def test_ini_example_resolves(self, tmp_path):
         text = README.read_text()
