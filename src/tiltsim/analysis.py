@@ -100,7 +100,9 @@ _SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
 _EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
+_EVENT_STEP = 1e-4  # RK4 step of the event oracle
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
+_REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
 
 
 def brentq(f, a, b, **kwargs):
@@ -188,18 +190,16 @@ def _pd_output(e, edot, params: ModelParams):
     return params.ky1 * edot + params.ky2 * e
 
 
-def _region_mask(e, edot, lambda_sign: int, params: ModelParams, tol: float):
+def _region_mask(e, edot, lambda_sign: int, params: ModelParams):
+    """Capture-region membership of arrays of states; boundaries count as inside."""
     g = _pd_output(e, edot, params)
     if lambda_sign > 0:
-        return (g >= INV_SQRT3 - tol) & (e >= -tol) & (edot >= -tol)
-    return (g <= -INV_SQRT3 + tol) & (e <= tol) & (edot <= tol)
+        return (g >= INV_SQRT3) & (e >= 0.0) & (edot >= 0.0)
+    return (g <= -INV_SQRT3) & (e <= 0.0) & (edot <= 0.0)
 
 
 def in_admissible_region(
-    s: ErrorState,
-    lambda_sign: int,
-    params: ModelParams = DEFAULT_PARAMS,
-    tol: float = 0.0,
+    s: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS
 ) -> bool:
     """Membership in the half-period capture region for the given yaw sign.
 
@@ -208,7 +208,7 @@ def in_admissible_region(
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    return bool(_region_mask(s.e, s.edot, lambda_sign, params, tol))
+    return bool(_region_mask(s.e, s.edot, lambda_sign, params))
 
 
 def _region_error(lambda_sign: int) -> str:
@@ -389,14 +389,14 @@ def _rk4_matrix(h, params: ModelParams):
     return eye + x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
 
 
-def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float = 1e-4):
+def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     """Event-detected threshold crossing times of fixed-step RK4, many states at once.
 
     ``e``, ``edot`` and ``lambda_sign`` (scalars or 1-D arrays) are broadcast
     together, and the times come back as a 1-D array. Each state
     is mirrored into the first quadrant, where the event is the PD output
-    falling to +1/sqrt(3). The scan takes RK4 steps of length ``step`` in
-    blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
+    falling to +1/sqrt(3). The scan takes RK4 steps of length ``_EVENT_STEP``
+    in blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
     is one product of the rows c*R^k with the block's start states, and the
     first step whose end gap is nonpositive brackets the crossing. The
     brackets are then halved 60 times, all cells at once, on eight RK4
@@ -413,9 +413,9 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float 
 
     times = np.full(y.shape[0], np.nan)
     times[gap(y) <= 0.0] = 0.0
-    n_steps = int(round(_EVENT_T_MAX / step))
+    n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
-    powers[0] = _rk4_matrix(step, params)
+    powers[0] = _rk4_matrix(_EVENT_STEP, params)
     m = 1
     while m < _EVENT_BLOCK:
         powers[m : 2 * m] = powers[:m] @ powers[m - 1]
@@ -431,7 +431,7 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float 
         crossed = gap_rows[:n_block] @ y_live.T - INV_SQRT3 <= 0.0
         hit = crossed.any(axis=0)
         k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
-        times[live[hit]] = (first + k) * step
+        times[live[hit]] = (first + k) * _EVENT_STEP
         # the state at the start of the bracketing step
         start = y_live[hit]
         later = k > 0
@@ -441,7 +441,7 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float 
         live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
     if start_idx:
         idx, y0 = np.concatenate(start_idx), np.concatenate(start_y)
-        lo, hi = np.zeros(idx.size), np.full(idx.size, step)
+        lo, hi = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             sub = _rk4_matrix(mid / 8.0, params)
@@ -456,21 +456,18 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams, step: float 
 
 
 def hitting_time_simulated(
-    s0: ErrorState,
-    lambda_sign: int,
-    params: ModelParams = DEFAULT_PARAMS,
-    step: float = 1e-4,
+    s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS
 ) -> float:
     """Event-detected threshold crossing, independent of the closed form.
 
-    Integrates the unsaturated dynamics with fixed-step RK4 until the PD
-    output crosses the threshold, then refines by bisection on re-integrated
-    sub-steps. Used as the cross-check channel for the closed forms; a
-    one-state call of ``_event_hitting_times``.
+    Integrates the unsaturated dynamics with fixed-step RK4, step
+    ``_EVENT_STEP``, until the PD output crosses the threshold, then refines
+    by bisection on re-integrated sub-steps. Used as the cross-check channel
+    for the closed forms; a one-state call of ``_event_hitting_times``.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
-    t = _event_hitting_times(s0.e, s0.edot, lambda_sign, params, step)[0]
+    t = _event_hitting_times(s0.e, s0.edot, lambda_sign, params)[0]
     if np.isnan(t):
         raise ValueError(_NO_EVENT_ERROR)
     return float(t)
@@ -736,7 +733,7 @@ class _GridMap:
         """Cells that do not land in the mirrored region are violations, unsettled ones too."""
         sign = self.grid.lambda_sign
         report = CaptureReport(lambda_sign=sign, n_admissible=self.e0.size)
-        captured = _region_mask(self.e1, self.ed1, -sign, params, 0.0)
+        captured = _region_mask(self.e1, self.ed1, -sign, params)
         captured &= np.isfinite(self.e1) & np.isfinite(self.ed1)
         for k in np.nonzero(~captured)[0]:
             report.violations.append((float(self.e0[k]), float(self.ed0[k])))
@@ -747,7 +744,7 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     e_vals = np.linspace(e_range[0], e_range[1], resolution)
     ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
     E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
-    mask = _region_mask(E, Ed, lambda_sign, params, 0.0)
+    mask = _region_mask(E, Ed, lambda_sign, params)
     e0, ed0 = E[mask], Ed[mask]
     e1, ed1, unsettled = _map(e0, ed0, lambda_sign, params, half_period)
     values = np.full(E.shape, np.nan)
@@ -810,8 +807,10 @@ class CriticalLyapunov:
     resolution: int
     # ellipse samples skipped because their half-period map did not settle
     n_unsettled: int = 0
-    # False when no level above the grid maximum cleared the nonnegative-change
-    # set: l_critical is then the last search bound, not a critical level
+    # False when l_critical is not a critical level: either no level above the
+    # grid maximum cleared the nonnegative-change set (l_critical is the last
+    # search bound), or no grid cell has nonnegative change (n_positive_cells
+    # is 0 and l_critical is 0.0)
     bracketed: bool = True
 
     @property
@@ -836,7 +835,6 @@ def critical_lyapunov(
     edot_range: tuple[float, float] = (-2.0, 2.0),
     resolution: int = 200,
     params: ModelParams = DEFAULT_PARAMS,
-    refine_tol: float = 1e-4,
     n_angles: int = 4096,
     half_period: float = 1.0,
 ) -> CriticalLyapunov:
@@ -844,13 +842,15 @@ def critical_lyapunov(
 
     A coarse grid over both capture regions locates cells whose half-period
     Lyapunov change is nonnegative; the largest level among them brackets
-    the answer from below. The level is then refined by bisecting on "does
-    the level ellipse still intersect the nonnegative-change set", sampling
-    the ellipse densely in both capture regions. Returns a degenerate zero
-    level (with a warning) when no cell has nonnegative change.
+    the answer from below. The level is then refined to ``_REFINE_TOL`` by
+    bisecting on "does the level ellipse still intersect the
+    nonnegative-change set", sampling the ellipse at ``n_angles`` angles in
+    both capture regions. When no cell has nonnegative change there is no
+    level to refine: the result is a degenerate zero level with
+    ``bracketed`` false and ``n_positive_cells`` 0, and a warning.
     """
     grid = delta_l_grid(e_range, edot_range, resolution, +1, params, half_period)
-    return _critical_from(grid, e_range, edot_range, params, half_period, refine_tol, n_angles)
+    return _critical_from(grid, e_range, edot_range, params, half_period, n_angles)
 
 
 def _critical_from(
@@ -859,7 +859,6 @@ def _critical_from(
     edot_range: tuple[float, float],
     params: ModelParams,
     half_period: float,
-    refine_tol: float = 1e-4,
     n_angles: int = 4096,
 ) -> CriticalLyapunov:
     """``critical_lyapunov`` from the grid of one yaw sign, as a sweep has it.
@@ -888,7 +887,7 @@ def _critical_from(
             )
     if n_pos == 0:
         warnings.warn("no grid cell has nonnegative half-period Lyapunov change")
-        return CriticalLyapunov(0.0, 0.0, 0, resolution)
+        return CriticalLyapunov(0.0, 0.0, 0, resolution, bracketed=False)
 
     phis = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
     if witness_phi is not None:
@@ -911,7 +910,7 @@ def _critical_from(
         e = math.sqrt(2.0 * level / params.ky2) * cos_phi
         edot = math.sqrt(2.0 * level) * sin_phi
         for sign in (+1, -1):
-            sel = _region_mask(e, edot, sign, params, 0.0)
+            sel = _region_mask(e, edot, sign, params)
             e_sel, ed_sel = e[sel], edot[sel]
             start, size = 0, e_sel.size if _has_default_rates(params) else 1
             while start < e_sel.size:
@@ -934,7 +933,7 @@ def _critical_from(
         quad = np.flatnonzero((cos_phi >= 0.0) & (sin_phi >= 0.0))
         e = np.sqrt(2.0 * levels[:, None] / params.ky2) * cos_phi[quad]
         edot = np.sqrt(2.0 * levels[:, None]) * sin_phi[quad]
-        sel = _region_mask(e, edot, +1, params, 0.0)
+        sel = _region_mask(e, edot, +1, params)
         rows = np.flatnonzero(sel.any(axis=1))
         cols = sel.argmax(axis=1)[rows]
         e1, ed1, _ = _map(e[rows, cols], edot[rows, cols], +1, params, half_period)
@@ -967,7 +966,7 @@ def _critical_from(
             return result(levels[-1], bracketed=False)
     else:
         hi = levels[0]
-    while hi - lo > refine_tol:
+    while hi - lo > _REFINE_TOL:
         mid = 0.5 * (lo + hi)
         if intersects(mid):
             lo = mid

@@ -49,6 +49,8 @@ from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
 __all__ = ["LemmaCheck", "run_lemma_checks"]
 
+_N_SAMPLES = 200  # states per sampled check
+
 
 @dataclass
 class LemmaCheck:
@@ -85,7 +87,7 @@ def _sample_region(rng, n, lambda_sign, params):
             raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
         size = min(max(drawn, n), limit - drawn)
         e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(size, 2)).T
-        ok = _region_mask(e, edot, lambda_sign, params, 0.0)
+        ok = _region_mask(e, edot, lambda_sign, params)
         hits = np.concatenate([hits, drawn + np.flatnonzero(ok)])
         drawn += e.size
     rng.bit_generator.state = start
@@ -184,9 +186,9 @@ def _check_self_map(maps, params) -> LemmaCheck:
     start = maps[+1]
     start.delta_l(params)  # raises if a start cell does not settle
     mid_e, mid_ed = start.e1, start.ed1
-    mid_ok = _region_mask(mid_e, mid_ed, -1, params, 0.0)
+    mid_ok = _region_mask(mid_e, mid_ed, -1, params)
     end_e, end_ed = _map_settled(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
-    end_ok = _region_mask(end_e, end_ed, +1, params, 0.0)
+    end_ok = _region_mask(end_e, end_ed, +1, params)
     bad = int((~mid_ok).sum() + (~end_ok).sum())
     return LemmaCheck(
         "two_half_period_self_map",
@@ -256,31 +258,35 @@ def _check_odd_symmetry(rng, n, params) -> LemmaCheck:
 
 
 def run_lemma_checks(
-    params: ModelParams = DEFAULT_PARAMS,
-    resolution: int = 200,
-    seed: int = 0,
-    n_samples: int = 200,
+    params: ModelParams = DEFAULT_PARAMS, resolution: int = 200, seed: int = 0
 ) -> dict:
-    """Run the whole invariant suite and return a JSON-ready report."""
+    """Run the whole invariant suite and return a JSON-ready report.
+
+    The sampled checks draw ``_N_SAMPLES`` states per check (or a tenth or a
+    quarter of it) from one generator seeded with ``seed``; the grid checks
+    map a ``resolution`` x ``resolution`` grid per yaw sign.
+    """
     rng = np.random.default_rng(seed)
     # the three grid checks share one map per sign; an exception is not
     # cached, so a map that raises fails each of them, as it did one by one
     grid_maps = functools.cache(lambda: _grid_maps(resolution, params))
     checks = [
-        _guarded("clamp_switch_consistency", lambda: _check_clamp_rule(rng, n_samples, params)),
-        _guarded("region_rule_consistency", lambda: _check_region_rule(rng, n_samples, params)),
-        _guarded("hitting_time_range", lambda: _check_hitting_range(rng, n_samples, params)),
+        _guarded("clamp_switch_consistency", lambda: _check_clamp_rule(rng, _N_SAMPLES, params)),
+        _guarded("region_rule_consistency", lambda: _check_region_rule(rng, _N_SAMPLES, params)),
+        _guarded("hitting_time_range", lambda: _check_hitting_range(rng, _N_SAMPLES, params)),
         _guarded(
             "hitting_time_residual",
-            lambda: _check_hitting_residual(rng, max(10, n_samples // 10), params),
+            lambda: _check_hitting_residual(rng, max(10, _N_SAMPLES // 10), params),
         ),
         _guarded("quadrant_capture", lambda: _check_capture(grid_maps(), params)),
         _guarded("two_half_period_self_map", lambda: _check_self_map(grid_maps(), params)),
         _guarded("delta_l_bound", lambda: _check_delta_l_bound(grid_maps(), params)),
         _guarded(
-            "lyapunov_local_max", lambda: _check_local_max(rng, max(10, n_samples // 10), params)
+            "lyapunov_local_max", lambda: _check_local_max(rng, max(10, _N_SAMPLES // 10), params)
         ),
-        _guarded("odd_symmetry", lambda: _check_odd_symmetry(rng, max(10, n_samples // 4), params)),
+        _guarded(
+            "odd_symmetry", lambda: _check_odd_symmetry(rng, max(10, _N_SAMPLES // 4), params)
+        ),
     ]
     return {
         "passed": all(c.passed for c in checks),

@@ -32,6 +32,16 @@ UNBRACKETED_NOTE = (
     "note: L_critical is the last search bound, not a critical level "
     "(the search could not bracket the level from above)"
 )
+DEGENERATE_NOTE = (
+    "note: L_critical is 0, not a critical level "
+    "(no grid cell has a nonnegative half-period Lyapunov change)"
+)
+
+
+def _print_level_note(crit) -> None:
+    """Say why an unbracketed level is not a critical level; nothing for a bracketed one."""
+    if not crit.bracketed:
+        print(DEGENERATE_NOTE if crit.n_positive_cells == 0 else UNBRACKETED_NOTE)
 
 
 def _command(sub, name: str, help: str, func, sweep: bool = False) -> argparse.ArgumentParser:
@@ -154,11 +164,10 @@ def cmd_sweep_delta_l(args) -> int:
     print(f"admissible cells: {summary['n_admissible']}")
     print(f"nonnegative-change cells: {summary['n_positive']}")
     print(f"max delta L: {'n/a' if peak is None else fmt(peak)}")
-    if summary.get("l_critical") is not None:
+    if summary["l_critical"] is not None:
         print(f"L_critical: {fmt(summary['l_critical'])}")
         print(f"supremum bound: {fmt(summary['sup_bound'])}")
-        if not summary["bracketed"]:
-            print(UNBRACKETED_NOTE)
+        _print_level_note(crit)
     return EXIT_OK
 
 
@@ -199,8 +208,7 @@ def cmd_critical_lyapunov(args) -> int:
     print(f"grid max: {fmt(crit.grid_max)}")
     print(f"nonnegative-change cells: {crit.n_positive_cells}")
     print(f"supremum bound: {fmt(crit.sup_bound)}")
-    if not crit.bracketed:
-        print(UNBRACKETED_NOTE)
+    _print_level_note(crit)
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import INV_SQRT3
 from .gait import ReferenceSample
 from .plant import DEFAULT_PARAMS, ModelParams, RotorCommand, VehicleState
 
@@ -31,8 +32,6 @@ __all__ = [
     "switch_matrix_of",
     "classify_region",
 ]
-
-_INV_SQRT3 = 1.0 / math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -143,5 +142,5 @@ def classify_region(
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
     g = params.ky1 * edot_y + params.ky2 * e_y
     if lambda_sign < 0:
-        return S10 if g >= -_INV_SQRT3 else S11
-    return S01 if g <= _INV_SQRT3 else S11
+        return S10 if g >= -INV_SQRT3 else S11
+    return S01 if g <= INV_SQRT3 else S11

@@ -16,14 +16,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import (
-    DELTA_L_CAP,
-    TWO_PI,
-    ErrorState,
-    critical_lyapunov,
-    feasible_cone,
-    in_admissible_region,
-)
+from .analysis import DELTA_L_CAP, TWO_PI, _region_mask, critical_lyapunov, feasible_cone
 from .gait import GaitSchedule, PRESETS
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
@@ -39,6 +32,7 @@ __all__ = [
 ]
 
 _GRID_TOL = 1e-9
+_LYAP_TOL = 1e-6  # overshoot of the Lyapunov log over a half period's endpoints
 
 
 def _grid_count(span: float, dt: float, what: str) -> int:
@@ -336,132 +330,81 @@ def verify_trajectory(
     config: SimConfig,
     l_critical: float | None = None,
     grid_resolution: int = 200,
-    lyap_tol: float = 1e-6,
 ) -> VerificationReport:
     """Check the logged run against the saturation-stability properties.
 
     (a) from the second half period on, the saturation pattern stays in the
         two-element set allowed by the yaw sign; (b) within each complete
-        half period the Lyapunov log peaks at the endpoints; (c) past the
-        first half-period boundary where the Lyapunov change turns
-        nonnegative, the log stays below the critical level plus the 3/4
-        cap; (d) the lateral error at half-period boundaries stays inside
-        the union of the two capture regions. Checks (c) and (d) only apply
-        to runs where clamping actually occurred; an unsaturated run
-        degenerates (a) to the all-active pattern and skips them.
+        half period the Lyapunov log peaks at the endpoints, to within
+        ``_LYAP_TOL``; (c) past the first half-period boundary where the
+        Lyapunov change turns nonnegative, the log stays below the critical
+        level plus the 3/4 cap; (d) the lateral error at half-period
+        boundaries stays inside the union of the two capture regions.
+
+    All four work on the boundary rows ``b = m, 2m, ..., n_half*m`` (``m``
+    steps per half period) and on whole columns of the log. A check that
+    does not apply passes with ``applicable`` false and its reason in
+    ``note``: (a) and (b) need one complete half period, and (c) and (d)
+    also need a run where clamping actually occurred. If ``l_critical`` is
+    not given, (c) computes it at ``grid_resolution``.
     """
-    checks: list[TrajectoryCheck] = []
-    params = config.params
-    m = config.steps_per_half
+    params, m, lyap = config.params, config.steps_per_half, traj.lyap
     size = len(traj)
     n_half = (size - 1) // m
+    b = m * np.arange(1, n_half + 1)
+    lyap_b = lyap[b]
     saturated_run = bool(traj.clamped.any())
-    empty = size <= 1 or n_half < 1
+    # the first half-period boundary after which the Lyapunov change turns nonnegative
+    grew = np.flatnonzero(np.diff(lyap_b) >= 0.0)
+    settle_h = int(grew[0]) + 1 if saturated_run and grew.size else None
+    empty = "empty" if n_half < 1 else None
+    unclamped = "no clamping occurred" if empty or not saturated_run else None
+    if not unclamped and l_critical is None:
+        l_critical = critical_lyapunov(
+            resolution=grid_resolution, params=params, half_period=config.gait.half_period
+        ).l_critical
 
-    # (a) allowed saturation patterns per yaw sign, half periods >= 1
-    if empty:
-        checks.append(TrajectoryCheck("switch_restriction", False, True, {"note": "empty"}))
-    else:
-        start = m
-        neg = traj.lam[start:] < 0.0
-        p, q = traj.p[start:], traj.q[start:]
+    def switch_restriction():
         # negative yaw allows S11/S10 (first rotor active), positive S11/S01
-        bad = np.where(neg, p != 1, q != 1)
+        bad = np.where(traj.lam[m:] < 0.0, traj.p[m:] != 1, traj.q[m:] != 1)
         n_bad = int(bad.sum())
-        checks.append(
-            TrajectoryCheck(
-                "switch_restriction",
-                True,
-                n_bad == 0,
-                {"n_violations": n_bad, "n_checked": int(bad.size)},
-            )
-        )
+        return n_bad == 0, {"n_violations": n_bad, "n_checked": int(bad.size)}
 
-    # (b) Lyapunov local maxima at half-period boundaries
-    if empty:
-        checks.append(TrajectoryCheck("lyapunov_local_max", False, True, {"note": "empty"}))
-    else:
-        worst = 0.0
-        for h in range(1, n_half):
-            lo, hi = h * m, (h + 1) * m
-            window = traj.lyap[lo : hi + 1]
-            endpoint = max(traj.lyap[lo], traj.lyap[hi])
-            worst = max(worst, float(window.max() - endpoint))
-        checks.append(
-            TrajectoryCheck(
-                "lyapunov_local_max",
-                True,
-                worst <= lyap_tol,
-                {"max_overshoot": worst, "tolerance": lyap_tol},
-            )
-        )
+    def lyapunov_local_max():
+        # half period h >= 1 spans rows b[h-1]..b[h]: its maximum over both endpoints
+        inner = lyap[m : n_half * m].reshape(n_half - 1, m).max(axis=1)
+        left, right = lyap_b[:-1], lyap_b[1:]
+        overshoot = np.maximum(inner, right) - np.maximum(left, right)
+        worst = float(np.fmax.reduce(overshoot, initial=0.0))  # a NaN window is skipped
+        return worst <= _LYAP_TOL, {"max_overshoot": worst, "tolerance": _LYAP_TOL}
 
-    # boundary-state bookkeeping shared by (c) and (d)
-    boundary_states = []
-    for h in range(1, n_half + 1):
-        k = h * m
-        if k < size:
-            boundary_states.append((h, float(traj.ey[k]), float(traj.eydot[k])))
-
-    settle_h = None
-    if saturated_run and not empty:
-        for h in range(1, n_half):
-            l_now = traj.lyap[h * m]
-            l_next = traj.lyap[(h + 1) * m]
-            if l_next - l_now >= 0.0:
-                settle_h = h
-                break
-
-    # (c) supremum bound past the settling boundary
-    if not saturated_run or empty:
-        checks.append(
-            TrajectoryCheck("lyapunov_sup_bound", False, True, {"note": "no clamping occurred"})
-        )
-    else:
-        if l_critical is None:
-            l_critical = critical_lyapunov(
-                resolution=grid_resolution, params=params, half_period=config.gait.half_period
-            ).l_critical
+    def lyapunov_sup_bound():
         bound = l_critical + DELTA_L_CAP
-        tail_from = (settle_h if settle_h is not None else 1) * m
-        sup_tail = float(traj.lyap[tail_from:].max())
-        checks.append(
-            TrajectoryCheck(
-                "lyapunov_sup_bound",
-                True,
-                sup_tail <= bound,
-                {
-                    "sup_tail": sup_tail,
-                    "l_critical": l_critical,
-                    "bound": bound,
-                    "settling_half_period": settle_h,
-                },
-            )
-        )
+        sup_tail = float(lyap[(settle_h or 1) * m :].max())
+        return sup_tail <= bound, {
+            "sup_tail": sup_tail,
+            "l_critical": l_critical,
+            "bound": bound,
+            "settling_half_period": settle_h,
+        }
 
-    # (d) boundary states inside the union of capture regions
-    if not saturated_run or empty:
-        checks.append(
-            TrajectoryCheck("boundary_state_capture", False, True, {"note": "no clamping occurred"})
-        )
-    else:
-        bad_bounds = [
-            h
-            for h, e, ed in boundary_states
-            if not (
-                in_admissible_region(ErrorState(e, ed), +1, params)
-                or in_admissible_region(ErrorState(e, ed), -1, params)
-            )
-        ]
-        checks.append(
-            TrajectoryCheck(
-                "boundary_state_capture",
-                True,
-                not bad_bounds,
-                {"n_boundaries": len(boundary_states), "violating_half_periods": bad_bounds[:20]},
-            )
-        )
+    def boundary_state_capture():
+        ey, eydot = traj.ey[b], traj.eydot[b]
+        captured = _region_mask(ey, eydot, +1, params) | _region_mask(ey, eydot, -1, params)
+        bad = (np.flatnonzero(~captured) + 1).tolist()
+        return not bad, {"n_boundaries": n_half, "violating_half_periods": bad[:20]}
 
+    def check(name, reason, evaluate):
+        if reason:
+            return TrajectoryCheck(name, False, True, {"note": reason})
+        return TrajectoryCheck(name, True, *evaluate())
+
+    checks = [
+        check("switch_restriction", empty, switch_restriction),
+        check("lyapunov_local_max", empty, lyapunov_local_max),
+        check("lyapunov_sup_bound", unclamped, lyapunov_sup_bound),
+        check("boundary_state_capture", unclamped, boundary_state_capture),
+    ]
     summary = {
         "saturated_run": saturated_run,
         "n_samples": size,

@@ -9,7 +9,8 @@ analysis module.
 
 The scalar-loop oracles at the end are the reference for the array paths:
 they call the half-period map, or the flows, one cell at a time, as the
-array code did before it took whole grids.
+array code did before it took whole grids. ``scalar_verify_trajectory``
+checks a logged run one half-period boundary at a time.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import math
 import numpy as np
 
 from tiltsim import (
+    DELTA_L_CAP,
     ErrorState,
+    critical_lyapunov,
     half_period_map,
     hitting_time_neg,
     hitting_time_pos,
@@ -310,3 +313,132 @@ def write_grid_csv(grid, path):
     for e, edot, admissible, value, sign in grid.rows():
         lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200):
+    """``verify_trajectory(...).to_dict()``, one half-period boundary at a time.
+
+    Each window, boundary and capture test is a loop over half periods with
+    scalar region tests; a check that does not apply carries its reason in
+    ``note``. The Lyapunov-log tolerance is 1e-6.
+    """
+    lyap_tol = 1e-6
+    checks = []
+    params = config.params
+    m = config.steps_per_half
+    size = len(traj)
+    n_half = (size - 1) // m
+    saturated_run = bool(traj.clamped.any())
+    empty = size <= 1 or n_half < 1
+
+    def skipped(name, note):
+        return {"name": name, "applicable": False, "passed": True, "detail": {"note": note}}
+
+    def applied(name, passed, detail):
+        return {"name": name, "applicable": True, "passed": passed, "detail": detail}
+
+    # (a) allowed saturation patterns per yaw sign, half periods >= 1
+    if empty:
+        checks.append(skipped("switch_restriction", "empty"))
+    else:
+        neg = traj.lam[m:] < 0.0
+        p, q = traj.p[m:], traj.q[m:]
+        bad = np.where(neg, p != 1, q != 1)
+        n_bad = int(bad.sum())
+        checks.append(
+            applied(
+                "switch_restriction",
+                n_bad == 0,
+                {"n_violations": n_bad, "n_checked": int(bad.size)},
+            )
+        )
+
+    # (b) Lyapunov local maxima at half-period boundaries
+    if empty:
+        checks.append(skipped("lyapunov_local_max", "empty"))
+    else:
+        worst = 0.0
+        for h in range(1, n_half):
+            lo, hi = h * m, (h + 1) * m
+            window = traj.lyap[lo : hi + 1]
+            endpoint = max(traj.lyap[lo], traj.lyap[hi])
+            worst = max(worst, float(window.max() - endpoint))
+        checks.append(
+            applied(
+                "lyapunov_local_max",
+                worst <= lyap_tol,
+                {"max_overshoot": worst, "tolerance": lyap_tol},
+            )
+        )
+
+    boundary_states = []
+    for h in range(1, n_half + 1):
+        k = h * m
+        if k < size:
+            boundary_states.append((h, float(traj.ey[k]), float(traj.eydot[k])))
+
+    settle_h = None
+    if saturated_run and not empty:
+        for h in range(1, n_half):
+            if traj.lyap[(h + 1) * m] - traj.lyap[h * m] >= 0.0:
+                settle_h = h
+                break
+
+    # (c) supremum bound past the settling boundary
+    if not saturated_run or empty:
+        checks.append(skipped("lyapunov_sup_bound", "no clamping occurred"))
+    else:
+        if l_critical is None:
+            l_critical = critical_lyapunov(
+                resolution=grid_resolution, params=params, half_period=config.gait.half_period
+            ).l_critical
+        bound = l_critical + DELTA_L_CAP
+        tail_from = (settle_h if settle_h is not None else 1) * m
+        sup_tail = float(traj.lyap[tail_from:].max())
+        checks.append(
+            applied(
+                "lyapunov_sup_bound",
+                sup_tail <= bound,
+                {
+                    "sup_tail": sup_tail,
+                    "l_critical": l_critical,
+                    "bound": bound,
+                    "settling_half_period": settle_h,
+                },
+            )
+        )
+
+    # (d) boundary states inside the union of capture regions
+    if not saturated_run or empty:
+        checks.append(skipped("boundary_state_capture", "no clamping occurred"))
+    else:
+        bad_bounds = [
+            h
+            for h, e, ed in boundary_states
+            if not (
+                in_admissible_region(ErrorState(e, ed), +1, params)
+                or in_admissible_region(ErrorState(e, ed), -1, params)
+            )
+        ]
+        checks.append(
+            applied(
+                "boundary_state_capture",
+                not bad_bounds,
+                {"n_boundaries": len(boundary_states), "violating_half_periods": bad_bounds[:20]},
+            )
+        )
+
+    summary = {
+        "saturated_run": saturated_run,
+        "n_samples": size,
+        "n_clamped_samples": int(traj.clamped.sum()),
+        "max_abs_ex": float(np.abs(traj.ex).max()) if size else None,
+        "max_abs_ey": float(np.abs(traj.ey).max()) if size else None,
+        "settling_half_period": settle_h,
+        "l_critical": l_critical if saturated_run else None,
+    }
+    return {
+        "passed": all(c["passed"] for c in checks if c["applicable"]),
+        "checks": checks,
+        "summary": summary,
+    }

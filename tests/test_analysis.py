@@ -652,6 +652,16 @@ class TestCriticalLyapunov:
         assert crit.l_critical == 0.0
         assert crit.n_positive_cells == 0
 
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0)])
+    def test_degenerate_level_not_bracketed(self, ky1, ky2):
+        # one cell per grid, (-2, -2): admissible only for yaw sign -1, and it
+        # loses energy, so there is no level to search from
+        with pytest.warns(UserWarning, match="no grid cell has nonnegative"):
+            crit = critical_lyapunov(resolution=1, params=ModelParams(ky1=ky1, ky2=ky2))
+        assert (crit.l_critical, crit.n_positive_cells) == (0.0, 0)
+        assert crit.bracketed is False
+        assert crit.to_dict()["bracketed"] is False
+
     @pytest.mark.parametrize("ky1, ky2", [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0)])
     def test_unbracketed_level_flagged(self, ky1, ky2):
         with pytest.warns(UserWarning, match="could not bracket"):

@@ -11,7 +11,7 @@ import pytest
 
 import tiltsim
 from tiltsim import simulator
-from tiltsim.cli import UNBRACKETED_NOTE, main
+from tiltsim.cli import DEGENERATE_NOTE, UNBRACKETED_NOTE, main
 from tiltsim.config import resolve_config
 
 # gain set that breaks the saturation-stability structure: the decay is too
@@ -77,6 +77,14 @@ GOLDEN_SHA256 = {
         "f38dcadc6a985433d4790682119fb35d5908e6b2753d9dafab4791ed3f47f2fb",
         "03751f47ae3c50e03b8d2932ce3f0e4de27d13d4ddcda30899e49e51d368562c",
     ),
+}
+
+# SHA-256 of report.json from `simulate --preset P` at the default duration
+# and grid resolution, recorded with the verifier that looped over half
+# periods one boundary at a time
+REPORT_SHA256 = {
+    "large": "a151ad9843d202e843fa7398882fe11fd07083b7b0000f63fc731d41d347bc2b",
+    "small": "33447a523b45a185956493d0bd3980e8bb051472398298aeeee2cf8b5f42e343",
 }
 
 
@@ -216,6 +224,16 @@ class TestSimulate:
         assert hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest() == traj_sha
         assert hashlib.sha256((out / "manifest.ini").read_bytes()).hexdigest() == manifest_sha
 
+    @pytest.mark.parametrize("preset", sorted(REPORT_SHA256))
+    def test_golden_report_bytes(self, preset, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        out = tmp_path / "run"
+        assert main(["simulate", "--preset", preset, "--out-dir", str(out)]) == 0
+        digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+        assert digest == REPORT_SHA256[preset]
+
     def test_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TILTSIM_DURATION", "2")
         out = tmp_path / "run"
@@ -349,6 +367,17 @@ class TestSweepDeltaL:
         assert read_json(out / "delta_l_summary.json")["bracketed"] is True
         assert "search bound" not in capsys.readouterr().out
 
+    def test_degenerate_level_flagged(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep-delta-l", "--grid-res", "1", "--lambda-sign", "-1", "--out-dir", str(out)]
+        with pytest.warns(UserWarning, match="no grid cell has nonnegative"):
+            assert main(argv) == 0
+        summary = read_json(out / "delta_l_summary.json")
+        assert (summary["n_admissible"], summary["n_positive"]) == (1, 0)
+        assert (summary["l_critical"], summary["bracketed"]) == (0.0, False)
+        lines = capsys.readouterr().out.splitlines()
+        assert [l for l in lines if l.startswith("note:")] == [DEGENERATE_NOTE]
+
     def test_no_level_no_bracket_flag(self, tmp_path):
         out = tmp_path / "sweep"
         argv = ["sweep-delta-l", "--grid-res", "1", "--e-min", "-1", "--e-max", "-1"]
@@ -431,6 +460,17 @@ class TestCriticalLyapunov:
         assert data["bracketed"] is False
         lines = capsys.readouterr().out.splitlines()
         assert [l for l in lines if "search bound" in l] == [UNBRACKETED_NOTE]
+
+    def test_degenerate_level_flagged(self, tmp_path, capsys):
+        out = tmp_path / "crit"
+        with pytest.warns(UserWarning, match="no grid cell has nonnegative"):
+            assert main(["critical-lyapunov", "--grid-res", "1", "--out-dir", str(out)]) == 0
+        data = read_json(out / "critical_lyapunov.json")
+        assert (data["l_critical"], data["n_positive_cells"]) == (0.0, 0)
+        assert data["bracketed"] is False
+        lines = capsys.readouterr().out.splitlines()
+        assert "supremum bound: 0.75" in lines
+        assert [l for l in lines if l.startswith("note:")] == [DEGENERATE_NOTE]
 
     def test_bracketed_level_not_flagged(self, tmp_path, capsys):
         out = tmp_path / "crit"

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -343,6 +345,83 @@ class TestVerifyTrajectory:
         report = verify_trajectory(one_row, cfg, l_critical=0.0)
         assert report.passed
         assert all(not c.applicable for c in report.checks)
+
+
+# (amplitude, period, duration, y0, vy0, (ky1, ky2), l_critical): runs that
+# pass, fail each check, skip checks, or stop inside their first half periods
+ORACLE_CASES = {
+    "large_computed": (math.pi / 3, 2.0, 6.0, 0.0, 0.0, (9.0, 18.0), None),
+    "large_generic_computed": (math.pi / 3, 2.0, 6.0, 0.01, 0.0, (6.0, 12.0), None),
+    "large_zero_level": (math.pi / 3, 2.0, 6.0, -0.05, 0.0, (9.0, 18.0), 0),
+    "large_given_level": (math.pi / 3, 2.0, 6.0, 0.01, 0.0, (9.0, 18.0), 1.8),
+    "small_unsaturated": (math.pi / 8, 2.0, 6.0, 0.01, 0.0, (9.0, 18.0), None),
+    "capture_fails": (1.2, 0.4, 4.0, 0.01, 0.0, (9.0, 18.0), 1.8),
+    "capture_fails_generic": (1.2, 0.4, 4.0, 0.0, 0.0, (6.0, 12.0), None),
+    "switch_fails": (1.2, 0.02, 0.04, 0.0, 2.0, (9.0, 18.0), 1.8),
+    "local_max_fails": (0.8, 0.4, 0.8, 0.3, -3.0, (9.0, 18.0), 1.8),
+    "fast_gait": (math.pi / 5, 0.02, 1.0, -0.05, 0.0, (9.0, 18.0), None),
+    "one_step_half_period": (math.pi / 3, 0.002, 0.5, 0.0, 0.0, (9.0, 18.0), 1.8),
+    "one_step_half_period_generic": (math.pi / 3, 0.002, 0.5, 0.01, 0.0, (6.0, 12.0), 0),
+    "two_rows": (math.pi / 3, 2.0, 0.001, 0.0, 0.0, (9.0, 18.0), None),
+    "one_half_period": (math.pi / 3, 2.0, 1.0, 0.0, 0.0, (9.0, 18.0), None),
+    "partial_second_half": (math.pi / 3, 2.0, 1.5, 0.01, 0.0, (9.0, 18.0), 0),
+}
+
+
+def _oracle_case(name):
+    amplitude, period, duration, y0, vy0, (ky1, ky2), l_critical = ORACLE_CASES[name]
+    cfg = SimConfig(
+        params=ModelParams(ky1=ky1, ky2=ky2),
+        gait=GaitSchedule(amplitude=amplitude, period=period),
+        duration=duration,
+        initial_state=VehicleState(0.0, y0, 0.0, vy0),
+    )
+    return run(cfg), cfg, l_critical
+
+
+def _first_rows(traj, n):
+    return dataclasses.replace(
+        traj, **{f.name: getattr(traj, f.name)[:n] for f in dataclasses.fields(traj)}
+    )
+
+
+class TestVerifyTrajectoryOracle:
+    """The report, as JSON, equals the half-period-by-half-period loop's."""
+
+    @staticmethod
+    def _assert_same(traj, cfg, l_critical):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = verify_trajectory(traj, cfg, l_critical, grid_resolution=24).to_dict()
+            want = oc.scalar_verify_trajectory(traj, cfg, l_critical, grid_resolution=24)
+        assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+    def test_matches_scalar_loop(self, name):
+        self._assert_same(*_oracle_case(name))
+
+    @pytest.mark.parametrize("name", ["large_computed", "small_unsaturated"])
+    @pytest.mark.parametrize("l_critical", [None, 0.0])
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_first_rows_match_scalar_loop(self, name, l_critical, rows):
+        traj, cfg, _ = _oracle_case(name)
+        self._assert_same(_first_rows(traj, rows), cfg, l_critical)
+
+    def test_cases_cover_every_outcome(self):
+        outcomes = set()
+        for name in ORACLE_CASES:
+            traj, cfg, l_critical = _oracle_case(name)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                report = oc.scalar_verify_trajectory(traj, cfg, l_critical, grid_resolution=24)
+            outcomes |= {(c["name"], c["applicable"], c["passed"]) for c in report["checks"]}
+        for check in (
+            "switch_restriction",
+            "lyapunov_local_max",
+            "lyapunov_sup_bound",
+            "boundary_state_capture",
+        ):
+            assert {(check, True, True), (check, True, False), (check, False, True)} <= outcomes
 
 
 class TestTrajectoryCsv:
