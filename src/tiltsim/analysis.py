@@ -47,7 +47,7 @@ The closed forms are cross-checked by an independent event oracle,
 on the unsaturated flow, which is linear, so one step is a 2x2 matrix R.
 The scan evaluates every state's threshold gap at each step of a block of
 steps from the powers R^1..R^B, and the bracketing steps of all states are
-refined together by bisection on eight RK4 sub-steps.
+refined together by ``_newton`` on the gap after eight RK4 sub-steps.
 """
 
 from __future__ import annotations
@@ -285,8 +285,9 @@ def _newton(gap, a, b, ga, gb):
     Newton step longer than half the Newton step before it, and any step after
     a stretched one. Every point replaces the bracket end of its sign. So
     between two midpoints, each of which halves the bracket, the steps halve
-    down to half the tolerance, and every cell stops; on the engine's scans
-    it stops after four passes. A cell stops on an exact zero or on brentq's
+    down to half the tolerance, and every cell stops: after four passes on the
+    engine's scans, and after three or four on the brackets of the event
+    oracle, its second caller. A cell stops on an exact zero or on brentq's
     test |b - a| <= 1e-14 + 4*eps*|x|, which is wider than the float spacing,
     and returns the end with the smaller gap, as brentq does. Stopped cells
     leave the arrays, so a cell's root does not depend on the other cells.
@@ -398,21 +399,17 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     falling to +1/sqrt(3). The scan takes RK4 steps of length ``_EVENT_STEP``
     in blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
     is one product of the rows c*R^k with the block's start states, and the
-    first step whose end gap is nonpositive brackets the crossing. The
-    brackets are then halved 60 times, all cells at once, on eight RK4
-    sub-steps across the trial length. States on or past the threshold give
-    0.0, states without a crossing within ``_EVENT_T_MAX`` give NaN.
+    first step whose end gap is nonpositive brackets the crossing. One
+    ``_newton`` call refines all brackets on the gap after eight RK4 sub-steps
+    (``_substep_gap``). States on or past the threshold give 0.0, states
+    without a crossing within ``_EVENT_T_MAX`` give NaN.
     """
     e, edot, sgn = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
     )
     y = np.stack([sgn * e, sgn * edot], axis=-1).reshape(-1, 2)
-
-    def gap(y):
-        return params.ky1 * y[:, 1] + params.ky2 * y[:, 0] - INV_SQRT3
-
     times = np.full(y.shape[0], np.nan)
-    times[gap(y) <= 0.0] = 0.0
+    times[_pd_output(y[:, 0], y[:, 1], params) - INV_SQRT3 <= 0.0] = 0.0
     n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
     powers[0] = _rk4_matrix(_EVENT_STEP, params)
@@ -440,19 +437,32 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
         start_y.append(start)
         live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
     if start_idx:
-        idx, y0 = np.concatenate(start_idx), np.concatenate(start_y)
-        lo, hi = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            sub = _rk4_matrix(mid / 8.0, params)
-            ym = y0[:, :, None]
-            for _ in range(8):
-                ym = sub @ ym
-            below = gap(ym[:, :, 0]) <= 0.0
-            hi = np.where(below, mid, hi)
-            lo = np.where(below, lo, mid)
-        times[idx] += 0.5 * (lo + hi)
+        idx, y0 = np.concatenate(start_idx), np.concatenate(start_y).T
+        a, b = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
+        ga, gb = np.split(_substep_gap(np.tile(y0, 2), np.r_[a, b], params)[0], 2)
+        ga, gb = np.maximum(ga, 0.0), np.minimum(gb, 0.0)  # a wrong-sign end is the root
+        times[idx] += _newton(lambda t, k: _substep_gap(y0[:, k], t, params), a, b, ga, gb)
     return times
+
+
+def _substep_gap(y, h, params: ModelParams):
+    """Gap to 1/sqrt(3) after eight RK4 steps of ``h``/8 from each column of ``y``, and its slope.
+
+    One step is M(s) = sum of (sA)^j/j! for j <= 4, so the slope in h is
+    M'(h/8) M(h/8)^7 y. The steps add up the change from ``y`` through M - I,
+    so the gap rounds like the change, not like the state.
+    """
+    a = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
+    terms = {j: np.linalg.matrix_power(a, j)[..., None] / math.factorial(j) for j in range(1, 5)}
+    s, m, dm = h / 8.0, terms[4], 4.0 * terms[4]
+    for j in (3, 2, 1):
+        m, dm = terms[j] + s * m, j * terms[j] + s * dm
+    m, change = s * m, np.zeros_like(y)  # m is M - I, per column
+    for _ in range(8):
+        x = y + change  # the state after the steps so far
+        change = change + m[:, 0] * x[0] + m[:, 1] * x[1]
+    gap = (_pd_output(*y, params) - INV_SQRT3) + _pd_output(*change, params)
+    return gap, _pd_output(*(dm[:, 0] * x[0] + dm[:, 1] * x[1]), params)
 
 
 def hitting_time_simulated(
@@ -462,8 +472,8 @@ def hitting_time_simulated(
 
     Integrates the unsaturated dynamics with fixed-step RK4, step
     ``_EVENT_STEP``, until the PD output crosses the threshold, then refines
-    by bisection on re-integrated sub-steps. Used as the cross-check channel
-    for the closed forms; a one-state call of ``_event_hitting_times``.
+    with ``_newton`` on re-integrated sub-steps. Used as the cross-check
+    channel for the closed forms; a one-state call of ``_event_hitting_times``.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))

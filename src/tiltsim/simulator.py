@@ -358,8 +358,8 @@ def verify_trajectory(
     grew = np.flatnonzero(np.diff(lyap_b) >= 0.0)
     settle_h = int(grew[0]) + 1 if saturated_run and grew.size else None
     empty = "empty" if n_half < 1 else None
-    unclamped = "no clamping occurred" if empty or not saturated_run else None
-    if not unclamped and l_critical is None:
+    clamp_skip = empty or (None if saturated_run else "no clamping occurred")
+    if not clamp_skip and l_critical is None:
         l_critical = critical_lyapunov(
             resolution=grid_resolution, params=params, half_period=config.gait.half_period
         ).l_critical
@@ -402,8 +402,8 @@ def verify_trajectory(
     checks = [
         check("switch_restriction", empty, switch_restriction),
         check("lyapunov_local_max", empty, lyapunov_local_max),
-        check("lyapunov_sup_bound", unclamped, lyapunov_sup_bound),
-        check("boundary_state_capture", unclamped, boundary_state_capture),
+        check("lyapunov_sup_bound", clamp_skip, lyapunov_sup_bound),
+        check("boundary_state_capture", clamp_skip, boundary_state_capture),
     ]
     summary = {
         "saturated_run": saturated_run,

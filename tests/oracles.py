@@ -10,7 +10,9 @@ analysis module.
 The scalar-loop oracles at the end are the reference for the array paths:
 they call the half-period map, or the flows, one cell at a time, as the
 array code did before it took whole grids. ``scalar_verify_trajectory``
-checks a logged run one half-period boundary at a time.
+checks a logged run one half-period boundary at a time, and
+``bisect_event_hitting_times`` is the array event oracle with its brackets
+bisected instead of solved.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from tiltsim import (
     s11_flow,
     saturated_flow,
 )
+from tiltsim.analysis import _EVENT_BLOCK, _EVENT_STEP, _EVENT_T_MAX, INV_SQRT3, _rk4_matrix
 from tiltsim.output import atomic_write_text, fmt
 
 SQRT3 = math.sqrt(3.0)
@@ -156,6 +159,64 @@ def event_hitting_times(e0, ed0, lambda_sign, ky1, ky2, step=1e-4, t_max=1.5):
             else:
                 lo = mid
         times[i] = bracket_t[i] + 0.5 * (lo + hi)
+    return times
+
+
+def bisect_event_hitting_times(e, edot, lambda_sign, params):
+    """``analysis._event_hitting_times`` with its brackets halved 60 times.
+
+    The same block scan on the powers of the RK4 step matrix; each bracket
+    [0, step] is then bisected, all cells at once, on the gap after eight
+    RK4 sub-steps of a trial length from the bracket's start state.
+    """
+    e, edot, sgn = np.broadcast_arrays(
+        np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
+    )
+    y = np.stack([sgn * e, sgn * edot], axis=-1).reshape(-1, 2)
+
+    def gap(y):
+        return params.ky1 * y[:, 1] + params.ky2 * y[:, 0] - INV_SQRT3
+
+    times = np.full(y.shape[0], np.nan)
+    times[gap(y) <= 0.0] = 0.0
+    n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
+    powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
+    powers[0] = _rk4_matrix(_EVENT_STEP, params)
+    m = 1
+    while m < _EVENT_BLOCK:
+        powers[m : 2 * m] = powers[:m] @ powers[m - 1]
+        m *= 2
+    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k - 1 is c*R^k
+    live = np.nonzero(np.isnan(times))[0]
+    y_live = y[live]
+    start_idx, start_y = [], []
+    for first in range(0, n_steps, _EVENT_BLOCK):
+        if live.size == 0:
+            break
+        n_block = min(_EVENT_BLOCK, n_steps - first)
+        crossed = gap_rows[:n_block] @ y_live.T - INV_SQRT3 <= 0.0
+        hit = crossed.any(axis=0)
+        k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
+        times[live[hit]] = (first + k) * _EVENT_STEP
+        start = y_live[hit]
+        later = k > 0
+        start[later] = (powers[k[later] - 1] @ start[later, :, None])[..., 0]
+        start_idx.append(live[hit])
+        start_y.append(start)
+        live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
+    if start_idx:
+        idx, y0 = np.concatenate(start_idx), np.concatenate(start_y)
+        lo, hi = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            sub = _rk4_matrix(mid / 8.0, params)
+            ym = y0[:, :, None]
+            for _ in range(8):
+                ym = sub @ ym
+            below = gap(ym[:, :, 0]) <= 0.0
+            hi = np.where(below, mid, hi)
+            lo = np.where(below, lo, mid)
+        times[idx] += 0.5 * (lo + hi)
     return times
 
 
@@ -386,7 +447,7 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
 
     # (c) supremum bound past the settling boundary
     if not saturated_run or empty:
-        checks.append(skipped("lyapunov_sup_bound", "no clamping occurred"))
+        checks.append(skipped("lyapunov_sup_bound", "empty" if empty else "no clamping occurred"))
     else:
         if l_critical is None:
             l_critical = critical_lyapunov(
@@ -410,7 +471,7 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
 
     # (d) boundary states inside the union of capture regions
     if not saturated_run or empty:
-        checks.append(skipped("boundary_state_capture", "no clamping occurred"))
+        checks.append(skipped("boundary_state_capture", "empty" if empty else "no clamping occurred"))
     else:
         bad_bounds = [
             h

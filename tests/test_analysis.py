@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
-from tiltsim import analysis
+from tiltsim import analysis, checks
 from tiltsim import (
     DEFAULT_PARAMS,
     DELTA_L_CAP,
@@ -255,6 +255,15 @@ class TestHalfPeriodMap:
             assert out.e == pytest.approx(eo[i], abs=1e-6)
             assert out.edot == pytest.approx(edo[i], abs=1e-6)
 
+    def test_large_state_at_generic_gains_against_switched_oracle(self):
+        # the gap a root solve leaves grows with the state (slope ky1*ky2*e, 4e4
+        # here): a solver that returned the wrong bracket end sent this cell
+        # through an extra linear segment, to (-42.9, 103.1)
+        p = ModelParams(ky1=5.0, ky2=20.0)
+        got = _map_generic(434.0, 0.0, +1, p, 1.0)
+        eo, edo = oc.rk4_switched_flow(np.array([434.0]), np.array([0.0]), math.pi / 3, p, 1.0, 20000)
+        np.testing.assert_allclose(got, [eo[0], edo[0]], rtol=1e-7)
+
 
 _gain = st.floats(0.5, 40.0)
 # (ky1, ky2) pairs: any pair (distinct or complex rates), or ky1^2 = 4*ky2
@@ -368,6 +377,81 @@ class TestEventEngine:
         pos = _event_hitting_times(e0, ed0, +1, p)
         neg = _event_hitting_times(-e0, -ed0, -1, p)
         assert pos.tobytes() == neg.tobytes()
+
+    @pytest.mark.parametrize(
+        "ky1, ky2", [(9.0, 18.0), (6.0, 9.0), (2.0, 5.0), (6.0, 12.0), (20.0, 30.0)]
+    )
+    def test_matches_bisection_per_cell(self, ky1, ky2):
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        rng = np.random.default_rng(83)
+        for sign in (+1, -1):
+            e0, ed0 = oc.sample_capture_region(rng, 60, sign, ky1, ky2)
+            # cells past the threshold and in the other quadrant too
+            e_box, ed_box = rng.uniform(-2.0, 2.0, size=(2, 60))
+            e0, ed0 = np.r_[e0, e_box, 20.0 * sign], np.r_[ed0, ed_box, 20.0 * sign]
+            want = oc.bisect_event_hitting_times(e0, ed0, sign, p)
+            got = _event_hitting_times(e0, ed0, sign, p)
+            np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+    def test_lemma_reports_match_bisection(self, monkeypatch):
+        def report(seed):
+            rep = run_lemma_checks(seed=seed)
+            residual = next(c for c in rep["checks"] if c["name"] == "hitting_time_residual")
+            return rep, residual["detail"].pop("max_residual")
+
+        for seed in range(32):
+            got, got_residual = report(seed)
+            with monkeypatch.context() as m:
+                m.setattr(checks, "_event_hitting_times", oc.bisect_event_hitting_times)
+                want, want_residual = report(seed)
+            assert got == want
+            assert abs(got_residual - want_residual) <= 1e-14
+
+    @pytest.mark.parametrize("end, shift", [(0, -1.0), (1, 1.0)], ids=["start", "end"])
+    def test_wrong_sign_bracket_end_is_the_root(self, end, shift, monkeypatch):
+        # a sub-stepped end gap of the wrong sign can only come from rounding;
+        # a stub shifts it, and the bracket end itself is returned
+        rng = np.random.default_rng(89)
+        e0, ed0 = oc.sample_capture_region(rng, 20, +1, 9.0, 18.0)
+        plain = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
+        step = analysis._EVENT_STEP
+        k = np.floor(plain / step)
+        inner = np.abs(plain / step - k - 0.5) < 0.45  # no crossing near a step end
+        e0, ed0, k = e0[inner], ed0[inner], k[inner]
+        assert k.size > 10
+        substep_gap = analysis._substep_gap
+
+        def stub(y, h, params):
+            g, slope = substep_gap(y, h, params)
+            return np.where(h == end * step, shift, g), slope
+
+        monkeypatch.setattr(analysis, "_substep_gap", stub)
+        got = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
+        assert got.tolist() == (k * step + end * step).tolist()
+
+    @pytest.mark.parametrize("ky1, ky2, most", [(9.0, 18.0, 4), (20.0, 30.0, 16)])
+    def test_refinement_passes(self, ky1, ky2, most, monkeypatch):
+        # the residual check's 40 states, one call each; bisection took 60 passes
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        solver = analysis._newton
+        passes = []
+
+        def counting(gap, *rest):
+            def counted(t, k):
+                passes[-1] += 1
+                return gap(t, k)
+
+            passes.append(0)
+            return solver(counted, *rest)
+
+        monkeypatch.setattr(analysis, "_newton", counting)
+        for seed in range(32):
+            rng = np.random.default_rng(seed)
+            e, edot = np.concatenate([_sample_region(rng, 20, sign, p) for sign in (+1, -1)], axis=1)
+            _event_hitting_times(e, edot, np.repeat([1, -1], 20), p)
+        assert len(passes) == 32
+        assert 0 < max(passes) <= most
 
 
 class TestLemmaChecks:

@@ -346,6 +346,14 @@ class TestVerifyTrajectory:
         assert report.passed
         assert all(not c.applicable for c in report.checks)
 
+    def test_clamped_run_without_a_half_period_is_empty(self):
+        # every sample clamps, but the run ends before its first half-period boundary
+        cfg = SimConfig(gait=preset("large"), duration=0.5)
+        report = verify_trajectory(run(cfg), cfg)
+        assert report.summary["saturated_run"]
+        assert report.summary["n_clamped_samples"] == report.summary["n_samples"] == 501
+        assert [(c.applicable, c.detail) for c in report.checks] == [(False, {"note": "empty"})] * 4
+
 
 # (amplitude, period, duration, y0, vy0, (ky1, ky2), l_critical): runs that
 # pass, fail each check, skip checks, or stop inside their first half periods
