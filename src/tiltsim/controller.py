@@ -5,6 +5,9 @@ rotor speeds. Squared speeds cannot be negative, so the raw inversion output
 is clamped at zero component-wise. Which components got clamped is recorded
 as a diagonal 0/1 "switch matrix": applying it to the raw command reproduces
 the clamped command exactly.
+
+Every function takes floats or broadcasting numpy arrays (the yaw and the
+parameters stay scalar), and an array call matches float calls bit for bit.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import INV_SQRT3
+from .analysis import INV_SQRT3, _pd_output
 from .gait import ReferenceSample
-from .plant import DEFAULT_PARAMS, ModelParams, RotorCommand, VehicleState
+from .plant import DEFAULT_PARAMS, ModelParams, RotorCommand, VehicleState, _finite
 
 __all__ = [
     "DesiredAccel",
@@ -42,7 +45,7 @@ class DesiredAccel:
     ay_d: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ax_d) and math.isfinite(self.ay_d)):
+        if not _finite(self.ax_d, self.ay_d):
             raise ValueError(f"desired acceleration must be finite, got ({self.ax_d}, {self.ay_d})")
 
 
@@ -54,7 +57,7 @@ class RawCommand:
     sq2: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.sq1) and math.isfinite(self.sq2)):
+        if not _finite(self.sq1, self.sq2):
             raise ValueError(f"raw command must be finite, got ({self.sq1}, {self.sq2})")
 
 
@@ -64,14 +67,14 @@ class SwitchMatrix:
 
     p (q) is 1 when the first (second) raw command is strictly positive and
     0 otherwise, so a component that sits exactly on the zero bound counts
-    as clamped.
+    as clamped; arrays of commands give 0/1 int arrays.
     """
 
     p: int
     q: int
 
     def __post_init__(self) -> None:
-        if self.p not in (0, 1) or self.q not in (0, 1):
+        if not all(np.all((v == 0) | (v == 1)) for v in (self.p, self.q)):
             raise ValueError(f"switch matrix entries must be 0 or 1, got ({self.p}, {self.q})")
 
     @property
@@ -114,12 +117,13 @@ def raw_inversion(acc: DesiredAccel, lam: float, params: ModelParams) -> RawComm
 
 def clamp(raw: RawCommand) -> RotorCommand:
     """Apply the physical zero lower bound component-wise."""
-    return RotorCommand(max(raw.sq1, 0.0), max(raw.sq2, 0.0))
+    # max(sq, 0.0), which keeps a -0.0 as the kernel does (np.maximum does not)
+    return RotorCommand(*(np.where(sq >= 0.0, sq, 0.0)[()] for sq in (raw.sq1, raw.sq2)))
 
 
 def switch_matrix_of(raw: RawCommand) -> SwitchMatrix:
     """Saturation pattern of a raw command (exact zeros count as clamped)."""
-    return SwitchMatrix(1 if raw.sq1 > 0.0 else 0, 1 if raw.sq2 > 0.0 else 0)
+    return SwitchMatrix((raw.sq1 > 0.0) * 1, (raw.sq2 > 0.0) * 1)
 
 
 def classify_region(
@@ -136,11 +140,13 @@ def classify_region(
     -pi/3 the second rotor clamps unless the PD output drops below
     -1/sqrt(3); at yaw +pi/3 the first rotor clamps unless it exceeds
     +1/sqrt(3). The always-exact pattern is ``switch_matrix_of``; agreement
-    between the two is a property to test, not a dependency.
+    between the two is a property to test, not a dependency. A PD output on
+    the threshold counts as clamped (S10 or S01).
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    g = params.ky1 * edot_y + params.ky2 * e_y
-    if lambda_sign < 0:
-        return S10 if g >= -INV_SQRT3 else S11
-    return S01 if g <= INV_SQRT3 else S11
+    if not _finite(e_y, edot_y):
+        raise ValueError(f"lateral error must be finite, got ({e_y}, {edot_y})")
+    g = _pd_output(e_y, edot_y, params)
+    clamps = g >= -INV_SQRT3 if lambda_sign < 0 else g <= INV_SQRT3
+    return SwitchMatrix(1 - (clamps & (lambda_sign > 0)), 1 - (clamps & (lambda_sign < 0)))

@@ -59,9 +59,14 @@ class ModelParams:
 DEFAULT_PARAMS = ModelParams()
 
 
+def _finite(*values) -> bool:
+    """Whether every element of every float or array in ``values`` is finite."""
+    return all(np.isfinite(v).all() for v in values)
+
+
 @dataclass(frozen=True)
 class VehicleState:
-    """Planar position and velocity of the vehicle."""
+    """Planar position and velocity of the vehicle (floats, or arrays that broadcast)."""
 
     x: float
     y: float
@@ -69,12 +74,7 @@ class VehicleState:
     vy: float
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.x)
-            and math.isfinite(self.y)
-            and math.isfinite(self.vx)
-            and math.isfinite(self.vy)
-        ):
+        if not _finite(self.x, self.y, self.vx, self.vy):
             raise ValueError(
                 f"state components must be finite, got ({self.x}, {self.y}, {self.vx}, {self.vy})"
             )
@@ -82,15 +82,15 @@ class VehicleState:
 
 @dataclass(frozen=True)
 class RotorCommand:
-    """Squared rotor speeds after the zero lower bound has been applied."""
+    """Squared rotor speeds after the zero lower bound has been applied (floats or arrays)."""
 
     w1sq: float
     w2sq: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.w1sq) and math.isfinite(self.w2sq)):
+        if not _finite(self.w1sq, self.w2sq):
             raise ValueError(f"rotor command must be finite, got ({self.w1sq}, {self.w2sq})")
-        if self.w1sq < 0.0 or self.w2sq < 0.0:
+        if np.any(self.w1sq < 0.0) or np.any(self.w2sq < 0.0):
             raise ValueError(f"rotor command must be nonnegative, got ({self.w1sq}, {self.w2sq})")
 
 

@@ -9,7 +9,9 @@ analysis module.
 
 The scalar-loop oracles at the end are the reference for the array paths:
 they call the half-period map, or the flows, one cell at a time, as the
-array code did before it took whole grids. ``scalar_verify_trajectory``
+array code did before it took whole grids. ``scalar_clamp_rule`` and
+``scalar_region_rule`` make one scalar controller call per state and
+function, as the two controller-rule checks once did. ``scalar_verify_trajectory``
 checks a logged run one half-period boundary at a time, and
 ``bisect_event_hitting_times`` is the array event oracle with its brackets
 bisected instead of solved.
@@ -24,14 +26,22 @@ import numpy as np
 from tiltsim import (
     DELTA_L_CAP,
     ErrorState,
+    RawCommand,
+    VehicleState,
+    clamp,
+    classify_region,
     critical_lyapunov,
+    desired_accel,
     half_period_map,
     hitting_time_neg,
     hitting_time_pos,
     in_admissible_region,
     lyapunov,
+    raw_inversion,
+    reference_at,
     s11_flow,
     saturated_flow,
+    switch_matrix_of,
 )
 from tiltsim.analysis import _EVENT_BLOCK, _EVENT_STEP, _EVENT_T_MAX, INV_SQRT3, _rk4_matrix
 from tiltsim.output import atomic_write_text, fmt
@@ -301,6 +311,46 @@ def local_max_report(rng, n, params):
         "name": "lyapunov_local_max",
         "passed": worst <= 1e-9,
         "detail": {"max_overshoot": worst, "tolerance": 1e-9},
+    }
+
+
+def scalar_clamp_rule(rng, n, params):
+    """``clamp_switch_consistency`` check report, one raw command at a time."""
+    worst = 0.0
+    for _ in range(n):
+        raw = RawCommand(rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0))
+        cmd = clamp(raw)
+        sm = switch_matrix_of(raw)
+        via_matrix = sm.matrix() @ np.array([raw.sq1, raw.sq2])
+        worst = max(worst, abs(via_matrix[0] - cmd.w1sq), abs(via_matrix[1] - cmd.w2sq))
+    return {
+        "name": "clamp_switch_consistency",
+        "passed": worst == 0.0,
+        "detail": {"max_abs_diff": worst, "n": n},
+    }
+
+
+def scalar_region_rule(rng, n, params):
+    """``region_rule_consistency`` check report, one state and yaw sign at a time."""
+    bad = 0
+    checked = 0
+    ref = reference_at(0.7)
+    for _ in range(n):
+        e = rng.uniform(-2.0, 2.0)
+        edot = rng.uniform(-2.0, 2.0)
+        g = params.ky1 * edot + params.ky2 * e
+        if min(abs(g - INV_SQRT3), abs(g + INV_SQRT3)) < 1e-9:
+            continue
+        for sign in (-1, 1):
+            state = VehicleState(ref.xr, -e, ref.vxr, -edot)
+            raw = raw_inversion(desired_accel(state, ref, params), sign * math.pi / 3, params)
+            if classify_region(e, edot, sign, params) != switch_matrix_of(raw):
+                bad += 1
+            checked += 1
+    return {
+        "name": "region_rule_consistency",
+        "passed": bad == 0,
+        "detail": {"n_checked": checked, "n_violations": bad},
     }
 
 

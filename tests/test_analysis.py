@@ -32,7 +32,10 @@ from tiltsim import (
 )
 from tiltsim.analysis import _event_hitting_times, _hit_times, _map_default, _map_generic
 from tiltsim.checks import (
+    _N_SAMPLES,
+    _check_clamp_rule,
     _check_local_max,
+    _check_region_rule,
     _check_self_map,
     _grid_maps,
     _sample_region,
@@ -465,6 +468,56 @@ class TestLemmaChecks:
         assert np.float64(got["detail"]["max_overshoot"]).tobytes() == np.float64(
             want["detail"]["max_overshoot"]
         ).tobytes()
+
+    @pytest.mark.parametrize(
+        "ky1, ky2, seeds",
+        [(9.0, 18.0, range(32))]
+        + [(k1, k2, range(8)) for k1, k2 in ((5.0, 20.0), (6.0, 12.0), (20.0, 30.0), (2.0, 5.0))],
+    )
+    def test_controller_rules_match_scalar_loops(self, ky1, ky2, seeds):
+        # same reports as one scalar controller call per state, and the
+        # generator left where the scalar draws leave it
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        pairs = (
+            (_check_clamp_rule, oc.scalar_clamp_rule),
+            (_check_region_rule, oc.scalar_region_rule),
+        )
+        for seed in seeds:
+            rng, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            for check, oracle in pairs:
+                assert check(rng, _N_SAMPLES, p).to_dict() == oracle(rng_scalar, _N_SAMPLES, p)
+                assert rng.bit_generator.state == rng_scalar.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "array_check, scalar_check",
+        [(_check_clamp_rule, oc.scalar_clamp_rule), (_check_region_rule, oc.scalar_region_rule)],
+    )
+    def test_controller_rules_command_the_scalar_loops_states(
+        self, monkeypatch, array_check, scalar_check
+    ):
+        # a report hardly depends on which draws make up a state, so compare
+        # the raw commands each check hands to switch_matrix_of
+        logs = {checks: [], oc: []}
+        for module, log in logs.items():
+            real = module.switch_matrix_of
+
+            def spy(raw, real=real, log=log):
+                log.append(np.broadcast_arrays(raw.sq1, raw.sq2))
+                return real(raw)
+
+            monkeypatch.setattr(module, "switch_matrix_of", spy)
+        p = ModelParams(ky1=6.0, ky2=12.0)
+        for seed in range(4):
+            for log in logs.values():
+                log.clear()
+            array_check(np.random.default_rng(seed), 50, p)
+            scalar_check(np.random.default_rng(seed), 50, p)
+            got = np.concatenate([np.stack(sq, axis=1) for sq in logs[checks]])
+            want = np.array(logs[oc], dtype=float)
+            if array_check is _check_region_rule:
+                # one call per yaw sign on all states, against both signs per state
+                want = np.concatenate([want[0::2], want[1::2]])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_seeds_pass_with_tight_residual(self):
         for seed in range(32):
