@@ -113,9 +113,10 @@ def _check_region_rule(rng, n, params) -> LemmaCheck:
     e, edot = e[far], edot[far]
     ref = reference_at(0.7)
     state = VehicleState(ref.xr, -e, ref.vxr, -edot)
+    acc = desired_accel(state, ref, params)
     bad = 0
     for sign in (-1, 1):
-        raw = raw_inversion(desired_accel(state, ref, params), sign * math.pi / 3, params)
+        raw = raw_inversion(acc, sign * math.pi / 3, params)
         rule, exact = classify_region(e, edot, sign, params), switch_matrix_of(raw)
         bad += int(np.count_nonzero((rule.p != exact.p) | (rule.q != exact.q)))
     return LemmaCheck(

@@ -3,7 +3,10 @@
 All numeric output uses 17 significant digits (round-trip exact for
 doubles), '.' as the decimal separator, and LF line endings. Files are
 written to a temporary sibling and renamed into place so interrupted runs
-never leave truncated output behind.
+never leave truncated output behind; a write that fails removes the
+temporary file and leaves any earlier file in place. The CSV tables are
+formatted and streamed into the temporary file one chunk of rows at a
+time, so the whole text is never held in memory.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import numpy as np
 
 __all__ = [
     "fmt",
+    "atomic_write_chunks",
     "atomic_write_text",
     "write_json",
     "write_trajectory_csv",
@@ -27,13 +31,27 @@ def fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_chunks(path, chunks) -> None:
+    """Write each text chunk in turn to a temporary sibling, then rename it onto ``path``.
+
+    Any exception, from producing, encoding or writing a chunk, unlinks the
+    temporary file, leaves ``path`` untouched and propagates.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-    with open(tmp, "w", newline="\n") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="\n") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    atomic_write_chunks(path, (text,))
 
 
 def write_json(path, obj) -> None:
@@ -43,17 +61,21 @@ def write_json(path, obj) -> None:
 _CHUNK_ROWS = 2048
 
 
-def _write_table(path, header: str, row: str, table: np.ndarray) -> None:
-    """Write ``header`` and one ``row`` template per table row, a chunk of rows per ``%`` call.
+def _write_table(path, header: str, row: str, columns) -> None:
+    """Write ``header`` and one ``row`` template per row of the equal-length ``columns``.
 
-    Only one chunk of Python floats is alive at a time; ``%.17g`` prints as
-    ``fmt`` does and ``%d`` an integer-valued column.
+    Each chunk of rows is stacked, formatted with one ``%`` call and written
+    before the next is stacked; ``%.17g`` prints as ``fmt`` does and ``%d``
+    an integer-valued column.
     """
-    parts = [header]
-    for lo in range(0, len(table), _CHUNK_ROWS):
-        chunk = table[lo : lo + _CHUNK_ROWS]
-        parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
-    atomic_write_text(path, "".join(parts))
+
+    def chunks():
+        yield header
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = np.column_stack([c[lo : lo + _CHUNK_ROWS] for c in columns])
+            yield row * len(chunk) % tuple(chunk.ravel().tolist())
+
+    atomic_write_chunks(path, chunks())
 
 
 def write_trajectory_csv(traj, path) -> None:
@@ -61,13 +83,12 @@ def write_trajectory_csv(traj, path) -> None:
     from .simulator import TRAJECTORY_COLUMNS
 
     row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
-    table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
-    _write_table(path, ",".join(TRAJECTORY_COLUMNS) + "\n", row, table)
+    columns = [traj.column(name) for name in TRAJECTORY_COLUMNS]
+    _write_table(path, ",".join(TRAJECTORY_COLUMNS) + "\n", row, columns)
 
 
 def write_grid_csv(grid, path) -> None:
     """One row per grid cell, row-major, as listed by ``DeltaLGrid.rows``."""
     E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
-    columns = (E, Ed, grid.mask, grid.values, grid.sign_map())
-    table = np.column_stack([np.ravel(c).astype(float) for c in columns])
-    _write_table(path, "e,edot,admissible,delta_L,sign\n", "%.17g,%.17g,%d,%.17g,%d\n", table)
+    columns = [np.ravel(c) for c in (E, Ed, grid.mask, grid.values, grid.sign_map())]
+    _write_table(path, "e,edot,admissible,delta_L,sign\n", "%.17g,%.17g,%d,%.17g,%d\n", columns)

@@ -14,7 +14,9 @@ array code did before it took whole grids. ``scalar_clamp_rule`` and
 function, as the two controller-rule checks once did. ``scalar_verify_trajectory``
 checks a logged run one half-period boundary at a time, and
 ``bisect_event_hitting_times`` is the array event oracle with its brackets
-bisected instead of solved.
+bisected instead of solved. ``joined_trajectory_csv`` and
+``joined_grid_csv`` build the whole CSV text and write it in one call, as
+the writers did before they streamed it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ from tiltsim import (
     switch_matrix_of,
 )
 from tiltsim.analysis import _EVENT_BLOCK, _EVENT_STEP, _EVENT_T_MAX, INV_SQRT3, _rk4_matrix
-from tiltsim.output import atomic_write_text, fmt
+from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
+from tiltsim.simulator import TRAJECTORY_COLUMNS
 
 SQRT3 = math.sqrt(3.0)
 
@@ -424,6 +427,30 @@ def write_grid_csv(grid, path):
     for e, edot, admissible, value, sign in grid.rows():
         lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def _joined_write_table(path, header, row, table):
+    parts = [header]
+    for lo in range(0, len(table), _CHUNK_ROWS):
+        chunk = table[lo : lo + _CHUNK_ROWS]
+        parts.append(row * len(chunk) % tuple(chunk.ravel().tolist()))
+    atomic_write_text(path, "".join(parts))
+
+
+def joined_trajectory_csv(traj, path):
+    """The trajectory CSV from one stacked table, joined into one string."""
+    row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
+    table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
+    _joined_write_table(path, ",".join(TRAJECTORY_COLUMNS) + "\n", row, table)
+
+
+def joined_grid_csv(grid, path):
+    """The grid CSV from one stacked table, joined into one string."""
+    E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
+    columns = (E, Ed, grid.mask, grid.values, grid.sign_map())
+    table = np.column_stack([np.ravel(c).astype(float) for c in columns])
+    header, row = "e,edot,admissible,delta_L,sign\n", "%.17g,%.17g,%d,%.17g,%d\n"
+    _joined_write_table(path, header, row, table)
 
 
 def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200):

@@ -488,6 +488,14 @@ class TestLemmaChecks:
                 assert check(rng, _N_SAMPLES, p).to_dict() == oracle(rng_scalar, _N_SAMPLES, p)
                 assert rng.bit_generator.state == rng_scalar.bit_generator.state
 
+    def test_region_rule_applies_the_pd_law_once(self, monkeypatch):
+        # the PD law does not depend on the yaw, so both signs share one call
+        calls = []
+        real = checks.desired_accel
+        monkeypatch.setattr(checks, "desired_accel", lambda *a: calls.append(a) or real(*a))
+        _check_region_rule(np.random.default_rng(0), _N_SAMPLES, ModelParams())
+        assert len(calls) == 1
+
     @pytest.mark.parametrize(
         "array_check, scalar_check",
         [(_check_clamp_rule, oc.scalar_clamp_rule), (_check_region_rule, oc.scalar_region_rule)],

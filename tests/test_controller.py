@@ -124,6 +124,21 @@ class TestSwitchMatrix:
         with pytest.raises(ValueError):
             SwitchMatrix(2, 0)
 
+    def test_scalar_labels_and_equality(self):
+        named = {"S00": S00, "S01": S01, "S10": S10, "S11": S11}
+        for label, sm in named.items():
+            raw = RawCommand(2.0 * sm.p - 1.0, 2.0 * sm.q - 1.0)
+            for got in (switch_matrix_of(raw), SwitchMatrix(np.int64(sm.p), np.int64(sm.q))):
+                assert got.label == label and got == sm and hash(got) == hash(sm)
+                assert [other for other in named.values() if other == got] == [sm]
+
+    def test_array_entries_need_scalars(self):
+        sm = switch_matrix_of(RawCommand(np.array([1.0, -1.0]), np.array([2.0, 3.0])))
+        np.testing.assert_array_equal(sm.p, [1, 0])
+        for use in (lambda: sm.label, sm.matrix, lambda: sm == sm, lambda: sm == S11):
+            with pytest.raises(ValueError, match="scalar switch matrix entries"):
+                use()
+
     def test_clamp_equals_switch_matrix_product(self):
         # the clamped command is exactly the switch matrix applied to raw
         rng = np.random.default_rng(11)

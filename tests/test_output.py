@@ -1,17 +1,53 @@
+import dataclasses
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import oracles as oc
 from tiltsim import ModelParams, delta_l_grid
 from tiltsim.analysis import DeltaLGrid
-from tiltsim.output import write_grid_csv
+from tiltsim.gait import preset
+from tiltsim.output import (
+    _CHUNK_ROWS,
+    atomic_write_text,
+    write_grid_csv,
+    write_trajectory_csv,
+)
+from tiltsim.simulator import SimConfig, Trajectory, run
+
+AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0]
+ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
 
 
 def assert_same_bytes(grid, tmp_path):
     write_grid_csv(grid, tmp_path / "grid.csv")
     oc.write_grid_csv(grid, tmp_path / "oracle.csv")
     assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def awkward_trajectory(n):
+    # every float column holds the awkward values at shifted rows
+    values = np.resize(AWKWARD, n)
+    cols = {f.name: np.roll(values, i) for i, f in enumerate(dataclasses.fields(Trajectory))}
+    cols["p"] = np.resize(np.array([0, 1], dtype=np.int64), n)
+    cols["q"] = np.resize(np.array([1, 1, 0], dtype=np.int64), n)
+    return Trajectory(**cols)
+
+
+def awkward_grid(n):
+    # n rows: n e-values by one edot-value; NaN values sit on masked cells
+    values = np.resize(AWKWARD, n)
+    e_values = np.roll(values, 3)
+    grid_values = np.roll(values, 1)[:, None]
+    return DeltaLGrid(e_values, np.array([-0.0]), grid_values, ~np.isnan(grid_values), -1)
+
+
+def only_file(tmp_path) -> Path:
+    (path,) = tmp_path.iterdir()
+    return path
 
 
 class TestGridCsv:
@@ -38,3 +74,76 @@ class TestGridCsv:
         mask = np.array([[True, True, True], [True, True, False]])
         grid = DeltaLGrid(np.array([-0.0, 1.0]), np.array([0.1, 0.2, 0.3]), values, mask, +1)
         assert_same_bytes(grid, tmp_path)
+
+
+class TestStreamedWriter:
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize(
+        "make, write, joined",
+        [
+            (awkward_trajectory, write_trajectory_csv, oc.joined_trajectory_csv),
+            (awkward_grid, write_grid_csv, oc.joined_grid_csv),
+        ],
+        ids=["trajectory", "grid"],
+    )
+    def test_same_bytes_as_one_joined_string(self, tmp_path, n, make, write, joined):
+        table = make(n)
+        write(table, tmp_path / "streamed.csv")
+        joined(table, tmp_path / "joined.csv")
+        streamed = (tmp_path / "streamed.csv").read_bytes()
+        assert streamed == (tmp_path / "joined.csv").read_bytes()
+        assert streamed.count(b"\n") == n + 1
+
+    def test_peak_memory_below_the_file_size(self, tmp_path):
+        # a whole-text writer holds the text twice, and the stacked table, at once
+        traj = run(SimConfig(gait=preset("large"), duration=20.0))
+        assert len(traj) == 20001
+        path = tmp_path / "trajectory.csv"
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(traj, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size
+
+
+class TestFailedWrite:
+    def test_unencodable_text_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "a\ud800")
+        assert only_file(tmp_path) == path
+        assert path.read_text() == "old\n"
+
+    def test_trajectory_failing_after_two_chunks(self, tmp_path, monkeypatch):
+        # '%d' cannot print a NaN p, which sits in the third chunk of rows
+        traj = awkward_trajectory(3 * _CHUNK_ROWS)
+        bad_p = traj.p.astype(float)
+        bad_p[2 * _CHUNK_ROWS + 5] = math.nan
+        traj = dataclasses.replace(traj, p=bad_p)
+        fields = dataclasses.fields(Trajectory)
+        head = Trajectory(**{f.name: getattr(traj, f.name)[: 2 * _CHUNK_ROWS] for f in fields})
+        oc.joined_trajectory_csv(head, tmp_path / "head.csv")
+        written_before_failure = (tmp_path / "head.csv").stat().st_size
+        (tmp_path / "head.csv").unlink()
+
+        path = tmp_path / "trajectory.csv"
+        path.write_text("old\n")
+        unlinked = []
+        real_unlink = Path.unlink
+
+        def unlink(self, missing_ok=False):
+            unlinked.append((self.name, self.stat().st_size))
+            real_unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        with pytest.raises(ValueError, match="NaN"):
+            write_trajectory_csv(traj, path)
+        # the header and two whole chunks reached the temp file before it was removed
+        assert [size for name, size in unlinked if name.startswith(".trajectory.csv.")] == [
+            written_before_failure
+        ]
+        assert only_file(tmp_path) == path
+        assert path.read_text() == "old\n"
