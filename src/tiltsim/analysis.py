@@ -280,10 +280,11 @@ def _newton(gap, a, b, ga, gb):
     ends, one of them > 0 and the other <= 0; a zero end is the root. The
     first point of a cell is the regula falsi point of its bracket, each later
     one a Newton step from the last point. A step shorter than half the
-    tolerance is stretched to that length, so that it lands across the root.
-    The midpoint replaces a point that is not strictly inside the bracket, a
-    Newton step longer than half the Newton step before it, and any step after
-    a stretched one. Every point replaces the bracket end of its sign. So
+    tolerance is stretched to that length, so that it lands across the root;
+    if it stays short of the root, one more stretched step may follow. The
+    midpoint replaces a point that is not strictly inside the bracket, a
+    Newton step longer than half the Newton step before it, and any other step
+    after a stretched one. Every point replaces the bracket end of its sign. So
     between two midpoints, each of which halves the bracket, the steps halve
     down to half the tolerance, and every cell stops: after four passes on the
     engine's scans, and after three or four on the brackets of the event
@@ -309,8 +310,10 @@ def _newton(gap, a, b, ga, gb):
         root[live[done]] = np.where(np.abs(ga) < np.abs(gb), a, b)[done]
         with np.errstate(divide="ignore", invalid="ignore"):
             step = -gx / slope  # not finite on a flat gap: the midpoint follows
-        ok, short = np.abs(step) <= 0.5 * limit, np.abs(step) < half_tol
-        limit = np.where(short, 0.0, np.abs(step))
+        short = np.abs(step) < half_tol
+        # limit is 0 after one stretched step and -1 after two
+        ok = (np.abs(step) <= 0.5 * limit) | (short & (limit == 0.0))
+        limit = np.where(short, np.where(limit == 0.0, -1.0, 0.0), np.abs(step))
         step = np.where(short, np.copysign(half_tol, step), step)
         x = np.where(ok, x + step, np.nan)  # NaN fails the inside test: the midpoint
         go = ~done
@@ -751,6 +754,10 @@ class _GridMap:
 
 
 def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
+    if lambda_sign not in (-1, 1):
+        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be at least 1, got {resolution}")
     e_vals = np.linspace(e_range[0], e_range[1], resolution)
     ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
     E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
@@ -777,10 +784,6 @@ def delta_l_grid(
     ``resolution`` is the number of samples per axis. Cells outside the
     capture region for ``lambda_sign`` are masked rather than rejected.
     """
-    if lambda_sign not in (-1, 1):
-        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be at least 1, got {resolution}")
     return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).delta_l(
         params
     )
@@ -800,8 +803,6 @@ def verify_quadrant_capture(
     region; violations are collected, not raised. A cell whose map does not
     settle is a violation.
     """
-    if lambda_sign not in (-1, 1):
-        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
     return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).capture(
         params
     )

@@ -44,48 +44,37 @@ def _print_level_note(crit) -> None:
         print(DEGENERATE_NOTE if crit.n_positive_cells == 0 else UNBRACKETED_NOTE)
 
 
-def _command(sub, name: str, help: str, func, sweep: bool = False) -> argparse.ArgumentParser:
-    """A subcommand with the common flags, and the sweep flags if ``sweep``."""
-    parser = sub.add_parser(name, help=help)
-    parser.add_argument("--config", type=Path, help="INI config file")
-    parser.add_argument("--out-dir", type=Path, help="output directory (default ./out)")
-    for key in sorted(KEYS, key=lambda k: k.sweep):  # common flags first
-        if key.flag and (sweep or not key.sweep):
-            parser.add_argument("--" + key.flag, type=key.type, help=key.help)
-    parser.set_defaults(func=func)
-    return parser
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse gets a fresh namespace."""
+    """The argument parser, built once per process; each parse gets a fresh namespace.
+
+    A command takes ``--config``, ``--out-dir`` if it writes files, and the
+    flags that ``KEYS`` declares for it.
+    """
     parser = argparse.ArgumentParser(
         prog="tiltsim",
         description="Tilt-vehicle gait simulation and saturation-stability verification",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _command(sub, "simulate", "run the closed loop and verify the log", cmd_simulate)
-    _command(
-        sub,
-        "sweep-delta-l",
-        "grid sweep of the half-period Lyapunov change",
-        cmd_sweep_delta_l,
-        sweep=True,
-    )
-    p_hit = _command(
-        sub, "hitting-time", "threshold hitting time for one error state", cmd_hitting_time
-    )
-    p_hit.add_argument("e", type=float, help="lateral position error")
-    p_hit.add_argument("edot", type=float, help="lateral velocity error")
-    p_hit.add_argument("--branch", choices=("pos", "neg"), default="pos")
-    _command(
-        sub,
-        "critical-lyapunov",
-        "critical Lyapunov level and supremum bound",
-        cmd_critical_lyapunov,
-        sweep=True,
-    )
-    _command(sub, "verify-lemmas", "run the full invariant suite", cmd_verify_lemmas)
+    for name, func, help in (
+        ("simulate", cmd_simulate, "run the closed loop and verify the log"),
+        ("sweep-delta-l", cmd_sweep_delta_l, "grid sweep of the half-period Lyapunov change"),
+        ("hitting-time", cmd_hitting_time, "threshold hitting time for one error state"),
+        ("critical-lyapunov", cmd_critical_lyapunov, "critical Lyapunov level and supremum bound"),
+        ("verify-lemmas", cmd_verify_lemmas, "run the full invariant suite"),
+    ):
+        command = sub.add_parser(name, help=help)
+        command.set_defaults(func=func)
+        command.add_argument("--config", type=Path, help="INI config file")
+        if func is not cmd_hitting_time:  # the one command that writes no file
+            command.add_argument("--out-dir", type=Path, help="output directory (default ./out)")
+        for key in KEYS:
+            if name in key.commands:
+                command.add_argument("--" + key.flag, type=key.type, help=key.help)
+    hit = sub.choices["hitting-time"]
+    hit.add_argument("e", type=float, help="lateral position error")
+    hit.add_argument("edot", type=float, help="lateral velocity error")
+    hit.add_argument("--branch", choices=("pos", "neg"), default="pos")
     return parser
 
 
@@ -96,13 +85,15 @@ def _resolve(args):
         if env_path:
             config_path = Path(env_path)
     overrides = {(k.section, k.key): getattr(args, k.dest, None) for k in KEYS if k.flag}
-    cfg = resolve_config(config_path, overrides, dict(os.environ))
-    out_dir = args.out_dir or Path(os.environ.get(ENV_PREFIX + "OUT_DIR", "out"))
-    return cfg, out_dir
+    return resolve_config(config_path, overrides, dict(os.environ))
+
+
+def _out_dir(args) -> Path:
+    return args.out_dir or Path(os.environ.get(ENV_PREFIX + "OUT_DIR", "out"))
 
 
 def cmd_simulate(args) -> int:
-    cfg, out_dir = _resolve(args)
+    cfg, out_dir = _resolve(args), _out_dir(args)
     sim_cfg = cfg.sim_config()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out_dir / "manifest.ini")
@@ -133,7 +124,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep_delta_l(args) -> int:
-    cfg, out_dir = _resolve(args)
+    cfg, out_dir = _resolve(args), _out_dir(args)
     sweep = cfg.sweep
     grid = delta_l_grid(
         sweep.e_range(),
@@ -172,8 +163,12 @@ def cmd_sweep_delta_l(args) -> int:
 
 
 def cmd_hitting_time(args) -> int:
-    cfg, _ = _resolve(args)
-    state = ErrorState(args.e, args.edot)
+    cfg = _resolve(args)
+    try:
+        state = ErrorState(args.e, args.edot)
+    except ValueError as exc:
+        print(f"invalid state: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     sign = 1 if args.branch == "pos" else -1
     admissible = analysis.in_admissible_region(state, sign, cfg.params)
     try:
@@ -193,7 +188,7 @@ def cmd_hitting_time(args) -> int:
 
 
 def cmd_critical_lyapunov(args) -> int:
-    cfg, out_dir = _resolve(args)
+    cfg, out_dir = _resolve(args), _out_dir(args)
     sweep = cfg.sweep
     crit = critical_lyapunov(
         sweep.e_range(),
@@ -213,7 +208,7 @@ def cmd_critical_lyapunov(args) -> int:
 
 
 def cmd_verify_lemmas(args) -> int:
-    cfg, out_dir = _resolve(args)
+    cfg, out_dir = _resolve(args), _out_dir(args)
     report = run_lemma_checks(cfg.params, cfg.sweep.resolution, cfg.sweep.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "lemma_report.json", report)

@@ -8,8 +8,8 @@ configuration can be echoed back as a manifest file that reproduces the
 run bit-identically when fed back in.
 
 Every settable value is declared once, in ``KEYS``: file validation, typed
-parsing, the environment variables, the flags of ``tiltsim.cli`` and the
-manifest all follow from that table.
+parsing, the environment variables, the flags of ``tiltsim.cli`` with the
+commands that take them, and the manifest all follow from that table.
 """
 
 from __future__ import annotations
@@ -42,9 +42,9 @@ ENV_PREFIX = "TILTSIM_"
 class Key(NamedTuple):
     """One settable value: an INI key and, optionally, its command-line flag.
 
-    A common flag is taken by every command and has an environment variable,
-    the flag upper-cased with the prefix; a sweep flag is taken only by the
-    sweep commands and has none.
+    ``commands`` names the ``tiltsim.cli`` commands that read the value; those
+    and no others take its flag. A flag has an environment variable, the flag
+    upper-cased with the prefix, unless only the sweep commands take it.
     """
 
     section: str
@@ -52,7 +52,7 @@ class Key(NamedTuple):
     type: type
     flag: str | None = None
     help: str | None = None
-    sweep: bool = False
+    commands: tuple[str, ...] = ()
 
     @property
     def dest(self) -> str:
@@ -61,8 +61,12 @@ class Key(NamedTuple):
 
     @property
     def env(self) -> str | None:
-        return ENV_PREFIX + self.dest.upper() if self.flag and not self.sweep else None
+        return ENV_PREFIX + self.dest.upper() if set(self.commands) - set(_SWEEPS) else None
 
+
+_SIM = ("simulate",)
+_SWEEPS = ("sweep-delta-l", "critical-lyapunov")
+_GRIDS = _SIM + _SWEEPS + ("verify-lemmas",)
 
 # every settable value; sections and keys are written to the manifest in this order
 KEYS = (
@@ -73,23 +77,23 @@ KEYS = (
     Key("model", "kx2", float),
     Key("model", "ky1", float),
     Key("model", "ky2", float),
-    Key("gait", "preset", str, "preset", "gait preset name: small or large"),
-    Key("gait", "amplitude", float, "amplitude", "gait yaw amplitude (rad)"),
-    Key("gait", "period", float, "period", "gait period (s)"),
+    Key("gait", "preset", str, "preset", "gait preset name: small or large", _SIM),
+    Key("gait", "amplitude", float, "amplitude", "gait yaw amplitude (rad)", _SIM),
+    Key("gait", "period", float, "period", "gait period (s)", _SIM + _SWEEPS),
     Key("gait", "phase_sign", int),
-    Key("sim", "dt", float, "dt", "integrator step (s)"),
-    Key("sim", "duration", float, "duration", "simulated horizon (s)"),
+    Key("sim", "dt", float, "dt", "integrator step (s)", _SIM),
+    Key("sim", "duration", float, "duration", "simulated horizon (s)", _SIM),
     Key("sim", "x0", float),
     Key("sim", "y0", float),
     Key("sim", "vx0", float),
     Key("sim", "vy0", float),
-    Key("sweep", "e_min", float, "e-min", "grid lower bound along e", sweep=True),
-    Key("sweep", "e_max", float, "e-max", "grid upper bound along e", sweep=True),
-    Key("sweep", "edot_min", float, "edot-min", "grid lower bound along edot", sweep=True),
-    Key("sweep", "edot_max", float, "edot-max", "grid upper bound along edot", sweep=True),
-    Key("sweep", "resolution", int, "grid-res", "grid resolution per axis"),
-    Key("sweep", "lambda_sign", int, "lambda-sign", "yaw sign for the sweep", sweep=True),
-    Key("sweep", "seed", int, "seed", "seed for randomized property sampling"),
+    Key("sweep", "e_min", float, "e-min", "grid lower bound along e", _SWEEPS),
+    Key("sweep", "e_max", float, "e-max", "grid upper bound along e", _SWEEPS),
+    Key("sweep", "edot_min", float, "edot-min", "grid lower bound along edot", _SWEEPS),
+    Key("sweep", "edot_max", float, "edot-max", "grid upper bound along edot", _SWEEPS),
+    Key("sweep", "resolution", int, "grid-res", "grid resolution per axis", _GRIDS),
+    Key("sweep", "lambda_sign", int, "lambda-sign", "yaw sign for the sweep", ("sweep-delta-l",)),
+    Key("sweep", "seed", int, "seed", "seed for randomized property sampling", ("verify-lemmas",)),
 )
 
 _NAMES = {(k.section, k.key) for k in KEYS}

@@ -26,6 +26,9 @@ from tiltsim import (
     verify_quadrant_capture,
 )
 
+# a numpy overflow or invalid value in the engines or the root solver fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SQRT3 = math.sqrt(3.0)
 INV3 = 1.0 / SQRT3
 

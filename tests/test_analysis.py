@@ -42,6 +42,9 @@ from tiltsim.checks import (
     run_lemma_checks,
 )
 
+# a numpy overflow or invalid value in the engines or the root solver fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SQRT3 = math.sqrt(3.0)
 INV3 = 1.0 / SQRT3
 
@@ -682,10 +685,12 @@ class TestDeltaLGrid:
         assert len(admissible) == grid.n_admissible
 
     def test_bad_args(self):
-        with pytest.raises(ValueError):
-            delta_l_grid((0, 1), (0, 1), 0, +1)
-        with pytest.raises(ValueError):
-            delta_l_grid((0, 1), (0, 1), 10, 0)
+        # the capture check rejects the same grids
+        for function in (delta_l_grid, verify_quadrant_capture):
+            with pytest.raises(ValueError, match="resolution must be at least 1"):
+                function((0, 1), (0, 1), 0, +1)
+            with pytest.raises(ValueError, match="lambda_sign must be"):
+                function((0, 1), (0, 1), 10, 0)
 
 
 class TestQuadrantCapture:
@@ -887,6 +892,26 @@ class TestRootSolver:
             42.0,
             122,
         )
+
+    def test_stretched_step_may_repeat_once(self, monkeypatch):
+        # a stretched step that stays short of the root takes one more stretch,
+        # not a midpoint: every call of this search stops within four passes
+        solver = analysis._newton
+        passes = []
+
+        def counting(gap, *rest):
+            def counted(t, k):
+                passes[-1] += 1
+                return gap(t, k)
+
+            passes.append(0)
+            return solver(counted, *rest)
+
+        monkeypatch.setattr(analysis, "_newton", counting)
+        crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=2.0, ky2=5.0))
+        assert crit.l_critical == 0.35186218971492833
+        assert len(passes) == 235
+        assert max(passes) == 4
 
     @pytest.mark.parametrize(
         "slope",

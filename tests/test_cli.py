@@ -98,6 +98,35 @@ LEMMA_REPORT_SHA256 = {
     31: "7a7b3d61da97a11aa16ec0fbec2715cba86e042ec1317e4fe4f97523292f98ba",
 }
 
+# SHA-256 of the analysis outputs at non-default gains (ky1, ky2), which run the
+# generic event-driven engine: argv, gains, output file, digest
+GENERIC_SHA256 = {
+    "critical-lyapunov": (
+        ["critical-lyapunov", "--grid-res", "40"],
+        (6, 12),
+        "critical_lyapunov.json",
+        "9a2700d8c86c35c92ea3f33348aca7212fd5a5c6633dff67ef2e3aea61e2c87b",
+    ),
+    "sweep-grid": (
+        ["sweep-delta-l", "--grid-res", "16"],
+        (6, 22),
+        "delta_l_grid.csv",
+        "d420be46a46ecfcf80daf5f2070ac16af7ee4afba4c97f6d2ff87e9a778792f8",
+    ),
+    "sweep-summary": (
+        ["sweep-delta-l", "--grid-res", "16"],
+        (6, 22),
+        "delta_l_summary.json",
+        "237ddc2609e6ee76da4313a5d6fdf6f34338e3e394427a3a42b7104853912dea",
+    ),
+    "verify-lemmas": (
+        ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
+        (6, 12),
+        "lemma_report.json",
+        "05d1765e657510af64fc1d8b0678670bc0beda95437cfaf80c8bbcca8df21bc5",
+    ),
+}
+
 
 def read_json(path):
     with open(path) as fh:
@@ -418,6 +447,13 @@ class TestHittingTime:
         assert rc == 2
         assert "first-quadrant" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("e, edot", [("nan", "0.2"), ("inf", "0.2"), ("0.1", "nan")])
+    def test_nonfinite_state_rejected(self, e, edot, capsys):
+        assert main(["hitting-time", e, edot]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid state: error state must be finite")
+        assert len(err.splitlines()) == 1
+
     def test_slow_decay_is_not_called_inadmissible(self, tmp_path, capsys):
         cfg = tmp_path / "slow.ini"
         cfg.write_text(SLOW_DECAY_CONFIG)
@@ -549,6 +585,20 @@ class TestVerifyLemmas:
         assert len(report["checks"]) == 9
 
 
+class TestGenericGainGoldens:
+    @pytest.mark.filterwarnings("ignore:could not bracket")
+    @pytest.mark.parametrize("case", sorted(GENERIC_SHA256))
+    def test_golden_bytes(self, case, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        argv, (ky1, ky2), name, digest = GENERIC_SHA256[case]
+        (tmp_path / "gains.ini").write_text(f"[model]\nky1 = {ky1}\nky2 = {ky2}\n")
+        out = tmp_path / "out"
+        assert main([*argv, "--config", str(tmp_path / "gains.ini"), "--out-dir", str(out)]) == 0
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+
+
 # Runs in a fresh interpreter: argv[1] is the output directory, argv[2] an
 # INI file with non-default gains. Prints which scipy modules are loaded
 # after import, and whether scipy.optimize is loaded after each command.
@@ -559,14 +609,14 @@ import tiltsim.cli as cli
 out, gains = sys.argv[1], sys.argv[2]
 seen = {"import": ["scipy" in sys.modules, "scipy.optimize" in sys.modules], "commands": {}}
 for argv in (
-    ["verify-lemmas", "--seed", "0"],
-    ["critical-lyapunov"],
-    ["sweep-delta-l", "--grid-res", "16"],
-    ["sweep-delta-l", "--grid-res", "16", "--config", gains],
+    ["verify-lemmas", "--seed", "0", "--out-dir", out],
+    ["critical-lyapunov", "--out-dir", out],
+    ["sweep-delta-l", "--grid-res", "16", "--out-dir", out],
+    ["sweep-delta-l", "--grid-res", "16", "--config", gains, "--out-dir", out],
     ["hitting-time", "0.5", "0.2", "--config", gains],
-    ["verify-lemmas", "--grid-res", "16", "--config", gains],
+    ["verify-lemmas", "--grid-res", "16", "--config", gains, "--out-dir", out],
 ):
-    cli.main([*argv, "--out-dir", out])
+    cli.main(argv)
     gains_used = "generic" if gains in argv else "default"
     seen["commands"][f"{argv[0]} {gains_used}"] = "scipy.optimize" in sys.modules
 print(json.dumps(seen))

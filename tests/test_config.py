@@ -5,11 +5,14 @@ variables and flags override them, which flags each command takes, and that
 a manifest reloads to the configuration that wrote it.
 """
 
+import contextlib
+import io
 import json
 import math
 import operator
 import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -71,14 +74,28 @@ SWEEP_FLAGS = {
     "--lambda-sign": ("sweep", "lambda_sign", "1", "-1"),
 }
 
-COMMON_FLAGS = {"--help", "--config", "--out-dir"} | {v[4] for v in ENV_VARS.values()}
+# the flags each command takes besides --help: the --config file, --out-dir
+# if it writes files, and the flags of the keys it reads
 COMMAND_FLAGS = {
-    "simulate": COMMON_FLAGS,
-    "sweep-delta-l": COMMON_FLAGS | set(SWEEP_FLAGS),
-    "hitting-time": COMMON_FLAGS | {"--branch"},
-    "critical-lyapunov": COMMON_FLAGS | set(SWEEP_FLAGS),
-    "verify-lemmas": COMMON_FLAGS,
+    command: set(flags.split())
+    for command, flags in {
+        "simulate": "--config --out-dir --preset --amplitude --period --dt --duration --grid-res",
+        "sweep-delta-l": "--config --out-dir --period --grid-res " + " ".join(SWEEP_FLAGS),
+        "hitting-time": "--config --branch",
+        "critical-lyapunov": "--config --out-dir --period --grid-res --e-min --e-max --edot-min"
+        " --edot-max",
+        "verify-lemmas": "--config --out-dir --grid-res --seed",
+    }.items()
 }
+
+# every flag of one command on each command that does not take it
+REJECTED = [
+    (command, flag)
+    for command, flags in COMMAND_FLAGS.items()
+    for flag in sorted(set().union(*COMMAND_FLAGS.values()) - flags)
+]
+# a valid value for each flag whose value is not a number
+FLAG_VALUES = {"--config": "in.ini", "--out-dir": "run", "--preset": "large", "--branch": "neg"}
 
 # every key away from its default, in the manifest's own layout
 FULL_MANIFEST = """\
@@ -207,6 +224,19 @@ class TestEnvironment:
         assert resolve_config(None, {}, env) == resolve_config(None, {}, {})
 
 
+def _takes(flag):
+    """The commands that take ``flag``."""
+    return [command for command, flags in COMMAND_FLAGS.items() if flag in flags]
+
+
+def _help_flags(command):
+    """The flags that ``command --help`` lists, --help aside."""
+    with contextlib.redirect_stdout(io.StringIO()) as out, pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    return set(re.findall(r"--[a-z][a-z-]*", out.getvalue())) - {"--help"}
+
+
 class TestFlags:
     @pytest.mark.parametrize("var", sorted(ENV_VARS))
     def test_common_flag_overrides_variable(self, var, tmp_path, monkeypatch):
@@ -214,10 +244,10 @@ class TestFlags:
         path = _ini(tmp_path / "in.ini", {(section, key): file_value})
         monkeypatch.setenv(var, env_value)
         expected = _resolve_one(tmp_path / "flag.ini", section, key, flag_value)
-        for command in COMMAND_FLAGS:
+        commands = _takes(flag)
+        assert commands
+        for command in commands:
             argv = [command, flag, flag_value, "--config", str(path)]
-            if command == "hitting-time":
-                argv += ["0.1", "0"]
             assert _resolved(monkeypatch, argv) == expected
 
     @pytest.mark.parametrize("flag", sorted(SWEEP_FLAGS))
@@ -226,16 +256,27 @@ class TestFlags:
         path = _ini(tmp_path / "in.ini", {(section, key): file_value})
         expected = _resolve_one(tmp_path / "flag.ini", section, key, flag_value)
         assert expected != resolve_config(path, {}, {})
-        for command in ("sweep-delta-l", "critical-lyapunov"):
+        commands = _takes(flag)
+        assert commands and set(commands) <= {"sweep-delta-l", "critical-lyapunov"}
+        for command in commands:
             argv = [command, flag, flag_value, "--config", str(path)]
             assert _resolved(monkeypatch, argv) == expected
 
     @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
-    def test_command_flag_set(self, command, capsys):
+    def test_command_flag_set(self, command):
+        assert _help_flags(command) == COMMAND_FLAGS[command]
+
+    @pytest.mark.parametrize("command, flag", REJECTED, ids=[" ".join(r) for r in REJECTED])
+    def test_flag_a_command_does_not_read_is_rejected(
+        self, command, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        state = ["0.1", "0"] if command == "hitting-time" else []
         with pytest.raises(SystemExit) as exit_:
-            cli.main([command, "--help"])
-        assert exit_.value.code == 0
-        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == COMMAND_FLAGS[command]
+            cli.main([command, *state, flag, FLAG_VALUES.get(flag, "1")])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # no output directory, not even ./out
 
     def test_command_set(self, capsys):
         with pytest.raises(SystemExit):
@@ -304,6 +345,18 @@ class TestReadme:
         cfg = resolve_config(path, {}, {})
         assert cfg.gait.amplitude == PRESETS["large"].amplitude
         assert math.isclose(cfg.params.theta, math.pi / 6)
+
+    def test_flag_table_matches_parser(self):
+        rows = dict(re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", README.read_text(), re.M))
+        assert set(rows) == set(COMMAND_FLAGS)
+        for command, flags in rows.items():
+            assert set(re.findall(r"--[a-z-]+", flags)) == _help_flags(command), command
+
+    def test_examples_parse(self):
+        examples = re.findall(r"^tiltsim (.+)$", README.read_text(), re.M)
+        assert len(examples) == 6
+        for line in examples:
+            cli.build_parser().parse_args(shlex.split(line))
 
     def test_variables_listed(self):
         from tiltsim.config import KEYS as TABLE
