@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
         if func is not cmd_hitting_time:  # the one command that writes no file
             command.add_argument("--out-dir", type=Path, help="output directory (default ./out)")
         for key in KEYS:
-            if name in key.commands:
+            if key.flag and name in key.commands:
                 command.add_argument("--" + key.flag, type=key.type, help=key.help)
     hit = sub.choices["hitting-time"]
     hit.add_argument("e", type=float, help="lateral position error")
@@ -85,7 +85,7 @@ def _resolve(args):
         if env_path:
             config_path = Path(env_path)
     overrides = {(k.section, k.key): getattr(args, k.dest, None) for k in KEYS if k.flag}
-    return resolve_config(config_path, overrides, dict(os.environ))
+    return resolve_config(config_path, overrides, dict(os.environ), args.command)
 
 
 def _out_dir(args) -> Path:

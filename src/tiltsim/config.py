@@ -43,8 +43,9 @@ class Key(NamedTuple):
     """One settable value: an INI key and, optionally, its command-line flag.
 
     ``commands`` names the ``tiltsim.cli`` commands that read the value; those
-    and no others take its flag. A flag has an environment variable, the flag
-    upper-cased with the prefix, unless only the sweep commands take it.
+    and no others take its flag, and only those check it beyond its type. A
+    flag has an environment variable, the flag upper-cased with the prefix,
+    unless only the sweep commands take it.
     """
 
     section: str
@@ -61,32 +62,35 @@ class Key(NamedTuple):
 
     @property
     def env(self) -> str | None:
-        return ENV_PREFIX + self.dest.upper() if set(self.commands) - set(_SWEEPS) else None
+        if self.flag and set(self.commands) - set(_SWEEPS):
+            return ENV_PREFIX + self.dest.upper()
+        return None
 
 
 _SIM = ("simulate",)
 _SWEEPS = ("sweep-delta-l", "critical-lyapunov")
 _GRIDS = _SIM + _SWEEPS + ("verify-lemmas",)
+_ALL = _GRIDS + ("hitting-time",)
 
 # every settable value; sections and keys are written to the manifest in this order
 KEYS = (
-    Key("model", "m", float),
-    Key("model", "theta", float),
-    Key("model", "k_thrust", float),
-    Key("model", "kx1", float),
-    Key("model", "kx2", float),
-    Key("model", "ky1", float),
-    Key("model", "ky2", float),
+    Key("model", "m", float, commands=_ALL),
+    Key("model", "theta", float, commands=_ALL),
+    Key("model", "k_thrust", float, commands=_ALL),
+    Key("model", "kx1", float, commands=_ALL),
+    Key("model", "kx2", float, commands=_ALL),
+    Key("model", "ky1", float, commands=_ALL),
+    Key("model", "ky2", float, commands=_ALL),
     Key("gait", "preset", str, "preset", "gait preset name: small or large", _SIM),
     Key("gait", "amplitude", float, "amplitude", "gait yaw amplitude (rad)", _SIM),
     Key("gait", "period", float, "period", "gait period (s)", _SIM + _SWEEPS),
-    Key("gait", "phase_sign", int),
+    Key("gait", "phase_sign", int, commands=_SIM),
     Key("sim", "dt", float, "dt", "integrator step (s)", _SIM),
     Key("sim", "duration", float, "duration", "simulated horizon (s)", _SIM),
-    Key("sim", "x0", float),
-    Key("sim", "y0", float),
-    Key("sim", "vx0", float),
-    Key("sim", "vy0", float),
+    Key("sim", "x0", float, commands=_SIM),
+    Key("sim", "y0", float, commands=_SIM),
+    Key("sim", "vx0", float, commands=_SIM),
+    Key("sim", "vy0", float, commands=_SIM),
     Key("sweep", "e_min", float, "e-min", "grid lower bound along e", _SWEEPS),
     Key("sweep", "e_max", float, "e-max", "grid upper bound along e", _SWEEPS),
     Key("sweep", "edot_min", float, "edot-min", "grid lower bound along edot", _SWEEPS),
@@ -203,11 +207,16 @@ def resolve_config(
     config_path=None,
     overrides: dict[tuple[str, str], object] | None = None,
     env: dict[str, str] | None = None,
+    command: str | None = None,
 ) -> ExperimentConfig:
     """Merge defaults, config file, environment, and explicit overrides.
 
     ``overrides`` maps (section, key) to already-typed or string values and
-    wins over everything else.
+    wins over everything else. Every value that is set must parse to its
+    key's type. Given a ``command``, only the keys it reads (see
+    ``Key.commands``) reach the configuration and its checks; the others keep
+    their defaults, and ``[sim]`` is not checked against the gait unless the
+    command reads it.
     """
     raw = _read_file(config_path) if config_path is not None else {}
     for k in KEYS:
@@ -220,10 +229,14 @@ def resolve_config(
             raise ConfigError(f"unknown override [{name[0]}] {name[1]}")
         raw[name] = str(value)
 
+    def reads(k):
+        return command is None or command in k.commands
+
     def typed(section):
-        """The keys of ``section`` that are set, parsed to their types."""
+        """The keys of ``section`` that are set, parsed to their types; those the command reads."""
         keys = (k for k in KEYS if k.section == section and (section, k.key) in raw)
-        return {k.key: _parse(k, raw[section, k.key]) for k in keys}
+        parsed = {k: _parse(k, raw[section, k.key]) for k in keys}
+        return {k.key: value for k, value in parsed.items() if reads(k)}
 
     params = _build("[model]: ", ModelParams, **typed("model"))
     gait_kwargs = typed("gait")
@@ -236,7 +249,11 @@ def resolve_config(
     start = SimConfig.initial_state
     initial_state = _build("[sim] initial state: ", dataclasses.replace, start, **state)
     sweep = _build("[sweep] ", SweepSpec, **typed("sweep"))
-    sim = _build("[sim]: ", SimConfig, params, gait, initial_state=initial_state, **sim_kwargs)
+    # SimConfig's defaults, unchecked, for a command that reads no [sim] key:
+    # they need not fit the gait it resolved
+    sim = SimConfig
+    if any(reads(k) for k in KEYS if k.section == "sim"):
+        sim = _build("[sim]: ", SimConfig, params, gait, initial_state=initial_state, **sim_kwargs)
     return ExperimentConfig(params, gait, sim.dt, sim.duration, initial_state, sweep)
 
 

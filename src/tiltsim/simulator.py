@@ -225,44 +225,59 @@ def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
 _LOGGED = ("x", "y", "vx", "vy", "ax_d", "ay_d", "w1sq_raw", "w2sq_raw")
 
 
+def _block(log: list[float]) -> np.ndarray:
+    """Move a flat per-row log (see ``_LOGGED``) into rows, with ``angle_des`` last."""
+    width, ax_d = len(_LOGGED), _LOGGED.index("ax_d")
+    rows = np.empty((len(log) // width, width + 1))
+    rows[:, :width] = np.reshape(log, (-1, width))
+    # math.atan2, not np.arctan2: the two differ in the last bit on some rows
+    rows[:, width] = [
+        math.atan2(ay, ax) % TWO_PI if ax or ay else math.nan
+        for ax, ay in zip(log[ax_d::width], log[ax_d + 1 :: width])
+    ]
+    log.clear()
+    return rows
+
+
 def run(config: SimConfig) -> Trajectory:
     """Integrate the closed loop over the configured horizon and log it.
 
     Deterministic for a fixed config; the yaw follows the step index (see
     ``_yaw``). Row k logs the state at step k and stage 1 of the step from
-    it. On divergence the partial trajectory, up to the last fully logged
-    row, is attached to the raised error.
+    it. The log moves into one float block per half period, at each yaw
+    switch. On divergence the partial trajectory, up to the last fully
+    logged row, is attached to the raised error.
     """
     params, gait, dt = config.params, config.gait, config.dt
     n, m = config.n_steps, config.steps_per_half
     s0 = config.initial_state
     x, y, vx, vy = s0.x, s0.y, s0.vx, s0.vy
     log: list[float] = []
+    blocks: list[np.ndarray] = []
     try:
         for k in range(n + 1):
             t = k * dt
             if k % m == 0:
+                blocks.append(_block(log))
                 f = _kernel(params, _yaw(k, m, gait))
             ax_d, ay_d, sq1, sq2, ax, ay = f(t, x, y, vx, vy)
             log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
             if k < n:
                 x, y, vx, vy = _rk4(f, t, dt, x, y, vx, vy, ax, ay)
     except ValueError as exc:
+        blocks.append(_block(log))
         state = VehicleState(x, y, vx, vy)
-        raise DivergenceError(t, _trajectory(log, config), state, k, _yaw(k, m, gait)) from exc
-    return _trajectory(log, config)
+        raise DivergenceError(t, _trajectory(blocks, config), state, k, _yaw(k, m, gait)) from exc
+    blocks.append(_block(log))
+    return _trajectory(blocks, config)
 
 
-def _trajectory(log: list[float], config: SimConfig) -> Trajectory:
-    """Build every column of a run from its flat per-row log (see ``_LOGGED``)."""
+def _trajectory(blocks: list[np.ndarray], config: SimConfig) -> Trajectory:
+    """Build every column of a run from its logged blocks (see ``_block``)."""
     params, gait, m = config.params, config.gait, config.steps_per_half
-    width = len(_LOGGED)
-    cols = {name: np.array(log[i::width], dtype=np.float64) for i, name in enumerate(_LOGGED)}
-    # math.atan2, not np.arctan2: the two differ in the last bit on some rows
-    ax_d, ay_d = cols["ax_d"].tolist(), cols["ay_d"].tolist()
-    angle = [math.atan2(ay, ax) % TWO_PI if ax or ay else math.nan for ax, ay in zip(ax_d, ay_d)]
-    cols["angle_des"] = np.array(angle, dtype=np.float64)
-    k = np.arange(len(log) // width)
+    table = np.concatenate(blocks)
+    cols = {name: table[:, i].copy() for i, name in enumerate(_LOGGED + ("angle_des",))}
+    k = np.arange(len(table))
     t = k * config.dt
     half = (k // m) % 2  # 0 in the first half of each period, 1 in the second
     yaws = (_yaw(0, m, gait), _yaw(m, m, gait))

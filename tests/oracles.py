@@ -438,7 +438,7 @@ def _joined_write_table(path, header, row, table):
 
 
 def joined_trajectory_csv(traj, path):
-    """The trajectory CSV from one stacked table, joined into one string."""
+    """The trajectory CSV with every value formatted, from one table joined into one string."""
     row = ",".join("%d" if name in ("p", "q") else "%.17g" for name in TRAJECTORY_COLUMNS) + "\n"
     table = np.column_stack([traj.column(name) for name in TRAJECTORY_COLUMNS])
     _joined_write_table(path, ",".join(TRAJECTORY_COLUMNS) + "\n", row, table)

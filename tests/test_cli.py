@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles as oc
 import tiltsim
 from tiltsim import simulator
 from tiltsim.cli import DEGENERATE_NOTE, UNBRACKETED_NOTE, main
@@ -54,6 +55,18 @@ ky2 = 1e307
 [sim]
 y0 = 0.5
 """
+
+# ky2 values at which `simulate` diverges from y0 = 0.5 on the small preset
+# (1000 steps per half period), and the rows of the partial log it writes
+DIVERGING_KY2 = {
+    "no-row": ("1e307", 0),
+    "one-row": ("1e300", 1),
+    "under-a-half-period": ("1e8", 225),
+    "over-a-chunk": ("2e7", 3769),
+}
+
+# the benchmark's reference outputs, one entry per operation it can draw
+PINS = Path(__file__).resolve().parents[1] / "benchmarks" / "pins.json"
 
 # SHA-256 of (trajectory.csv, manifest.ini) from `simulate --duration 2.0`,
 # recorded with the simulator that ran the dataclass pipeline in every RK4
@@ -238,6 +251,40 @@ class TestSimulate:
         assert rc == 3
         assert "divergence" in capsys.readouterr().err
         assert read_json(out / "report.json")["diverged"] is True
+
+    @pytest.mark.parametrize("case", list(DIVERGING_KY2))
+    def test_diverged_partial_trajectory_bytes(self, case, tmp_path):
+        ky2, rows = DIVERGING_KY2[case]
+        cfg_path = tmp_path / "div.ini"
+        cfg_path.write_text(f"[model]\nky2 = {ky2}\n\n[sim]\nduration = 6.0\ny0 = 0.5\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+        with pytest.raises(simulator.DivergenceError) as err:
+            simulator.run(resolve_config(cfg_path, {}, {}).sim_config())
+        partial = err.value.trajectory
+        assert len(partial) == rows
+        oc.joined_trajectory_csv(partial, tmp_path / "printed.csv")
+        assert (out / "trajectory.csv").read_bytes() == (tmp_path / "printed.csv").read_bytes()
+
+    @pytest.mark.parametrize("preset", ["large", "small"])
+    def test_benchmark_pins(self, preset, tmp_path, monkeypatch):
+        # the pinned 20 s run with no start offset, from the argv and INI the benchmark passes
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        op = {"cmd": "simulate", "preset": preset, "y0": 0.0, "vy0": 0.0}
+        pin = json.loads(PINS.read_text())[json.dumps(op, sort_keys=True)]
+        ini, out = tmp_path / "sim.ini", tmp_path / "run"
+        ini.write_text("[sim]\ny0 = 0.0\nvy0 = 0.0\n")
+        argv = ["simulate", "--preset", preset, "--dt", "0.001", "--duration", "20.0"]
+        rc = main(argv + ["--config", str(ini), "--out-dir", str(out)])
+        got = {
+            "rc": rc,
+            "passed": read_json(out / "report.json")["passed"],
+            "trajectory_sha256": hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest(),
+            "manifest_sha256": hashlib.sha256((out / "manifest.ini").read_bytes()).hexdigest(),
+        }
+        assert got == pin
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_SHA256))
     def test_golden_bytes(self, case, tmp_path, monkeypatch):

@@ -336,6 +336,79 @@ class TestZeroWidthSweepRange:
         assert not out.exists()
 
 
+class TestScopedChecks:
+    """A command checks only the values it reads; every value set must still parse."""
+
+    @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["verify-lemmas", "--grid-res", "4"], {"TILTSIM_DT": "0.3"}),
+            (["verify-lemmas", "--grid-res", "4"], {"TILTSIM_PERIOD": "-1"}),
+            (["hitting-time", "0.1", "0"], {"TILTSIM_AMPLITUDE": "2"}),
+            (["hitting-time", "0.1", "0"], {"TILTSIM_GRID_RES": "0", "TILTSIM_SEED": "-1"}),
+            # half of 2.0006 s is not a whole number of default 1e-3 s steps
+            (["critical-lyapunov", "--grid-res", "8", "--period", "2.0006"], {}),
+        ],
+    )
+    def test_unread_invalid_value_is_ignored(self, argv, env, tmp_path, monkeypatch, capsys):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = [] if argv[0] == "hitting-time" else ["--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + out) == 0
+        assert "configuration error" not in capsys.readouterr().err
+
+    def test_unread_file_keys_keep_their_defaults(self, tmp_path, monkeypatch):
+        # critical-lyapunov reads none of these, and a command that reads one rejects it
+        entries = {("gait", "amplitude"): "2", ("gait", "phase_sign"): "7", ("sim", "dt"): "0.3"}
+        entries[("sweep", "lambda_sign")] = "7"
+        path = _ini(tmp_path / "in.ini", entries)
+        cfg = _resolved(monkeypatch, ["critical-lyapunov", "--config", str(path)])
+        assert cfg == resolve_config(None, {}, {})
+        with pytest.raises(ConfigError):
+            resolve_config(path, {}, {})
+
+    def test_simulate_manifest_holds_defaults_for_unread_keys(self, tmp_path):
+        path = _ini(tmp_path / "in.ini", {("sweep", "e_min"): "1", ("sweep", "e_max"): "1"})
+        out = tmp_path / "run"
+        argv = ["simulate", "--duration", "0.5", "--config", str(path), "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        manifest = (out / "manifest.ini").read_text().splitlines()
+        assert "e_min = -2" in manifest and "e_max = 2" in manifest
+
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["verify-lemmas"], {"TILTSIM_DT": "abc"}, "[sim] dt: expected a finite number"),
+            (["hitting-time", "0.1", "0"], {"TILTSIM_SEED": "1.5"}, "[sweep] seed: expected an"),
+            (["simulate", "--duration", "1"], {"TILTSIM_DT": "0.3"}, "step 0.3 must divide"),
+            (["verify-lemmas"], {"TILTSIM_GRID_RES": "0"}, "resolution must be at least 1"),
+        ],
+    )
+    def test_read_or_unparseable_value_is_still_checked(
+        self, argv, env, message, tmp_path, monkeypatch, capsys
+    ):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = [] if argv[0] == "hitting-time" else ["--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + out) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[sim]\ndt = oops\n", "[sim] dt: expected a finite number"),
+            ("[sim]\nbogus = 1\n", "unknown key 'bogus'"),
+            ("[extra]\nm = 1\n", "unknown section [extra]"),
+            ("dt = 1\n", "malformed config file"),
+        ],
+    )
+    def test_bad_file_is_still_an_error_for_every_command(self, text, message, tmp_path, capsys):
+        path = tmp_path / "in.ini"
+        path.write_text(text)
+        assert cli.main(["hitting-time", "0.1", "0", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestReadme:
     def test_ini_example_resolves(self, tmp_path):
         text = README.read_text()

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from tiltsim import ModelParams, delta_l_grid
@@ -16,7 +17,7 @@ from tiltsim.output import (
     write_grid_csv,
     write_trajectory_csv,
 )
-from tiltsim.simulator import SimConfig, Trajectory, run
+from tiltsim.simulator import TRAJECTORY_COLUMNS, SimConfig, Trajectory, run
 
 AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0]
 ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
@@ -106,6 +107,89 @@ class TestStreamedWriter:
         finally:
             tracemalloc.stop()
         assert peak < path.stat().st_size
+
+
+def assert_every_value_printed(traj, tmp_path):
+    write_trajectory_csv(traj, tmp_path / "copied.csv")
+    oc.joined_trajectory_csv(traj, tmp_path / "printed.csv")
+    assert (tmp_path / "copied.csv").read_bytes() == (tmp_path / "printed.csv").read_bytes()
+
+
+def copying_trajectory(n, seed, specials, broken, n_edges):
+    """A trajectory whose copied columns follow their sources except on ``broken`` rows.
+
+    ``ey``, ``eydot``, ``w1sq`` and ``w2sq`` are computed from ``y``, ``vy``
+    and the raw commands as ``run`` computes them; about a share ``broken``
+    of their rows is then overwritten. ``specials`` are scattered through
+    every float column, and the cone edges take ``n_edges`` values.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.array(specials or [0.0])
+
+    def column(scale=1.0):
+        values = rng.normal(scale=scale, size=n) * 10.0 ** rng.integers(-12, 12, size=n)
+        special = rng.random(n) < 0.2
+        values[special] = rng.choice(pool, size=special.sum())
+        return values
+
+    def break_rows(values):
+        rows = rng.random(n) < broken
+        swaps = (column(), -values, np.nextafter(values, math.inf), np.full(n, -0.0))
+        values = values.copy()
+        values[rows] = np.choose(rng.integers(0, len(swaps), size=n), swaps)[rows]
+        return values
+
+    cols = {name: column() for name in TRAJECTORY_COLUMNS}
+    with np.errstate(invalid="ignore", over="ignore"):
+        cols["ey"] = break_rows(0.0 - cols["y"])
+        cols["eydot"] = break_rows(0.0 - cols["vy"])
+        for raw, clamped in (("w1sq_raw", "w1sq"), ("w2sq_raw", "w2sq")):
+            cols[clamped] = break_rows(np.where(cols[raw] >= 0.0, cols[raw], 0.0))
+    edges = np.concatenate([pool, rng.normal(size=n_edges)])[:n_edges]
+    cols["angle_lo"] = rng.choice(edges, size=n)
+    cols["angle_hi"] = rng.choice(edges[::-1], size=n)
+    cols["p"] = rng.integers(0, 2, size=n)
+    cols["q"] = rng.integers(0, 2, size=n)
+    cols.update(lam=column(), ax_d=column(), ay_d=column())
+    return Trajectory(**cols)
+
+
+class TestCopiedColumns:
+    """The columns printed from another column's text match the printed values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from(ROW_COUNTS + [7]),
+        seed=st.integers(0, 2**32 - 1),
+        specials=st.lists(
+            st.sampled_from(AWKWARD[:6] + [-5e-324, 2.2250738585072009e-308, 1.5, -1.5])
+            | st.floats(allow_subnormal=True),
+            max_size=6,
+        ),
+        broken=st.sampled_from([0.0, 0.01, 0.5, 1.0]),
+        n_edges=st.integers(1, 5),
+    )
+    def test_same_bytes_as_every_value_printed(
+        self, tmp_path_factory, n, seed, specials, broken, n_edges
+    ):
+        traj = copying_trajectory(n, seed, specials, broken, n_edges)
+        assert_every_value_printed(traj, tmp_path_factory.mktemp("copies"))
+
+    def test_nan_payloads_and_signs(self, tmp_path):
+        # NaNs of either sign and any payload print as 'nan', copied or not
+        nans = np.array([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001], np.uint64)
+        y = np.concatenate([nans.view(np.float64), [-0.0, 0.0, -math.inf, 5e-324]])
+        traj = copying_trajectory(len(y), 0, [], 0.0, 3)
+        traj = dataclasses.replace(traj, y=y, ey=np.concatenate([y[:3], 0.0 - y[3:]]))
+        traj = dataclasses.replace(traj, vy=-y, eydot=y, w1sq_raw=y, w1sq=np.abs(y))
+        assert_every_value_printed(traj, tmp_path)
+
+    def test_integer_columns_in_copied_places(self, tmp_path):
+        # a hand-built trajectory may hold integers where run() logs floats
+        traj = copying_trajectory(5, 1, [], 0.0, 2)
+        ints = np.array([3, -3, 0, 7, -1])
+        traj = dataclasses.replace(traj, y=ints, ey=-ints, angle_lo=ints, w1sq_raw=ints, w1sq=ints)
+        assert_every_value_printed(traj, tmp_path)
 
 
 class TestFailedWrite:
