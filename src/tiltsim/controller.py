@@ -129,7 +129,7 @@ def raw_inversion(acc: DesiredAccel, lam: float, params: ModelParams) -> RawComm
 
 def clamp(raw: RawCommand) -> RotorCommand:
     """Apply the physical zero lower bound component-wise."""
-    # max(sq, 0.0), which keeps a -0.0 as the kernel does (np.maximum does not)
+    # max(sq, 0.0), which keeps a -0.0 as the simulator does (np.maximum does not)
     return RotorCommand(*(np.where(sq >= 0.0, sq, 0.0)[()] for sq in (raw.sq1, raw.sq2)))
 
 

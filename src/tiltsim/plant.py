@@ -119,7 +119,7 @@ def accelerate(cmd: RotorCommand, lam: float, params: ModelParams) -> tuple[floa
     """World-frame acceleration produced by a clamped rotor command.
 
     Equals (1/m) * rotation_matrix(lam) @ thrust_map(params) @ [w1sq, w2sq],
-    written out in scalars; the simulator's kernel repeats these operations.
+    written out in scalars; the simulator's RK4 loop repeats these operations.
     """
     kc = params.k_thrust * math.cos(params.theta)
     ks = params.k_thrust * math.sin(params.theta)

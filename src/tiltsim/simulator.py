@@ -70,12 +70,13 @@ class SimConfig:
 
 
 class DivergenceError(RuntimeError):
-    """The integration produced a non-finite state.
+    """The integration produced a non-finite controller output or state.
 
     Carries the time at which the step failed, the last finite state, the
     step index and yaw of the failing step, and (from ``run``) the partial
-    trajectory up to that sample. ``step(state, t, config)`` from that state
-    and time fails again.
+    trajectory up to the last fully logged row. ``run`` and ``step`` raise it
+    from the same loop, so ``step(state, t, config)`` from that state and
+    time fails again.
     """
 
     def __init__(
@@ -149,76 +150,107 @@ def _yaw(k: int, m: int, gait: GaitSchedule) -> float:
     return gait.phase_sign * gait.amplitude * (1.0 if (k // m) % 2 == 0 else -1.0)
 
 
-def _kernel(params: ModelParams, lam: float):
-    """Float-only ``f(t, x, y, vx, vy) -> (ax_d, ay_d, sq1, sq2, ax, ay)`` at yaw ``lam``.
+def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
+    """Log ``rows`` closed-loop rows from grid step ``k`` at time ``t``, yaw held at ``lam``.
 
-    Same floating-point operations, in the same order, as the dataclass
-    oracle ``reference_at -> desired_accel -> raw_inversion -> clamp ->
-    accelerate``, and the same ``ValueError`` on a non-finite desired
-    acceleration or raw command (which a non-finite state always causes).
+    Each row appends its state and its RK4 stage 1 to ``log`` (see
+    ``_LOGGED``); a row other than step ``n`` is then stepped to grid time
+    ``(k + 1) * dt``. Returns the state after the last row. Each of the four
+    stages repeats the dataclass pipeline ``reference_at -> desired_accel ->
+    raw_inversion -> clamp -> accelerate`` operation for operation. Raises
+    ``DivergenceError`` with the row's time, step, yaw and state when a
+    stage's desired acceleration or raw command, or the new state, is
+    non-finite (a non-finite state always makes the controller output so).
     """
     kx1, kx2, ky1, ky2, mass = params.kx1, params.kx2, params.ky1, params.ky2, params.m
     cos_th, sin_th = math.cos(params.theta), math.sin(params.theta)
     scale = 0.5 * params.m / params.k_thrust
     kc, ks = params.k_thrust * cos_th, params.k_thrust * sin_th
     c, s = math.cos(lam), math.sin(lam)
+    h2 = 0.5 * dt
     isfinite = math.isfinite
-
-    def f(t, x, y, vx, vy):
-        # reference_at(t): xr = t*t/2, vxr = t, axr = 1, zero laterally
+    for k in range(k, k + rows):
+        # stage 1 at t; reference_at(t): xr = t*t/2, vxr = t, axr = 1, zero laterally
         ax_d = 1.0 + kx1 * (t - vx) + kx2 * (0.5 * t * t - x)
         ay_d = 0.0 + ky1 * (0.0 - vy) + ky2 * (0.0 - y)
         u = (c * ax_d + s * ay_d) / cos_th
         v = (-s * ax_d + c * ay_d) / sin_th
-        sq1 = scale * (u + v)
-        sq2 = scale * (u - v)
+        sq1, sq2 = scale * (u + v), scale * (u - v)
         if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
-            raise ValueError(f"non-finite controller output at t={t}")
+            break
+        log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
+        if k == n:
+            return x, y, vx, vy
         # max(sq, 0.0), which keeps a -0.0
-        w1 = sq1 if sq1 >= 0.0 else 0.0
-        w2 = sq2 if sq2 >= 0.0 else 0.0
-        fx = kc * (w1 + w2)
-        fy = ks * (w1 - w2)
-        return ax_d, ay_d, sq1, sq2, (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
-
-    return f
-
-
-def _rk4(f, t, dt, x, y, vx, vy, a1x, a1y):
-    """Finish an RK4 step of kernel ``f`` from stage 1; ``ValueError`` if non-finite."""
-    h2 = 0.5 * dt
-    v2x, v2y = vx + h2 * a1x, vy + h2 * a1y
-    _, _, _, _, a2x, a2y = f(t + h2, x + h2 * vx, y + h2 * vy, v2x, v2y)
-    v3x, v3y = vx + h2 * a2x, vy + h2 * a2y
-    _, _, _, _, a3x, a3y = f(t + h2, x + h2 * v2x, y + h2 * v2y, v3x, v3y)
-    v4x, v4y = vx + dt * a3x, vy + dt * a3y
-    _, _, _, _, a4x, a4y = f(t + dt, x + dt * v3x, y + dt * v3y, v4x, v4y)
-    nxt = (
-        x + dt * (vx + 2.0 * v2x + 2.0 * v3x + v4x) / 6.0,
-        y + dt * (vy + 2.0 * v2y + 2.0 * v3y + v4y) / 6.0,
-        vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0,
-        vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0,
-    )
-    if not all(map(math.isfinite, nxt)):
-        raise ValueError(f"non-finite state after the step from t={t}")
-    return nxt
+        w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
+        fx, fy = kc * (w1 + w2), ks * (w1 - w2)
+        a1x, a1y = (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+        # stage 2 at t + dt/2
+        th = t + h2
+        xr = 0.5 * th * th
+        v2x, v2y = vx + h2 * a1x, vy + h2 * a1y
+        ax_d = 1.0 + kx1 * (th - v2x) + kx2 * (xr - (x + h2 * vx))
+        ay_d = 0.0 + ky1 * (0.0 - v2y) + ky2 * (0.0 - (y + h2 * vy))
+        u = (c * ax_d + s * ay_d) / cos_th
+        v = (-s * ax_d + c * ay_d) / sin_th
+        sq1, sq2 = scale * (u + v), scale * (u - v)
+        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            break
+        w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
+        fx, fy = kc * (w1 + w2), ks * (w1 - w2)
+        a2x, a2y = (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+        # stage 3 at t + dt/2
+        v3x, v3y = vx + h2 * a2x, vy + h2 * a2y
+        ax_d = 1.0 + kx1 * (th - v3x) + kx2 * (xr - (x + h2 * v2x))
+        ay_d = 0.0 + ky1 * (0.0 - v3y) + ky2 * (0.0 - (y + h2 * v2y))
+        u = (c * ax_d + s * ay_d) / cos_th
+        v = (-s * ax_d + c * ay_d) / sin_th
+        sq1, sq2 = scale * (u + v), scale * (u - v)
+        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            break
+        w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
+        fx, fy = kc * (w1 + w2), ks * (w1 - w2)
+        a3x, a3y = (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+        # stage 4 at t + dt
+        th = t + dt
+        v4x, v4y = vx + dt * a3x, vy + dt * a3y
+        ax_d = 1.0 + kx1 * (th - v4x) + kx2 * (0.5 * th * th - (x + dt * v3x))
+        ay_d = 0.0 + ky1 * (0.0 - v4y) + ky2 * (0.0 - (y + dt * v3y))
+        u = (c * ax_d + s * ay_d) / cos_th
+        v = (-s * ax_d + c * ay_d) / sin_th
+        sq1, sq2 = scale * (u + v), scale * (u - v)
+        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            break
+        w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
+        fx, fy = kc * (w1 + w2), ks * (w1 - w2)
+        a4x, a4y = (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+        nx = x + dt * (vx + 2.0 * v2x + 2.0 * v3x + v4x) / 6.0
+        ny = y + dt * (vy + 2.0 * v2y + 2.0 * v3y + v4y) / 6.0
+        nvx = vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0
+        nvy = vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0
+        if not (isfinite(nx) and isfinite(ny) and isfinite(nvx) and isfinite(nvy)):
+            break
+        x, y, vx, vy = nx, ny, nvx, nvy
+        t = (k + 1) * dt
+    else:
+        return x, y, vx, vy
+    raise DivergenceError(t, state=VehicleState(x, y, vx, vy), step=k, yaw=lam)
 
 
 def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
     """One RK4 step of the closed loop from grid time ``t`` to ``t + dt``.
 
-    The yaw is held at its value on grid step ``round(t / dt)``, as in ``run``.
+    Runs ``run``'s loop for one row, with its stage times from ``t`` and the
+    yaw held at its value on grid step ``round(t / dt)``; nothing past the
+    step is evaluated. Raises ``DivergenceError`` as ``run`` does, without a
+    trajectory.
     """
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    if not (t >= 0.0 and math.isfinite(t / config.dt)):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     k = round(t / config.dt)
     lam = _yaw(k, config.steps_per_half, config.gait)
-    f = _kernel(config.params, lam)
-    try:
-        _, _, _, _, ax, ay = f(t, state.x, state.y, state.vx, state.vy)
-        return VehicleState(*_rk4(f, t, config.dt, state.x, state.y, state.vx, state.vy, ax, ay))
-    except ValueError as exc:
-        raise DivergenceError(t, state=state, step=k, yaw=lam) from exc
+    x, y, vx, vy = state.x, state.y, state.vx, state.vy
+    return VehicleState(*_integrate(config.params, lam, config.dt, k, t, x, y, vx, vy, 1, k + 1, []))
 
 
 # floats that run() logs per row, in this order
@@ -244,31 +276,25 @@ def run(config: SimConfig) -> Trajectory:
 
     Deterministic for a fixed config; the yaw follows the step index (see
     ``_yaw``). Row k logs the state at step k and stage 1 of the step from
-    it. The log moves into one float block per half period, at each yaw
-    switch. On divergence the partial trajectory, up to the last fully
-    logged row, is attached to the raised error.
+    it. The loop runs one half period at a time, and its log moves into one
+    float block at each yaw switch. On divergence the partial trajectory, up
+    to the last fully logged row, is attached to the raised error.
     """
     params, gait, dt = config.params, config.gait, config.dt
     n, m = config.n_steps, config.steps_per_half
     s0 = config.initial_state
-    x, y, vx, vy = s0.x, s0.y, s0.vx, s0.vy
+    state = (s0.x, s0.y, s0.vx, s0.vy)
     log: list[float] = []
     blocks: list[np.ndarray] = []
     try:
-        for k in range(n + 1):
-            t = k * dt
-            if k % m == 0:
-                blocks.append(_block(log))
-                f = _kernel(params, _yaw(k, m, gait))
-            ax_d, ay_d, sq1, sq2, ax, ay = f(t, x, y, vx, vy)
-            log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
-            if k < n:
-                x, y, vx, vy = _rk4(f, t, dt, x, y, vx, vy, ax, ay)
-    except ValueError as exc:
+        for k in range(0, n + 1, m):
+            lam = _yaw(k, m, gait)
+            state = _integrate(params, lam, dt, k, k * dt, *state, min(m, n + 1 - k), n, log)
+            blocks.append(_block(log))
+    except DivergenceError as exc:
         blocks.append(_block(log))
-        state = VehicleState(x, y, vx, vy)
-        raise DivergenceError(t, _trajectory(blocks, config), state, k, _yaw(k, m, gait)) from exc
-    blocks.append(_block(log))
+        exc.trajectory = _trajectory(blocks, config)
+        raise
     return _trajectory(blocks, config)
 
 

@@ -17,6 +17,11 @@ checks a logged run one half-period boundary at a time, and
 bisected instead of solved. ``joined_trajectory_csv`` and
 ``joined_grid_csv`` build the whole CSV text and write it in one call, as
 the writers did before they streamed it.
+
+``kernel`` and ``kernel_rk4`` are the simulator's closed-loop arithmetic as
+a chain of calls: one float-only controller closure per yaw, called once
+per RK4 stage. ``kernel_run`` and ``kernel_step`` drive it as ``run`` and
+``step`` did before the four stages were written out in one loop.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import numpy as np
 
 from tiltsim import (
     DELTA_L_CAP,
+    DivergenceError,
     ErrorState,
     RawCommand,
     VehicleState,
@@ -47,7 +53,7 @@ from tiltsim import (
 )
 from tiltsim.analysis import _EVENT_BLOCK, _EVENT_STEP, _EVENT_T_MAX, INV_SQRT3, _rk4_matrix
 from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
-from tiltsim.simulator import TRAJECTORY_COLUMNS
+from tiltsim.simulator import TRAJECTORY_COLUMNS, _block, _trajectory, _yaw
 
 SQRT3 = math.sqrt(3.0)
 
@@ -580,3 +586,96 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
         "checks": checks,
         "summary": summary,
     }
+
+
+def kernel(params, lam):
+    """Float-only ``f(t, x, y, vx, vy) -> (ax_d, ay_d, sq1, sq2, ax, ay)`` at yaw ``lam``.
+
+    Same floating-point operations, in the same order, as the dataclass
+    oracle ``reference_at -> desired_accel -> raw_inversion -> clamp ->
+    accelerate``, and the same ``ValueError`` on a non-finite desired
+    acceleration or raw command (which a non-finite state always causes).
+    """
+    kx1, kx2, ky1, ky2, mass = params.kx1, params.kx2, params.ky1, params.ky2, params.m
+    cos_th, sin_th = math.cos(params.theta), math.sin(params.theta)
+    scale = 0.5 * params.m / params.k_thrust
+    kc, ks = params.k_thrust * cos_th, params.k_thrust * sin_th
+    c, s = math.cos(lam), math.sin(lam)
+    isfinite = math.isfinite
+
+    def f(t, x, y, vx, vy):
+        # reference_at(t): xr = t*t/2, vxr = t, axr = 1, zero laterally
+        ax_d = 1.0 + kx1 * (t - vx) + kx2 * (0.5 * t * t - x)
+        ay_d = 0.0 + ky1 * (0.0 - vy) + ky2 * (0.0 - y)
+        u = (c * ax_d + s * ay_d) / cos_th
+        v = (-s * ax_d + c * ay_d) / sin_th
+        sq1 = scale * (u + v)
+        sq2 = scale * (u - v)
+        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            raise ValueError(f"non-finite controller output at t={t}")
+        # max(sq, 0.0), which keeps a -0.0
+        w1 = sq1 if sq1 >= 0.0 else 0.0
+        w2 = sq2 if sq2 >= 0.0 else 0.0
+        fx = kc * (w1 + w2)
+        fy = ks * (w1 - w2)
+        return ax_d, ay_d, sq1, sq2, (c * fx - s * fy) / mass, (s * fx + c * fy) / mass
+
+    return f
+
+
+def kernel_rk4(f, t, dt, x, y, vx, vy, a1x, a1y):
+    """Finish an RK4 step of kernel ``f`` from stage 1; ``ValueError`` if non-finite."""
+    h2 = 0.5 * dt
+    v2x, v2y = vx + h2 * a1x, vy + h2 * a1y
+    _, _, _, _, a2x, a2y = f(t + h2, x + h2 * vx, y + h2 * vy, v2x, v2y)
+    v3x, v3y = vx + h2 * a2x, vy + h2 * a2y
+    _, _, _, _, a3x, a3y = f(t + h2, x + h2 * v2x, y + h2 * v2y, v3x, v3y)
+    v4x, v4y = vx + dt * a3x, vy + dt * a3y
+    _, _, _, _, a4x, a4y = f(t + dt, x + dt * v3x, y + dt * v3y, v4x, v4y)
+    nxt = (
+        x + dt * (vx + 2.0 * v2x + 2.0 * v3x + v4x) / 6.0,
+        y + dt * (vy + 2.0 * v2y + 2.0 * v3y + v4y) / 6.0,
+        vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0,
+        vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0,
+    )
+    if not all(map(math.isfinite, nxt)):
+        raise ValueError(f"non-finite state after the step from t={t}")
+    return nxt
+
+
+def kernel_step(state, t, config):
+    """``simulator.step`` through ``kernel`` and ``kernel_rk4``."""
+    k = round(t / config.dt)
+    lam = _yaw(k, config.steps_per_half, config.gait)
+    f = kernel(config.params, lam)
+    try:
+        _, _, _, _, ax, ay = f(t, state.x, state.y, state.vx, state.vy)
+        return VehicleState(*kernel_rk4(f, t, config.dt, state.x, state.y, state.vx, state.vy, ax, ay))
+    except ValueError as exc:
+        raise DivergenceError(t, state=state, step=k, yaw=lam) from exc
+
+
+def kernel_run(config):
+    """``simulator.run`` through ``kernel`` and ``kernel_rk4``: one call per stage."""
+    params, gait, dt = config.params, config.gait, config.dt
+    n, m = config.n_steps, config.steps_per_half
+    s0 = config.initial_state
+    x, y, vx, vy = s0.x, s0.y, s0.vx, s0.vy
+    log = []
+    blocks = []
+    try:
+        for k in range(n + 1):
+            t = k * dt
+            if k % m == 0:
+                blocks.append(_block(log))
+                f = kernel(params, _yaw(k, m, gait))
+            ax_d, ay_d, sq1, sq2, ax, ay = f(t, x, y, vx, vy)
+            log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
+            if k < n:
+                x, y, vx, vy = kernel_rk4(f, t, dt, x, y, vx, vy, ax, ay)
+    except ValueError as exc:
+        blocks.append(_block(log))
+        state = VehicleState(x, y, vx, vy)
+        raise DivergenceError(t, _trajectory(blocks, config), state, k, _yaw(k, m, gait)) from exc
+    blocks.append(_block(log))
+    return _trajectory(blocks, config)

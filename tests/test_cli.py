@@ -68,6 +68,13 @@ DIVERGING_KY2 = {
 # the benchmark's reference outputs, one entry per operation it can draw
 PINS = Path(__file__).resolve().parents[1] / "benchmarks" / "pins.json"
 
+# the 16 pinned simulate operations by test id: the preset, then any start offset
+SIMULATE_PINS = {
+    op["preset"] + ("" if op["y0"] == op["vy0"] == 0.0 else f"-y0={op['y0']}-vy0={op['vy0']}"): op
+    for op in map(json.loads, sorted(json.loads(PINS.read_text())))
+    if op["cmd"] == "simulate"
+}
+
 # SHA-256 of (trajectory.csv, manifest.ini) from `simulate --duration 2.0`,
 # recorded with the simulator that ran the dataclass pipeline in every RK4
 # stage; run-vs-run tests cannot see a change that alters both runs alike
@@ -266,17 +273,17 @@ class TestSimulate:
         oc.joined_trajectory_csv(partial, tmp_path / "printed.csv")
         assert (out / "trajectory.csv").read_bytes() == (tmp_path / "printed.csv").read_bytes()
 
-    @pytest.mark.parametrize("preset", ["large", "small"])
-    def test_benchmark_pins(self, preset, tmp_path, monkeypatch):
-        # the pinned 20 s run with no start offset, from the argv and INI the benchmark passes
+    @pytest.mark.parametrize("case", sorted(SIMULATE_PINS))
+    def test_benchmark_pins(self, case, tmp_path, monkeypatch):
+        # each pinned 20 s run, from the argv and INI the benchmark passes
         for key in list(os.environ):
             if key.startswith("TILTSIM_"):
                 monkeypatch.delenv(key)
-        op = {"cmd": "simulate", "preset": preset, "y0": 0.0, "vy0": 0.0}
+        op = SIMULATE_PINS[case]
         pin = json.loads(PINS.read_text())[json.dumps(op, sort_keys=True)]
         ini, out = tmp_path / "sim.ini", tmp_path / "run"
-        ini.write_text("[sim]\ny0 = 0.0\nvy0 = 0.0\n")
-        argv = ["simulate", "--preset", preset, "--dt", "0.001", "--duration", "20.0"]
+        ini.write_text(f"[sim]\ny0 = {op['y0']!r}\nvy0 = {op['vy0']!r}\n")
+        argv = ["simulate", "--preset", op["preset"], "--dt", "0.001", "--duration", "20.0"]
         rc = main(argv + ["--config", str(ini), "--out-dir", str(out)])
         got = {
             "rc": rc,

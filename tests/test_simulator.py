@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
 from tiltsim import (
@@ -31,7 +31,6 @@ from tiltsim import (
     verify_trajectory,
 )
 from tiltsim.output import fmt, write_trajectory_csv
-from tiltsim.simulator import _kernel
 
 SQRT3 = math.sqrt(3.0)
 
@@ -120,9 +119,29 @@ class TestStep:
             stepped = [getattr(s, name).hex() for s in states]
             assert stepped == [v.hex() for v in traj.column(name).tolist()], name
 
+    def test_evaluates_nothing_past_its_step(self):
+        # this run fails in stage 1 of row k: row k's state is finite, its command is not
+        cfg = _DIVERGING[4]
+        with pytest.raises(DivergenceError) as info:
+            run(cfg)
+        err, partial = info.value, info.value.trajectory
+        k = err.step
+        assert k > 0 and len(partial) == k
+        before = VehicleState(*(float(partial.column(n)[k - 1]) for n in ("x", "y", "vx", "vy")))
+        assert step(before, (k - 1) * cfg.dt, cfg) == err.state
+        with pytest.raises(DivergenceError) as again:
+            step(err.state, err.t, cfg)
+        assert (again.value.step, again.value.yaw) == (k, err.yaw)
+
+    @pytest.mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time_raises(self, t):
+        cfg = SimConfig(gait=preset("small"))
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            step(VehicleState(0.0, 0.0, 0.0, 0.0), t, cfg)
+
 
 def _pipeline(params, lam, t, x, y, vx, vy):
-    """The public dataclass path that the simulator kernel must reproduce."""
+    """The public dataclass path that ``oracles.kernel`` must reproduce."""
     acc = desired_accel(VehicleState(x, y, vx, vy), reference_at(t), params)
     raw = raw_inversion(acc, lam, params)
     ax, ay = accelerate(clamp(raw), lam, params)
@@ -156,7 +175,7 @@ class TestKernel:
         state=st.tuples(_coord, _coord, _coord, _coord),
     )
     def test_matches_dataclass_pipeline_bit_for_bit(self, params, amplitude, sign, t, state):
-        f = _kernel(params, sign * amplitude)
+        f = oc.kernel(params, sign * amplitude)
         try:
             expected = _pipeline(params, sign * amplitude, t, *state)
         except ValueError:
@@ -164,6 +183,119 @@ class TestKernel:
                 f(t, *state)
             return
         assert [v.hex() for v in f(t, *state)] == [v.hex() for v in expected]
+
+
+_params = st.builds(
+    ModelParams,
+    m=st.floats(0.1, 10.0),
+    theta=st.floats(0.01, 1.56),
+    k_thrust=st.floats(1e-4, 1.0),
+    kx1=_gain,
+    kx2=_gain,
+    ky1=_gain,
+    ky2=st.one_of(_gain, st.sampled_from([1e8, 1e12, 1e15, 1e300, 1e307])),
+)
+_start = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0, 0.5]), _coord)
+
+
+@st.composite
+def _sim_configs(draw):
+    """Random model, gait and start state; ``dt`` divides the half period, runs span up to 4."""
+    gait = GaitSchedule(
+        amplitude=draw(st.floats(0.01, 1.56)),
+        period=draw(st.floats(0.002, 4.0)),
+        phase_sign=draw(st.sampled_from([-1, 1])),
+    )
+    m = draw(st.integers(1, 40))
+    dt = gait.half_period / m
+    return SimConfig(
+        params=draw(_params),
+        gait=gait,
+        dt=dt,
+        duration=draw(st.integers(1, 4 * m)) * dt,
+        initial_state=VehicleState(*draw(st.tuples(_start, _start, _start, _start))),
+    )
+
+
+def _hex_state(s):
+    return [s.x.hex(), s.y.hex(), s.vx.hex(), s.vy.hex()]
+
+
+def _outcome(fn, *args):
+    """Every logged column, or the divergence record and partial log, as hex strings."""
+    try:
+        out, failure = fn(*args), None
+    except DivergenceError as err:
+        out = err.trajectory
+        failure = (err.t.hex(), err.step, err.yaw.hex(), _hex_state(err.state))
+    if isinstance(out, VehicleState):
+        return _hex_state(out), failure
+    if out is None:
+        return None, failure
+    columns = {}
+    for f in dataclasses.fields(out):
+        col = out.column(f.name).tolist()
+        columns[f.name] = [v.hex() if isinstance(v, float) else v for v in col]
+    return columns, failure
+
+
+# runs that diverge at each place a step can fail; the first four are the
+# CLI tests' DIVERGING_KY2 runs (small preset, y0 = 0.5, 0 to 3769 logged rows)
+_DIVERGING = [
+    SimConfig(
+        params=ModelParams(ky2=ky2),
+        gait=preset("small"),
+        duration=6.0,
+        initial_state=VehicleState(0.0, 0.5, 0.0, 0.0),
+    )
+    for ky2 in (1e307, 1e300, 1e8, 2e7, 1e15)  # 1e15 fails in stage 1 of row 19
+] + [
+    # every controller output stays finite, but the first new velocity overflows
+    SimConfig(
+        params=ModelParams(0.1, math.pi / 4, 1.0, 0.1, 0.1, 0.1, 0.1),
+        gait=preset("large"),
+        duration=0.01,
+        initial_state=VehicleState(0.0, 0.0, 1e308, 0.0),
+    )
+]
+
+
+class TestFusedLoop:
+    """``run`` and ``step`` equal the kernel call chain of ``oracles`` bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=_sim_configs())
+    @example(config=_DIVERGING[0])
+    @example(config=_DIVERGING[1])
+    @example(config=_DIVERGING[2])
+    @example(config=_DIVERGING[3])
+    @example(config=_DIVERGING[4])
+    @example(config=_DIVERGING[5])
+    def test_run_matches_kernel_chain(self, config):
+        assert _outcome(run, config) == _outcome(oc.kernel_run, config)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        config=_sim_configs(),
+        t=st.one_of(st.floats(0.0, 100.0), st.integers(0, 5000)),
+        state=st.tuples(_start, _start, _start, _start),
+    )
+    @example(config=_DIVERGING[5], t=0, state=(0.0, 0.0, 1e308, 0.0))
+    def test_step_matches_kernel_chain(self, config, t, state):
+        # an integer t is a grid step index
+        t = t * config.dt if isinstance(t, int) else t
+        state = VehicleState(*state)
+        assert _outcome(step, state, t, config) == _outcome(oc.kernel_step, state, t, config)
+
+    def test_diverging_examples_fail_where_expected(self):
+        # (failing step, logged rows): before row 0's log, after it, in the
+        # later stages of a later row, in stage 1 of a later row, and in the new state
+        got = []
+        for config in _DIVERGING:
+            with pytest.raises(DivergenceError) as info:
+                run(config)
+            got.append((info.value.step, len(info.value.trajectory)))
+        assert got == [(0, 0), (0, 1), (224, 225), (3768, 3769), (19, 19), (0, 1)]
 
 
 class TestRun:
