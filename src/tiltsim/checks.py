@@ -4,8 +4,11 @@ Each check exercises one property of the saturated closed loop: the
 switch-matrix control rule, the region classification rule, hitting-time
 range and residual, quadrant capture, the half-period Lyapunov-change cap,
 endpoint-maximality of the Lyapunov log, and odd symmetry of the
-half-period map. Checks report pass/fail with details instead of raising,
-so a gain setting that breaks the analysis is flagged, not fatal.
+half-period map. Each check function returns ``(passed, detail)``, and
+``check`` turns it into a ``Check``: an exception fails the check with its
+type and message, so a gain setting that breaks the analysis is flagged,
+not fatal. ``verify_trajectory`` builds the ``simulate`` report with the
+same ``Check`` and ``check``.
 
 The checks work on arrays; the controller-rule checks call each controller
 function once (per yaw sign) on a block of values. ``_sample_region`` draws
@@ -19,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -48,26 +51,45 @@ from .controller import (
 from .gait import reference_at
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
-__all__ = ["LemmaCheck", "run_lemma_checks"]
+__all__ = ["Check", "NotApplicable", "check", "run_lemma_checks"]
 
 _N_SAMPLES = 200  # states per sampled check
 
 
 @dataclass
-class LemmaCheck:
+class Check:
+    """One property's verdict; a check that does not apply passes."""
+
     name: str
+    applicable: bool
     passed: bool
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
+        return asdict(self)
 
 
-def _guarded(name: str, fn) -> LemmaCheck:
+class NotApplicable(Exception):
+    """Raised while evaluating a check that turns out not to apply; the message is the reason."""
+
+
+def check(name: str, reason: str | None, evaluate) -> Check:
+    """The verdict of ``evaluate() -> (passed, detail)``, unless ``reason`` says it does not apply.
+
+    A not-applicable reason, given or raised as ``NotApplicable``, gives a
+    passing check with ``applicable`` false and the reason in ``note``; any
+    other exception gives a failing check with ``"<Type>: <message>"`` in
+    ``error``.
+    """
     try:
-        return fn()
-    except Exception as exc:  # a failing gain set must be reported, not fatal
-        return LemmaCheck(name, False, {"error": f"{type(exc).__name__}: {exc}"})
+        if reason:
+            raise NotApplicable(reason)
+        passed, detail = evaluate()
+    except NotApplicable as exc:
+        return Check(name, False, True, {"note": str(exc)})
+    except Exception as exc:  # a check that cannot be computed is reported, not fatal
+        return Check(name, True, False, {"error": f"{type(exc).__name__}: {exc}"})
+    return Check(name, True, passed, detail)
 
 
 def _sample_region(rng, n, lambda_sign, params):
@@ -97,16 +119,16 @@ def _sample_region(rng, n, lambda_sign, params):
     return e[hits[:n]], edot[hits[:n]]
 
 
-def _check_clamp_rule(rng, n, params) -> LemmaCheck:
+def _check_clamp_rule(rng, n, params) -> tuple[bool, dict]:
     raw = RawCommand(*rng.uniform(-1000.0, 1000.0, size=(n, 2)).T)
     cmd, sm = clamp(raw), switch_matrix_of(raw)
     # the diagonal switch matrix applied to the raw command
     diffs = np.abs(np.concatenate([sm.p * raw.sq1 - cmd.w1sq, sm.q * raw.sq2 - cmd.w2sq]))
     worst = float(np.max(diffs, initial=0.0))
-    return LemmaCheck("clamp_switch_consistency", worst == 0.0, {"max_abs_diff": worst, "n": n})
+    return worst == 0.0, {"max_abs_diff": worst, "n": n}
 
 
-def _check_region_rule(rng, n, params) -> LemmaCheck:
+def _check_region_rule(rng, n, params) -> tuple[bool, dict]:
     e, edot = rng.uniform(-2.0, 2.0, size=(n, 2)).T
     # states on a threshold line are left out: rounding decides their pattern
     far = np.abs(np.abs(_pd_output(e, edot, params)) - INV_SQRT3) >= 1e-9
@@ -119,12 +141,10 @@ def _check_region_rule(rng, n, params) -> LemmaCheck:
         raw = raw_inversion(acc, sign * math.pi / 3, params)
         rule, exact = classify_region(e, edot, sign, params), switch_matrix_of(raw)
         bad += int(np.count_nonzero((rule.p != exact.p) | (rule.q != exact.q)))
-    return LemmaCheck(
-        "region_rule_consistency", bad == 0, {"n_checked": 2 * e.size, "n_violations": bad}
-    )
+    return bad == 0, {"n_checked": 2 * e.size, "n_violations": bad}
 
 
-def _check_hitting_range(rng, n, params) -> LemmaCheck:
+def _check_hitting_range(rng, n, params) -> tuple[bool, dict]:
     worst_t = -math.inf
     for sign in (+1, -1):
         e, edot = _sample_region(rng, n, sign, params)
@@ -133,16 +153,12 @@ def _check_hitting_range(rng, n, params) -> LemmaCheck:
         if bad.any():
             k = bad.argmax()
             _require_hits(t[k], params)
-            return LemmaCheck(
-                "hitting_time_range",
-                False,
-                {"state": [float(e[k]), float(edot[k])], "t": float(t[k])},
-            )
+            return False, {"state": [float(e[k]), float(edot[k])], "t": float(t[k])}
         worst_t = max(worst_t, float(np.max(t, initial=-math.inf)))
-    return LemmaCheck("hitting_time_range", True, {"n_per_region": n, "max_t": worst_t})
+    return True, {"n_per_region": n, "max_t": worst_t}
 
 
-def _check_hitting_residual(rng, n, params) -> LemmaCheck:
+def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     signs = (+1, -1)
     samples = [_sample_region(rng, n, sign, params) for sign in signs]
     t_closed = np.concatenate(
@@ -154,9 +170,7 @@ def _check_hitting_residual(rng, n, params) -> LemmaCheck:
     if np.isnan(t_event).any():
         raise ValueError(_NO_EVENT_ERROR)
     worst = float(np.max(np.abs(t_closed - t_event), initial=0.0))
-    return LemmaCheck(
-        "hitting_time_residual", worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
-    )
+    return worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
 
 
 def _grid_maps(resolution, params):
@@ -167,17 +181,13 @@ def _grid_maps(resolution, params):
     }
 
 
-def _check_capture(maps, params) -> LemmaCheck:
+def _check_capture(maps, params) -> tuple[bool, dict]:
     reports = {sign: m.capture(params) for sign, m in maps.items()}
     passed = all(r.passed for r in reports.values())
-    return LemmaCheck(
-        "quadrant_capture",
-        passed,
-        {str(sign): rep.to_dict() for sign, rep in reports.items()},
-    )
+    return passed, {str(sign): rep.to_dict() for sign, rep in reports.items()}
 
 
-def _check_self_map(maps, params) -> LemmaCheck:
+def _check_self_map(maps, params) -> tuple[bool, dict]:
     start = maps[+1]
     start.delta_l(params)  # raises if a start cell does not settle
     mid_e, mid_ed = start.e1, start.ed1
@@ -185,14 +195,10 @@ def _check_self_map(maps, params) -> LemmaCheck:
     end_e, end_ed = _map_settled(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
     end_ok = _region_mask(end_e, end_ed, +1, params)
     bad = int((~mid_ok).sum() + (~end_ok).sum())
-    return LemmaCheck(
-        "two_half_period_self_map",
-        bad == 0,
-        {"n_checked": int(start.e0.size), "n_violations": bad},
-    )
+    return bad == 0, {"n_checked": int(start.e0.size), "n_violations": bad}
 
 
-def _check_delta_l_bound(maps, params) -> LemmaCheck:
+def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
     tol = 1e-3
     details = {}
     ok = True
@@ -218,10 +224,10 @@ def _check_delta_l_bound(maps, params) -> LemmaCheck:
             ok = False
         if line_dist is not None and de > 0.0 and line_dist > math.hypot(de, de):
             ok = False
-    return LemmaCheck("delta_l_bound", ok, details)
+    return ok, details
 
 
-def _check_local_max(rng, n, params) -> LemmaCheck:
+def _check_local_max(rng, n, params) -> tuple[bool, dict]:
     worst = -math.inf
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
@@ -238,18 +244,16 @@ def _check_local_max(rng, n, params) -> LemmaCheck:
         values = 0.5 * edot * edot + 0.5 * params.ky2 * e * e
         endpoint = np.maximum(values[:, 0], values[:, -1])
         worst = max(worst, float(np.max(values.max(axis=1) - endpoint)))
-    return LemmaCheck(
-        "lyapunov_local_max", worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
-    )
+    return worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
 
 
-def _check_odd_symmetry(rng, n, params) -> LemmaCheck:
+def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
     e, edot = _sample_region(rng, n, +1, params)
     fwd_e, fwd_ed = _map_settled(e, edot, +1, params, 1.0)
     mirrored_e, mirrored_ed = _map_settled(-e, -edot, -1, params, 1.0)
     diffs = np.abs(np.concatenate([fwd_e + mirrored_e, fwd_ed + mirrored_ed]))
     worst = float(np.max(diffs, initial=0.0))
-    return LemmaCheck("odd_symmetry", worst < 1e-12, {"max_abs_diff": worst})
+    return worst < 1e-12, {"max_abs_diff": worst}
 
 
 def run_lemma_checks(
@@ -265,24 +269,19 @@ def run_lemma_checks(
     # the three grid checks share one map per sign; an exception is not
     # cached, so a map that raises fails each of them, as it did one by one
     grid_maps = functools.cache(lambda: _grid_maps(resolution, params))
-    checks = [
-        _guarded("clamp_switch_consistency", lambda: _check_clamp_rule(rng, _N_SAMPLES, params)),
-        _guarded("region_rule_consistency", lambda: _check_region_rule(rng, _N_SAMPLES, params)),
-        _guarded("hitting_time_range", lambda: _check_hitting_range(rng, _N_SAMPLES, params)),
-        _guarded(
-            "hitting_time_residual",
-            lambda: _check_hitting_residual(rng, max(10, _N_SAMPLES // 10), params),
-        ),
-        _guarded("quadrant_capture", lambda: _check_capture(grid_maps(), params)),
-        _guarded("two_half_period_self_map", lambda: _check_self_map(grid_maps(), params)),
-        _guarded("delta_l_bound", lambda: _check_delta_l_bound(grid_maps(), params)),
-        _guarded(
-            "lyapunov_local_max", lambda: _check_local_max(rng, max(10, _N_SAMPLES // 10), params)
-        ),
-        _guarded(
-            "odd_symmetry", lambda: _check_odd_symmetry(rng, max(10, _N_SAMPLES // 4), params)
-        ),
-    ]
+    few = max(10, _N_SAMPLES // 10)
+    suite = {
+        "clamp_switch_consistency": lambda: _check_clamp_rule(rng, _N_SAMPLES, params),
+        "region_rule_consistency": lambda: _check_region_rule(rng, _N_SAMPLES, params),
+        "hitting_time_range": lambda: _check_hitting_range(rng, _N_SAMPLES, params),
+        "hitting_time_residual": lambda: _check_hitting_residual(rng, few, params),
+        "quadrant_capture": lambda: _check_capture(grid_maps(), params),
+        "two_half_period_self_map": lambda: _check_self_map(grid_maps(), params),
+        "delta_l_bound": lambda: _check_delta_l_bound(grid_maps(), params),
+        "lyapunov_local_max": lambda: _check_local_max(rng, few, params),
+        "odd_symmetry": lambda: _check_odd_symmetry(rng, max(10, _N_SAMPLES // 4), params),
+    }
+    checks = [check(name, None, evaluate) for name, evaluate in suite.items()]
     return {
         "passed": all(c.passed for c in checks),
         "seed": seed,

@@ -44,6 +44,13 @@ def _print_level_note(crit) -> None:
         print(DEGENERATE_NOTE if crit.n_positive_cells == 0 else UNBRACKETED_NOTE)
 
 
+def _print_checks(report: dict) -> None:
+    """One ``[PASS]``, ``[FAIL]`` or ``[SKIP]`` (not applicable) line per check of a report."""
+    for c in report["checks"]:
+        status = "SKIP" if not c["applicable"] else "PASS" if c["passed"] else "FAIL"
+        print(f"[{status}] {c['name']}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; each parse gets a fresh namespace.
@@ -104,23 +111,20 @@ def cmd_simulate(args) -> int:
         if exc.trajectory is not None:
             write_trajectory_csv(exc.trajectory, out_dir / "trajectory.csv")
         # enough to reproduce: simulator.step(state, t, config) fails again
-        report = {"passed": False, "diverged": True, "t": exc.t, "step": exc.step, "yaw": exc.yaw}
-        report["state"] = dataclasses.asdict(exc.state)
+        report = {"passed": False, "diverged": True, "cause": exc.cause, "t": exc.t}
+        report.update(step=exc.step, yaw=exc.yaw, state=dataclasses.asdict(exc.state))
         write_json(out_dir / "report.json", report)
         return EXIT_DIVERGED
-    report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution)
+    report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution).to_dict()
     write_trajectory_csv(traj, out_dir / "trajectory.csv")
-    write_json(out_dir / "report.json", report.to_dict())
-    for check in report.checks:
-        status = "PASS" if check.passed else "FAIL"
-        if not check.applicable:
-            status = "SKIP"
-        print(f"[{status}] {check.name}")
+    write_json(out_dir / "report.json", report)
+    _print_checks(report)
+    summary = report["summary"]
     print(
-        f"samples={report.summary['n_samples']} clamped={report.summary['n_clamped_samples']} "
-        f"max|ex|={report.summary['max_abs_ex']:.3e} max|ey|={report.summary['max_abs_ey']:.3e}"
+        f"samples={summary['n_samples']} clamped={summary['n_clamped_samples']} "
+        f"max|ex|={summary['max_abs_ex']:.3e} max|ey|={summary['max_abs_ey']:.3e}"
     )
-    return EXIT_OK if report.passed else EXIT_CHECKS_FAILED
+    return EXIT_OK if report["passed"] else EXIT_CHECKS_FAILED
 
 
 def cmd_sweep_delta_l(args) -> int:
@@ -212,8 +216,7 @@ def cmd_verify_lemmas(args) -> int:
     report = run_lemma_checks(cfg.params, cfg.sweep.resolution, cfg.sweep.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "lemma_report.json", report)
-    for check in report["checks"]:
-        print(f"[{'PASS' if check['passed'] else 'FAIL'}] {check['name']}")
+    _print_checks(report)
     return EXIT_OK if report["passed"] else EXIT_CHECKS_FAILED
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .analysis import DELTA_L_CAP, TWO_PI, _region_mask, critical_lyapunov, feasible_cone
+from .checks import Check, NotApplicable, check
 from .gait import GaitSchedule, PRESETS
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
@@ -72,11 +73,11 @@ class SimConfig:
 class DivergenceError(RuntimeError):
     """The integration produced a non-finite controller output or state.
 
-    Carries the time at which the step failed, the last finite state, the
-    step index and yaw of the failing step, and (from ``run``) the partial
-    trajectory up to the last fully logged row. ``run`` and ``step`` raise it
-    from the same loop, so ``step(state, t, config)`` from that state and
-    time fails again.
+    Carries what became non-finite (``cause``), the time at which the step
+    failed, the last finite state, the step index and yaw of the failing
+    step, and (from ``run``) the partial trajectory up to the last fully
+    logged row. ``run`` and ``step`` raise it from the same loop, so
+    ``step(state, t, config)`` from that state and time fails again.
     """
 
     def __init__(
@@ -86,13 +87,15 @@ class DivergenceError(RuntimeError):
         state: VehicleState | None = None,
         step: int | None = None,
         yaw: float | None = None,
+        cause: str = "state",
     ):
-        super().__init__(f"state became non-finite during the step starting at t={t}")
+        super().__init__(f"{cause} became non-finite during the step starting at t={t}")
         self.t = t
         self.trajectory = trajectory
         self.state = state
         self.step = step
         self.yaw = yaw
+        self.cause = cause
 
 
 @dataclass
@@ -158,9 +161,9 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
     ``(k + 1) * dt``. Returns the state after the last row. Each of the four
     stages repeats the dataclass pipeline ``reference_at -> desired_accel ->
     raw_inversion -> clamp -> accelerate`` operation for operation. Raises
-    ``DivergenceError`` with the row's time, step, yaw and state when a
-    stage's desired acceleration or raw command, or the new state, is
-    non-finite (a non-finite state always makes the controller output so).
+    ``DivergenceError``, naming it as the cause, when a stage's desired
+    acceleration or raw command, or the new state, is non-finite (a
+    non-finite state always makes the controller output so).
     """
     kx1, kx2, ky1, ky2, mass = params.kx1, params.kx2, params.ky1, params.ky2, params.m
     cos_th, sin_th = math.cos(params.theta), math.sin(params.theta)
@@ -177,6 +180,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         v = (-s * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
         if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            stage = 1
             break
         log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
         if k == n:
@@ -195,6 +199,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         v = (-s * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
         if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            stage = 2
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
         fx, fy = kc * (w1 + w2), ks * (w1 - w2)
@@ -207,6 +212,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         v = (-s * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
         if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            stage = 3
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
         fx, fy = kc * (w1 + w2), ks * (w1 - w2)
@@ -220,6 +226,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         v = (-s * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
         if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+            stage = 4
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
         fx, fy = kc * (w1 + w2), ks * (w1 - w2)
@@ -229,12 +236,15 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         nvx = vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0
         nvy = vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0
         if not (isfinite(nx) and isfinite(ny) and isfinite(nvx) and isfinite(nvy)):
+            stage = None
             break
         x, y, vx, vy = nx, ny, nvx, nvy
         t = (k + 1) * dt
     else:
         return x, y, vx, vy
-    raise DivergenceError(t, state=VehicleState(x, y, vx, vy), step=k, yaw=lam)
+    part = "raw command" if isfinite(ax_d) and isfinite(ay_d) else "desired acceleration"
+    cause = f"stage {stage} {part}" if stage else "new state"
+    raise DivergenceError(t, state=VehicleState(x, y, vx, vy), step=k, yaw=lam, cause=cause)
 
 
 def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
@@ -332,31 +342,15 @@ def _trajectory(blocks: list[np.ndarray], config: SimConfig) -> Trajectory:
 
 
 @dataclass
-class TrajectoryCheck:
-    name: str
-    applicable: bool
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "applicable": self.applicable,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
-
-@dataclass
 class VerificationReport:
     """Per-property pass/fail record for one completed run."""
 
-    checks: list[TrajectoryCheck]
+    checks: list[Check]
     summary: dict = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks if c.applicable)
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
         return {
@@ -383,11 +377,13 @@ def verify_trajectory(
         boundaries stays inside the union of the two capture regions.
 
     All four work on the boundary rows ``b = m, 2m, ..., n_half*m`` (``m``
-    steps per half period) and on whole columns of the log. A check that
-    does not apply passes with ``applicable`` false and its reason in
-    ``note``: (a) and (b) need one complete half period, and (c) and (d)
-    also need a run where clamping actually occurred. If ``l_critical`` is
-    not given, (c) computes it at ``grid_resolution``.
+    steps per half period) and on whole columns of the log. Each is built
+    with ``checks.check``: a check that does not apply passes with
+    ``applicable`` false and its reason in ``note``, and an exception fails
+    it with the error. (a) and (b) need one complete half period, and (c)
+    and (d) also need a run where clamping actually occurred. If
+    ``l_critical`` is not given, (c) computes it at ``grid_resolution``, and
+    does not apply if the search could not bracket the level.
     """
     params, m, lyap = config.params, config.steps_per_half, traj.lyap
     size = len(traj)
@@ -400,10 +396,6 @@ def verify_trajectory(
     settle_h = int(grew[0]) + 1 if saturated_run and grew.size else None
     empty = "empty" if n_half < 1 else None
     clamp_skip = empty or (None if saturated_run else "no clamping occurred")
-    if not clamp_skip and l_critical is None:
-        l_critical = critical_lyapunov(
-            resolution=grid_resolution, params=params, half_period=config.gait.half_period
-        ).l_critical
 
     def switch_restriction():
         # negative yaw allows S11/S10 (first rotor active), positive S11/S01
@@ -420,6 +412,14 @@ def verify_trajectory(
         return worst <= _LYAP_TOL, {"max_overshoot": worst, "tolerance": _LYAP_TOL}
 
     def lyapunov_sup_bound():
+        nonlocal l_critical
+        if l_critical is None:
+            crit = critical_lyapunov(
+                resolution=grid_resolution, params=params, half_period=config.gait.half_period
+            )
+            if not crit.bracketed:
+                raise NotApplicable("critical level not bracketed")
+            l_critical = crit.l_critical
         bound = l_critical + DELTA_L_CAP
         sup_tail = float(lyap[(settle_h or 1) * m :].max())
         return sup_tail <= bound, {
@@ -434,11 +434,6 @@ def verify_trajectory(
         captured = _region_mask(ey, eydot, +1, params) | _region_mask(ey, eydot, -1, params)
         bad = (np.flatnonzero(~captured) + 1).tolist()
         return not bad, {"n_boundaries": n_half, "violating_half_periods": bad[:20]}
-
-    def check(name, reason, evaluate):
-        if reason:
-            return TrajectoryCheck(name, False, True, {"note": reason})
-        return TrajectoryCheck(name, True, *evaluate())
 
     checks = [
         check("switch_restriction", empty, switch_restriction),

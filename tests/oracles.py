@@ -294,7 +294,7 @@ def scalar_sample_region(rng, n, lambda_sign, params):
 
 
 def local_max_report(rng, n, params):
-    """``lyapunov_local_max`` check report, one state and one tau at a time.
+    """``lyapunov_local_max``'s ``(passed, detail)``, one state and one tau at a time.
 
     Samples with ``scalar_sample_region``, which draws what the check's
     sampler draws from the same rng, then evaluates the Lyapunov log on 201 taus of the half period
@@ -316,15 +316,11 @@ def local_max_report(rng, n, params):
                     )
             endpoint = max(values[0], values[-1])
             worst = max(worst, max(values) - endpoint)
-    return {
-        "name": "lyapunov_local_max",
-        "passed": worst <= 1e-9,
-        "detail": {"max_overshoot": worst, "tolerance": 1e-9},
-    }
+    return worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
 
 
 def scalar_clamp_rule(rng, n, params):
-    """``clamp_switch_consistency`` check report, one raw command at a time."""
+    """``clamp_switch_consistency``'s ``(passed, detail)``, one raw command at a time."""
     worst = 0.0
     for _ in range(n):
         raw = RawCommand(rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0))
@@ -332,15 +328,11 @@ def scalar_clamp_rule(rng, n, params):
         sm = switch_matrix_of(raw)
         via_matrix = sm.matrix() @ np.array([raw.sq1, raw.sq2])
         worst = max(worst, abs(via_matrix[0] - cmd.w1sq), abs(via_matrix[1] - cmd.w2sq))
-    return {
-        "name": "clamp_switch_consistency",
-        "passed": worst == 0.0,
-        "detail": {"max_abs_diff": worst, "n": n},
-    }
+    return worst == 0.0, {"max_abs_diff": worst, "n": n}
 
 
 def scalar_region_rule(rng, n, params):
-    """``region_rule_consistency`` check report, one state and yaw sign at a time."""
+    """``region_rule_consistency``'s ``(passed, detail)``, one state and yaw sign at a time."""
     bad = 0
     checked = 0
     ref = reference_at(0.7)
@@ -356,11 +348,7 @@ def scalar_region_rule(rng, n, params):
             if classify_region(e, edot, sign, params) != switch_matrix_of(raw):
                 bad += 1
             checked += 1
-    return {
-        "name": "region_rule_consistency",
-        "passed": bad == 0,
-        "detail": {"n_checked": checked, "n_violations": bad},
-    }
+    return bad == 0, {"n_checked": checked, "n_violations": bad}
 
 
 def scalar_critical_search(map_cell, level, witness_phi, ky1, ky2, refine_tol=1e-4, n_angles=4096):
@@ -464,7 +452,9 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
 
     Each window, boundary and capture test is a loop over half periods with
     scalar region tests; a check that does not apply carries its reason in
-    ``note``. The Lyapunov-log tolerance is 1e-6.
+    ``note``, and the supremum bound does not apply against a computed
+    critical level that the search did not bracket. The Lyapunov-log
+    tolerance is 1e-6.
     """
     lyap_tol = 1e-6
     checks = []
@@ -528,14 +518,20 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
                 settle_h = h
                 break
 
-    # (c) supremum bound past the settling boundary
+    # (c) supremum bound past the settling boundary, against a computed level
+    # only if the search bracketed it
+    crit = None
+    if saturated_run and not empty and l_critical is None:
+        crit = critical_lyapunov(
+            resolution=grid_resolution, params=params, half_period=config.gait.half_period
+        )
+        if crit.bracketed:
+            l_critical = crit.l_critical
     if not saturated_run or empty:
         checks.append(skipped("lyapunov_sup_bound", "empty" if empty else "no clamping occurred"))
+    elif crit is not None and not crit.bracketed:
+        checks.append(skipped("lyapunov_sup_bound", "critical level not bracketed"))
     else:
-        if l_critical is None:
-            l_critical = critical_lyapunov(
-                resolution=grid_resolution, params=params, half_period=config.gait.half_period
-            ).l_critical
         bound = l_critical + DELTA_L_CAP
         tail_from = (settle_h if settle_h is not None else 1) * m
         sup_tail = float(traj.lyap[tail_from:].max())

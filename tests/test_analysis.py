@@ -312,9 +312,9 @@ class TestArrayEngine:
     def test_self_map_check_matches_scalar_loop(self, ky1, ky2, res):
         p = ModelParams(ky1=ky1, ky2=ky2)
         n, bad = oc.self_map_counts(res, p)
-        check = _check_self_map(_grid_maps(res, p), p)
-        assert check.detail == {"n_checked": n, "n_violations": bad}
-        assert check.passed == (bad == 0)
+        passed, detail = _check_self_map(_grid_maps(res, p), p)
+        assert detail == {"n_checked": n, "n_violations": bad}
+        assert passed == (bad == 0)
 
 
 class TestEventEngine:
@@ -465,11 +465,11 @@ class TestLemmaChecks:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_local_max_matches_scalar_loop(self, ky1, ky2, seed):
         p = ModelParams(ky1=ky1, ky2=ky2)
-        got = _check_local_max(np.random.default_rng(seed), 20, p).to_dict()
+        got = _check_local_max(np.random.default_rng(seed), 20, p)
         want = oc.local_max_report(np.random.default_rng(seed), 20, p)
         assert got == want
-        assert np.float64(got["detail"]["max_overshoot"]).tobytes() == np.float64(
-            want["detail"]["max_overshoot"]
+        assert np.float64(got[1]["max_overshoot"]).tobytes() == np.float64(
+            want[1]["max_overshoot"]
         ).tobytes()
 
     @pytest.mark.parametrize(
@@ -488,7 +488,7 @@ class TestLemmaChecks:
         for seed in seeds:
             rng, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
             for check, oracle in pairs:
-                assert check(rng, _N_SAMPLES, p).to_dict() == oracle(rng_scalar, _N_SAMPLES, p)
+                assert check(rng, _N_SAMPLES, p) == oracle(rng_scalar, _N_SAMPLES, p)
                 assert rng.bit_generator.state == rng_scalar.bit_generator.state
 
     def test_region_rule_applies_the_pd_law_once(self, monkeypatch):

@@ -24,6 +24,7 @@ ky2 = 2.0
 """
 
 # gains at which the critical-level search cannot bracket the level at res 16
+# (and at simulate's default res 200)
 UNBRACKETED_GAINS_CONFIG = """\
 [model]
 ky1 = 5.0
@@ -111,11 +112,39 @@ REPORT_SHA256 = {
 # SHA-256 of lemma_report.json from `verify-lemmas --seed S` at the default
 # resolution, recorded with the checks that sampled and mapped one state at a
 # time; seeds 0 and 7 re-recorded when the event oracle's brackets went from
-# bisection to ``_newton``, which moved only ``max_residual`` in its last bits
+# bisection to ``_newton``, which moved only ``max_residual`` in its last bits,
+# and all three when every check gained ``applicable`` (see
+# LEMMA_SHA256_WITHOUT_APPLICABLE)
 LEMMA_REPORT_SHA256 = {
-    0: "66785ba4f18ceac7098d323c91e167e5a7d2b6497ea0121855e6b35bc319caa2",
-    7: "1b086e898cd8c095ac5b92a167410cff1eea431b8d136c717e5c0f64319f9043",
-    31: "7a7b3d61da97a11aa16ec0fbec2715cba86e042ec1317e4fe4f97523292f98ba",
+    0: "f6598072615ee1416afd3e80c812bfd366723678eb1b185bbb890e27124e85be",
+    7: "7d0d415fa47913172b3ba6a1c6078035b467a7c7323b76679d6e4de33b0c1aba",
+    31: "6df11cd6d8fab37c299923686cbe3dcc0a4ca68effcf1946a7266d5e5278a5f3",
+}
+
+# the lemma report digests from before every check carried ``applicable``:
+# argv, gains (None for the defaults), digest of the report with that key
+# removed from each check and re-dumped as ``write_json`` dumps it
+LEMMA_SHA256_WITHOUT_APPLICABLE = {
+    "seed-0": (
+        ["verify-lemmas", "--seed", "0"],
+        None,
+        "66785ba4f18ceac7098d323c91e167e5a7d2b6497ea0121855e6b35bc319caa2",
+    ),
+    "seed-7": (
+        ["verify-lemmas", "--seed", "7"],
+        None,
+        "1b086e898cd8c095ac5b92a167410cff1eea431b8d136c717e5c0f64319f9043",
+    ),
+    "seed-31": (
+        ["verify-lemmas", "--seed", "31"],
+        None,
+        "7a7b3d61da97a11aa16ec0fbec2715cba86e042ec1317e4fe4f97523292f98ba",
+    ),
+    "generic": (
+        ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
+        (6, 12),
+        "05d1765e657510af64fc1d8b0678670bc0beda95437cfaf80c8bbcca8df21bc5",
+    ),
 }
 
 # SHA-256 of the analysis outputs at non-default gains (ky1, ky2), which run the
@@ -143,7 +172,7 @@ GENERIC_SHA256 = {
         ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
         (6, 12),
         "lemma_report.json",
-        "05d1765e657510af64fc1d8b0678670bc0beda95437cfaf80c8bbcca8df21bc5",
+        "ff4dca180fc8b8d5e8203d0ca613cfe0660c808314284f2ee1b50d047b850d66",
     ),
 }
 
@@ -239,7 +268,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
         report = read_json(out / "report.json")
         # the state, step and yaw of the failing step, and no timing
-        assert sorted(report) == ["diverged", "passed", "state", "step", "t", "yaw"]
+        assert sorted(report) == ["cause", "diverged", "passed", "state", "step", "t", "yaw"]
         assert sorted(report["state"]) == ["vx", "vy", "x", "y"]
         assert all(math.isfinite(v) for v in report["state"].values())
         sim_cfg = resolve_config(cfg_path, {}, {}).sim_config()
@@ -355,6 +384,47 @@ class TestSimulate:
         )
         assert rc == 2
         assert "cannot write outputs" in capsys.readouterr().err
+
+    def test_unbracketed_level_skips_the_sup_bound(self, tmp_path, capsys):
+        # the search's last bound, about 2.7e7, is no critical level: a bound
+        # on it would pass whatever the run did
+        cfg = tmp_path / "gains.ini"
+        cfg.write_text(UNBRACKETED_GAINS_CONFIG)
+        out = tmp_path / "run"
+        argv = ["simulate", "--preset", "large", "--config", str(cfg), "--out-dir", str(out)]
+        with pytest.warns(UserWarning, match="could not bracket"):
+            rc = main(argv)
+        assert rc == 0
+        assert "[SKIP] lyapunov_sup_bound" in capsys.readouterr().out
+        report = read_json(out / "report.json")
+        assert report["checks"][2] == {
+            "name": "lyapunov_sup_bound",
+            "applicable": False,
+            "passed": True,
+            "detail": {"note": "critical level not bracketed"},
+        }
+        assert report["summary"]["l_critical"] is None
+
+    def test_failing_critical_level_is_a_failed_check(self, tmp_path, monkeypatch, capsys):
+        # what the search raises when a grid cell does not settle
+        def unsettled(*args, **kwargs):
+            raise RuntimeError("half-period map did not settle within 64 regime segments")
+
+        monkeypatch.setattr(simulator, "critical_lyapunov", unsettled)
+        out = tmp_path / "run"
+        rc = main(["simulate", "--preset", "large", "--duration", "2.0", "--out-dir", str(out)])
+        assert rc == 1
+        assert "[FAIL] lyapunov_sup_bound" in capsys.readouterr().out
+        assert (out / "trajectory.csv").exists()
+        report = read_json(out / "report.json")
+        assert report["passed"] is False
+        checks = {c["name"]: c for c in report["checks"]}
+        assert checks["lyapunov_sup_bound"]["applicable"] is True
+        assert checks["lyapunov_sup_bound"]["passed"] is False
+        assert checks["lyapunov_sup_bound"]["detail"] == {
+            "error": "RuntimeError: half-period map did not settle within 64 regime segments"
+        }
+        assert all(checks[name]["passed"] for name in checks if name != "lyapunov_sup_bound")
 
 
 class TestSweepDeltaL:
@@ -616,6 +686,24 @@ class TestVerifyLemmas:
         digest = hashlib.sha256((out / "lemma_report.json").read_bytes()).hexdigest()
         assert digest == LEMMA_REPORT_SHA256[seed]
 
+    @pytest.mark.parametrize("case", sorted(LEMMA_SHA256_WITHOUT_APPLICABLE))
+    def test_reports_differ_only_by_applicable(self, case, tmp_path, monkeypatch):
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        argv, gains, digest = LEMMA_SHA256_WITHOUT_APPLICABLE[case]
+        out = tmp_path / "lemmas"
+        argv = [*argv, "--out-dir", str(out)]
+        if gains is not None:
+            (tmp_path / "gains.ini").write_text(f"[model]\nky1 = {gains[0]}\nky2 = {gains[1]}\n")
+            argv += ["--config", str(tmp_path / "gains.ini")]
+        assert main(argv) == 0
+        report = read_json(out / "lemma_report.json")
+        for check in report["checks"]:
+            assert check.pop("applicable") is True
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("source", ["flag", "env", "config"])
     def test_negative_seed_is_config_error(self, source, tmp_path, monkeypatch, capsys):
         argv = ["verify-lemmas", "--grid-res", "2", "--out-dir", str(tmp_path / "lemmas")]
@@ -637,6 +725,18 @@ class TestVerifyLemmas:
         report = read_json(out / "lemma_report.json")
         assert rc in (0, 1)
         assert len(report["checks"]) == 9
+
+
+@pytest.mark.parametrize("preset", ["small", "large"])
+def test_both_reports_share_the_check_shape(preset, tmp_path):
+    sim, lemmas = tmp_path / "sim", tmp_path / "lemmas"
+    assert main(["simulate", "--preset", preset, "--duration", "2.0", "--out-dir", str(sim)]) == 0
+    assert main(["verify-lemmas", "--grid-res", "16", "--out-dir", str(lemmas)]) == 0
+    checks = read_json(sim / "report.json")["checks"]
+    checks += read_json(lemmas / "lemma_report.json")["checks"]
+    assert len(checks) == 4 + 9
+    for check in checks:
+        assert set(check) == {"name", "applicable", "passed", "detail"}
 
 
 class TestGenericGainGoldens:

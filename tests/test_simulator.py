@@ -297,6 +297,28 @@ class TestFusedLoop:
             got.append((info.value.step, len(info.value.trajectory)))
         assert got == [(0, 0), (0, 1), (224, 225), (3768, 3769), (19, 19), (0, 1)]
 
+    def test_diverging_examples_name_their_cause(self):
+        # the check that failed, from run and again from step at the failing step
+        causes = []
+        for config in _DIVERGING:
+            with pytest.raises(DivergenceError) as info:
+                run(config)
+            err = info.value
+            message = f"{err.cause} became non-finite during the step starting at t={err.t}"
+            assert str(err) == message
+            with pytest.raises(DivergenceError) as again:
+                step(err.state, err.t, config)
+            assert again.value.cause == err.cause
+            causes.append(err.cause)
+        assert causes == [
+            "stage 1 raw command",
+            "stage 3 desired acceleration",
+            "stage 3 raw command",
+            "stage 4 raw command",
+            "stage 1 desired acceleration",
+            "new state",
+        ]
+
 
 class TestRun:
     def test_determinism(self):
@@ -505,6 +527,8 @@ ORACLE_CASES = {
     "two_rows": (math.pi / 3, 2.0, 0.001, 0.0, 0.0, (9.0, 18.0), None),
     "one_half_period": (math.pi / 3, 2.0, 1.0, 0.0, 0.0, (9.0, 18.0), None),
     "partial_second_half": (math.pi / 3, 2.0, 1.5, 0.01, 0.0, (9.0, 18.0), 0),
+    # the res-24 search cannot bracket the level at these gains
+    "large_unbracketed": (math.pi / 3, 2.0, 6.0, 0.0, 0.0, (5.0, 20.0), None),
 }
 
 
