@@ -15,11 +15,8 @@ from .plant import (
     RotorCommand,
     VehicleState,
     accelerate,
-    rotation_matrix,
-    thrust_map,
-    thrust_matrix,
 )
-from .gait import GaitSchedule, PRESETS, ReferenceSample, preset, reference_at, yaw_at
+from .gait import GaitSchedule, PRESETS, ReferenceSample, preset, reference_at
 from .controller import (
     DesiredAccel,
     RawCommand,
@@ -49,8 +46,6 @@ from .analysis import (
     feasible_cone,
     half_period_map,
     hitting_time,
-    hitting_time_neg,
-    hitting_time_pos,
     hitting_time_simulated,
     in_admissible_region,
     lyapunov,
@@ -77,15 +72,11 @@ __all__ = [
     "RotorCommand",
     "VehicleState",
     "accelerate",
-    "rotation_matrix",
-    "thrust_map",
-    "thrust_matrix",
     "GaitSchedule",
     "PRESETS",
     "ReferenceSample",
     "preset",
     "reference_at",
-    "yaw_at",
     "DesiredAccel",
     "RawCommand",
     "S00",
@@ -112,8 +103,6 @@ __all__ = [
     "feasible_cone",
     "half_period_map",
     "hitting_time",
-    "hitting_time_neg",
-    "hitting_time_pos",
     "hitting_time_simulated",
     "in_admissible_region",
     "lyapunov",

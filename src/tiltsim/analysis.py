@@ -72,8 +72,6 @@ __all__ = [
     "saturated_flow",
     "in_admissible_region",
     "hitting_time",
-    "hitting_time_pos",
-    "hitting_time_neg",
     "hitting_time_simulated",
     "half_period_map",
     "delta_l",
@@ -108,7 +106,8 @@ _REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
 def brentq(f, a, b, **kwargs):
     """``scipy.optimize.brentq``, with ``scipy.optimize`` imported on first use.
 
-    No code path calls it; the engines use ``_newton``.
+    No code path calls it (the engines use ``_newton``): it stays for a
+    benchmark span until ROADMAP item 1.
     """
     import scipy.optimize
 
@@ -128,7 +127,7 @@ class ErrorState:
 
 
 def lyapunov(s: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """Quadratic energy of the lateral error: edot^2/2 + ky2*e^2/2."""
+    """Lateral error energy edot^2/2 + ky2*e^2/2 (paper API; no command calls it)."""
     return 0.5 * s.edot * s.edot + 0.5 * params.ky2 * s.e * s.e
 
 
@@ -167,7 +166,7 @@ def s11_flow(s0: ErrorState, t: float, params: ModelParams = DEFAULT_PARAMS) -> 
 
     With the default gains this is the two-exponential decay with rates -3
     and -6; other gain pairs use the matching analytic branch (distinct,
-    repeated, or complex rates).
+    repeated, or complex rates). Paper API; no command calls it, the engines use ``_linear_flow``.
     """
     e, edot = _linear_flow(s0.e, s0.edot, t, params)
     return ErrorState(float(e), float(edot))
@@ -179,7 +178,7 @@ def _saturated_flow(e0, edot0, t, accel):
 
 
 def saturated_flow(s0: ErrorState, t: float, sign: int) -> ErrorState:
-    """Propagate the one-rotor-clamped dynamics: constant push sign/sqrt(3)."""
+    """Propagate the one-rotor-clamped flow, push sign/sqrt(3) (paper API; no command calls it)."""
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     e, edot = _saturated_flow(s0.e, s0.edot, t, sign * INV_SQRT3)
@@ -250,16 +249,6 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
     t = _hit_times(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params)
     _require_hits(t, params)
     return float(t[0])
-
-
-def hitting_time_pos(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """``hitting_time`` for the +1/sqrt(3) threshold (first-quadrant region)."""
-    return hitting_time(s0, +1, params)
-
-
-def hitting_time_neg(s0: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """``hitting_time`` for the -1/sqrt(3) threshold: the mirror of ``hitting_time_pos``."""
-    return hitting_time(s0, -1, params)
 
 
 def _gap_and_slope(e, edot, t, bound, params: ModelParams):
@@ -525,6 +514,7 @@ def _saturated_exit_time(e, edot, bound, accel, params: ModelParams):
 
 
 def _unsettled_error(params: ModelParams) -> str:
+    """The error for a cell that does not settle; only such a cell reaches it."""
     return (
         "half-period map did not settle within "
         f"{_MAX_SEGMENTS} regime segments (gains ky1={params.ky1}, ky2={params.ky2})"
@@ -547,16 +537,18 @@ def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: fl
     bound = lambda_sign * INV_SQRT3
     accel = -lambda_sign * INV_SQRT3
     remaining = np.full(e.shape, float(half_period))
-    # the threshold itself is saturated (tie rule); the band absorbs the
-    # rounding left behind by the root search that lands us on it
-    eps = 1e-10
+    # the threshold itself is saturated (tie rule); the band absorbs the rounding left
+    # by the root search that lands us on it. A linear cell whose gap closes within
+    # 2e-12 s (to first order) is saturated too: the scan from 1e-12 s can miss it.
+    eps, k1, k2 = 1e-10, params.ky1, params.ky2
     live = np.arange(e.size)
     for _ in range(_MAX_SEGMENTS):
         if live.size == 0:
             break
         el, dl, rl = e[live], edot[live], remaining[live]
         g = _pd_output(el, dl, params)
-        sat = g <= bound + eps if lambda_sign > 0 else g >= bound - eps
+        ahead = lambda_sign * (g + 2e-12 * ((k2 - k1 * k1) * dl - k1 * k2 * el) - bound)
+        sat = (g <= bound + eps if lambda_sign > 0 else g >= bound - eps) | (ahead <= 0.0)
         lin = ~sat
         t_exit = np.empty(live.shape)
         t_exit[sat] = _saturated_exit_time(el[sat], dl[sat], bound, accel, params)
@@ -610,7 +602,8 @@ def half_period_map(
     The start state must lie in the capture region matching ``lambda_sign``.
     With default gains the trajectory is one unsaturated decay segment up to
     the threshold followed by the constant push for the rest of the half
-    period; other gains go through the event-driven segment loop.
+    period; other gains go through the event-driven segment loop. No command
+    calls it: it is paper API, and a benchmark span until ROADMAP item 1.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
@@ -624,7 +617,7 @@ def delta_l(
     params: ModelParams = DEFAULT_PARAMS,
     half_period: float = 1.0,
 ) -> float:
-    """Lyapunov change across one half period starting from ``s0``."""
+    """Lyapunov change over one half period from ``s0`` (paper API; no command calls it)."""
     return lyapunov(half_period_map(s0, lambda_sign, params, half_period), params) - lyapunov(
         s0, params
     )
@@ -681,19 +674,6 @@ class DeltaLGrid:
             "max_delta_l": m,
             "argmax": None if arg is None else [arg.e, arg.edot],
         }
-
-    def rows(self):
-        """Flattened (e, edot, admissible, delta_L, sign) rows, row-major."""
-        sign = self.sign_map()
-        for i, e in enumerate(self.e_values):
-            for j, ed in enumerate(self.edot_values):
-                yield (
-                    float(e),
-                    float(ed),
-                    int(self.mask[i, j]),
-                    float(self.values[i, j]),
-                    int(sign[i, j]),
-                )
 
 
 @dataclass
@@ -801,7 +781,8 @@ def verify_quadrant_capture(
 
     Every admissible start cell must land in the opposite-sign capture
     region; violations are collected, not raised. A cell whose map does not
-    settle is a violation.
+    settle is a violation. No command calls it (``verify-lemmas`` maps its grid
+    once): it is paper API, and a benchmark span until ROADMAP item 1.
     """
     return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).capture(
         params
@@ -987,7 +968,7 @@ def _critical_from(
 
 
 def acceleration_angle(ax: float, ay: float) -> float:
-    """Direction of an acceleration vector, wrapped into [0, 2*pi)."""
+    """Direction of an acceleration vector in [0, 2*pi); a benchmark span until ROADMAP item 1."""
     if ax == 0.0 and ay == 0.0:
         raise ValueError("acceleration angle is undefined for the zero vector")
     return math.atan2(ay, ax) % TWO_PI
@@ -1005,6 +986,6 @@ def feasible_cone(lam: float, params: ModelParams = DEFAULT_PARAMS) -> tuple[flo
 
 
 def angle_in_cone(angle: float, lo: float, hi: float) -> bool:
-    """Inclusive membership of a wrapped angle in the wrapped cone [lo, hi]."""
+    """``angle`` in the wrapped cone [lo, hi], ends included (paper API; no command calls it)."""
     width = (hi - lo) % TWO_PI
     return (angle - lo) % TWO_PI <= width

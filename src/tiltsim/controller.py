@@ -67,8 +67,8 @@ class SwitchMatrix:
 
     p (q) is 1 when the first (second) raw command is strictly positive and
     0 otherwise, so a component that sits exactly on the zero bound counts
-    as clamped; arrays of commands give 0/1 int arrays, which ``label``,
-    ``matrix()`` and ``==`` reject: compare the ``p`` and ``q`` arrays instead.
+    as clamped. Arrays of commands give 0/1 int arrays, whose ``==`` is
+    ambiguous: compare the ``p`` and ``q`` arrays instead.
     """
 
     p: int
@@ -77,24 +77,6 @@ class SwitchMatrix:
     def __post_init__(self) -> None:
         if not all(np.all((v == 0) | (v == 1)) for v in (self.p, self.q)):
             raise ValueError(f"switch matrix entries must be 0 or 1, got ({self.p}, {self.q})")
-
-    def _entries(self) -> tuple[int, int]:
-        if np.ndim(self.p) or np.ndim(self.q):
-            raise ValueError("label, matrix() and == need scalar switch matrix entries, got arrays")
-        return self.p, self.q
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._entries() == other._entries()
-
-    @property
-    def label(self) -> str:
-        return "S{}{}".format(*self._entries())
-
-    def matrix(self) -> np.ndarray:
-        p, q = self._entries()
-        return np.array([[float(p), 0.0], [0.0, float(q)]])
 
 
 S00 = SwitchMatrix(0, 0)

@@ -10,7 +10,6 @@ __all__ = [
     "ReferenceSample",
     "PRESETS",
     "preset",
-    "yaw_at",
     "reference_at",
 ]
 
@@ -56,15 +55,6 @@ def preset(name: str) -> GaitSchedule:
         raise ValueError(
             f"unknown gait preset {name!r}, available: {sorted(PRESETS)}"
         ) from None
-
-
-def yaw_at(t: float, gait: GaitSchedule) -> float:
-    """Yaw angle of the square-wave schedule at time ``t`` (t >= 0)."""
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    tau = math.fmod(t, gait.period)
-    sign = gait.phase_sign if tau < gait.half_period else -gait.phase_sign
-    return sign * gait.amplitude
 
 
 @dataclass(frozen=True)

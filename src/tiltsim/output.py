@@ -167,7 +167,7 @@ def write_trajectory_csv(traj, path) -> None:
 
 
 def write_grid_csv(grid, path) -> None:
-    """One row per grid cell, row-major, as listed by ``DeltaLGrid.rows``."""
+    """One row per grid cell, row-major."""
     E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
     codes = ("%.17g", "%.17g", "%d", "%.17g", "%d")
     columns = (E, Ed, grid.mask, grid.values, grid.sign_map())

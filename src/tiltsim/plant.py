@@ -12,9 +12,6 @@ __all__ = [
     "VehicleState",
     "RotorCommand",
     "DEFAULT_PARAMS",
-    "rotation_matrix",
-    "thrust_matrix",
-    "thrust_map",
     "accelerate",
 ]
 
@@ -94,32 +91,13 @@ class RotorCommand:
             raise ValueError(f"rotor command must be nonnegative, got ({self.w1sq}, {self.w2sq})")
 
 
-def rotation_matrix(lam: float) -> np.ndarray:
-    """Rotation of the body frame by the yaw angle ``lam`` (rad)."""
-    c, s = math.cos(lam), math.sin(lam)
-    return np.array([[c, -s], [s, c]])
-
-
-def thrust_matrix(theta: float, k_thrust: float) -> np.ndarray:
-    """Raw thrust map for an arbitrary tilt half-angle, unvalidated.
-
-    Columns are the body-frame force directions of the two rotors, scaled by
-    the thrust coefficient. Singular exactly at theta in {0, pi/2}.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[k_thrust * c, k_thrust * c], [k_thrust * s, -k_thrust * s]])
-
-
-def thrust_map(params: ModelParams) -> np.ndarray:
-    """Body-frame map from squared rotor speeds to force (N)."""
-    return thrust_matrix(params.theta, params.k_thrust)
-
-
 def accelerate(cmd: RotorCommand, lam: float, params: ModelParams) -> tuple[float, float]:
     """World-frame acceleration produced by a clamped rotor command.
 
-    Equals (1/m) * rotation_matrix(lam) @ thrust_map(params) @ [w1sq, w2sq],
-    written out in scalars; the simulator's RK4 loop repeats these operations.
+    Equals (1/m) * R(lam) @ T @ [w1sq, w2sq], written out in scalars, for the
+    matrix oracles R = ``rotation_matrix`` and T = ``thrust_map`` of
+    ``tests/oracles.py``; the simulator's RK4 loop repeats these operations.
+    No command calls it: it stays for a benchmark span until ROADMAP item 1.
     """
     kc = params.k_thrust * math.cos(params.theta)
     ks = params.k_thrust * math.sin(params.theta)

@@ -136,11 +136,6 @@ class Trajectory:
     def column(self, name: str) -> np.ndarray:
         return getattr(self, name)
 
-    def to_csv(self, path) -> None:
-        from .output import write_trajectory_csv
-
-        write_trajectory_csv(self, path)
-
 
 # the CSV columns: every logged field but the yaw and the desired acceleration
 TRAJECTORY_COLUMNS = tuple(
@@ -253,7 +248,7 @@ def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
     Runs ``run``'s loop for one row, with its stage times from ``t`` and the
     yaw held at its value on grid step ``round(t / dt)``; nothing past the
     step is evaluated. Raises ``DivergenceError`` as ``run`` does, without a
-    trajectory.
+    trajectory. Paper API; no command calls it, and it replays a divergence report.
     """
     if not (t >= 0.0 and math.isfinite(t / config.dt)):
         raise ValueError(f"time must be finite and nonnegative, got {t}")

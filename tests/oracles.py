@@ -1,5 +1,10 @@
 """Independent numerical oracles for checking closed-form results.
 
+``rotation_matrix``, ``thrust_map`` and ``thrust_matrix`` are the plant's
+maps as 2x2 matrices, the oracles of the scalar inversion and acceleration,
+and ``yaw_at`` is the yaw schedule as a function of time, the oracle of the
+simulator's step-indexed schedule.
+
 Nothing here touches the closed forms under test: flows are integrated
 with fixed-step RK4 (scalar or vectorized across many start states) and
 threshold crossings are located by bisection on re-integrated sub-steps.
@@ -41,8 +46,7 @@ from tiltsim import (
     critical_lyapunov,
     desired_accel,
     half_period_map,
-    hitting_time_neg,
-    hitting_time_pos,
+    hitting_time,
     in_admissible_region,
     lyapunov,
     raw_inversion,
@@ -56,6 +60,39 @@ from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
 from tiltsim.simulator import TRAJECTORY_COLUMNS, _block, _trajectory, _yaw
 
 SQRT3 = math.sqrt(3.0)
+
+
+def rotation_matrix(lam):
+    """Rotation of the body frame by the yaw angle ``lam`` (rad)."""
+    c, s = math.cos(lam), math.sin(lam)
+    return np.array([[c, -s], [s, c]])
+
+
+def thrust_matrix(theta, k_thrust):
+    """Raw thrust map for an arbitrary tilt half-angle, unvalidated.
+
+    Columns are the body-frame force directions of the two rotors, scaled by
+    the thrust coefficient. Singular exactly at theta in {0, pi/2}.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[k_thrust * c, k_thrust * c], [k_thrust * s, -k_thrust * s]])
+
+
+def thrust_map(params):
+    """Body-frame map from squared rotor speeds to force (N)."""
+    return thrust_matrix(params.theta, params.k_thrust)
+
+
+def yaw_at(t, gait):
+    """Yaw angle of the square-wave schedule at time ``t`` (t >= 0), from the time alone.
+
+    ``simulator._yaw`` computes the schedule from the grid step index instead.
+    """
+    if t < 0.0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    tau = math.fmod(t, gait.period)
+    sign = gait.phase_sign if tau < gait.half_period else -gait.phase_sign
+    return sign * gait.amplitude
 
 
 def _linear_deriv(e, ed, ky1, ky2):
@@ -304,7 +341,7 @@ def local_max_report(rng, n, params):
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
         for s in scalar_sample_region(rng, n, sign, params):
-            t_hit = hitting_time_pos(s, params) if sign > 0 else hitting_time_neg(s, params)
+            t_hit = hitting_time(s, sign, params)
             mid = s11_flow(s, t_hit, params)
             values = []
             for tau in taus:
@@ -326,7 +363,7 @@ def scalar_clamp_rule(rng, n, params):
         raw = RawCommand(rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0))
         cmd = clamp(raw)
         sm = switch_matrix_of(raw)
-        via_matrix = sm.matrix() @ np.array([raw.sq1, raw.sq2])
+        via_matrix = (sm.p * raw.sq1, sm.q * raw.sq2)
         worst = max(worst, abs(via_matrix[0] - cmd.w1sq), abs(via_matrix[1] - cmd.w2sq))
     return worst == 0.0, {"max_abs_diff": worst, "n": n}
 
@@ -418,8 +455,12 @@ def grid_level_and_witness(grids, ky2):
 def write_grid_csv(grid, path):
     """The grid CSV written one f-string row at a time, as the writer once did."""
     lines = ["e,edot,admissible,delta_L,sign"]
-    for e, edot, admissible, value, sign in grid.rows():
-        lines.append(f"{fmt(e)},{fmt(edot)},{admissible},{fmt(value)},{sign}")
+    sign = grid.sign_map()
+    for i, e in enumerate(grid.e_values):
+        for j, edot in enumerate(grid.edot_values):
+            cells = (fmt(float(e)), fmt(float(edot)), int(grid.mask[i, j]))
+            cells += (fmt(float(grid.values[i, j])), int(sign[i, j]))
+            lines.append(",".join(map(str, cells)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

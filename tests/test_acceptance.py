@@ -19,8 +19,7 @@ from tiltsim import (
     delta_l_grid,
     half_period_map,
     in_admissible_region,
-    hitting_time_neg,
-    hitting_time_pos,
+    hitting_time,
     preset,
     run,
     verify_quadrant_capture,
@@ -107,7 +106,7 @@ def test_criterion_4_hitting_time_closed_forms():
         t_oracle = oc.event_hitting_times(e0, ed0, sign, 9.0, 18.0)
         for i in range(1000):
             s = ErrorState(float(e0[i]), float(ed0[i]))
-            t = hitting_time_pos(s) if sign > 0 else hitting_time_neg(s)
+            t = hitting_time(s, sign)
             worst_resid = max(worst_resid, abs(t - float(t_oracle[i])))
             worst_t = max(worst_t, t)
             all_in_range &= 0.0 <= t < 1.0

@@ -21,8 +21,7 @@ from tiltsim import (
     delta_l_grid,
     feasible_cone,
     half_period_map,
-    hitting_time_neg,
-    hitting_time_pos,
+    hitting_time,
     hitting_time_simulated,
     in_admissible_region,
     lyapunov,
@@ -31,6 +30,7 @@ from tiltsim import (
     verify_quadrant_capture,
 )
 from tiltsim.analysis import _event_hitting_times, _hit_times, _map_default, _map_generic
+from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
     _check_clamp_rule,
@@ -123,24 +123,24 @@ class TestSaturatedFlow:
 class TestHittingTimes:
     def test_on_threshold_is_zero(self):
         e = INV3 / 18.0  # ky2*e = 1/sqrt(3) with edot = 0
-        assert hitting_time_pos(ErrorState(e, 0.0)) == pytest.approx(0.0, abs=1e-12)
-        assert hitting_time_neg(ErrorState(-e, 0.0)) == pytest.approx(0.0, abs=1e-12)
+        assert hitting_time(ErrorState(e, 0.0), +1) == pytest.approx(0.0, abs=1e-12)
+        assert hitting_time(ErrorState(-e, 0.0), -1) == pytest.approx(0.0, abs=1e-12)
 
     def test_known_value(self):
         # frozen from the event-detection oracle (RK4 sweep plus bisection)
-        t = hitting_time_pos(ErrorState(0.1, 0.0))
+        t = hitting_time(ErrorState(0.1, 0.0), +1)
         assert t == pytest.approx(0.10853217910009144, abs=1e-9)
 
     def test_inside_unit_interval(self):
-        assert 0.0 < hitting_time_pos(ErrorState(1.0, 1.0)) < 1.0
-        assert 0.0 < hitting_time_neg(ErrorState(-1.0, -1.0)) < 1.0
+        assert 0.0 < hitting_time(ErrorState(1.0, 1.0), +1) < 1.0
+        assert 0.0 < hitting_time(ErrorState(-1.0, -1.0), -1) < 1.0
 
     def test_point_symmetry(self):
         rng = np.random.default_rng(23)
         e0, ed0 = oc.sample_capture_region(rng, 100, +1, 9.0, 18.0)
         for e, ed in zip(e0, ed0):
-            tp = hitting_time_pos(ErrorState(e, ed))
-            tn = hitting_time_neg(ErrorState(-e, -ed))
+            tp = hitting_time(ErrorState(e, ed), +1)
+            tn = hitting_time(ErrorState(-e, -ed), -1)
             assert tn == pytest.approx(tp, abs=1e-13)
 
     def test_neg_mirrors_pos_exactly(self):
@@ -149,16 +149,16 @@ class TestHittingTimes:
             p = ModelParams(ky1=ky1, ky2=ky2)
             e0, ed0 = oc.sample_capture_region(rng, n, +1, ky1, ky2)
             for e, ed in zip(e0, ed0):
-                tp = hitting_time_pos(ErrorState(e, ed), p)
-                assert hitting_time_neg(ErrorState(-e, -ed), p) == tp
+                tp = hitting_time(ErrorState(e, ed), +1, p)
+                assert hitting_time(ErrorState(-e, -ed), -1, p) == tp
 
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="first-quadrant"):
-            hitting_time_pos(ErrorState(-0.1, 0.0))
+            hitting_time(ErrorState(-0.1, 0.0), +1)
         with pytest.raises(ValueError, match="third-quadrant"):
-            hitting_time_neg(ErrorState(0.1, 0.0))
+            hitting_time(ErrorState(0.1, 0.0), -1)
         with pytest.raises(ValueError):
-            hitting_time_pos(ErrorState(0.001, 0.001))  # below the threshold
+            hitting_time(ErrorState(0.001, 0.001), +1)  # below the threshold
 
     def test_against_event_oracle(self):
         rng = np.random.default_rng(29)
@@ -167,13 +167,13 @@ class TestHittingTimes:
             t_oracle = oc.event_hitting_times(e0, ed0, sign, 9.0, 18.0)
             for i in range(len(e0)):
                 s = ErrorState(e0[i], ed0[i])
-                t = hitting_time_pos(s) if sign > 0 else hitting_time_neg(s)
+                t = hitting_time(s, sign)
                 assert t == pytest.approx(t_oracle[i], abs=1e-6)
                 assert 0.0 <= t < 1.0
 
     def test_simulated_channel_agrees(self):
         s = ErrorState(0.4, 0.9)
-        t_closed = hitting_time_pos(s)
+        t_closed = hitting_time(s, +1)
         t_event = hitting_time_simulated(s, +1)
         assert abs(t_closed - t_event) < 1e-8
 
@@ -181,7 +181,7 @@ class TestHittingTimes:
         p = ModelParams(ky1=6.0, ky2=10.0)
         s = ErrorState(0.5, 0.2)
         assert in_admissible_region(s, +1, p)
-        t = hitting_time_pos(s, p)
+        t = hitting_time(s, +1, p)
         t_oracle = float(oc.event_hitting_times([0.5], [0.2], +1, 6.0, 10.0)[0])
         assert t == pytest.approx(t_oracle, abs=1e-6)
 
@@ -202,9 +202,9 @@ class TestHittingTimes:
         assert np.isnan(t[0]) and t[1] == 0.0
         message = r"^unsaturated flow does not reach the threshold within 8\.0 s for gains"
         with pytest.raises(ValueError, match=message):
-            hitting_time_pos(ErrorState(20.0, 20.0), p)
+            hitting_time(ErrorState(20.0, 20.0), +1, p)
         with pytest.raises(ValueError, match=message):
-            hitting_time_neg(ErrorState(-20.0, -20.0), p)
+            hitting_time(ErrorState(-20.0, -20.0), -1, p)
 
 
 class TestHalfPeriodMap:
@@ -269,6 +269,18 @@ class TestHalfPeriodMap:
         got = _map_generic(434.0, 0.0, +1, p, 1.0)
         eo, edo = oc.rk4_switched_flow(np.array([434.0]), np.array([0.0]), math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose(got, [eo[0], edo[0]], rtol=1e-7)
+
+    @pytest.mark.parametrize("gap", [5e-10, 1e-8])
+    def test_crossing_before_first_scan_sample(self, gap):
+        # the PD output starts `gap` above the threshold and crosses it within
+        # 1e-12 s, before the crossing scan's first sample: an engine that
+        # missed the crossing ran this cell linear all half period, to (-20.3, 208.7)
+        p = ModelParams(ky1=5.0, ky2=20.0)
+        e0 = np.array([434.0])
+        ed0 = (analysis.INV_SQRT3 + gap - p.ky2 * e0) / p.ky1
+        e1, ed1, _ = _map_generic(e0, ed0, +1, p, 1.0)
+        eo, edo = oc.rk4_switched_flow(e0, ed0, math.pi / 3, p, 1.0, 20000)
+        np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=1e-7)
 
 
 _gain = st.floats(0.5, 40.0)
@@ -607,7 +619,7 @@ class TestLyapunovAlongHalfPeriod:
             e0, ed0 = oc.sample_capture_region(rng, 60, sign, 9.0, 18.0)
             for e, ed in zip(e0, ed0):
                 s = ErrorState(float(e), float(ed))
-                t_hit = hitting_time_pos(s) if sign > 0 else hitting_time_neg(s)
+                t_hit = hitting_time(s, sign)
                 mid = s11_flow(s, t_hit)
                 vals = []
                 for tau in np.linspace(0.0, 1.0, 201):
@@ -677,12 +689,13 @@ class TestDeltaLGrid:
             g1.values[g1.mask], g3.values[g3.mask][::-1], atol=1e-12
         )
 
-    def test_rows_roundtrip(self):
+    def test_rows_roundtrip(self, tmp_path):
         grid = delta_l_grid((0.0, 1.0), (0.0, 1.0), 10, +1)
-        rows = list(grid.rows())
-        assert len(rows) == 100
-        admissible = [r for r in rows if r[2] == 1]
-        assert len(admissible) == grid.n_admissible
+        write_grid_csv(grid, tmp_path / "grid.csv")
+        rows = np.loadtxt(tmp_path / "grid.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (100, 5)
+        assert int(rows[:, 2].sum()) == grid.n_admissible
+        np.testing.assert_array_equal(rows[:, 3], grid.values.ravel())
 
     def test_bad_args(self):
         # the capture check rejects the same grids
@@ -857,7 +870,7 @@ class TestRootSolver:
         crit = critical_lyapunov(resolution=12, params=p)
         assert crit.bracketed and crit.l_critical > crit.grid_max
         half_period_map(ErrorState(0.5, 0.2), +1, p)
-        assert 0.0 < hitting_time_neg(ErrorState(-0.5, -0.2), p) < 8.0
+        assert 0.0 < hitting_time(ErrorState(-0.5, -0.2), -1, p) < 8.0
 
     def test_solver_call_and_pass_counts(self, monkeypatch):
         # one generic sweep-delta-l: the lambda = +1 grid, then the search

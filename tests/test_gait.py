@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from tiltsim import GaitSchedule, PRESETS, preset, reference_at, yaw_at
+from oracles import yaw_at
+from tiltsim import GaitSchedule, PRESETS, preset, reference_at
 
 
 class TestGaitSchedule:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import rotation_matrix, thrust_map, thrust_matrix
 from tiltsim import (
     DEFAULT_PARAMS,
     ModelParams,
@@ -12,9 +13,6 @@ from tiltsim import (
     acceleration_angle,
     angle_in_cone,
     feasible_cone,
-    rotation_matrix,
-    thrust_map,
-    thrust_matrix,
 )
 
 SQRT3 = math.sqrt(3.0)

@@ -31,6 +31,7 @@ from tiltsim import (
     verify_trajectory,
 )
 from tiltsim.output import fmt, write_trajectory_csv
+from tiltsim.simulator import _grid_count, _yaw
 
 SQRT3 = math.sqrt(3.0)
 
@@ -320,6 +321,21 @@ class TestFusedLoop:
         ]
 
 
+class TestYawSchedule:
+    @pytest.mark.parametrize(
+        "gait",
+        [preset("small"), preset("large"), GaitSchedule(amplitude=1.2, period=0.6, phase_sign=1)],
+        ids=["small", "large", "amplitude-1.2"],
+    )
+    def test_step_index_schedule_matches_time_schedule(self, gait):
+        # the yaw on grid step k is the time schedule's value inside the step,
+        # over 40 half periods; each dt divides all three half periods
+        for dt in (1e-3, 2.5e-3, 1e-2, 0.05, 0.1):
+            m = _grid_count(gait.half_period, dt, "half the gait period")
+            for k in range(40 * m):
+                assert _yaw(k, m, gait) == oc.yaw_at((k + 0.5) * dt, gait), (dt, k)
+
+
 class TestRun:
     def test_determinism(self):
         cfg = SimConfig(gait=preset("large"), duration=2.0)
@@ -591,7 +607,7 @@ class TestVerifyTrajectoryOracle:
 class TestTrajectoryCsv:
     def test_round_trip(self, tmp_path, small_run):
         path = tmp_path / "traj.csv"
-        small_run.to_csv(path)
+        write_trajectory_csv(small_run, path)
         text = path.read_text()
         assert "\r" not in text
         header, *rows = text.strip().split("\n")
@@ -626,6 +642,6 @@ class TestTrajectoryCsv:
     def test_byte_determinism(self, tmp_path):
         cfg = SimConfig(gait=preset("large"), duration=2.0)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        run(cfg).to_csv(p1)
-        run(cfg).to_csv(p2)
+        write_trajectory_csv(run(cfg), p1)
+        write_trajectory_csv(run(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
