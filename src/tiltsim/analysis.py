@@ -17,8 +17,9 @@ analytically (2x2 linear ODE) but threshold crossings are found by
 bracketed root search, and the half-period map is an event-driven segment
 loop that tolerates multiple regime changes.
 
-Both engines take arrays of start cells. ``_map`` picks the engine for the
-gains and is what every grid, capture check, critical-level search and
+Both engines take arrays of start cells in the first quadrant (yaw sign
++1). ``_map`` picks the engine for the gains, mirrors the yaw sign exactly,
+and is what every grid, capture check, critical-level search and
 single-state map goes through. The event-driven engine advances all live
 cells one segment at a time. Its threshold-crossing scan (``_crossing_time``)
 samples every cell at once, and one array root solve (``_newton``) refines
@@ -251,14 +252,14 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
     return float(t[0])
 
 
-def _gap_and_slope(e, edot, t, bound, params: ModelParams):
-    """The PD output's gap to ``bound`` at time ``t`` along the linear flow, and its slope.
+def _gap_and_slope(e, edot, t, params: ModelParams):
+    """The PD output's gap to 1/sqrt(3) at time ``t`` along the linear flow, and its slope.
 
     The slope is ky1*edot' + ky2*edot = (ky2 - ky1^2)*edot - ky1*ky2*e.
     """
     k1, k2 = params.ky1, params.ky2
     e, edot = _linear_flow(e, edot, t, params)
-    return _pd_output(e, edot, params) - bound, (k2 - k1 * k1) * edot - k1 * k2 * e
+    return _pd_output(e, edot, params) - INV_SQRT3, (k2 - k1 * k1) * edot - k1 * k2 * e
 
 
 def _newton(gap, a, b, ga, gb):
@@ -310,8 +311,8 @@ def _newton(gap, a, b, ga, gb):
     return root
 
 
-def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start: float):
-    """First crossing of the PD output with ``bound`` along the linear flow.
+def _crossing_time(e, edot, params: ModelParams, horizon, n: int, t_start: float):
+    """First crossing of the PD output with 1/sqrt(3) along the linear flow.
 
     For each cell of the 1-D arrays ``e`` and ``edot`` the gap is sampled at
     ``t_start`` and at ``horizon * i / n`` for i = 1..n, all cells of a block
@@ -330,7 +331,7 @@ def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start
         t = np.empty((ec.size, n + 1))
         t[:, 0] = t_start
         t[:, 1:] = horizon[lo : lo + rows, None] * steps / n
-        g = _pd_output(*_linear_flow(ec[:, None], dc[:, None], t, params), params) - bound
+        g = _pd_output(*_linear_flow(ec[:, None], dc[:, None], t, params), params) - INV_SQRT3
         above = g > 0.0
         event = (g[:, 1:] == 0.0) | (above[:, :-1] != above[:, 1:])
         hit = np.flatnonzero(event.any(axis=1))
@@ -338,7 +339,7 @@ def _crossing_time(e, edot, bound, params: ModelParams, horizon, n: int, t_start
         eh, dh = ec[hit], dc[hit]
 
         def gap(t, k):
-            return _gap_and_slope(eh[k], dh[k], t, bound, params)
+            return _gap_and_slope(eh[k], dh[k], t, params)
 
         out[lo + hit] = _newton(gap, t[hit, i - 1], t[hit, i], g[hit, i - 1], g[hit, i])
     return out
@@ -357,7 +358,7 @@ def _hit_times(e, edot, lambda_sign: int, params: ModelParams):
         return _hit_time_default_pos(e, edot)
     t = np.zeros(e.shape)
     live = _pd_output(*_linear_flow(e, edot, 0.0, params), params) - INV_SQRT3 > 0.0
-    t[live] = _crossing_time(e[live], edot[live], INV_SQRT3, params, _EVENT_T_MAX, 512, 0.0)
+    t[live] = _crossing_time(e[live], edot[live], params, _EVENT_T_MAX, 512, 0.0)
     return t
 
 
@@ -475,42 +476,18 @@ def hitting_time_simulated(
     return float(t)
 
 
-def _map_default(e0, edot0, lambda_sign: int, params: ModelParams, half_period: float):
-    """Default-gain half-period map: decay until the threshold, then push."""
-    if lambda_sign > 0:
-        t_hit = _hit_time_default_pos(e0, edot0)
-    else:
-        t_hit = _hit_time_default_pos(-np.asarray(e0), -np.asarray(edot0))
-    t_hit = np.minimum(t_hit, half_period)
-    e_m, edot_m = _linear_flow(e0, edot0, t_hit, params)
-    accel = -lambda_sign * INV_SQRT3
-    return _saturated_flow(e_m, edot_m, half_period - t_hit, accel)
+def _saturated_exit_time(e, edot, params: ModelParams):
+    """Earliest time after 1e-12 s that the PD output rises across 1/sqrt(3).
 
-
-def _saturated_exit_time(e, edot, bound, accel, params: ModelParams):
-    """Earliest strictly positive time the PD output exits the clamp region.
-
-    Along the constant-push flow the PD output is quadratic in time; an
-    exit is a root where the output moves across the threshold away from
-    the clamped side. Array valued; NaN where no such root exists.
+    Under the push -1/sqrt(3) the PD output is a concave quadratic in time,
+    so it crosses the threshold upward at most once, at the smaller root.
+    Array valued; NaN where there is no such crossing.
     """
-    k1g, k2g = params.ky1, params.ky2
-    c2 = 0.5 * k2g * accel
-    c1 = k1g * accel + k2g * edot
-    c0 = _pd_output(e, edot, params) - bound
-    # leaving the region means the output grows when accel < 0 pins g <= bound
-    # (yaw sign +1) and shrinks in the mirrored case; accel and yaw sign are
-    # locked together so the exit direction is sign(-accel).
-    exit_dir = -1.0 if accel > 0.0 else 1.0
-    disc = c1 * c1 - 4.0 * c2 * c0
-    rad = np.sqrt(np.where(disc < 0.0, np.nan, disc))
-    r_minus, r_plus = (-c1 - rad) / (2.0 * c2), (-c1 + rad) / (2.0 * c2)
-    first, second = np.minimum(r_minus, r_plus), np.maximum(r_minus, r_plus)
-
-    def exits(t):
-        return (t > 1e-12) & (exit_dir * (c1 + 2.0 * c2 * t) > 0.0)
-
-    return np.where(exits(first), first, np.where(exits(second), second, np.nan))
+    c2 = 0.5 * params.ky2 * -INV_SQRT3
+    c1 = params.ky1 * -INV_SQRT3 + params.ky2 * edot
+    disc = c1 * c1 - 4.0 * c2 * (_pd_output(e, edot, params) - INV_SQRT3)
+    t = (-c1 + np.sqrt(np.where(disc < 0.0, np.nan, disc))) / (2.0 * c2)
+    return np.where((t > 1e-12) & (c1 + 2.0 * c2 * t > 0.0), t, np.nan)
 
 
 def _unsettled_error(params: ModelParams) -> str:
@@ -521,21 +498,16 @@ def _unsettled_error(params: ModelParams) -> str:
     )
 
 
-def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
-    """Event-driven half-period map valid for arbitrary positive gains.
+def _map_generic(e, edot, params: ModelParams, half_period: float):
+    """Event-driven yaw +1 half-period map of 1-D arrays, for any positive gains.
 
-    Arrays in give ``(e, edot, unsettled)`` out: ``unsettled`` marks the
-    cells that still switch regime after ``_MAX_SEGMENTS`` segments, and
-    those carry NaN. Scalars in give two floats out, and a cell that does
-    not settle raises ``RuntimeError``. Each segment advances all live
-    cells at once: saturated cells by the constant push up to their exit
-    time, the others by the linear flow up to their threshold crossing.
+    Returns ``(e, edot, unsettled)``: ``unsettled`` marks the cells that still
+    switch regime after ``_MAX_SEGMENTS`` segments, and those carry NaN. Each
+    segment advances all live cells at once: saturated cells by the push
+    -1/sqrt(3) up to their exit time, the others by the linear flow up to
+    their threshold crossing.
     """
-    scalar = np.ndim(e) == 0 and np.ndim(edot) == 0
-    e = np.array(e, dtype=float, ndmin=1)
-    edot = np.array(edot, dtype=float, ndmin=1)
-    bound = lambda_sign * INV_SQRT3
-    accel = -lambda_sign * INV_SQRT3
+    e, edot = np.array(e, dtype=float), np.array(edot, dtype=float)
     remaining = np.full(e.shape, float(half_period))
     # the threshold itself is saturated (tie rule); the band absorbs the rounding left
     # by the root search that lands us on it. A linear cell whose gap closes within
@@ -547,15 +519,15 @@ def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: fl
             break
         el, dl, rl = e[live], edot[live], remaining[live]
         g = _pd_output(el, dl, params)
-        ahead = lambda_sign * (g + 2e-12 * ((k2 - k1 * k1) * dl - k1 * k2 * el) - bound)
-        sat = (g <= bound + eps if lambda_sign > 0 else g >= bound - eps) | (ahead <= 0.0)
+        ahead = g + 2e-12 * ((k2 - k1 * k1) * dl - k1 * k2 * el) - INV_SQRT3
+        sat = (g <= INV_SQRT3 + eps) | (ahead <= 0.0)
         lin = ~sat
         t_exit = np.empty(live.shape)
-        t_exit[sat] = _saturated_exit_time(el[sat], dl[sat], bound, accel, params)
-        t_exit[lin] = _crossing_time(el[lin], dl[lin], bound, params, rl[lin], 256, 1e-12)
+        t_exit[sat] = _saturated_exit_time(el[sat], dl[sat], params)
+        t_exit[lin] = _crossing_time(el[lin], dl[lin], params, rl[lin], 256, 1e-12)
         switch = t_exit < rl  # NaN (no exit) runs out the half period
         adv = np.where(switch, t_exit, rl)
-        e_sat, d_sat = _saturated_flow(el[sat], dl[sat], adv[sat], accel)
+        e_sat, d_sat = _saturated_flow(el[sat], dl[sat], adv[sat], -INV_SQRT3)
         e_lin, d_lin = _linear_flow(el[lin], dl[lin], adv[lin], params)
         e[live[sat]], edot[live[sat]] = e_sat, d_sat
         e[live[lin]], edot[live[lin]] = e_lin, d_lin
@@ -564,23 +536,26 @@ def _map_generic(e, edot, lambda_sign: int, params: ModelParams, half_period: fl
     unsettled = np.zeros(e.shape, dtype=bool)
     unsettled[live] = True
     e[live] = edot[live] = np.nan
-    if scalar:
-        if unsettled[0]:
-            raise RuntimeError(_unsettled_error(params))
-        return float(e[0]), float(edot[0])
     return e, edot, unsettled
 
 
 def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
     """Half-period map of 1-D arrays of start cells, with the engine for the gains.
 
-    The default gains take the closed form, others the event-driven engine.
-    Returns ``(e, edot, unsettled)``; unsettled cells carry NaN.
+    Cells and images are multiplied by ``lambda_sign``, so the engines run at
+    yaw +1 only; negation is exact, so only the sign of a zero can differ from
+    a sign-switched engine. The default gains take the closed form, others
+    ``_map_generic``. Returns ``(e, edot, unsettled)``; NaN where unsettled.
     """
+    e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
     if _has_default_rates(params):
-        e1, ed1 = _map_default(e, edot, lambda_sign, params, half_period)
-        return e1, ed1, np.zeros(np.shape(e1), dtype=bool)
-    return _map_generic(e, edot, lambda_sign, params, half_period)
+        t_hit = np.minimum(_hit_time_default_pos(e, edot), half_period)
+        e_m, edot_m = _linear_flow(e, edot, t_hit, params)
+        e1, ed1 = _saturated_flow(e_m, edot_m, half_period - t_hit, -INV_SQRT3)
+        unsettled = np.zeros(e.shape, dtype=bool)
+    else:
+        e1, ed1, unsettled = _map_generic(e, edot, params, half_period)
+    return lambda_sign * e1, lambda_sign * ed1, unsettled
 
 
 def _map_settled(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
@@ -842,24 +817,20 @@ def critical_lyapunov(
     ``bracketed`` false and ``n_positive_cells`` 0, and a warning.
     """
     grid = delta_l_grid(e_range, edot_range, resolution, +1, params, half_period)
-    return _critical_from(grid, e_range, edot_range, params, half_period, n_angles)
+    return _critical_from(grid, params, half_period, n_angles)
 
 
 def _critical_from(
-    grid: DeltaLGrid,
-    e_range: tuple[float, float],
-    edot_range: tuple[float, float],
-    params: ModelParams,
-    half_period: float,
-    n_angles: int = 4096,
+    grid: DeltaLGrid, params: ModelParams, half_period: float, n_angles: int = 4096
 ) -> CriticalLyapunov:
     """``critical_lyapunov`` from the grid of one yaw sign, as a sweep has it.
 
-    The grid of the other sign is computed here, over the same ranges and
-    resolution, so a sweep does not compute its own grid twice.
+    The grid of the other sign is computed here, over the grid's own ranges
+    and resolution, so a sweep does not compute its own grid twice.
     """
-    resolution = len(grid.e_values)
-    other = delta_l_grid(e_range, edot_range, resolution, -grid.lambda_sign, params, half_period)
+    e_vals, ed_vals, resolution = grid.e_values, grid.edot_values, len(grid.e_values)
+    ranges = (e_vals[0], e_vals[-1]), (ed_vals[0], ed_vals[-1])
+    other = delta_l_grid(*ranges, resolution, -grid.lambda_sign, params, half_period)
     witness_phi = None
     grid_max = -math.inf
     n_pos = 0

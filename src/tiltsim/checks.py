@@ -248,6 +248,11 @@ def _check_local_max(rng, n, params) -> tuple[bool, dict]:
 
 
 def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
+    """The -1 map of mirrored cells against the +1 map, mirrored back.
+
+    0.0 by construction: ``_map(-e, -edot, -1)`` runs as ``_map(e, edot, +1)``.
+    The check stays because ``lemma_report.json`` is pinned.
+    """
     e, edot = _sample_region(rng, n, +1, params)
     fwd_e, fwd_ed = _map_settled(e, edot, +1, params, 1.0)
     mirrored_e, mirrored_ed = _map_settled(-e, -edot, -1, params, 1.0)

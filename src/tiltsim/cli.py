@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import functools
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -32,6 +33,8 @@ UNBRACKETED_NOTE = (
     "note: L_critical is the last search bound, not a critical level "
     "(the search could not bracket the level from above)"
 )
+# argparse alone would take "-1e-1", "-inf" and "-nan" for flags, not numbers
+NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.I)
 DEGENERATE_NOTE = (
     "note: L_critical is 0, not a critical level "
     "(no grid cell has a nonnegative half-period Lyapunov change)"
@@ -71,6 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-lemmas", cmd_verify_lemmas, "run the full invariant suite"),
     ):
         command = sub.add_parser(name, help=help)
+        command._negative_number_matcher = NEGATIVE_NUMBER
         command.set_defaults(func=func)
         command.add_argument("--config", type=Path, help="INI config file")
         if func is not cmd_hitting_time:  # the one command that writes no file
@@ -148,9 +152,7 @@ def cmd_sweep_delta_l(args) -> int:
         summary["bracketed"] = None
     else:
         # the search takes this grid and computes only the other sign's
-        crit = analysis._critical_from(
-            grid, sweep.e_range(), sweep.edot_range(), cfg.params, cfg.gait.half_period
-        )
+        crit = analysis._critical_from(grid, cfg.params, cfg.gait.half_period)
         summary["l_critical"] = crit.l_critical
         summary["sup_bound"] = crit.sup_bound
         summary["bracketed"] = crit.bracketed

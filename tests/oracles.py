@@ -19,7 +19,9 @@ array code did before it took whole grids. ``scalar_clamp_rule`` and
 function, as the two controller-rule checks once did. ``scalar_verify_trajectory``
 checks a logged run one half-period boundary at a time, and
 ``bisect_event_hitting_times`` is the array event oracle with its brackets
-bisected instead of solved. ``joined_trajectory_csv`` and
+bisected instead of solved. ``two_root_exit_time`` is the saturated exit
+time with a signed threshold and push and both quadratic roots tried, the
+reference for the first-quadrant exit time. ``joined_trajectory_csv`` and
 ``joined_grid_csv`` build the whole CSV text and write it in one call, as
 the writers did before they streamed it.
 
@@ -274,6 +276,29 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
             lo = np.where(below, lo, mid)
         times[idx] += 0.5 * (lo + hi)
     return times
+
+
+def two_root_exit_time(e, edot, bound, accel, params):
+    """Saturated exit time with a signed threshold ``bound`` and push ``accel``.
+
+    ``analysis._saturated_exit_time`` as it was when every yaw sign had its
+    own threshold and push: either root of the PD output's quadratic may be
+    the exit, where the output moves across ``bound`` away from the clamped
+    side; the earlier root is tried first. NaN where no root exits.
+    """
+    c2 = 0.5 * params.ky2 * accel
+    c1 = params.ky1 * accel + params.ky2 * edot
+    c0 = params.ky1 * edot + params.ky2 * e - bound
+    exit_dir = -1.0 if accel > 0.0 else 1.0
+    disc = c1 * c1 - 4.0 * c2 * c0
+    rad = np.sqrt(np.where(disc < 0.0, np.nan, disc))
+    roots = ((-c1 - rad) / (2.0 * c2), (-c1 + rad) / (2.0 * c2))
+    first, second = np.minimum(*roots), np.maximum(*roots)
+
+    def exits(t):
+        return (t > 1e-12) & (exit_dir * (c1 + 2.0 * c2 * t) > 0.0)
+
+    return np.where(exits(first), first, np.where(exits(second), second, np.nan))
 
 
 def sample_capture_region(rng, n, lambda_sign, ky1, ky2, box=2.0):

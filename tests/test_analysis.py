@@ -29,7 +29,7 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _event_hitting_times, _hit_times, _map_default, _map_generic
+from tiltsim.analysis import _event_hitting_times, _hit_times, _map, _map_generic, _map_settled
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
@@ -245,30 +245,34 @@ class TestHalfPeriodMap:
     def test_generic_engine_matches_default_path(self):
         rng = np.random.default_rng(41)
         e0, ed0 = oc.sample_capture_region(rng, 200, +1, 9.0, 18.0)
-        for e, ed in zip(e0, ed0):
-            gd = _map_generic(float(e), float(ed), +1, DEFAULT_PARAMS, 1.0)
-            dd = _map_default(float(e), float(ed), +1, DEFAULT_PARAMS, 1.0)
-            assert gd[0] == pytest.approx(float(dd[0]), abs=1e-12)
-            assert gd[1] == pytest.approx(float(dd[1]), abs=1e-12)
+        ge, ged, unsettled = _map_generic(e0, ed0, DEFAULT_PARAMS, 1.0)
+        de, ded, _ = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
+        assert not unsettled.any()
+        np.testing.assert_allclose(ge, de, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(ged, ded, rtol=0.0, atol=1e-12)
 
     def test_nondefault_gains_against_switched_oracle(self):
-        p = ModelParams(ky1=6.0, ky2=10.0)
-        rng = np.random.default_rng(43)
-        e0, ed0 = oc.sample_capture_region(rng, 40, +1, 6.0, 10.0)
-        eo, edo = oc.rk4_switched_flow(e0, ed0, math.pi / 3, p, 1.0, 20000)
-        for i in range(len(e0)):
-            out = half_period_map(ErrorState(e0[i], ed0[i]), +1, p)
-            assert out.e == pytest.approx(eo[i], abs=1e-6)
-            assert out.edot == pytest.approx(edo[i], abs=1e-6)
+        # both yaw signs through the full clamped controller, at real (6, 10)
+        # and complex (2, 5) rates
+        for ky1, ky2 in ((6.0, 10.0), (2.0, 5.0)):
+            p = ModelParams(ky1=ky1, ky2=ky2)
+            for sign, lam in ((+1, math.pi / 3), (-1, -math.pi / 3)):
+                rng = np.random.default_rng(43)
+                e0, ed0 = oc.sample_capture_region(rng, 40, sign, ky1, ky2)
+                eo, edo = oc.rk4_switched_flow(e0, ed0, lam, p, 1.0, 20000)
+                for i in range(len(e0)):
+                    out = half_period_map(ErrorState(e0[i], ed0[i]), sign, p)
+                    assert out.e == pytest.approx(eo[i], abs=1e-6)
+                    assert out.edot == pytest.approx(edo[i], abs=1e-6)
 
     def test_large_state_at_generic_gains_against_switched_oracle(self):
         # the gap a root solve leaves grows with the state (slope ky1*ky2*e, 4e4
         # here): a solver that returned the wrong bracket end sent this cell
         # through an extra linear segment, to (-42.9, 103.1)
         p = ModelParams(ky1=5.0, ky2=20.0)
-        got = _map_generic(434.0, 0.0, +1, p, 1.0)
+        got = _map_generic(np.array([434.0]), np.array([0.0]), p, 1.0)[:2]
         eo, edo = oc.rk4_switched_flow(np.array([434.0]), np.array([0.0]), math.pi / 3, p, 1.0, 20000)
-        np.testing.assert_allclose(got, [eo[0], edo[0]], rtol=1e-7)
+        np.testing.assert_allclose(np.ravel(got), [eo[0], edo[0]], rtol=1e-7)
 
     @pytest.mark.parametrize("gap", [5e-10, 1e-8])
     def test_crossing_before_first_scan_sample(self, gap):
@@ -278,7 +282,7 @@ class TestHalfPeriodMap:
         p = ModelParams(ky1=5.0, ky2=20.0)
         e0 = np.array([434.0])
         ed0 = (analysis.INV_SQRT3 + gap - p.ky2 * e0) / p.ky1
-        e1, ed1, _ = _map_generic(e0, ed0, +1, p, 1.0)
+        e1, ed1, _ = _map_generic(e0, ed0, p, 1.0)
         eo, edo = oc.rk4_switched_flow(e0, ed0, math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=1e-7)
 
@@ -308,10 +312,10 @@ class TestArrayEngine:
         e0 = np.array([c[0] for c in cells])
         ed0 = np.array([c[1] for c in cells])
         with mock.patch.object(analysis, "_MAX_SEGMENTS", max_segments):
-            e1, ed1, unsettled = _map_generic(e0, ed0, sign, p, 1.0)
+            e1, ed1, unsettled = _map(e0, ed0, sign, p, 1.0)
             for k in range(len(cells)):
                 try:
-                    want = _map_generic(float(e0[k]), float(ed0[k]), sign, p, 1.0)
+                    want = _map_settled(e0[k : k + 1], ed0[k : k + 1], sign, p, 1.0)
                 except RuntimeError:
                     assert unsettled[k]
                     assert np.isnan(e1[k]) and np.isnan(ed1[k])
@@ -327,6 +331,39 @@ class TestArrayEngine:
         passed, detail = _check_self_map(_grid_maps(res, p), p)
         assert detail == {"n_checked": n, "n_violations": bad}
         assert passed == (bad == 0)
+
+
+_offset = st.floats(-1e-9, 1e-9)  # a gap within 1e-9 of the threshold
+# states over six decades, either sign
+_decade = st.builds(lambda m, k: m * 10.0**k, st.floats(-1.0, 1.0), st.integers(-3, 2))
+
+
+class TestSaturatedExit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        gains=_gains,
+        cells=st.lists(st.tuples(_decade, _decade), max_size=8),
+        near=st.lists(st.tuples(_decade, _offset), max_size=8),
+        tangent=st.lists(st.tuples(st.floats(0.0, 2.0), _offset), max_size=8),
+    )
+    @example(gains=(9.0, 18.0), cells=[(0.1, 0.0)], near=[(0.0, 0.0)], tangent=[(0.3, 0.0)])
+    def test_matches_two_root_search_at_both_signs(self, gains, cells, near, tangent):
+        # the one upward root against the search over both roots, at the +1
+        # threshold and push and at their mirror. ``near`` cells start within
+        # 1e-9 of the threshold; ``tangent`` cells start where the PD output
+        # peaks within 1e-9 of it after the given time.
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        e = [c[0] for c in cells] + [c[0] for c in near]
+        ed = [c[1] for c in cells] + [(INV3 + d - p.ky2 * c) / p.ky1 for c, d in near]
+        edot_top = p.ky1 * INV3 / p.ky2  # the PD output's slope under the push is 0 here
+        e_top = (INV3 - p.ky1 * edot_top) / p.ky2
+        for tau, d in tangent:
+            e.append(e_top - edot_top * tau - 0.5 * INV3 * tau * tau + d / p.ky2)
+            ed.append(edot_top + INV3 * tau)
+        e, ed = np.array(e), np.array(ed)
+        got = analysis._saturated_exit_time(e, ed, p)
+        np.testing.assert_array_equal(got, oc.two_root_exit_time(e, ed, INV3, -INV3, p))
+        np.testing.assert_array_equal(got, oc.two_root_exit_time(-e, -ed, -INV3, INV3, p))
 
 
 class TestEventEngine:
@@ -723,6 +760,16 @@ class TestQuadrantCapture:
         assert rep.passed
 
 
+def _map_cell(p):
+    """One-cell maps at gains ``p`` for ``oracles.scalar_critical_search``."""
+
+    def map_cell(e, edot, sign):
+        e1, ed1 = _map_settled(np.array([e]), np.array([edot]), sign, p, 1.0)
+        return float(e1[0]), float(ed1[0])
+
+    return map_cell
+
+
 class TestCriticalLyapunov:
     def test_positive_and_refined(self):
         crit = critical_lyapunov(resolution=150)
@@ -780,7 +827,7 @@ class TestCriticalLyapunov:
         level, witness = oc.grid_level_and_witness(grids, ky2)
         assert level == crit.grid_max
         want = oc.scalar_critical_search(
-            lambda e, ed, sign: _map_generic(e, ed, sign, p, 1.0), level, witness, ky1, ky2
+            _map_cell(p), level, witness, ky1, ky2
         )
         assert (crit.l_critical, crit.n_unsettled, crit.bracketed) == want
 
@@ -798,7 +845,7 @@ class TestCriticalLyapunov:
         assert crit.n_unsettled > 0
         assert crit.to_dict()["n_unsettled"] == crit.n_unsettled
         level, skipped, _ = oc.scalar_critical_search(
-            lambda e, ed, sign: _map_generic(e, ed, sign, p, 1.0),
+            _map_cell(p),
             crit.grid_max,
             0.0,
             6.0,
@@ -959,23 +1006,23 @@ class TestRootSolver:
         import scipy.optimize  # the test oracle; the package never calls it
 
         p = ModelParams(ky1=gains[0], ky2=gains[1])
-        bound = sign * INV3
-        e0 = np.array([c[0] for c in cells])
-        ed0 = np.array([c[1] for c in cells])
+        # the gap is to +1/sqrt(3): a sign -1 cell is mirrored as ``_map`` mirrors it
+        e0 = sign * np.array([c[0] for c in cells])
+        ed0 = sign * np.array([c[1] for c in cells])
         t = np.linspace(0.0, 8.0, n + 1)
-        g, _ = analysis._gap_and_slope(e0[:, None], ed0[:, None], t, bound, p)
+        g, _ = analysis._gap_and_slope(e0[:, None], ed0[:, None], t, p)
         change = (g[:, :-1] > 0.0) != (g[:, 1:] > 0.0)
         rows = np.flatnonzero(change.any(axis=1))
         i = change.argmax(axis=1)[rows]
 
         def gap(t, k):
-            return analysis._gap_and_slope(e0[rows][k], ed0[rows][k], t, bound, p)
+            return analysis._gap_and_slope(e0[rows][k], ed0[rows][k], t, p)
 
         roots = analysis._newton(gap, t[i], t[i + 1], g[rows, i], g[rows, i + 1])
         for r, k, root in zip(rows, i, roots):
 
             def f(s):
-                return analysis._gap_and_slope(e0[r], ed0[r], s, bound, p)[0]
+                return analysis._gap_and_slope(e0[r], ed0[r], s, p)[0]
 
             # a bracket with three roots has no single answer to compare
             dense = f(np.linspace(t[k], t[k + 1], 2001)) > 0.0

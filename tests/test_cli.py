@@ -168,6 +168,32 @@ GENERIC_SHA256 = {
         "delta_l_summary.json",
         "237ddc2609e6ee76da4313a5d6fdf6f34338e3e394427a3a42b7104853912dea",
     ),
+    # yaw sign -1: real rates, unbracketed
+    "sweep-grid-neg": (
+        ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
+        (6, 22),
+        "delta_l_grid.csv",
+        "8066bde5566c95f5175303ce87519c2bfe9e690b7f814de4ba85682003fd5098",
+    ),
+    "sweep-summary-neg": (
+        ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
+        (6, 22),
+        "delta_l_summary.json",
+        "73479b7c9eb98aee4873f3821ac5589f0d8b42806b3452a9be01e62d4a457d01",
+    ),
+    # yaw sign -1: complex rates; the search brackets and bisects through both signs
+    "sweep-grid-neg-complex": (
+        ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
+        (2, 5),
+        "delta_l_grid.csv",
+        "959c910e9035d830b8eae9af45c04c976bbd360344632c463593b3f44007e950",
+    ),
+    "sweep-summary-neg-complex": (
+        ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
+        (2, 5),
+        "delta_l_summary.json",
+        "88caa15a6c2f4486580fd1f2088ee38ac90127c09df378a5f061a9654a84911a",
+    ),
     "verify-lemmas": (
         ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
         (6, 12),
@@ -587,6 +613,24 @@ class TestHittingTime:
         assert "inadmissible" not in err
         assert main(["hitting-time", "-1", "1", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("inadmissible state: ")
+
+
+class TestNegativeNumbers:
+    # argparse alone takes a negative number with an exponent, or -inf, for a flag
+    def test_exponent_flag_value(self, tmp_path):
+        argv = ["sweep-delta-l", "--grid-res", "4", "--e-min", "-1e-1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "delta_l_summary.json")["e_range"][0] == -0.1
+
+    def test_exponent_positionals(self, capsys):
+        assert main(["hitting-time", "-5e-1", "-2e-1", "--branch", "neg"]) == 0
+        t = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
+        assert t == tiltsim.hitting_time(tiltsim.ErrorState(0.5, 0.2), +1)
+
+    def test_infinite_flag_value_is_a_config_error(self, tmp_path, capsys):
+        assert main(["sweep-delta-l", "--e-min", "-inf", "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == "configuration error: [sweep] e_min: expected a finite number, got '-inf'\n"
 
 
 class TestCriticalLyapunov:
