@@ -160,6 +160,8 @@ def cmd_sweep_delta_l(args) -> int:
     peak = summary["max_delta_l"]
     print(f"admissible cells: {summary['n_admissible']}")
     print(f"nonnegative-change cells: {summary['n_positive']}")
+    if summary["l_critical"] is not None:
+        print(f"nonnegative-change cells, both yaw signs: {crit.n_positive_cells}")
     print(f"max delta L: {'n/a' if peak is None else fmt(peak)}")
     if summary["l_critical"] is not None:
         print(f"L_critical: {fmt(summary['l_critical'])}")

@@ -8,13 +8,15 @@ temporary file and leaves any earlier file in place. The CSV tables are
 formatted and streamed into the temporary file one chunk of rows at a
 time, so the whole text is never held in memory.
 
-Six trajectory columns are printed from another column's text (see
+Four trajectory columns are printed from another column's text (see
 ``Copy``): ``ey = 0 - y`` and ``eydot = 0 - vy`` have the magnitudes of
-``y`` and ``vy``, each clamped command ``w1sq``, ``w2sq`` is its raw
-command or ``+0.0``, and the cone edges ``angle_lo``, ``angle_hi`` take one
-value per yaw sign. That is exact because a cell is copied only where the
-relation holds in the trajectory's own arrays; any other cell is formatted
-as usual, so the bytes are those of formatting every value.
+``y`` and ``vy``, and each clamped command ``w1sq``, ``w2sq`` is its raw
+command or ``+0.0``. That is exact because a cell is copied only where the
+relation holds in the trajectory's own arrays. In each chunk of rows, the
+sources' magnitudes, and any double column with at most half as many
+distinct bit patterns as rows (the two cone edges among them), are
+formatted once per distinct value. So the bytes are those of formatting
+every value.
 """
 
 from __future__ import annotations
@@ -77,22 +79,27 @@ class Copy(NamedTuple):
     A double prints as its sign (``-`` unless it is positive or NaN) before
     the digits of its magnitude. So on rows where the column's magnitude
     equals ``source``'s, a cell is its own sign before the digits that
-    ``source`` prints. Every other cell (NaN among them), and every cell if
-    ``source`` is None, is printed once per distinct bit pattern in its
-    chunk.
+    ``source`` prints. Every other cell (NaN among them) is printed once
+    per distinct bit pattern in its chunk.
     """
 
-    source: int | None = None
+    source: int
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
     return _SIGNS[(np.signbit(values) & ~np.isnan(values)).view(np.int8)]
 
 
-def _distinct_text(values: np.ndarray) -> np.ndarray:
-    """``fmt`` of each value, called once per distinct bit pattern."""
+def _texts(values: np.ndarray, repeats_only: bool = False) -> np.ndarray | None:
+    """``fmt`` of each double, formatted once per distinct bit pattern.
+
+    With ``repeats_only``, None where more than half of the values are distinct.
+    """
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
-    return np.array([fmt(v) for v in bits.view(np.float64).tolist()], dtype=object)[inverse]
+    if repeats_only and 2 * len(bits) > len(values):
+        return None
+    printed = ("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split()
+    return np.array(printed, dtype=object)[inverse]
 
 
 def _write_table(path, header: str, columns) -> None:
@@ -100,54 +107,51 @@ def _write_table(path, header: str, columns) -> None:
 
     A column is a ``(how, values)`` pair: ``how`` is a ``%`` code
     (``%.17g`` prints as ``fmt`` does, ``%d`` an integer-valued column) or
-    a ``Copy``. The ``Copy`` columns and their sources are printed as
-    doubles. Each chunk of rows is formatted with one ``%`` call, after one
-    more for the digits of its ``Copy`` sources, and written before the
-    next chunk is formatted.
+    a ``Copy``; every column but a ``%d`` one is printed as doubles. Each
+    chunk of rows is formatted with one ``%`` call and written before the
+    next chunk is formatted. In a chunk, the magnitudes of each ``Copy``
+    source, and each ``%.17g`` column that holds at most half as many
+    distinct values as rows, are formatted once per distinct value and
+    passed as ``%s`` texts. The same double always prints the same text, so
+    the bytes are those of formatting every value.
     """
     hows = [how for how, _ in columns]
-    sources = sorted({h.source for h in hows if isinstance(h, Copy) and h.source is not None})
-    texts = {i for i, h in enumerate(hows) if isinstance(h, Copy)} | set(sources)
+    sources = sorted({h.source for h in hows if isinstance(h, Copy)})
     arrays = [
-        np.asarray(values, dtype=np.float64) if i in texts else values
-        for i, (_, values) in enumerate(columns)
+        values if how == "%d" else np.asarray(values, dtype=np.float64) for how, values in columns
     ]
-    row = ",".join("%s" if i in texts else h for i, h in enumerate(hows)) + "\n"
 
-    def cells(part):
-        """The ``%`` arguments of one chunk of rows, row by row."""
+    def chunk_text(part):
+        """One chunk of rows as CSV text; its ``%`` arguments are freed on return."""
         size = len(part[0])
-        magnitudes = np.abs([part[i] for i in sources]).ravel()
-        printed = ("%.17g " * len(magnitudes) % tuple(magnitudes.tolist())).split()
-        digits = dict(zip(sources, np.array(printed, dtype=object).reshape(-1, size)))
+        digits = {i: _texts(np.abs(part[i])) for i in sources}
+        codes = ["%s"] * len(part)
         out = np.empty((size, len(part)), dtype=object)
         for i, (how, values) in enumerate(zip(hows, part)):
             if i in digits:
                 out[:, i] = _signs(values) + digits[i]
-            elif i not in texts:
-                out[:, i] = values
+            elif isinstance(how, Copy):
+                copied = np.abs(values) == np.abs(part[how.source])
+                out[copied, i] = _signs(values[copied]) + digits[how.source][copied]
+                out[~copied, i] = _texts(values[~copied])
             else:
-                copied = np.zeros(size, dtype=bool)
-                if how.source is not None:
-                    copied = np.abs(values) == np.abs(part[how.source])
-                    out[copied, i] = _signs(values[copied]) + digits[how.source][copied]
-                out[~copied, i] = _distinct_text(values[~copied])
-        return tuple(out.ravel().tolist())
+                shared = _texts(values, repeats_only=True) if how == "%.17g" else None
+                codes[i] = how if shared is None else "%s"
+                out[:, i] = values if shared is None else shared
+        return (",".join(codes) + "\n") * size % tuple(out.ravel().tolist())
 
     def chunks():
         yield header
         for lo in range(0, len(arrays[0]), _CHUNK_ROWS):
-            part = [values[lo : lo + _CHUNK_ROWS] for values in arrays]
-            yield row * len(part[0]) % cells(part)
+            yield chunk_text([values[lo : lo + _CHUNK_ROWS] for values in arrays])
 
     atomic_write_chunks(path, chunks())
 
 
 # columns printed from another column's text: ey = 0 - y and eydot = 0 - vy
-# have the magnitudes of y and vy, each clamped command is its raw command or
-# +0.0, and the cone edges take one value per yaw sign
+# have the magnitudes of y and vy, and each clamped command is its raw command
+# or +0.0
 _COPIES = {"ey": "y", "eydot": "vy", "w1sq": "w1sq_raw", "w2sq": "w2sq_raw"}
-_DISTINCT = ("angle_lo", "angle_hi")
 
 
 def write_trajectory_csv(traj, path) -> None:
@@ -158,8 +162,6 @@ def write_trajectory_csv(traj, path) -> None:
         values = traj.column(name)
         if name in _COPIES:
             return Copy(TRAJECTORY_COLUMNS.index(_COPIES[name])), values
-        if name in _DISTINCT:
-            return Copy(), values
         return "%d" if name in ("p", "q") else "%.17g", values
 
     header = ",".join(TRAJECTORY_COLUMNS) + "\n"

@@ -566,6 +566,27 @@ class TestSweepDeltaL:
         summary = read_json(out / "delta_l_summary.json")
         assert (summary["l_critical"], summary["bracketed"]) == (None, None)
 
+    def test_level_from_the_other_signs_cells_says_so(self, tmp_path, capsys):
+        # the swept sign's grid has no nonnegative cell; the level's search
+        # found its one cell in the other sign's grid
+        out = tmp_path / "sweep"
+        argv = ["sweep-delta-l", "--grid-res", "4", "--e-min", "-1e-1", "--out-dir", str(out)]
+        assert main(argv) == 0
+        summary = read_json(out / "delta_l_summary.json")
+        assert (summary["n_positive"], summary["bracketed"]) == (0, True)
+        lines = capsys.readouterr().out.splitlines()
+        counts = [l for l in lines if l.startswith("nonnegative-change cells")]
+        assert counts == [
+            "nonnegative-change cells: 0",
+            "nonnegative-change cells, both yaw signs: 1",
+        ]
+
+    def test_no_level_no_both_signs_count(self, tmp_path, capsys):
+        argv = ["sweep-delta-l", "--grid-res", "1", "--e-min", "-1", "--e-max", "-1"]
+        argv += ["--edot-min", "1", "--edot-max", "1", "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        assert "both yaw signs" not in capsys.readouterr().out
+
 
 class TestHittingTime:
     def test_known_state(self, capsys):

@@ -19,6 +19,9 @@ from tiltsim.output import (
 )
 from tiltsim.simulator import TRAJECTORY_COLUMNS, SimConfig, Trajectory, run
 
+# a numpy overflow or invalid value in the writers fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 AWKWARD = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1, 1.0]
 ROW_COUNTS = [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 3]
 
@@ -190,6 +193,71 @@ class TestCopiedColumns:
         ints = np.array([3, -3, 0, 7, -1])
         traj = dataclasses.replace(traj, y=ints, ey=-ints, angle_lo=ints, w1sq_raw=ints, w1sq=ints)
         assert_every_value_printed(traj, tmp_path)
+
+
+# bit patterns every repeats pool starts from: signed zeros, NaNs of either
+# sign with payloads, signed infinities and the smallest subnormals
+POOL_SPECIALS = np.array(
+    [0x0000000000000000, 0x8000000000000000, 0x7FF8000000000000, 0xFFF8000000000000]
+    + [0x7FF800000000ABCD, 0xFFF8000000000001, 0x7FF0000000000000, 0xFFF0000000000000]
+    + [0x0000000000000001, 0x8000000000000001],
+    dtype=np.uint64,
+).view(np.float64)
+
+
+def repeats_column(rng, n):
+    """``n`` values cycling through a pool of k distinct doubles.
+
+    With chunks of ``size = min(n, _CHUNK_ROWS)`` rows, k is one of 1, 2,
+    size // 2, size // 2 + 1 and size, so a chunk holds k distinct values,
+    on either side of the writer's one-half cut-off.
+    """
+    size = min(n, _CHUNK_ROWS)
+    k = max(1, int(rng.choice([1, 2, size // 2, size // 2 + 1, size])))
+    others = rng.normal(size=k) * 10.0 ** rng.integers(-300, 300, size=k)
+    pool = np.concatenate([rng.permutation(POOL_SPECIALS), others])
+    _, first = np.unique(pool.view(np.uint64), return_index=True)
+    pool = rng.permutation(pool[np.sort(first)][:k])
+    return pool[(np.arange(n) + rng.integers(0, k)) % k]
+
+
+class TestRepeatedValues:
+    """Tables whose columns repeat a few doubles print as every value printed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.sampled_from(ROW_COUNTS), seed=st.integers(0, 2**32 - 1))
+    def test_trajectory(self, tmp_path_factory, n, seed):
+        rng = np.random.default_rng(seed)
+        cols = {f.name: repeats_column(rng, n) for f in dataclasses.fields(Trajectory)}
+        # copy sources of mixed sign whose magnitudes repeat
+        cols["ey"] = 0.0 - cols["y"]
+        cols["eydot"] = 0.0 - cols["vy"]
+        cols["w1sq"] = np.where(cols["w1sq_raw"] >= 0.0, cols["w1sq_raw"], 0.0)
+        cols["p"] = rng.integers(0, 2, size=n)
+        cols["q"] = rng.integers(0, 2, size=n)
+        traj = Trajectory(**cols)
+        tmp_path = tmp_path_factory.mktemp("repeats")
+        write_trajectory_csv(traj, tmp_path / "written.csv")
+        oc.joined_trajectory_csv(traj, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from(ROW_COUNTS[1:]),
+        seed=st.integers(0, 2**32 - 1),
+        along_e=st.booleans(),
+    )
+    def test_grid(self, tmp_path_factory, n, seed, along_e):
+        # n cells along e or along edot; NaN values sit on masked cells
+        rng = np.random.default_rng(seed)
+        e, edot, values = (repeats_column(rng, n) for _ in range(3))
+        e, edot = (e, edot[:1]) if along_e else (e[:1], edot)
+        values = values.reshape(len(e), len(edot))
+        grid = DeltaLGrid(e, edot, values, ~np.isnan(values), -1)
+        tmp_path = tmp_path_factory.mktemp("repeats")
+        write_grid_csv(grid, tmp_path / "written.csv")
+        oc.joined_grid_csv(grid, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
 
 
 class TestFailedWrite:
