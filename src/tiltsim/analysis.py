@@ -10,29 +10,24 @@ push and the +/- 1/sqrt(3) switching threshold) are specific to the
 pi/6 tilt half-angle and pi/3 yaw amplitude; the PD gains are free
 parameters.
 
-For the default gain pair (ky1, ky2) = (9, 18) the unsaturated decay has
-real rates -3 and -6 and the time to reach the switching threshold has a
-closed form. For other gains the linear flow is still evaluated
-analytically (2x2 linear ODE) but threshold crossings are found by
-bracketed root search, and the half-period map is an event-driven segment
-loop that tolerates multiple regime changes.
-
-Both engines take arrays of start cells in the first quadrant (yaw sign
-+1). ``_map`` picks the engine for the gains, mirrors the yaw sign exactly,
-and is what every grid, capture check, critical-level search and
-single-state map goes through. The event-driven engine advances all live
-cells one segment at a time. Its threshold-crossing scan (``_crossing_time``)
-samples every cell at once, and one array root solve (``_newton``) refines
-the first bracket of every cell of a scan block together: a regula falsi
+Start cells lie in a capture region, so the half-period map is one linear
+decay up to the first threshold crossing, capped at the half period, then
+the push for the rest of it: under the push the PD output is concave and
+keeps falling once it is at or below the threshold. The linear flow is
+evaluated analytically (2x2 linear ODE) for any positive gains, and only
+the hitting time depends on them. ``_hit_times`` takes the closed form at
+the default gain pair (ky1, ky2) = (9, 18), whose decay rates are -3 and
+-6, and one crossing scan (``_crossing_time``) elsewhere. The scan samples
+every cell at once, and one array root solve (``_newton``) refines the
+first bracket of every cell of a scan block together: a regula falsi
 point, then Newton steps on the closed-form slope of the PD output, about
-four passes in all. Cells that do not settle within ``_MAX_SEGMENTS``
-segments are reported, not dropped: the grid raises, the capture check
-counts them as violations, and the critical-level search skips and counts
-them. A grid is mapped once (``_map_grid``) for the Lyapunov-change grid,
-the capture check and the grid checks of ``verify-lemmas`` alike.
+four passes in all.
 
-Threshold hitting times go through one array function, ``_hit_times``: the
-closed form at the default gains, else one crossing scan for all states.
+``_map`` takes arrays of start cells, mirrors the yaw sign -1 into +1
+exactly, and is what every grid, capture check, critical-level search and
+single-state map goes through. A grid is mapped once (``_map_grid``) for
+the Lyapunov-change grid, the capture check and the grid checks of
+``verify-lemmas`` alike.
 
 The critical-level search grows a bracket from the grid maximum by 1.25x,
 up to 60 times. Once the first level meets the nonnegative-change set, the
@@ -41,7 +36,8 @@ a level whose first cell gains energy meets the set for sure and is
 skipped. ``sweep-delta-l`` hands its own grid to the search
 (``_critical_from``), so only the other sign's grid is computed again.
 
-No command loads ``scipy.optimize``: both engines solve with numpy alone.
+No command loads ``scipy.optimize``: the map and the event oracle solve with
+numpy alone.
 
 The closed forms are cross-checked by an independent event oracle,
 ``_event_hitting_times``, behind ``hitting_time_simulated``: fixed-step RK4
@@ -94,7 +90,6 @@ TWO_PI = 2.0 * math.pi
 # attained on the switching threshold at edot = 0.
 DELTA_L_CAP = 0.75
 
-_MAX_SEGMENTS = 64
 _SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
 _EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
@@ -311,26 +306,22 @@ def _newton(gap, a, b, ga, gb):
     return root
 
 
-def _crossing_time(e, edot, params: ModelParams, horizon, n: int, t_start: float):
+def _crossing_time(e, edot, params: ModelParams, horizon: float, n: int):
     """First crossing of the PD output with 1/sqrt(3) along the linear flow.
 
     For each cell of the 1-D arrays ``e`` and ``edot`` the gap is sampled at
-    ``t_start`` and at ``horizon * i / n`` for i = 1..n, all cells of a block
-    at once. The first sample interval where the gap reaches zero or changes
-    sign brackets the crossing, and one ``_newton`` call refines the brackets
-    of all cells of the block, with the gap's slope in closed form
-    (``_gap_and_slope``). Cells without a crossing get NaN. Blocks hold at
-    most ``_SCAN_BLOCK`` samples, which caps the memory of a large grid.
+    ``horizon * i / n`` for i = 0..n, all cells of a block at once. The first
+    sample interval where the gap reaches zero or changes sign brackets the
+    crossing, and one ``_newton`` call refines the brackets of all cells of
+    the block, with the gap's slope in closed form (``_gap_and_slope``).
+    Cells without a crossing get NaN. Blocks hold at most ``_SCAN_BLOCK``
+    samples, which caps the memory of a large grid.
     """
-    horizon = np.broadcast_to(np.asarray(horizon, dtype=float), e.shape)
     out = np.full(e.shape, np.nan)
-    steps = np.arange(1, n + 1)
+    t = float(horizon) * np.arange(n + 1) / n
     rows = max(1, _SCAN_BLOCK // (n + 1))
     for lo in range(0, e.size, rows):
         ec, dc = e[lo : lo + rows], edot[lo : lo + rows]
-        t = np.empty((ec.size, n + 1))
-        t[:, 0] = t_start
-        t[:, 1:] = horizon[lo : lo + rows, None] * steps / n
         g = _pd_output(*_linear_flow(ec[:, None], dc[:, None], t, params), params) - INV_SQRT3
         above = g > 0.0
         event = (g[:, 1:] == 0.0) | (above[:, :-1] != above[:, 1:])
@@ -341,24 +332,26 @@ def _crossing_time(e, edot, params: ModelParams, horizon, n: int, t_start: float
         def gap(t, k):
             return _gap_and_slope(eh[k], dh[k], t, params)
 
-        out[lo + hit] = _newton(gap, t[hit, i - 1], t[hit, i], g[hit, i - 1], g[hit, i])
+        out[lo + hit] = _newton(gap, t[i - 1], t[i], g[hit, i - 1], g[hit, i])
     return out
 
 
-def _hit_times(e, edot, lambda_sign: int, params: ModelParams):
+def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None, n: int = 512):
     """Threshold hitting times of 1-D arrays of states in the ``lambda_sign`` region.
 
     Each state is mirrored into the first quadrant. The default gains take
-    the closed form; other gains take one ``_crossing_time`` scan over 8 s
-    for all states whose gap is positive at t = 0, and 0.0 for the others.
-    States whose flow does not reach the threshold get NaN.
+    the closed form; other gains take one ``_crossing_time`` scan of ``n``
+    intervals over ``horizon`` (``_EVENT_T_MAX`` when None) for all states
+    whose gap is positive at t = 0, and 0.0 for the others. States whose
+    flow does not reach the threshold within the horizon get NaN.
     """
     e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
     if _has_default_rates(params):
         return _hit_time_default_pos(e, edot)
     t = np.zeros(e.shape)
     live = _pd_output(*_linear_flow(e, edot, 0.0, params), params) - INV_SQRT3 > 0.0
-    t[live] = _crossing_time(e[live], edot[live], params, _EVENT_T_MAX, 512, 0.0)
+    horizon = _EVENT_T_MAX if horizon is None else horizon
+    t[live] = _crossing_time(e[live], edot[live], params, horizon, n)
     return t
 
 
@@ -476,94 +469,25 @@ def hitting_time_simulated(
     return float(t)
 
 
-def _saturated_exit_time(e, edot, params: ModelParams):
-    """Earliest time after 1e-12 s that the PD output rises across 1/sqrt(3).
-
-    Under the push -1/sqrt(3) the PD output is a concave quadratic in time,
-    so it crosses the threshold upward at most once, at the smaller root.
-    Array valued; NaN where there is no such crossing.
-    """
-    c2 = 0.5 * params.ky2 * -INV_SQRT3
-    c1 = params.ky1 * -INV_SQRT3 + params.ky2 * edot
-    disc = c1 * c1 - 4.0 * c2 * (_pd_output(e, edot, params) - INV_SQRT3)
-    t = (-c1 + np.sqrt(np.where(disc < 0.0, np.nan, disc))) / (2.0 * c2)
-    return np.where((t > 1e-12) & (c1 + 2.0 * c2 * t > 0.0), t, np.nan)
-
-
-def _unsettled_error(params: ModelParams) -> str:
-    """The error for a cell that does not settle; only such a cell reaches it."""
-    return (
-        "half-period map did not settle within "
-        f"{_MAX_SEGMENTS} regime segments (gains ky1={params.ky1}, ky2={params.ky2})"
-    )
-
-
-def _map_generic(e, edot, params: ModelParams, half_period: float):
-    """Event-driven yaw +1 half-period map of 1-D arrays, for any positive gains.
-
-    Returns ``(e, edot, unsettled)``: ``unsettled`` marks the cells that still
-    switch regime after ``_MAX_SEGMENTS`` segments, and those carry NaN. Each
-    segment advances all live cells at once: saturated cells by the push
-    -1/sqrt(3) up to their exit time, the others by the linear flow up to
-    their threshold crossing.
-    """
-    e, edot = np.array(e, dtype=float), np.array(edot, dtype=float)
-    remaining = np.full(e.shape, float(half_period))
-    # the threshold itself is saturated (tie rule); the band absorbs the rounding left
-    # by the root search that lands us on it. A linear cell whose gap closes within
-    # 2e-12 s (to first order) is saturated too: the scan from 1e-12 s can miss it.
-    eps, k1, k2 = 1e-10, params.ky1, params.ky2
-    live = np.arange(e.size)
-    for _ in range(_MAX_SEGMENTS):
-        if live.size == 0:
-            break
-        el, dl, rl = e[live], edot[live], remaining[live]
-        g = _pd_output(el, dl, params)
-        ahead = g + 2e-12 * ((k2 - k1 * k1) * dl - k1 * k2 * el) - INV_SQRT3
-        sat = (g <= INV_SQRT3 + eps) | (ahead <= 0.0)
-        lin = ~sat
-        t_exit = np.empty(live.shape)
-        t_exit[sat] = _saturated_exit_time(el[sat], dl[sat], params)
-        t_exit[lin] = _crossing_time(el[lin], dl[lin], params, rl[lin], 256, 1e-12)
-        switch = t_exit < rl  # NaN (no exit) runs out the half period
-        adv = np.where(switch, t_exit, rl)
-        e_sat, d_sat = _saturated_flow(el[sat], dl[sat], adv[sat], -INV_SQRT3)
-        e_lin, d_lin = _linear_flow(el[lin], dl[lin], adv[lin], params)
-        e[live[sat]], edot[live[sat]] = e_sat, d_sat
-        e[live[lin]], edot[live[lin]] = e_lin, d_lin
-        remaining[live] = rl - adv
-        live = live[switch & (remaining[live] > 1e-15)]
-    unsettled = np.zeros(e.shape, dtype=bool)
-    unsettled[live] = True
-    e[live] = edot[live] = np.nan
-    return e, edot, unsettled
-
-
 def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
-    """Half-period map of 1-D arrays of start cells, with the engine for the gains.
+    """Half-period map of 1-D arrays of start cells in the ``lambda_sign`` capture region.
 
-    Cells and images are multiplied by ``lambda_sign``, so the engines run at
+    Cells and images are multiplied by ``lambda_sign``, so the map runs at
     yaw +1 only; negation is exact, so only the sign of a zero can differ from
-    a sign-switched engine. The default gains take the closed form, others
-    ``_map_generic``. Returns ``(e, edot, unsettled)``; NaN where unsettled.
+    a sign-switched map. A cell follows the linear flow up to its first
+    threshold crossing (``_hit_times``, scanned over the half period at
+    other than the default gains), capped at the half period, then the push
+    -1/sqrt(3) for the rest of it. That is exact in the capture region: the
+    PD output starts at or above the threshold, and under the push it is
+    concave (second derivative -ky2/sqrt(3)), so once at or below the
+    threshold it keeps falling. A cell exactly on the threshold counts as
+    clamped.
     """
     e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
-    if _has_default_rates(params):
-        t_hit = np.minimum(_hit_time_default_pos(e, edot), half_period)
-        e_m, edot_m = _linear_flow(e, edot, t_hit, params)
-        e1, ed1 = _saturated_flow(e_m, edot_m, half_period - t_hit, -INV_SQRT3)
-        unsettled = np.zeros(e.shape, dtype=bool)
-    else:
-        e1, ed1, unsettled = _map_generic(e, edot, params, half_period)
-    return lambda_sign * e1, lambda_sign * ed1, unsettled
-
-
-def _map_settled(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
-    """``_map`` for callers that cannot skip a cell: raises if one does not settle."""
-    e1, ed1, unsettled = _map(e, edot, lambda_sign, params, half_period)
-    if unsettled.any():
-        raise RuntimeError(_unsettled_error(params))
-    return e1, ed1
+    t = np.fmin(_hit_times(e, edot, +1, params, half_period, 256), half_period)
+    e_m, edot_m = _linear_flow(e, edot, t, params)
+    e1, ed1 = _saturated_flow(e_m, edot_m, half_period - t, -INV_SQRT3)
+    return lambda_sign * e1, lambda_sign * ed1
 
 
 def half_period_map(
@@ -575,14 +499,13 @@ def half_period_map(
     """Advance the lateral error by one half period of the large gait.
 
     The start state must lie in the capture region matching ``lambda_sign``.
-    With default gains the trajectory is one unsaturated decay segment up to
-    the threshold followed by the constant push for the rest of the half
-    period; other gains go through the event-driven segment loop. No command
+    The trajectory is one unsaturated decay segment up to the threshold
+    followed by the constant push for the rest of the half period. No command
     calls it: it is paper API, and a benchmark span until ROADMAP item 1.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
-    e, edot = _map_settled(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params, half_period)
+    e, edot = _map(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params, half_period)
     return ErrorState(float(e[0]), float(edot[0]))
 
 
@@ -680,8 +603,7 @@ class _GridMap:
     ``delta_l_grid``, ``verify_quadrant_capture`` and the grid checks of
     ``verify-lemmas`` read it, so each grid is mapped once. ``e0``, ``ed0``
     are the admissible start cells in row-major order, ``e1``, ``ed1`` their
-    images, NaN where ``unsettled``; ``grid`` holds the Lyapunov change,
-    NaN on masked and unsettled cells.
+    images; ``grid`` holds the Lyapunov change, NaN on masked cells.
     """
 
     grid: DeltaLGrid
@@ -689,16 +611,9 @@ class _GridMap:
     ed0: np.ndarray
     e1: np.ndarray
     ed1: np.ndarray
-    unsettled: np.ndarray
-
-    def delta_l(self, params: ModelParams) -> DeltaLGrid:
-        """The grid, for callers that cannot skip a cell: raises if one does not settle."""
-        if self.unsettled.any():
-            raise RuntimeError(_unsettled_error(params))
-        return self.grid
 
     def capture(self, params: ModelParams) -> CaptureReport:
-        """Cells that do not land in the mirrored region are violations, unsettled ones too."""
+        """Cells whose image is not finite or not in the mirrored region are violations."""
         sign = self.grid.lambda_sign
         report = CaptureReport(lambda_sign=sign, n_admissible=self.e0.size)
         captured = _region_mask(self.e1, self.ed1, -sign, params)
@@ -718,12 +633,12 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
     mask = _region_mask(E, Ed, lambda_sign, params)
     e0, ed0 = E[mask], Ed[mask]
-    e1, ed1, unsettled = _map(e0, ed0, lambda_sign, params, half_period)
+    e1, ed1 = _map(e0, ed0, lambda_sign, params, half_period)
     values = np.full(E.shape, np.nan)
     l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
     values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
     grid = DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign)
-    return _GridMap(grid, e0, ed0, e1, ed1, unsettled)
+    return _GridMap(grid, e0, ed0, e1, ed1)
 
 
 def delta_l_grid(
@@ -739,9 +654,7 @@ def delta_l_grid(
     ``resolution`` is the number of samples per axis. Cells outside the
     capture region for ``lambda_sign`` are masked rather than rejected.
     """
-    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).delta_l(
-        params
-    )
+    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).grid
 
 
 def verify_quadrant_capture(
@@ -755,9 +668,9 @@ def verify_quadrant_capture(
     """Check that the half-period map sends its capture region to the mirror.
 
     Every admissible start cell must land in the opposite-sign capture
-    region; violations are collected, not raised. A cell whose map does not
-    settle is a violation. No command calls it (``verify-lemmas`` maps its grid
-    once): it is paper API, and a benchmark span until ROADMAP item 1.
+    region; violations are collected, not raised. No command calls it
+    (``verify-lemmas`` maps its grid once): it is paper API, and a benchmark
+    span until ROADMAP item 1.
     """
     return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).capture(
         params
@@ -772,8 +685,6 @@ class CriticalLyapunov:
     grid_max: float
     n_positive_cells: int
     resolution: int
-    # ellipse samples skipped because their half-period map did not settle
-    n_unsettled: int = 0
     # False when l_critical is not a critical level: either no level above the
     # grid maximum cleared the nonnegative-change set (l_critical is the last
     # search bound), or no grid cell has nonnegative change (n_positive_cells
@@ -792,7 +703,6 @@ class CriticalLyapunov:
             "n_positive_cells": self.n_positive_cells,
             "resolution": self.resolution,
             "sup_bound": self.sup_bound,
-            "n_unsettled": self.n_unsettled,
             "bracketed": self.bracketed,
         }
 
@@ -858,18 +768,14 @@ def _critical_from(
     # level sets of the Lyapunov function: ky2*e^2/2 + edot^2/2 = level
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 
-    n_unsettled = 0
-
     def grows(e1, ed1, level):
         return 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
 
     def intersects(level: float) -> bool:
         # Cells are mapped in order and the search stops at the first
         # nonnegative change. The closed form maps all cells for about the
-        # cost of one, so it takes them in one chunk; the event-driven engine
-        # takes chunks of 1, 2, 4, ... cells. Cells that do not settle are
-        # skipped; those before the first nonnegative change are counted.
-        nonlocal n_unsettled
+        # cost of one, so it takes them in one chunk; the crossing scan
+        # takes chunks of 1, 2, 4, ... cells.
         e = math.sqrt(2.0 * level / params.ky2) * cos_phi
         edot = math.sqrt(2.0 * level) * sin_phi
         for sign in (+1, -1):
@@ -878,19 +784,16 @@ def _critical_from(
             start, size = 0, e_sel.size if _has_default_rates(params) else 1
             while start < e_sel.size:
                 chunk = slice(start, start + size)
-                e1, ed1, unsettled = _map(e_sel[chunk], ed_sel[chunk], sign, params, half_period)
-                hit = grows(e1, ed1, level)
-                if hit.any():
-                    n_unsettled += int(unsettled[: hit.argmax()].sum())
+                e1, ed1 = _map(e_sel[chunk], ed_sel[chunk], sign, params, half_period)
+                if grows(e1, ed1, level).any():
                     return True
-                n_unsettled += int(unsettled.sum())
                 start, size = start + size, 2 * size
         return False
 
     def first_cell_grows(levels: np.ndarray) -> np.ndarray:
         # Whether the first +1-region ellipse cell of each level grows, all
         # levels in one map call: such a level intersects for sure, and
-        # ``intersects`` would stop at that cell without counting any. Levels
+        # ``intersects`` would stop at that cell. Levels
         # are positive, so only angles with cos and sin >= 0 give e and
         # edot >= 0; the other angles are left out of the arrays.
         quad = np.flatnonzero((cos_phi >= 0.0) & (sin_phi >= 0.0))
@@ -899,18 +802,13 @@ def _critical_from(
         sel = _region_mask(e, edot, +1, params)
         rows = np.flatnonzero(sel.any(axis=1))
         cols = sel.argmax(axis=1)[rows]
-        e1, ed1, _ = _map(e[rows, cols], edot[rows, cols], +1, params, half_period)
+        e1, ed1 = _map(e[rows, cols], edot[rows, cols], +1, params, half_period)
         out = np.zeros(levels.shape, dtype=bool)
         out[rows] = grows(e1, ed1, levels[rows])
         return out
 
     def result(level: float, bracketed: bool = True) -> CriticalLyapunov:
-        if n_unsettled:
-            warnings.warn(
-                f"{n_unsettled} ellipse samples did not settle within {_MAX_SEGMENTS} "
-                "regime segments and were skipped"
-            )
-        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, n_unsettled, bracketed)
+        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, bracketed)
 
     # upper bracket: the first of 60 growing levels whose ellipse misses the
     # nonnegative-change set; levels whose first cell grows are skipped

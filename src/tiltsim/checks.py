@@ -33,8 +33,8 @@ from .analysis import (
     _event_hitting_times,
     _hit_times,
     _linear_flow,
+    _map,
     _map_grid,
-    _map_settled,
     _pd_output,
     _region_mask,
     _require_hits,
@@ -189,10 +189,9 @@ def _check_capture(maps, params) -> tuple[bool, dict]:
 
 def _check_self_map(maps, params) -> tuple[bool, dict]:
     start = maps[+1]
-    start.delta_l(params)  # raises if a start cell does not settle
     mid_e, mid_ed = start.e1, start.ed1
     mid_ok = _region_mask(mid_e, mid_ed, -1, params)
-    end_e, end_ed = _map_settled(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
+    end_e, end_ed = _map(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
     end_ok = _region_mask(end_e, end_ed, +1, params)
     bad = int((~mid_ok).sum() + (~end_ok).sum())
     return bad == 0, {"n_checked": int(start.e0.size), "n_violations": bad}
@@ -203,7 +202,7 @@ def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
     details = {}
     ok = True
     for sign in (+1, -1):
-        grid = maps[sign].delta_l(params)
+        grid = maps[sign].grid
         peak = grid.max_delta_l()
         arg = grid.argmax_state()
         if peak is None:
@@ -254,8 +253,8 @@ def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
     The check stays because ``lemma_report.json`` is pinned.
     """
     e, edot = _sample_region(rng, n, +1, params)
-    fwd_e, fwd_ed = _map_settled(e, edot, +1, params, 1.0)
-    mirrored_e, mirrored_ed = _map_settled(-e, -edot, -1, params, 1.0)
+    fwd_e, fwd_ed = _map(e, edot, +1, params, 1.0)
+    mirrored_e, mirrored_ed = _map(-e, -edot, -1, params, 1.0)
     diffs = np.abs(np.concatenate([fwd_e + mirrored_e, fwd_ed + mirrored_ed]))
     worst = float(np.max(diffs, initial=0.0))
     return worst < 1e-12, {"max_abs_diff": worst}

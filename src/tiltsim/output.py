@@ -53,8 +53,7 @@ def atomic_write_chunks(path, chunks) -> None:
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="\n") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.writelines(chunks)  # each chunk is dropped once written
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

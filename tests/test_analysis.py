@@ -1,11 +1,10 @@
 import inspect
 import math
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles as oc
 from tiltsim import analysis, checks
@@ -29,7 +28,7 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _event_hitting_times, _hit_times, _map, _map_generic, _map_settled
+from tiltsim.analysis import _event_hitting_times, _hit_times, _map
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
@@ -242,12 +241,13 @@ class TestHalfPeriodMap:
             assert mir.e == pytest.approx(-fwd.e, abs=1e-13)
             assert mir.edot == pytest.approx(-fwd.edot, abs=1e-13)
 
-    def test_generic_engine_matches_default_path(self):
+    def test_generic_engine_matches_default_path(self, monkeypatch):
+        # the crossing scan at the default gains against their closed form
         rng = np.random.default_rng(41)
         e0, ed0 = oc.sample_capture_region(rng, 200, +1, 9.0, 18.0)
-        ge, ged, unsettled = _map_generic(e0, ed0, DEFAULT_PARAMS, 1.0)
-        de, ded, _ = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
-        assert not unsettled.any()
+        de, ded = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
+        monkeypatch.setattr(analysis, "_has_default_rates", lambda params: False)
+        ge, ged = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)
         np.testing.assert_allclose(ge, de, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(ged, ded, rtol=0.0, atol=1e-12)
 
@@ -270,21 +270,41 @@ class TestHalfPeriodMap:
         # here): a solver that returned the wrong bracket end sent this cell
         # through an extra linear segment, to (-42.9, 103.1)
         p = ModelParams(ky1=5.0, ky2=20.0)
-        got = _map_generic(np.array([434.0]), np.array([0.0]), p, 1.0)[:2]
+        got = _map(np.array([434.0]), np.array([0.0]), +1, p, 1.0)
         eo, edo = oc.rk4_switched_flow(np.array([434.0]), np.array([0.0]), math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose(np.ravel(got), [eo[0], edo[0]], rtol=1e-7)
 
     @pytest.mark.parametrize("gap", [5e-10, 1e-8])
     def test_crossing_before_first_scan_sample(self, gap):
         # the PD output starts `gap` above the threshold and crosses it within
-        # 1e-12 s, before the crossing scan's first sample: an engine that
-        # missed the crossing ran this cell linear all half period, to (-20.3, 208.7)
+        # 1e-12 s: a scan that started after the crossing ran this cell linear
+        # all half period, to (-20.3, 208.7)
         p = ModelParams(ky1=5.0, ky2=20.0)
         e0 = np.array([434.0])
         ed0 = (analysis.INV_SQRT3 + gap - p.ky2 * e0) / p.ky1
-        e1, ed1, _ = _map_generic(e0, ed0, p, 1.0)
+        e1, ed1 = _map(e0, ed0, +1, p, 1.0)
         eo, edo = oc.rk4_switched_flow(e0, ed0, math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=1e-7)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "ky1, ky2, e0, ed0",
+        [
+            (0.5, 40.0, 0.005, 0.7547005384792517),
+            (1.0, 30.0, 0.01, 0.27735026923962586),
+            (2.0, 5.0, 0.01, 0.2636751346198129),
+        ],
+    )
+    def test_near_threshold_cell_whose_pd_output_rises(self, ky1, ky2, e0, ed0, sign):
+        # the PD output starts 5e-11 above the threshold and rises (ky2 > ky1^2),
+        # so the cell runs linear until a later crossing: an engine that counted
+        # every cell within 1e-10 of the threshold as clamped pushed it all half
+        # period, to (0.4710, 0.1774) against (-0.4240, -0.9790) at (0.5, 40)
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        e0, ed0 = np.array([sign * e0]), np.array([sign * ed0])
+        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
+        np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
 
 
 _gain = st.floats(0.5, 40.0)
@@ -295,6 +315,7 @@ _gains = st.one_of(
     st.integers(1, 10).map(lambda k: (2.0 * k, float(k * k))),
 )
 _cell = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+_quadrant_cell = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 
 
 class TestArrayEngine:
@@ -302,27 +323,22 @@ class TestArrayEngine:
     @given(
         gains=_gains,
         sign=st.sampled_from((1, -1)),
-        cells=st.lists(_cell, min_size=1, max_size=12),
-        max_segments=st.sampled_from((1, 2, 64)),
+        cells=st.lists(_quadrant_cell, min_size=1, max_size=12),
     )
-    @example(gains=(6.0, 9.0), sign=1, cells=[(0.5, 0.2), (1.0, 1.5)], max_segments=64)
-    @example(gains=(2.0, 30.0), sign=-1, cells=[(-0.5, -0.2), (-1.0, 0.3)], max_segments=64)
-    def test_batch_matches_scalar_calls(self, gains, sign, cells, max_segments):
+    @example(gains=(6.0, 9.0), sign=1, cells=[(0.5, 0.2), (1.0, 1.5)])
+    @example(gains=(2.0, 30.0), sign=-1, cells=[(0.5, 0.2), (1.0, 0.3)])
+    def test_batch_matches_scalar_calls(self, gains, sign, cells):
+        # the map is defined on the capture region, so the cells are drawn there
         p = ModelParams(ky1=gains[0], ky2=gains[1])
-        e0 = np.array([c[0] for c in cells])
-        ed0 = np.array([c[1] for c in cells])
-        with mock.patch.object(analysis, "_MAX_SEGMENTS", max_segments):
-            e1, ed1, unsettled = _map(e0, ed0, sign, p, 1.0)
-            for k in range(len(cells)):
-                try:
-                    want = _map_settled(e0[k : k + 1], ed0[k : k + 1], sign, p, 1.0)
-                except RuntimeError:
-                    assert unsettled[k]
-                    assert np.isnan(e1[k]) and np.isnan(ed1[k])
-                    continue
-                assert not unsettled[k]
-                got = np.array([e1[k], ed1[k]])
-                assert got.tobytes() == np.array(want).tobytes()
+        e0 = sign * np.array([c[0] for c in cells])
+        ed0 = sign * np.array([c[1] for c in cells])
+        inside = analysis._region_mask(e0, ed0, sign, p)
+        assume(inside.any())
+        e0, ed0 = e0[inside], ed0[inside]
+        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        for k in range(e0.size):
+            want = _map(e0[k : k + 1], ed0[k : k + 1], sign, p, 1.0)
+            assert np.array([e1[k], ed1[k]]).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("ky1, ky2, res", [(9.0, 18.0, 101), (6.0, 12.0, 37), (1.0, 2.0, 21)])
     def test_self_map_check_matches_scalar_loop(self, ky1, ky2, res):
@@ -331,39 +347,6 @@ class TestArrayEngine:
         passed, detail = _check_self_map(_grid_maps(res, p), p)
         assert detail == {"n_checked": n, "n_violations": bad}
         assert passed == (bad == 0)
-
-
-_offset = st.floats(-1e-9, 1e-9)  # a gap within 1e-9 of the threshold
-# states over six decades, either sign
-_decade = st.builds(lambda m, k: m * 10.0**k, st.floats(-1.0, 1.0), st.integers(-3, 2))
-
-
-class TestSaturatedExit:
-    @settings(max_examples=200, deadline=None)
-    @given(
-        gains=_gains,
-        cells=st.lists(st.tuples(_decade, _decade), max_size=8),
-        near=st.lists(st.tuples(_decade, _offset), max_size=8),
-        tangent=st.lists(st.tuples(st.floats(0.0, 2.0), _offset), max_size=8),
-    )
-    @example(gains=(9.0, 18.0), cells=[(0.1, 0.0)], near=[(0.0, 0.0)], tangent=[(0.3, 0.0)])
-    def test_matches_two_root_search_at_both_signs(self, gains, cells, near, tangent):
-        # the one upward root against the search over both roots, at the +1
-        # threshold and push and at their mirror. ``near`` cells start within
-        # 1e-9 of the threshold; ``tangent`` cells start where the PD output
-        # peaks within 1e-9 of it after the given time.
-        p = ModelParams(ky1=gains[0], ky2=gains[1])
-        e = [c[0] for c in cells] + [c[0] for c in near]
-        ed = [c[1] for c in cells] + [(INV3 + d - p.ky2 * c) / p.ky1 for c, d in near]
-        edot_top = p.ky1 * INV3 / p.ky2  # the PD output's slope under the push is 0 here
-        e_top = (INV3 - p.ky1 * edot_top) / p.ky2
-        for tau, d in tangent:
-            e.append(e_top - edot_top * tau - 0.5 * INV3 * tau * tau + d / p.ky2)
-            ed.append(edot_top + INV3 * tau)
-        e, ed = np.array(e), np.array(ed)
-        got = analysis._saturated_exit_time(e, ed, p)
-        np.testing.assert_array_equal(got, oc.two_root_exit_time(e, ed, INV3, -INV3, p))
-        np.testing.assert_array_equal(got, oc.two_root_exit_time(-e, -ed, -INV3, INV3, p))
 
 
 class TestEventEngine:
@@ -764,7 +747,7 @@ def _map_cell(p):
     """One-cell maps at gains ``p`` for ``oracles.scalar_critical_search``."""
 
     def map_cell(e, edot, sign):
-        e1, ed1 = _map_settled(np.array([e]), np.array([edot]), sign, p, 1.0)
+        e1, ed1 = _map(np.array([e]), np.array([edot]), sign, p, 1.0)
         return float(e1[0]), float(ed1[0])
 
     return map_cell
@@ -788,7 +771,6 @@ class TestCriticalLyapunov:
         assert crit.l_critical == 0.8713017756479291
         assert crit.grid_max == 0.7744904667981592
         assert crit.n_positive_cells == 30
-        assert crit.n_unsettled == 0
 
     @pytest.mark.parametrize(
         "ky1, ky2, l_critical, grid_max, n_positive",
@@ -829,30 +811,7 @@ class TestCriticalLyapunov:
         want = oc.scalar_critical_search(
             _map_cell(p), level, witness, ky1, ky2
         )
-        assert (crit.l_critical, crit.n_unsettled, crit.bracketed) == want
-
-    def test_unsettled_cells_counted(self, monkeypatch):
-        p = ModelParams(ky1=6.0, ky2=12.0)
-        # one grid cell, on the threshold at rest: it starts clamped and
-        # stays clamped, so it settles in one segment and gains energy
-        e0 = INV3 / 12.0
-        while 12.0 * e0 < INV3:
-            e0 = math.nextafter(e0, 1.0)
-        monkeypatch.setattr(analysis, "_MAX_SEGMENTS", 1)
-        with pytest.warns(UserWarning, match="did not settle"):
-            crit = critical_lyapunov((e0, e0), (0.0, 0.0), 1, p, n_angles=256)
-        assert crit.n_positive_cells == 1
-        assert crit.n_unsettled > 0
-        assert crit.to_dict()["n_unsettled"] == crit.n_unsettled
-        level, skipped, _ = oc.scalar_critical_search(
-            _map_cell(p),
-            crit.grid_max,
-            0.0,
-            6.0,
-            12.0,
-            n_angles=256,
-        )
-        assert (crit.l_critical, crit.n_unsettled) == (level, skipped)
+        assert (crit.l_critical, 0, crit.bracketed) == want  # no cell skipped
 
     def test_degenerate_when_no_positive_cells(self):
         # far corner of the admissible region: every cell loses energy

@@ -148,13 +148,16 @@ LEMMA_SHA256_WITHOUT_APPLICABLE = {
 }
 
 # SHA-256 of the analysis outputs at non-default gains (ky1, ky2), which run the
-# generic event-driven engine: argv, gains, output file, digest
+# crossing scan: argv, gains, output file, digest. critical_lyapunov.json was
+# re-recorded when it lost its always-zero "n_unsettled" key; with
+# "n_unsettled": 0 put back and re-dumped by ``write_json`` it hashes to the
+# old 9a2700d8c86c35c92ea3f33348aca7212fd5a5c6633dff67ef2e3aea61e2c87b
 GENERIC_SHA256 = {
     "critical-lyapunov": (
         ["critical-lyapunov", "--grid-res", "40"],
         (6, 12),
         "critical_lyapunov.json",
-        "9a2700d8c86c35c92ea3f33348aca7212fd5a5c6633dff67ef2e3aea61e2c87b",
+        "d9e93237cbb770a60170943932e6fe30e3c903b31c4f235af56242012e422d39",
     ),
     "sweep-grid": (
         ["sweep-delta-l", "--grid-res", "16"],
@@ -432,11 +435,10 @@ class TestSimulate:
         assert report["summary"]["l_critical"] is None
 
     def test_failing_critical_level_is_a_failed_check(self, tmp_path, monkeypatch, capsys):
-        # what the search raises when a grid cell does not settle
-        def unsettled(*args, **kwargs):
-            raise RuntimeError("half-period map did not settle within 64 regime segments")
+        def failing(*args, **kwargs):
+            raise RuntimeError("critical-level search failed")
 
-        monkeypatch.setattr(simulator, "critical_lyapunov", unsettled)
+        monkeypatch.setattr(simulator, "critical_lyapunov", failing)
         out = tmp_path / "run"
         rc = main(["simulate", "--preset", "large", "--duration", "2.0", "--out-dir", str(out)])
         assert rc == 1
@@ -448,7 +450,7 @@ class TestSimulate:
         assert checks["lyapunov_sup_bound"]["applicable"] is True
         assert checks["lyapunov_sup_bound"]["passed"] is False
         assert checks["lyapunov_sup_bound"]["detail"] == {
-            "error": "RuntimeError: half-period map did not settle within 64 regime segments"
+            "error": "RuntimeError: critical-level search failed"
         }
         assert all(checks[name]["passed"] for name in checks if name != "lyapunov_sup_bound")
 

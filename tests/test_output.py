@@ -99,17 +99,28 @@ class TestStreamedWriter:
         assert streamed.count(b"\n") == n + 1
 
     def test_peak_memory_below_the_file_size(self, tmp_path):
-        # a whole-text writer holds the text twice, and the stacked table, at once
+        # a streamed write holds one chunk at a time, so writing 20 001 rows
+        # peaks about where writing the first chunk does; a writer that keeps
+        # the last chunk, or its arguments, alive while it formats the next
+        # one peaks at 1.2-1.3 times that, and a whole-text writer far above
         traj = run(SimConfig(gait=preset("large"), duration=20.0))
         assert len(traj) == 20001
-        path = tmp_path / "trajectory.csv"
-        tracemalloc.start()
-        try:
-            write_trajectory_csv(traj, path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < path.stat().st_size
+        head = dataclasses.replace(
+            traj, **{f.name: getattr(traj, f.name)[:_CHUNK_ROWS] for f in dataclasses.fields(traj)}
+        )
+
+        def peak_of_write(table, path):
+            tracemalloc.start()
+            try:
+                write_trajectory_csv(table, path)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_chunk = peak_of_write(head, tmp_path / "head.csv")
+        peak = peak_of_write(traj, tmp_path / "trajectory.csv")
+        assert peak <= 1.1 * one_chunk
+        assert peak < (tmp_path / "trajectory.csv").stat().st_size
 
 
 def assert_every_value_printed(traj, tmp_path):

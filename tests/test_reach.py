@@ -38,7 +38,6 @@ KEPT = {
     "analysis.delta_l": _PAPER,
     "analysis.angle_in_cone": _PAPER,
     "simulator.step": _PAPER + ": one closed-loop step, which reproduces a divergence report",
-    "analysis._unsettled_error": "reached only when a half-period map cell does not settle",
 }
 
 GENERIC_GAINS = "[model]\nky1 = 6.0\nky2 = 12.0\n"
