@@ -17,11 +17,11 @@ keeps falling once it is at or below the threshold. The linear flow is
 evaluated analytically (2x2 linear ODE) for any positive gains, and only
 the hitting time depends on them. ``_hit_times`` takes the closed form at
 the default gain pair (ky1, ky2) = (9, 18), whose decay rates are -3 and
--6, and one crossing scan (``_crossing_time``) elsewhere. The scan samples
-every cell at once, and one array root solve (``_newton``) refines the
-first bracket of every cell of a scan block together: a regula falsi
-point, then Newton steps on the closed-form slope of the PD output, about
-four passes in all.
+-6. Elsewhere it brackets each cell's first crossing exactly, from the ODE
+that the PD output shares with the flow, and one array root solve
+(``_newton``) refines the brackets of all cells together: a regula falsi
+point, then Newton steps on the closed-form slope of the PD output, 6 to
+12 passes on a sweep's grid.
 
 ``_map`` takes arrays of start cells, mirrors the yaw sign -1 into +1
 exactly, and is what every grid, capture check, critical-level search and
@@ -30,11 +30,12 @@ the Lyapunov-change grid, the capture check and the grid checks of
 ``verify-lemmas`` alike.
 
 The critical-level search grows a bracket from the grid maximum by 1.25x,
-up to 60 times. Once the first level meets the nonnegative-change set, the
-first +1-region ellipse cell of each further level is mapped in one call;
-a level whose first cell gains energy meets the set for sure and is
-skipped. ``sweep-delta-l`` hands its own grid to the search
-(``_critical_from``), so only the other sign's grid is computed again.
+up to 60 times. A level's region cells are mapped in one call per yaw
+sign. Once the first level meets the nonnegative-change set, the first
++1-region ellipse cell of each further level is mapped in one call; a
+level whose first cell gains energy meets the set for sure and is skipped.
+``sweep-delta-l`` hands its own grid to the search (``_critical_from``),
+so only the other sign's grid is computed again.
 
 No command loads ``scipy.optimize``: the map and the event oracle solve with
 numpy alone.
@@ -90,13 +91,13 @@ TWO_PI = 2.0 * math.pi
 # attained on the switching threshold at edot = 0.
 DELTA_L_CAP = 0.75
 
-_SCAN_BLOCK = 1 << 16  # samples per crossing-scan block
 _EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
 _EVENT_STEP = 1e-4  # RK4 step of the event oracle
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 _REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
+_N_ANGLES = 4096  # ellipse angles per level of the critical-level search
 
 
 def brentq(f, a, b, **kwargs):
@@ -185,6 +186,11 @@ def _pd_output(e, edot, params: ModelParams):
     return params.ky1 * edot + params.ky2 * e
 
 
+def _pd_slope(e, edot, params: ModelParams):
+    """The PD output's time derivative along the linear flow, ky1*edot' + ky2*edot."""
+    return (params.ky2 - params.ky1 * params.ky1) * edot - params.ky1 * params.ky2 * e
+
+
 def _region_mask(e, edot, lambda_sign: int, params: ModelParams):
     """Capture-region membership of arrays of states; boundaries count as inside."""
     g = _pd_output(e, edot, params)
@@ -236,9 +242,10 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
 
     Requires the start state in the capture region of ``lambda_sign``; the
     result then lies in [0, 1) for the default gains, reaching 0 exactly on
-    the threshold. Default gains use the closed form, other gains a crossing
-    scan and root solve on the analytic flow, which raises ``ValueError``
-    when the flow does not reach the threshold within 8 s.
+    the threshold. Default gains use the closed form, other gains an exact
+    bracket and root solve on the analytic flow (``_hit_times``), which
+    raises ``ValueError`` when the flow does not reach the threshold within
+    8 s. A state on the threshold gets 0 unless its PD output rises.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
@@ -248,13 +255,9 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
 
 
 def _gap_and_slope(e, edot, t, params: ModelParams):
-    """The PD output's gap to 1/sqrt(3) at time ``t`` along the linear flow, and its slope.
-
-    The slope is ky1*edot' + ky2*edot = (ky2 - ky1^2)*edot - ky1*ky2*e.
-    """
-    k1, k2 = params.ky1, params.ky2
+    """The PD output's gap to 1/sqrt(3) at time ``t`` along the linear flow, and its slope."""
     e, edot = _linear_flow(e, edot, t, params)
-    return _pd_output(e, edot, params) - INV_SQRT3, (k2 - k1 * k1) * edot - k1 * k2 * e
+    return _pd_output(e, edot, params) - INV_SQRT3, _pd_slope(e, edot, params)
 
 
 def _newton(gap, a, b, ga, gb):
@@ -271,12 +274,15 @@ def _newton(gap, a, b, ga, gb):
     Newton step longer than half the Newton step before it, and any other step
     after a stretched one. Every point replaces the bracket end of its sign. So
     between two midpoints, each of which halves the bracket, the steps halve
-    down to half the tolerance, and every cell stops: after four passes on the
-    engine's scans, and after three or four on the brackets of the event
-    oracle, its second caller. A cell stops on an exact zero or on brentq's
-    test |b - a| <= 1e-14 + 4*eps*|x|, which is wider than the float spacing,
-    and returns the end with the smaller gap, as brentq does. Stopped cells
-    leave the arrays, so a cell's root does not depend on the other cells.
+    down to half the tolerance, and every cell stops: after 6 to 12 passes
+    on the hitting-time brackets of a sweep's grid, up to about 15 on 8 s
+    brackets at real rates, and after three or four on the brackets of
+    the event oracle, its second caller. Far-apart rates and large states,
+    such as gains (40, 0.5) at states up to 2000, take up to about 50 passes,
+    as many as bisection. A cell stops on an exact zero or on brentq's test
+    |b - a| <= 1e-14 + 4*eps*|x|, which is wider than the float spacing, and
+    returns the end with the smaller gap, as brentq does. Stopped cells leave
+    the arrays, so a cell's root does not depend on the other cells.
     """
     root = np.where(gb == 0.0, b, a)
     live = np.flatnonzero((ga != 0.0) & (gb != 0.0))
@@ -306,52 +312,48 @@ def _newton(gap, a, b, ga, gb):
     return root
 
 
-def _crossing_time(e, edot, params: ModelParams, horizon: float, n: int):
-    """First crossing of the PD output with 1/sqrt(3) along the linear flow.
-
-    For each cell of the 1-D arrays ``e`` and ``edot`` the gap is sampled at
-    ``horizon * i / n`` for i = 0..n, all cells of a block at once. The first
-    sample interval where the gap reaches zero or changes sign brackets the
-    crossing, and one ``_newton`` call refines the brackets of all cells of
-    the block, with the gap's slope in closed form (``_gap_and_slope``).
-    Cells without a crossing get NaN. Blocks hold at most ``_SCAN_BLOCK``
-    samples, which caps the memory of a large grid.
-    """
-    out = np.full(e.shape, np.nan)
-    t = float(horizon) * np.arange(n + 1) / n
-    rows = max(1, _SCAN_BLOCK // (n + 1))
-    for lo in range(0, e.size, rows):
-        ec, dc = e[lo : lo + rows], edot[lo : lo + rows]
-        g = _pd_output(*_linear_flow(ec[:, None], dc[:, None], t, params), params) - INV_SQRT3
-        above = g > 0.0
-        event = (g[:, 1:] == 0.0) | (above[:, :-1] != above[:, 1:])
-        hit = np.flatnonzero(event.any(axis=1))
-        i = event.argmax(axis=1)[hit] + 1
-        eh, dh = ec[hit], dc[hit]
-
-        def gap(t, k):
-            return _gap_and_slope(eh[k], dh[k], t, params)
-
-        out[lo + hit] = _newton(gap, t[i - 1], t[i], g[hit, i - 1], g[hit, i])
-    return out
-
-
-def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None, n: int = 512):
+def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
     """Threshold hitting times of 1-D arrays of states in the ``lambda_sign`` region.
 
     Each state is mirrored into the first quadrant. The default gains take
-    the closed form; other gains take one ``_crossing_time`` scan of ``n``
-    intervals over ``horizon`` (``_EVENT_T_MAX`` when None) for all states
-    whose gap is positive at t = 0, and 0.0 for the others. States whose
-    flow does not reach the threshold within the horizon get NaN.
+    the closed form. Other gains bracket each state's first crossing within
+    ``horizon`` (``_EVENT_T_MAX`` when None) from the flow's own ODE, which
+    the PD output g solves too, so it decays to 0. At real or repeated
+    rates g has at most one extremum, so it crosses the threshold at most
+    once and [0, horizon] is the bracket. At complex rates the zeros of g
+    and of its slope interlace, so g has at most one extremum before its
+    first zero t0, where the gap is -1/sqrt(3), and [0, min(horizon, t0)]
+    is the bracket. One ``_newton`` call refines all brackets, with the
+    gap's slope in closed form (``_gap_and_slope``). A state gets 0.0 if its
+    gap is negative, or zero with a slope that is not positive; a state
+    whose gap is still positive at its bracket's end gets NaN.
     """
     e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
     if _has_default_rates(params):
         return _hit_time_default_pos(e, edot)
+    horizon = _EVENT_T_MAX if horizon is None else float(horizon)
+    g0, slope0 = _gap_and_slope(e, edot, 0.0, params)
     t = np.zeros(e.shape)
-    live = _pd_output(*_linear_flow(e, edot, 0.0, params), params) - INV_SQRT3 > 0.0
-    horizon = _EVENT_T_MAX if horizon is None else horizon
-    t[live] = _crossing_time(e[live], edot[live], params, horizon, n)
+    live = np.flatnonzero((g0 > 0.0) | ((g0 == 0.0) & (slope0 > 0.0)))
+    e, edot, g0, slope0 = e[live], edot[live], g0[live], slope0[live]
+    end = np.full(live.shape, horizon)
+    disc = params.ky1 * params.ky1 - 4.0 * params.ky2
+    if disc < 0.0:
+        omega = math.sqrt(-disc) / 2.0
+        # g = exp(-ky1*t/2) * (g(0)*cos(omega*t) + c*sin(omega*t)), first zero t0
+        g = g0 + INV_SQRT3
+        t0 = np.arctan2(-g, (slope0 + 0.5 * params.ky1 * g) / omega) % math.pi / omega
+        end = np.fmin(end, t0)
+    gb = np.where(end < horizon, -INV_SQRT3, _gap_and_slope(e, edot, end, params)[0])
+    hit = gb <= 0.0
+    e, edot, end, gb = e[hit], edot[hit], end[hit], gb[hit]
+    ga = np.maximum(g0[hit], np.nextafter(0.0, 1.0))  # a zero gap at t = 0 is no root here
+
+    def gap(t, k):
+        return _gap_and_slope(e[k], edot[k], t, params)
+
+    t[live] = np.nan
+    t[live[hit]] = _newton(gap, np.zeros(end.size), end, ga, gb)
     return t
 
 
@@ -387,15 +389,17 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     is one product of the rows c*R^k with the block's start states, and the
     first step whose end gap is nonpositive brackets the crossing. One
     ``_newton`` call refines all brackets on the gap after eight RK4 sub-steps
-    (``_substep_gap``). States on or past the threshold give 0.0, states
-    without a crossing within ``_EVENT_T_MAX`` give NaN.
+    (``_substep_gap``). States past the threshold, or on it with a PD output
+    that does not rise, give 0.0; states without a crossing within
+    ``_EVENT_T_MAX`` give NaN.
     """
     e, edot, sgn = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
     )
     y = np.stack([sgn * e, sgn * edot], axis=-1).reshape(-1, 2)
     times = np.full(y.shape[0], np.nan)
-    times[_pd_output(y[:, 0], y[:, 1], params) - INV_SQRT3 <= 0.0] = 0.0
+    gap = _pd_output(y[:, 0], y[:, 1], params) - INV_SQRT3
+    times[(gap < 0.0) | ((gap == 0.0) & (_pd_slope(y[:, 0], y[:, 1], params) <= 0.0))] = 0.0
     n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
     powers[0] = _rk4_matrix(_EVENT_STEP, params)
@@ -475,16 +479,17 @@ def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
     Cells and images are multiplied by ``lambda_sign``, so the map runs at
     yaw +1 only; negation is exact, so only the sign of a zero can differ from
     a sign-switched map. A cell follows the linear flow up to its first
-    threshold crossing (``_hit_times``, scanned over the half period at
+    threshold crossing (``_hit_times``, bracketed within the half period at
     other than the default gains), capped at the half period, then the push
     -1/sqrt(3) for the rest of it. That is exact in the capture region: the
     PD output starts at or above the threshold, and under the push it is
     concave (second derivative -ky2/sqrt(3)), so once at or below the
     threshold it keeps falling. A cell exactly on the threshold counts as
-    clamped.
+    clamped, unless its PD output rises (possible only where ky2 > ky1^2):
+    then it runs linear to its crossing.
     """
     e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
-    t = np.fmin(_hit_times(e, edot, +1, params, half_period, 256), half_period)
+    t = np.fmin(_hit_times(e, edot, +1, params, half_period), half_period)
     e_m, edot_m = _linear_flow(e, edot, t, params)
     e1, ed1 = _saturated_flow(e_m, edot_m, half_period - t, -INV_SQRT3)
     return lambda_sign * e1, lambda_sign * ed1
@@ -712,7 +717,6 @@ def critical_lyapunov(
     edot_range: tuple[float, float] = (-2.0, 2.0),
     resolution: int = 200,
     params: ModelParams = DEFAULT_PARAMS,
-    n_angles: int = 4096,
     half_period: float = 1.0,
 ) -> CriticalLyapunov:
     """Compute the critical Lyapunov level by grid pass plus level bisection.
@@ -721,18 +725,16 @@ def critical_lyapunov(
     Lyapunov change is nonnegative; the largest level among them brackets
     the answer from below. The level is then refined to ``_REFINE_TOL`` by
     bisecting on "does the level ellipse still intersect the
-    nonnegative-change set", sampling the ellipse at ``n_angles`` angles in
+    nonnegative-change set", sampling the ellipse at ``_N_ANGLES`` angles in
     both capture regions. When no cell has nonnegative change there is no
     level to refine: the result is a degenerate zero level with
     ``bracketed`` false and ``n_positive_cells`` 0, and a warning.
     """
     grid = delta_l_grid(e_range, edot_range, resolution, +1, params, half_period)
-    return _critical_from(grid, params, half_period, n_angles)
+    return _critical_from(grid, params, half_period)
 
 
-def _critical_from(
-    grid: DeltaLGrid, params: ModelParams, half_period: float, n_angles: int = 4096
-) -> CriticalLyapunov:
+def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) -> CriticalLyapunov:
     """``critical_lyapunov`` from the grid of one yaw sign, as a sweep has it.
 
     The grid of the other sign is computed here, over the grid's own ranges
@@ -762,7 +764,7 @@ def _critical_from(
         warnings.warn("no grid cell has nonnegative half-period Lyapunov change")
         return CriticalLyapunov(0.0, 0.0, 0, resolution, bracketed=False)
 
-    phis = np.linspace(0.0, TWO_PI, n_angles, endpoint=False)
+    phis = np.linspace(0.0, TWO_PI, _N_ANGLES, endpoint=False)
     if witness_phi is not None:
         phis = np.append(phis, witness_phi)
     # level sets of the Lyapunov function: ky2*e^2/2 + edot^2/2 = level
@@ -772,28 +774,19 @@ def _critical_from(
         return 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
 
     def intersects(level: float) -> bool:
-        # Cells are mapped in order and the search stops at the first
-        # nonnegative change. The closed form maps all cells for about the
-        # cost of one, so it takes them in one chunk; the crossing scan
-        # takes chunks of 1, 2, 4, ... cells.
+        # the region cells of the level's ellipse, one map call per yaw sign
         e = math.sqrt(2.0 * level / params.ky2) * cos_phi
         edot = math.sqrt(2.0 * level) * sin_phi
         for sign in (+1, -1):
             sel = _region_mask(e, edot, sign, params)
-            e_sel, ed_sel = e[sel], edot[sel]
-            start, size = 0, e_sel.size if _has_default_rates(params) else 1
-            while start < e_sel.size:
-                chunk = slice(start, start + size)
-                e1, ed1 = _map(e_sel[chunk], ed_sel[chunk], sign, params, half_period)
-                if grows(e1, ed1, level).any():
-                    return True
-                start, size = start + size, 2 * size
+            if grows(*_map(e[sel], edot[sel], sign, params, half_period), level).any():
+                return True
         return False
 
     def first_cell_grows(levels: np.ndarray) -> np.ndarray:
         # Whether the first +1-region ellipse cell of each level grows, all
-        # levels in one map call: such a level intersects for sure, and
-        # ``intersects`` would stop at that cell. Levels
+        # levels in one map call: such a level intersects for sure, so the
+        # whole-ellipse map of ``intersects`` is skipped for it. Levels
         # are positive, so only angles with cos and sin >= 0 give e and
         # edot >= 0; the other angles are left out of the arrays.
         quad = np.flatnonzero((cos_phi >= 0.0) & (sin_phi >= 0.0))

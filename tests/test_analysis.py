@@ -242,7 +242,7 @@ class TestHalfPeriodMap:
             assert mir.edot == pytest.approx(-fwd.edot, abs=1e-13)
 
     def test_generic_engine_matches_default_path(self, monkeypatch):
-        # the crossing scan at the default gains against their closed form
+        # the bracketed crossing search at the default gains against their closed form
         rng = np.random.default_rng(41)
         e0, ed0 = oc.sample_capture_region(rng, 200, +1, 9.0, 18.0)
         de, ded = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
@@ -306,6 +306,43 @@ class TestHalfPeriodMap:
         eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize(
+        "ky1, ky2, e0, ed0",
+        [
+            (2.0, 5.0, 0.01, 0.2636751345948129),
+            (0.5, 40.0, 0.005, 0.7547005383792517),
+            (1.0, 30.0, 0.01, 0.27735026918962585),
+        ],
+    )
+    def test_cell_on_the_threshold_whose_pd_output_rises(self, ky1, ky2, e0, ed0, sign):
+        # the gap is exactly 0.0 and the PD output rises (ky2 > ky1^2), so the
+        # cell runs linear until its crossing: an engine that held every zero
+        # gap clamped missed the oracle by 1.16 at (0.5, 40) and returned a
+        # hitting time of 0.0 where the crossing is at 0.4565 s
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        e0, ed0 = np.array([sign * e0]), np.array([sign * ed0])
+        assert analysis._gap_and_slope(sign * e0, sign * ed0, 0.0, p)[0][0] == 0.0
+        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
+        np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
+        s = ErrorState(float(e0[0]), float(ed0[0]))
+        t = hitting_time(s, sign, p)
+        assert t > 0.1
+        assert abs(t - hitting_time_simulated(s, sign, p)) <= 1e-9
+
+    def test_first_crossing_of_a_fast_oscillation(self):
+        # at (1, 4e6) the PD output oscillates with a period of about 3 ms and
+        # first crosses the threshold at 0.000713 s: a scan of the half period
+        # in 256 samples missed the crossing pair inside its first interval,
+        # took 0.00385 s and landed 1.8e-3 from the oracle
+        p = ModelParams(ky1=1.0, ky2=4e6)
+        for sign in (1, -1):
+            e0, ed0 = np.array([sign * 1e-6]), np.array([0.0])
+            e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+            eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
+            np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
+
 
 _gain = st.floats(0.5, 40.0)
 # (ky1, ky2) pairs: any pair (distinct or complex rates), or ky1^2 = 4*ky2
@@ -313,6 +350,10 @@ _gain = st.floats(0.5, 40.0)
 _gains = st.one_of(
     st.tuples(_gain, _gain),
     st.integers(1, 10).map(lambda k: (2.0 * k, float(k * k))),
+)
+# ky2 = ky1^2/4 * (1 +/- 1e-12): rates on either side of the repeated case
+_near_repeated_gains = st.tuples(_gain, st.sampled_from((1.0 - 1e-12, 1.0 + 1e-12))).map(
+    lambda g: (g[0], g[0] * g[0] / 4.0 * g[1])
 )
 _cell = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 _quadrant_cell = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
@@ -415,6 +456,30 @@ class TestEventEngine:
         pos = _event_hitting_times(e0, ed0, +1, p)
         neg = _event_hitting_times(-e0, -ed0, -1, p)
         assert pos.tobytes() == neg.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        gains=st.one_of(_gains, _near_repeated_gains),
+        sign=st.sampled_from((1, -1)),
+        cells=st.lists(_quadrant_cell, min_size=1, max_size=8),
+        horizon=st.sampled_from((1.0, 8.0)),
+    )
+    @example(gains=(2.0, 1.0 + 1e-12), sign=1, cells=[(0.5, 0.2), (1.0, 1.5)], horizon=8.0)
+    @example(gains=(2.0, 5.0), sign=-1, cells=[(0.5, 0.2), (2.0, 2.0)], horizon=1.0)
+    def test_bracketed_search_matches_event_oracle(self, gains, sign, cells, horizon):
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        assume(not analysis._has_default_rates(p))  # the closed form has no horizon
+        e0 = sign * np.array([c[0] for c in cells])
+        ed0 = sign * np.array([c[1] for c in cells])
+        inside = analysis._region_mask(e0, ed0, sign, p)
+        assume(inside.any())
+        e0, ed0 = e0[inside], ed0[inside]
+        want = _event_hitting_times(e0, ed0, sign, p)
+        assume(not (np.abs(want - horizon) < 1e-6).any())  # a crossing at the horizon
+        want[want > horizon] = np.nan
+        got = _hit_times(e0, ed0, sign, p, horizon)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
     @pytest.mark.parametrize(
         "ky1, ky2", [(9.0, 18.0), (6.0, 9.0), (2.0, 5.0), (6.0, 12.0), (20.0, 30.0)]
@@ -901,10 +966,10 @@ class TestRootSolver:
         n_grid = len(calls)
         with pytest.warns(UserWarning, match="could not bracket"):
             crit = critical_lyapunov(resolution=16, params=p)
-        # the grids, then the first level's first cell and one cell of each
-        # of the other 59 levels: 252 cells in all, one per former brentq call
-        assert calls[:n_grid] == [(64, 4)]
-        assert calls[n_grid:] == [(64, 4), (64, 4), (1, 4), (59, 4)]
+        # the grids, then the first level's 1026 region cells and the first
+        # cell of each of the other 59 levels
+        assert calls[:n_grid] == [(64, 6)]
+        assert calls[n_grid:] == [(64, 6), (64, 6), (1026, 5), (59, 5)]
         np.testing.assert_array_equal(grid_again.values, grid.values)
         assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
             27406278.768203944,
@@ -912,9 +977,26 @@ class TestRootSolver:
             122,
         )
 
-    def test_stretched_step_may_repeat_once(self, monkeypatch):
-        # a stretched step that stays short of the root takes one more stretch,
-        # not a midpoint: every call of this search stops within four passes
+    def test_stretched_step_may_repeat_once(self):
+        # the slope claims a step far shorter than half the tolerance, so the
+        # regula falsi point is followed by two stretched steps of half the
+        # tolerance each, both short of the root, and only then the midpoint
+        points = []
+
+        def gap(t, k):
+            points.append(float(t[0]))
+            return (t - 0.3) * (1.0 + t * t), np.full_like(t, 1e300)
+
+        a, b = np.array([0.0]), np.array([1.0])
+        root = analysis._newton(gap, a, b, gap(a, None)[0], gap(b, None)[0])
+        first, second, third, fourth = points[2:6]  # after the two end gaps
+        half_tol = [0.5 * (1e-14 + 4.0 * np.finfo(float).eps * x) for x in (first, second)]
+        assert [second - first, third - second] == pytest.approx(half_tol, rel=1e-6)
+        assert fourth == 0.5 * (third + 1.0)  # the midpoint of the bracket [third, 1]
+        assert abs(root[0] - 0.3) <= 1e-14 + 4.0 * np.finfo(float).eps * 0.3
+
+    def test_complex_rate_search_counts(self, monkeypatch):
+        # one solver call per grid and per bracketing or bisection level
         solver = analysis._newton
         passes = []
 
@@ -929,8 +1011,8 @@ class TestRootSolver:
         monkeypatch.setattr(analysis, "_newton", counting)
         crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=2.0, ky2=5.0))
         assert crit.l_critical == 0.35186218971492833
-        assert len(passes) == 235
-        assert max(passes) == 4
+        assert len(passes) == 25
+        assert max(passes) == 6
 
     @pytest.mark.parametrize(
         "slope",

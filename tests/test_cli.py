@@ -123,7 +123,9 @@ LEMMA_REPORT_SHA256 = {
 
 # the lemma report digests from before every check carried ``applicable``:
 # argv, gains (None for the defaults), digest of the report with that key
-# removed from each check and re-dumped as ``write_json`` dumps it
+# removed from each check and re-dumped as ``write_json`` dumps it; the generic
+# case re-recorded when the hitting times took exact brackets, which moved its
+# values by at most 2.6e-15
 LEMMA_SHA256_WITHOUT_APPLICABLE = {
     "seed-0": (
         ["verify-lemmas", "--seed", "0"],
@@ -143,15 +145,19 @@ LEMMA_SHA256_WITHOUT_APPLICABLE = {
     "generic": (
         ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
         (6, 12),
-        "05d1765e657510af64fc1d8b0678670bc0beda95437cfaf80c8bbcca8df21bc5",
+        "33276b6bffb2d3ce2c4c0e35591677ae4c1dbf6bf7f4fa82662ca5e06e9c0093",
     ),
 }
 
 # SHA-256 of the analysis outputs at non-default gains (ky1, ky2), which run the
-# crossing scan: argv, gains, output file, digest. critical_lyapunov.json was
-# re-recorded when it lost its always-zero "n_unsettled" key; with
-# "n_unsettled": 0 put back and re-dumped by ``write_json`` it hashes to the
-# old 9a2700d8c86c35c92ea3f33348aca7212fd5a5c6633dff67ef2e3aea61e2c87b
+# bracketed crossing search: argv, gains, output file, digest.
+# critical_lyapunov.json was re-recorded when it lost its always-zero
+# "n_unsettled" key; with "n_unsettled": 0 put back and re-dumped by
+# ``write_json`` it hashes to the old
+# 9a2700d8c86c35c92ea3f33348aca7212fd5a5c6633dff67ef2e3aea61e2c87b. The grids,
+# the (2, 5) summary and the lemma report were re-recorded when each crossing
+# took one exact bracket in place of a sampled scan: values moved by at most
+# 5.7e-14, and no sign cell, count or critical level moved
 GENERIC_SHA256 = {
     "critical-lyapunov": (
         ["critical-lyapunov", "--grid-res", "40"],
@@ -163,7 +169,7 @@ GENERIC_SHA256 = {
         ["sweep-delta-l", "--grid-res", "16"],
         (6, 22),
         "delta_l_grid.csv",
-        "d420be46a46ecfcf80daf5f2070ac16af7ee4afba4c97f6d2ff87e9a778792f8",
+        "35828788e434399606524e53bb6021aa58174eb3bc1c05e32a02ae7a047ea9e6",
     ),
     "sweep-summary": (
         ["sweep-delta-l", "--grid-res", "16"],
@@ -176,7 +182,7 @@ GENERIC_SHA256 = {
         ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
         (6, 22),
         "delta_l_grid.csv",
-        "8066bde5566c95f5175303ce87519c2bfe9e690b7f814de4ba85682003fd5098",
+        "2632a381a3f7742d41533c3bf965ff2c3286ce75ac608370922bf2c6d5d815e4",
     ),
     "sweep-summary-neg": (
         ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
@@ -189,19 +195,19 @@ GENERIC_SHA256 = {
         ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
         (2, 5),
         "delta_l_grid.csv",
-        "959c910e9035d830b8eae9af45c04c976bbd360344632c463593b3f44007e950",
+        "42305e7cb06afe794d7c0b80d47d855388ab2752dd5b211fe152225e8af39f33",
     ),
     "sweep-summary-neg-complex": (
         ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
         (2, 5),
         "delta_l_summary.json",
-        "88caa15a6c2f4486580fd1f2088ee38ac90127c09df378a5f061a9654a84911a",
+        "498393c417535543b195d597cc178c72650d4a905f4d9b9ab25105fc5712de08",
     ),
     "verify-lemmas": (
         ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
         (6, 12),
         "lemma_report.json",
-        "ff4dca180fc8b8d5e8203d0ca613cfe0660c808314284f2ee1b50d047b850d66",
+        "dd013a945a6c0cab7bf0173a98b4ce84d40ea1be1ac77d9f824ccae9704ebe7d",
     ),
 }
 
