@@ -10,10 +10,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analysis
 from .analysis import ErrorState, critical_lyapunov, delta_l_grid
@@ -180,7 +183,9 @@ def cmd_hitting_time(args) -> int:
     sign = 1 if args.branch == "pos" else -1
     admissible = analysis.in_admissible_region(state, sign, cfg.params)
     try:
-        t_closed = analysis.hitting_time(state, sign, cfg.params)
+        # a state far out overflows the closed form, which the check below reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            t_closed = analysis.hitting_time(state, sign, cfg.params)
         t_event = analysis.hitting_time_simulated(state, sign, cfg.params)
     except ValueError as exc:
         # both hitting times raise ValueError for an inadmissible state and for
@@ -189,6 +194,13 @@ def cmd_hitting_time(args) -> int:
         print(f"{label}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     residual = abs(t_closed - t_event)
+    if not math.isfinite(residual):
+        print(
+            f"divergence: closed-form hitting time {fmt(t_closed)}, "
+            f"event-detected {fmt(t_event)}",
+            file=sys.stderr,
+        )
+        return EXIT_DIVERGED
     print(f"hitting time: {fmt(t_closed)}")
     print(f"event-detected: {fmt(t_event)}")
     print(f"residual: {fmt(residual)}")

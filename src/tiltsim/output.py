@@ -17,12 +17,24 @@ sources' magnitudes, and any double column with at most half as many
 distinct bit patterns as rows (the two cone edges among them), are
 formatted once per distinct value. So the bytes are those of formatting
 every value.
+
+A table of two chunks or more is split between this process and one
+forked child, when ``os.fork`` exists, ``os.sched_getaffinity`` allows two
+CPUs or more and this is the only Python thread. This process formats the
+header and the first half of the chunks (the odd chunk among them) while
+the child, pinned off this process's CPU, formats the rest and sends their
+text down a pipe; this process then streams that text into the temporary
+file after its own. Both halves are formatted by the same code, so the
+bytes are those of a write in one process (see ``_write_table``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import signal
+import threading
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,6 +81,7 @@ def write_json(path, obj) -> None:
 
 
 _CHUNK_ROWS = 2048
+_PIPE_PIECE = 1 << 16  # bytes of a child's text read, and yielded, at a time
 _SIGNS = np.array(["", "-"], dtype=object)
 
 
@@ -101,6 +114,99 @@ def _texts(values: np.ndarray, repeats_only: bool = False) -> np.ndarray | None:
     return np.array(printed, dtype=object)[inverse]
 
 
+def _current_cpu() -> int | None:
+    """The CPU this process runs on (field 39 of ``/proc/self/stat``), or None if unreadable."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            # the fields from the third on follow the command name's last ')'
+            return int(fh.read().rpartition(b")")[2].split()[36])
+    except OSError:
+        return None
+
+
+def _child_cpus() -> set[int] | None:
+    """The CPUs a forked formatting child is pinned to, or None where no child may be forked.
+
+    A child needs ``os.fork``, two allowed CPUs or more, and no Python
+    thread but this one, whose locks a child could inherit held. It runs
+    on every allowed CPU but this process's current one: where the kernel
+    does not balance load across CPUs, a forked child stays on its parent's
+    CPU, and the two then take as long as one.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2 or threading.active_count() != 1:
+        return None
+    return allowed - {_current_cpu()}
+
+
+class _Child:
+    """A forked process that formats texts and then sends them down a pipe as ASCII."""
+
+    def __init__(self, pid: int, pipe):
+        self.pid, self.pipe = pid, pipe
+
+    @classmethod
+    def start(cls, cpus: set[int], make_texts) -> _Child | None:
+        """Fork a child on ``cpus`` that sends ``make_texts()``; None if no pipe or fork.
+
+        The child formats every text before it sends a byte, and leaves
+        through ``os._exit``, 0 once all is sent and 1 on any error, so it
+        never returns into the caller or flushes an inherited buffer.
+        """
+        try:
+            r, w = os.pipe()
+        except OSError:
+            return None
+        pipe = open(r, "rb", buffering=0)
+        try:
+            pid = os.fork()
+        except OSError:
+            pipe.close()
+            os.close(w)
+            return None
+        if pid == 0:
+            status = 1
+            try:
+                pipe.close()
+                os.sched_setaffinity(0, cpus)
+                for text in make_texts():
+                    data = memoryview(text.encode("ascii"))
+                    while data:
+                        data = data[os.write(w, data) :]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(w)
+        return cls(pid, pipe)
+
+    def texts(self):
+        """Yield the child's text in pieces of at most 64 KiB; return whether it all came.
+
+        False means that the child failed before it sent anything; a child
+        that fails after that raises ``OSError``.
+        """
+        sent = False
+        while piece := self.pipe.read(_PIPE_PIECE):
+            sent = True
+            yield piece.decode("ascii")
+        self.pipe.close()
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0 and sent:
+            raise OSError(f"CSV formatting child exited with {code} after sending part of its text")
+        return code == 0
+
+    def close(self) -> None:
+        """Close the pipe, and kill and reap the child unless it has been reaped."""
+        self.pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _write_table(path, header: str, columns) -> None:
     """Write ``header`` and one CSV row per row of the equal-length ``columns``.
 
@@ -113,6 +219,17 @@ def _write_table(path, header: str, columns) -> None:
     distinct values as rows, are formatted once per distinct value and
     passed as ``%s`` texts. The same double always prints the same text, so
     the bytes are those of formatting every value.
+
+    A table of two chunks or more is split where ``_child_cpus`` allows:
+    this process formats the header and the first ``ceil(n / 2)`` of its
+    ``n`` chunks while a forked child, pinned off this process's CPU,
+    formats the rest; the child's text then follows in pieces of at most
+    64 KiB. With no pipe or process to be had, this process formats every
+    chunk. If the child fails before it sends anything, this process
+    formats its chunks itself, so a formatting error raises what it would
+    raise in one process; a child that fails later raises ``OSError``. A
+    write that fails or stops early kills and reaps the child, so no
+    process outlives the write.
     """
     hows = [how for how, _ in columns]
     sources = sorted({h.source for h in hows if isinstance(h, Copy)})
@@ -139,12 +256,30 @@ def _write_table(path, header: str, columns) -> None:
                 out[:, i] = values if shared is None else shared
         return (",".join(codes) + "\n") * size % tuple(out.ravel().tolist())
 
-    def chunks():
-        yield header
-        for lo in range(0, len(arrays[0]), _CHUNK_ROWS):
-            yield chunk_text([values[lo : lo + _CHUNK_ROWS] for values in arrays])
+    def part(lo):
+        return [values[lo : lo + _CHUNK_ROWS] for values in arrays]
 
-    atomic_write_chunks(path, chunks())
+    def chunks():
+        starts = range(0, len(arrays[0]), _CHUNK_ROWS)
+        rest = starts[(len(starts) + 1) // 2 :]
+        cpus = _child_cpus() if rest else None
+        child = None
+        if cpus is not None:
+            child = _Child.start(cpus, lambda: [chunk_text(part(lo)) for lo in rest])
+        try:
+            yield header
+            for lo in starts[: len(starts) - len(rest)]:
+                yield chunk_text(part(lo))
+            if child is None or not (yield from child.texts()):
+                for lo in rest:
+                    yield chunk_text(part(lo))
+        finally:
+            if child is not None:
+                child.close()
+
+    # closed on a failed write too, so that its child is reaped before this returns
+    with contextlib.closing(chunks()) as texts:
+        atomic_write_chunks(path, texts)
 
 
 # columns printed from another column's text: ey = 0 - y and eydot = 0 - vy

@@ -643,6 +643,16 @@ class TestHittingTime:
         assert main(["hitting-time", "-1", "1", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("inadmissible state: ")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("e, edot", [("1e160", "0"), ("1e300", "1e300")])
+    def test_overflowing_closed_form_is_a_divergence(self, e, edot, capsys):
+        # the closed form's quadratic overflows to an infinite time, which
+        # must not print as a hitting time with exit 0
+        assert main(["hitting-time", e, edot]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("divergence: closed-form hitting time inf, event-detected ")
+
 
 class TestNegativeNumbers:
     # argparse alone takes a negative number with an exponent, or -inf, for a flag

@@ -1,5 +1,9 @@
 import dataclasses
+import errno
 import math
+import os
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from tiltsim import ModelParams, delta_l_grid
+from tiltsim import ModelParams, delta_l_grid, output
 from tiltsim.analysis import DeltaLGrid
 from tiltsim.gait import preset
 from tiltsim.output import (
@@ -310,3 +314,179 @@ class TestFailedWrite:
         ]
         assert only_file(tmp_path) == path
         assert path.read_text() == "old\n"
+
+
+def assert_no_child():
+    # every child of this process has been reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call made since the test started."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+
+
+def bad_p_trajectory(n, row):
+    # '%d' cannot print the NaN p at ``row``
+    traj = awkward_trajectory(n)
+    bad_p = traj.p.astype(float)
+    bad_p[row] = math.nan
+    return dataclasses.replace(traj, p=bad_p)
+
+
+def assert_failed_write_left_nothing(tmp_path, path):
+    # no temp file, the earlier file untouched and no child left
+    assert only_file(tmp_path) == path
+    assert path.read_text() == "old\n"
+    assert_no_child()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the writer forks no child without os.fork and two allowed CPUs",
+)
+class TestSplitWrite:
+    """A table of two chunks or more is split with one forked child, with the same bytes.
+
+    A failed write is checked while its traceback (``failed``) still holds
+    the writer's frames, as a caller handling the error would: a child
+    reaped only when those frames are freed is still there.
+    """
+
+    @pytest.mark.parametrize("n", ROW_COUNTS)
+    @pytest.mark.parametrize(
+        "make, write, joined",
+        [
+            (awkward_trajectory, write_trajectory_csv, oc.joined_trajectory_csv),
+            (awkward_grid, write_grid_csv, oc.joined_grid_csv),
+        ],
+        ids=["trajectory", "grid"],
+    )
+    def test_splits_two_chunks_or_more(self, tmp_path, forks, n, make, write, joined):
+        table = make(n)
+        write(table, tmp_path / "written.csv")
+        joined(table, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert len(forks) == (n > _CHUNK_ROWS)
+        assert_no_child()
+
+    def test_no_split_beside_a_second_thread(self, tmp_path, forks):
+        parked = threading.Event()
+        thread = threading.Thread(target=parked.wait)
+        thread.start()
+        try:
+            traj = awkward_trajectory(2 * _CHUNK_ROWS + 3)
+            write_trajectory_csv(traj, tmp_path / "written.csv")
+        finally:
+            parked.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        oc.joined_trajectory_csv(traj, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert forks == []
+
+    def test_no_split_on_one_cpu(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        traj = awkward_trajectory(2 * _CHUNK_ROWS + 3)
+        write_trajectory_csv(traj, tmp_path / "written.csv")
+        oc.joined_trajectory_csv(traj, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert forks == []
+
+    def test_failure_in_the_parents_half(self, tmp_path, forks, monkeypatch):
+        # the child stalls for 20 s before formatting: the failed write kills
+        # it rather than waiting for it
+        real_texts = output._texts
+        parent, stalled = os.getpid(), []
+
+        def texts(*args, **kwargs):
+            if os.getpid() != parent and not stalled:
+                stalled.append(True)
+                time.sleep(20)
+            return real_texts(*args, **kwargs)
+
+        monkeypatch.setattr(output, "_texts", texts)
+        path = tmp_path / "trajectory.csv"
+        path.write_text("old\n")
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="NaN") as failed:
+            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 5), path)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+        assert_failed_write_left_nothing(tmp_path, path)
+
+    def test_failure_in_the_childs_half(self, tmp_path, forks):
+        path = tmp_path / "trajectory.csv"
+        path.write_text("old\n")
+        with pytest.raises(ValueError, match="NaN") as failed:
+            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 5), path)
+        assert len(forks) == 1
+        assert_failed_write_left_nothing(tmp_path, path)
+
+    def test_writer_closed_early(self, tmp_path, forks, monkeypatch):
+        # the file takes the header and one chunk, then the disk is full
+        real_write = output.atomic_write_chunks
+
+        def fill_disk(path, chunks):
+            def texts():
+                for i, text in enumerate(chunks):
+                    if i == 2:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    yield text
+
+            real_write(path, texts())
+
+        monkeypatch.setattr(output, "atomic_write_chunks", fill_disk)
+        path = tmp_path / "trajectory.csv"
+        path.write_text("old\n")
+        with pytest.raises(OSError, match="No space") as failed:
+            write_trajectory_csv(awkward_trajectory(3 * _CHUNK_ROWS), path)
+        assert len(forks) == 1
+        assert_failed_write_left_nothing(tmp_path, path)
+
+    def test_child_failing_before_sending_is_recovered(self, tmp_path, forks, monkeypatch):
+        real_texts = output._texts
+        parent = os.getpid()
+
+        def texts(*args, **kwargs):
+            if os.getpid() != parent:
+                raise MemoryError
+            return real_texts(*args, **kwargs)
+
+        monkeypatch.setattr(output, "_texts", texts)
+        traj = awkward_trajectory(4 * _CHUNK_ROWS + 3)
+        write_trajectory_csv(traj, tmp_path / "written.csv")
+        oc.joined_trajectory_csv(traj, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert len(forks) == 1
+        assert_no_child()
+
+    def test_child_failing_after_sending_raises(self, tmp_path, forks, monkeypatch):
+        # the child's last chunk, of 5 rows, cannot be sent as ASCII: the
+        # child has sent its first chunk by then
+        real_texts = output._texts
+        parent = os.getpid()
+
+        def texts(values, repeats_only=False):
+            printed = real_texts(values, repeats_only)
+            if os.getpid() != parent and len(values) == 5 and printed is not None:
+                printed = printed + "\u00e9"
+            return printed
+
+        monkeypatch.setattr(output, "_texts", texts)
+        path = tmp_path / "trajectory.csv"
+        path.write_text("old\n")
+        with pytest.raises(OSError, match="after sending part of its text") as failed:
+            write_trajectory_csv(awkward_trajectory(3 * _CHUNK_ROWS + 5), path)
+        assert len(forks) == 1
+        assert_failed_write_left_nothing(tmp_path, path)
