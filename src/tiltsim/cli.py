@@ -22,7 +22,7 @@ from . import analysis
 from .analysis import ErrorState, critical_lyapunov, delta_l_grid
 from .checks import run_lemma_checks
 from .config import KEYS, ConfigError, ENV_PREFIX, resolve_config, write_manifest
-from .output import fmt, write_grid_csv, write_json, write_trajectory_csv
+from .output import fmt, streamed_trajectory_csv, write_grid_csv, write_json
 from .simulator import DivergenceError, run, verify_trajectory
 
 __all__ = ["main"]
@@ -111,20 +111,21 @@ def cmd_simulate(args) -> int:
     sim_cfg = cfg.sim_config()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_manifest(cfg, out_dir / "manifest.ini")
-    try:
-        traj = run(sim_cfg)
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        if exc.trajectory is not None:
-            write_trajectory_csv(exc.trajectory, out_dir / "trajectory.csv")
-        # enough to reproduce: simulator.step(state, t, config) fails again
-        report = {"passed": False, "diverged": True, "cause": exc.cause, "t": exc.t}
-        report.update(step=exc.step, yaw=exc.yaw, state=dataclasses.asdict(exc.state))
-        write_json(out_dir / "report.json", report)
-        return EXIT_DIVERGED
-    report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution).to_dict()
-    write_trajectory_csv(traj, out_dir / "trajectory.csv")
+    # the CSV is formatted while the run integrates; a diverged run's partial log is written too
+    with streamed_trajectory_csv(out_dir / "trajectory.csv", sim_cfg) as (table, logged):
+        try:
+            traj = run(sim_cfg, table, logged)
+        except DivergenceError as exc:
+            print(f"divergence: {exc}", file=sys.stderr)
+            # enough to reproduce: simulator.step(state, t, config) fails again
+            report = {"passed": False, "diverged": True, "cause": exc.cause, "t": exc.t}
+            report.update(step=exc.step, yaw=exc.yaw, state=dataclasses.asdict(exc.state))
+        else:
+            report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution)
+            report = report.to_dict()
     write_json(out_dir / "report.json", report)
+    if report.get("diverged"):
+        return EXIT_DIVERGED
     _print_checks(report)
     summary = report["summary"]
     print(

@@ -5,7 +5,7 @@ doubles), '.' as the decimal separator, and LF line endings. Files are
 written to a temporary sibling and renamed into place so interrupted runs
 never leave truncated output behind; a write that fails removes the
 temporary file and leaves any earlier file in place. The CSV tables are
-formatted and streamed into the temporary file one chunk of rows at a
+formatted and written into the temporary file one chunk of rows at a
 time, so the whole text is never held in memory.
 
 Four trajectory columns are printed from another column's text (see
@@ -18,20 +18,21 @@ distinct bit patterns as rows (the two cone edges among them), are
 formatted once per distinct value. So the bytes are those of formatting
 every value.
 
-A table of two chunks or more is split between this process and one
-forked child, when ``os.fork`` exists, ``os.sched_getaffinity`` allows two
-CPUs or more and this is the only Python thread. This process formats the
-header and the first half of the chunks (the odd chunk among them) while
-the child, pinned off this process's CPU, formats the rest and sends their
-text down a pipe; this process then streams that text into the temporary
-file after its own. Both halves are formatted by the same code, so the
-bytes are those of a write in one process (see ``_write_table``).
+A table of two chunks or more is formatted by this process and one forked
+child, when ``os.fork`` exists, ``os.sched_getaffinity`` allows two CPUs or
+more and this is the only Python thread. The child formats each chunk as
+soon as all of its rows are logged and writes it into the temporary file;
+``streamed_trajectory_csv`` forks it before the simulation starts, so it
+formats while ``simulator.run`` integrates. Both processes format with the
+same code, so the bytes are those of a write in one process (see
+``_table_file``).
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import mmap
 import os
 import signal
 import threading
@@ -42,10 +43,10 @@ import numpy as np
 
 __all__ = [
     "fmt",
-    "atomic_write_chunks",
     "atomic_write_text",
     "write_json",
     "write_trajectory_csv",
+    "streamed_trajectory_csv",
     "write_grid_csv",
 ]
 
@@ -54,26 +55,22 @@ def fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def atomic_write_chunks(path, chunks) -> None:
-    """Write each text chunk in turn to a temporary sibling, then rename it onto ``path``.
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a temporary sibling, then rename it onto ``path``.
 
-    Any exception, from producing, encoding or writing a chunk, unlinks the
-    temporary file, leaves ``path`` untouched and propagates.
+    Any exception, from encoding or writing the text, unlinks the temporary
+    file, leaves ``path`` untouched and propagates.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="\n") as fh:
-            fh.writelines(chunks)  # each chunk is dropped once written
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def atomic_write_text(path, text: str) -> None:
-    atomic_write_chunks(path, (text,))
 
 
 def write_json(path, obj) -> None:
@@ -81,8 +78,9 @@ def write_json(path, obj) -> None:
 
 
 _CHUNK_ROWS = 2048
-_PIPE_PIECE = 1 << 16  # bytes of a child's text read, and yielded, at a time
 _SIGNS = np.array(["", "-"], dtype=object)
+# the words of the block a table's writer shares with its child (see ``_Child``)
+_ROWS, _STARTED, _STOP = range(3)
 
 
 class Copy(NamedTuple):
@@ -114,6 +112,47 @@ def _texts(values: np.ndarray, repeats_only: bool = False) -> np.ndarray | None:
     return np.array(printed, dtype=object)[inverse]
 
 
+def _chunk_text(hows, part) -> str:
+    """One chunk of rows as CSV text; its ``%`` arguments are freed on return.
+
+    A column is printed as ``hows[i]`` says: a ``%`` code (``%.17g`` prints
+    as ``fmt`` does, ``%d`` an integer-valued column) or a ``Copy``; every
+    column but a ``%d`` one is printed as doubles. The chunk is formatted
+    with one ``%`` call. The magnitudes of each ``Copy`` source, and each
+    ``%.17g`` column that holds at most half as many distinct values as
+    rows, are formatted once per distinct value and passed as ``%s`` texts.
+    The same double always prints the same text, so the bytes are those of
+    formatting every value.
+    """
+    part = [
+        values if how == "%d" else np.asarray(values, dtype=np.float64)
+        for how, values in zip(hows, part)
+    ]
+    size = len(part[0])
+    sources = sorted({h.source for h in hows if isinstance(h, Copy)})
+    digits = {i: _texts(np.abs(part[i])) for i in sources}
+    codes = ["%s"] * len(part)
+    out = np.empty((size, len(part)), dtype=object)
+    for i, (how, values) in enumerate(zip(hows, part)):
+        if i in digits:
+            out[:, i] = _signs(values) + digits[i]
+        elif isinstance(how, Copy):
+            copied = np.abs(values) == np.abs(part[how.source])
+            out[copied, i] = _signs(values[copied]) + digits[how.source][copied]
+            out[~copied, i] = _texts(values[~copied])
+        else:
+            shared = _texts(values, repeats_only=True) if how == "%.17g" else None
+            codes[i] = how if shared is None else "%s"
+            out[:, i] = values if shared is None else shared
+    return (",".join(codes) + "\n") * size % tuple(out.ravel().tolist())
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view) :]
+
+
 def _current_cpu() -> int | None:
     """The CPU this process runs on (field 39 of ``/proc/self/stat``), or None if unreadable."""
     try:
@@ -142,144 +181,189 @@ def _child_cpus() -> set[int] | None:
 
 
 class _Child:
-    """A forked process that formats texts and then sends them down a pipe as ASCII."""
+    """A forked process that writes a table's chunks, first to last, into its temporary file.
 
-    def __init__(self, pid: int, pipe):
-        self.pid, self.pipe = pid, pipe
+    The child formats chunk j once this process has sent it the j-th byte
+    down the ``ready`` pipe (every row of the chunk is logged), unless this
+    process has claimed the chunk by setting the shared word ``_STOP`` to j
+    or below; it sets ``_STARTED`` to j + 1 first. ``_ROWS`` is the table's
+    row count, set before the byte of its last chunk. Each word has one
+    writer and moves one way, so a stale read makes both processes format a
+    chunk, never neither (see ``finish``).
+    """
+
+    def __init__(self, pid: int, ready: int, shared: np.ndarray):
+        self.pid, self.ready, self.shared = pid, ready, shared
+        self.sent = 0
 
     @classmethod
-    def start(cls, cpus: set[int], make_texts) -> _Child | None:
-        """Fork a child on ``cpus`` that sends ``make_texts()``; None if no pipe or fork.
+    def start(cls, cpus: set[int], fd: int, chunk, capacity: int) -> _Child | None:
+        """Fork a child on ``cpus`` writing ``chunk(j, rows)`` to ``fd``; None if no pipe or fork.
 
-        The child formats every text before it sends a byte, and leaves
-        through ``os._exit``, 0 once all is sent and 1 on any error, so it
-        never returns into the caller or flushes an inherited buffer.
+        The child leaves through ``os._exit``, 0 once the pipe is closed or
+        its next chunk is claimed and 1 on any error, so it never returns
+        into the caller or flushes an inherited buffer.
         """
+        shared = np.frombuffer(mmap.mmap(-1, 3 * 8), dtype=np.int64)
+        shared[_ROWS] = shared[_STOP] = capacity
         try:
             r, w = os.pipe()
         except OSError:
             return None
-        pipe = open(r, "rb", buffering=0)
         try:
             pid = os.fork()
         except OSError:
-            pipe.close()
+            os.close(r)
             os.close(w)
             return None
         if pid == 0:
             status = 1
             try:
-                pipe.close()
+                os.close(w)
                 os.sched_setaffinity(0, cpus)
-                for text in make_texts():
-                    data = memoryview(text.encode("ascii"))
-                    while data:
-                        data = data[os.write(w, data) :]
+                j = 0
+                while os.read(r, 1) and j < shared[_STOP]:
+                    shared[_STARTED] = j + 1
+                    _write_all(fd, chunk(j, int(shared[_ROWS])))
+                    j += 1
                 status = 0
             finally:
                 os._exit(status)
-        os.close(w)
-        return cls(pid, pipe)
+        os.close(r)
+        return cls(pid, w, shared)
 
-    def texts(self):
-        """Yield the child's text in pieces of at most 64 KiB; return whether it all came.
+    def send(self, ready: int) -> None:
+        """Tell the child that every row of the first ``ready`` chunks is logged."""
+        if ready > self.sent:
+            with contextlib.suppress(BrokenPipeError):  # the child has exited: see finish
+                _write_all(self.ready, b"\0" * (ready - self.sent))
+            self.sent = ready
 
-        False means that the child failed before it sent anything; a child
-        that fails after that raises ``OSError``.
+    def finish(self, rows: int, chunk, fd: int, tail: Path) -> bool:
+        """Share the chunks left with the child, reap it, and append this process's to ``fd``.
+
+        Sends the last chunks and closes the pipe; then claims and formats,
+        from the last chunk back, each chunk the child has not started, into
+        ``tail``, which is unlinked as soon as it is made. Once the child is
+        reaped, the chunks from its last one on are copied after its text. A
+        chunk both formatted is taken from the child. False, with nothing
+        appended, if either process failed: the caller formats every chunk.
         """
-        sent = False
-        while piece := self.pipe.read(_PIPE_PIECE):
-            sent = True
-            yield piece.decode("ascii")
-        self.pipe.close()
-        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        self.pid = None
-        if code != 0 and sent:
-            raise OSError(f"CSV formatting child exited with {code} after sending part of its text")
-        return code == 0
+        n = -(-rows // _CHUNK_ROWS)
+        self.shared[_ROWS] = rows
+        self.send(n)
+        os.close(self.ready)
+        self.ready = None
+        claimed, tail_fd, failed = [], None, False
+        try:
+            try:
+                for j in range(n - 1, -1, -1):
+                    if j < self.shared[_STARTED]:
+                        break
+                    self.shared[_STOP] = j
+                    if tail_fd is None:
+                        tail_fd = os.open(tail, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600)
+                        os.unlink(tail)
+                    offset = os.lseek(tail_fd, 0, os.SEEK_CUR)
+                    _write_all(tail_fd, chunk(j, rows))  # no chunk's text outlives its write
+                    claimed.append((j, offset, os.lseek(tail_fd, 0, os.SEEK_CUR) - offset))
+            except Exception:  # the caller's one-process write raises it again, if it recurs
+                failed = True
+                os.kill(self.pid, signal.SIGKILL)
+            status = os.waitpid(self.pid, 0)[1]
+            self.pid = None
+            if failed or status != 0:
+                return False
+            first = int(self.shared[_STARTED])
+            for j, offset, size in reversed(claimed):
+                if j >= first:
+                    _write_all(fd, os.pread(tail_fd, size, offset))
+            return True
+        finally:
+            if tail_fd is not None:
+                os.close(tail_fd)
 
     def close(self) -> None:
         """Close the pipe, and kill and reap the child unless it has been reaped."""
-        self.pipe.close()
+        if self.ready is not None:
+            os.close(self.ready)
+            self.ready = None
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
 
 
-def _write_table(path, header: str, columns) -> None:
-    """Write ``header`` and one CSV row per row of the equal-length ``columns``.
+@contextlib.contextmanager
+def _table_file(path, header: str, hows, part, capacity: int):
+    """Write a CSV table of at most ``capacity`` rows as they are logged; yield ``logged(rows)``.
 
-    A column is a ``(how, values)`` pair: ``how`` is a ``%`` code
-    (``%.17g`` prints as ``fmt`` does, ``%d`` an integer-valued column) or
-    a ``Copy``; every column but a ``%d`` one is printed as doubles. Each
-    chunk of rows is formatted with one ``%`` call and written before the
-    next chunk is formatted. In a chunk, the magnitudes of each ``Copy``
-    source, and each ``%.17g`` column that holds at most half as many
-    distinct values as rows, are formatted once per distinct value and
-    passed as ``%s`` texts. The same double always prints the same text, so
-    the bytes are those of formatting every value.
+    ``part(lo, hi)`` gives the columns of rows ``lo`` to ``hi - 1`` once
+    ``logged`` has reported them, and ``hows`` how each is printed (see
+    ``_chunk_text``). On a clean exit, ``path`` holds ``header`` and the rows
+    of the last ``logged`` call; an exception from the block, or from the
+    write, leaves ``path`` as it was and no temporary file.
 
-    A table of two chunks or more is split where ``_child_cpus`` allows:
-    this process formats the header and the first ``ceil(n / 2)`` of its
-    ``n`` chunks while a forked child, pinned off this process's CPU,
-    formats the rest; the child's text then follows in pieces of at most
-    64 KiB. With no pipe or process to be had, this process formats every
-    chunk. If the child fails before it sends anything, this process
-    formats its chunks itself, so a formatting error raises what it would
-    raise in one process; a child that fails later raises ``OSError``. A
-    write that fails or stops early kills and reaps the child, so no
-    process outlives the write.
+    With ``_child_cpus`` allowing a child and room for two chunks, a child
+    is forked at the start, and formats each chunk once all of its rows are
+    logged. After the block, this process shares the chunks left with it
+    (see ``_Child.finish``); the split follows which process gets to a chunk
+    first, so it holds for any host speed. With no pipe or process to be
+    had, this process formats every chunk after the block. If the child
+    fails, or this process fails on its part, the child is reaped and this
+    process truncates the file to its header and formats every chunk
+    itself, so a formatting error raises what it would raise in one
+    process. The child is killed and reaped before the block's exception,
+    or the write's, propagates, so no process outlives the write.
     """
-    hows = [how for how, _ in columns]
-    sources = sorted({h.source for h in hows if isinstance(h, Copy)})
-    arrays = [
-        values if how == "%d" else np.asarray(values, dtype=np.float64) for how, values in columns
-    ]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
+    head = header.encode("ascii")
+    rows, child = 0, None
 
-    def chunk_text(part):
-        """One chunk of rows as CSV text; its ``%`` arguments are freed on return."""
-        size = len(part[0])
-        digits = {i: _texts(np.abs(part[i])) for i in sources}
-        codes = ["%s"] * len(part)
-        out = np.empty((size, len(part)), dtype=object)
-        for i, (how, values) in enumerate(zip(hows, part)):
-            if i in digits:
-                out[:, i] = _signs(values) + digits[i]
-            elif isinstance(how, Copy):
-                copied = np.abs(values) == np.abs(part[how.source])
-                out[copied, i] = _signs(values[copied]) + digits[how.source][copied]
-                out[~copied, i] = _texts(values[~copied])
-            else:
-                shared = _texts(values, repeats_only=True) if how == "%.17g" else None
-                codes[i] = how if shared is None else "%s"
-                out[:, i] = values if shared is None else shared
-        return (",".join(codes) + "\n") * size % tuple(out.ravel().tolist())
+    def chunk(j, n_rows):
+        lo = j * _CHUNK_ROWS
+        return _chunk_text(hows, part(lo, min(lo + _CHUNK_ROWS, n_rows))).encode("ascii")
 
-    def part(lo):
-        return [values[lo : lo + _CHUNK_ROWS] for values in arrays]
+    def logged(n):
+        nonlocal rows
+        rows = n
+        if child is not None:
+            # a full table's last chunk is complete too, however short
+            child.send(-(-n // _CHUNK_ROWS) if n == capacity else n // _CHUNK_ROWS)
 
-    def chunks():
-        starts = range(0, len(arrays[0]), _CHUNK_ROWS)
-        rest = starts[(len(starts) + 1) // 2 :]
-        cpus = _child_cpus() if rest else None
-        child = None
-        if cpus is not None:
-            child = _Child.start(cpus, lambda: [chunk_text(part(lo)) for lo in rest])
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            yield header
-            for lo in starts[: len(starts) - len(rest)]:
-                yield chunk_text(part(lo))
-            if child is None or not (yield from child.texts()):
-                for lo in rest:
-                    yield chunk_text(part(lo))
+            _write_all(fd, head)
+            cpus = _child_cpus() if capacity > _CHUNK_ROWS else None
+            if cpus is not None:
+                child = _Child.start(cpus, fd, chunk, capacity)
+            yield logged
+            tail = path.parent / f".{path.name}.{os.getpid()}.tail"
+            if child is None or not child.finish(rows, chunk, fd, tail):
+                os.ftruncate(fd, len(head))
+                os.lseek(fd, len(head), os.SEEK_SET)
+                for j in range(-(-rows // _CHUNK_ROWS)):
+                    _write_all(fd, chunk(j, rows))
         finally:
             if child is not None:
                 child.close()
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
-    # closed on a failed write too, so that its child is reaped before this returns
-    with contextlib.closing(chunks()) as texts:
-        atomic_write_chunks(path, texts)
+
+def _write_table(path, header: str, hows, columns) -> None:
+    """Write ``header`` and one CSV row per row of the equal-length ``columns``."""
+    rows = len(columns[0])
+    with _table_file(
+        path, header, hows, lambda lo, hi: [c[lo:hi] for c in columns], rows
+    ) as logged:
+        logged(rows)
 
 
 # columns printed from another column's text: ey = 0 - y and eydot = 0 - vy
@@ -288,18 +372,49 @@ def _write_table(path, header: str, columns) -> None:
 _COPIES = {"ey": "y", "eydot": "vy", "w1sq": "w1sq_raw", "w2sq": "w2sq_raw"}
 
 
+def _trajectory_hows() -> tuple[str, list]:
+    """The trajectory CSV's header, and how each of its columns is printed."""
+    from .simulator import TRAJECTORY_COLUMNS
+
+    def how(name):
+        if name in _COPIES:
+            return Copy(TRAJECTORY_COLUMNS.index(_COPIES[name]))
+        return "%d" if name in ("p", "q") else "%.17g"
+
+    return ",".join(TRAJECTORY_COLUMNS) + "\n", [how(name) for name in TRAJECTORY_COLUMNS]
+
+
 def write_trajectory_csv(traj, path) -> None:
     """One row per sample, with ``p`` and ``q`` as integers."""
     from .simulator import TRAJECTORY_COLUMNS
 
-    def column(name):
-        values = traj.column(name)
-        if name in _COPIES:
-            return Copy(TRAJECTORY_COLUMNS.index(_COPIES[name])), values
-        return "%d" if name in ("p", "q") else "%.17g", values
+    header, hows = _trajectory_hows()
+    _write_table(path, header, hows, [traj.column(name) for name in TRAJECTORY_COLUMNS])
 
-    header = ",".join(TRAJECTORY_COLUMNS) + "\n"
-    _write_table(path, header, [column(name) for name in TRAJECTORY_COLUMNS])
+
+@contextlib.contextmanager
+def streamed_trajectory_csv(path, config):
+    """Write the trajectory CSV of a run of ``config`` while it runs: yield ``(table, logged)``.
+
+    ``simulator.run(config, table, logged)`` logs into ``table``, a row
+    table in shared memory, and reports its rows to ``logged``; a forked
+    child (see ``_table_file``) formats each chunk of rows as it lands. On
+    a clean exit ``path`` holds the CSV of the rows last reported, the bytes
+    ``write_trajectory_csv`` writes for that run's trajectory, be it whole
+    or a diverged run's partial log.
+    """
+    from .simulator import ROW_WIDTH, TRAJECTORY_COLUMNS, _trajectory
+
+    capacity = config.n_steps + 1
+    table = np.frombuffer(mmap.mmap(-1, capacity * ROW_WIDTH * 8)).reshape(capacity, ROW_WIDTH)
+    header, hows = _trajectory_hows()
+
+    def part(lo, hi):
+        traj = _trajectory(table[lo:hi], config, lo)
+        return [traj.column(name) for name in TRAJECTORY_COLUMNS]
+
+    with _table_file(path, header, hows, part, capacity) as logged:
+        yield table, logged
 
 
 def write_grid_csv(grid, path) -> None:
@@ -308,4 +423,4 @@ def write_grid_csv(grid, path) -> None:
     codes = ("%.17g", "%.17g", "%d", "%.17g", "%d")
     columns = (E, Ed, grid.mask, grid.values, grid.sign_map())
     header = "e,edot,admissible,delta_L,sign\n"
-    _write_table(path, header, [(code, np.ravel(c)) for code, c in zip(codes, columns)])
+    _write_table(path, header, codes, [np.ravel(c) for c in columns])

@@ -11,6 +11,7 @@ angle against the feasible cone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -68,6 +69,17 @@ class SimConfig:
     @property
     def n_steps(self) -> int:
         return _grid_count(self.duration, self.dt, "the duration")
+
+    @functools.cached_property
+    def cone_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The yaws of a period's two halves, and the feasible cone's (low, high) edges under each.
+
+        Computed once per config, so a run built chunk by chunk evaluates the cone twice.
+        """
+        m = self.steps_per_half
+        yaws = (_yaw(0, m, self.gait), _yaw(m, m, self.gait))
+        lo_of, hi_of = np.array([feasible_cone(lam, self.params) for lam in yaws]).T
+        return np.array(yaws), lo_of, hi_of
 
 
 class DivergenceError(RuntimeError):
@@ -258,61 +270,80 @@ def step(state: VehicleState, t: float, config: SimConfig) -> VehicleState:
     return VehicleState(*_integrate(config.params, lam, config.dt, k, t, x, y, vx, vy, 1, k + 1, []))
 
 
-# floats that run() logs per row, in this order
+# floats that run() logs per row, in this order; a run's table adds ``angle_des``
 _LOGGED = ("x", "y", "vx", "vy", "ax_d", "ay_d", "w1sq_raw", "w2sq_raw")
+ROW_WIDTH = len(_LOGGED) + 1
 
 
-def _block(log: list[float]) -> np.ndarray:
-    """Move a flat per-row log (see ``_LOGGED``) into rows, with ``angle_des`` last."""
+def _fill(table: np.ndarray, rows: int, log: list[float]) -> int:
+    """Move a flat per-row log (see ``_LOGGED``) into ``table`` rows, with ``angle_des`` last.
+
+    The rows go from row ``rows`` on; returns the rows logged in ``table``
+    after the move. ``log`` is emptied.
+    """
     width, ax_d = len(_LOGGED), _LOGGED.index("ax_d")
-    rows = np.empty((len(log) // width, width + 1))
-    rows[:, :width] = np.reshape(log, (-1, width))
+    block = table[rows : rows + len(log) // width]
+    block[:, :width] = np.reshape(log, (-1, width))
     # math.atan2, not np.arctan2: the two differ in the last bit on some rows
-    rows[:, width] = [
+    block[:, width] = [
         math.atan2(ay, ax) % TWO_PI if ax or ay else math.nan
         for ax, ay in zip(log[ax_d::width], log[ax_d + 1 :: width])
     ]
     log.clear()
-    return rows
+    return rows + len(block)
 
 
-def run(config: SimConfig) -> Trajectory:
+def run(
+    config: SimConfig, table: np.ndarray | None = None, logged=lambda rows: None
+) -> Trajectory:
     """Integrate the closed loop over the configured horizon and log it.
 
     Deterministic for a fixed config; the yaw follows the step index (see
     ``_yaw``). Row k logs the state at step k and stage 1 of the step from
-    it. The loop runs one half period at a time, and its log moves into one
-    float block at each yaw switch. On divergence the partial trajectory, up
-    to the last fully logged row, is attached to the raised error.
+    it. The loop runs one half period at a time, and at each yaw switch its
+    log moves into ``table``, one row of ``ROW_WIDTH`` floats per step (the
+    ``_LOGGED`` floats, then ``angle_des``); an ``(n + 1) x ROW_WIDTH``
+    table is allocated if none is given. ``logged`` is then called with the
+    rows in the table so far: the streamed CSV writer passes a table in
+    shared memory, and a forked child formats each chunk of rows as it
+    lands. On divergence the partial trajectory, up to the last fully logged
+    row, is reported and attached to the raised error.
     """
     params, gait, dt = config.params, config.gait, config.dt
     n, m = config.n_steps, config.steps_per_half
+    if table is None:
+        table = np.empty((n + 1, ROW_WIDTH))
     s0 = config.initial_state
     state = (s0.x, s0.y, s0.vx, s0.vy)
     log: list[float] = []
-    blocks: list[np.ndarray] = []
+    rows = 0
     try:
         for k in range(0, n + 1, m):
             lam = _yaw(k, m, gait)
-            state = _integrate(params, lam, dt, k, k * dt, *state, min(m, n + 1 - k), n, log)
-            blocks.append(_block(log))
+            try:
+                state = _integrate(params, lam, dt, k, k * dt, *state, min(m, n + 1 - k), n, log)
+            finally:
+                rows = _fill(table, rows, log)
+                logged(rows)
     except DivergenceError as exc:
-        blocks.append(_block(log))
-        exc.trajectory = _trajectory(blocks, config)
+        exc.trajectory = _trajectory(table[:rows], config)
         raise
-    return _trajectory(blocks, config)
+    return _trajectory(table, config)
 
 
-def _trajectory(blocks: list[np.ndarray], config: SimConfig) -> Trajectory:
-    """Build every column of a run from its logged blocks (see ``_block``)."""
-    params, gait, m = config.params, config.gait, config.steps_per_half
-    table = np.concatenate(blocks)
-    cols = {name: table[:, i].copy() for i, name in enumerate(_LOGGED + ("angle_des",))}
-    k = np.arange(len(table))
+def _trajectory(rows: np.ndarray, config: SimConfig, lo: int = 0) -> Trajectory:
+    """Build every column of table rows ``lo``, ``lo + 1``, ... of a run (see ``_fill``).
+
+    The logged columns are views of ``rows``; every other column is computed
+    row by row from its row's logged floats and absolute index, so the
+    columns of any row range hold the same bits as those rows of the whole run.
+    """
+    params, m = config.params, config.steps_per_half
+    cols = {name: rows[:, i] for i, name in enumerate(_LOGGED + ("angle_des",))}
+    k = lo + np.arange(len(rows))
     t = k * config.dt
     half = (k // m) % 2  # 0 in the first half of each period, 1 in the second
-    yaws = (_yaw(0, m, gait), _yaw(m, m, gait))
-    lo_of, hi_of = np.array([feasible_cone(lam, params) for lam in yaws]).T
+    yaws, lo_of, hi_of = config.cone_edges
     sq1, sq2 = cols["w1sq_raw"], cols["w2sq_raw"]
     # a diverging run can overflow here; its partial log is still wanted
     with np.errstate(over="ignore", invalid="ignore"):
@@ -331,7 +362,7 @@ def _trajectory(blocks: list[np.ndarray], config: SimConfig) -> Trajectory:
             lyap=0.5 * eydot * eydot + 0.5 * params.ky2 * ey * ey,
             angle_lo=lo_of[half],
             angle_hi=hi_of[half],
-            lam=np.array(yaws)[half],
+            lam=yaws[half],
             **cols,
         )
 

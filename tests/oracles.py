@@ -55,9 +55,16 @@ from tiltsim import (
     saturated_flow,
     switch_matrix_of,
 )
-from tiltsim.analysis import _EVENT_BLOCK, _EVENT_STEP, _EVENT_T_MAX, INV_SQRT3, _rk4_matrix
+from tiltsim.analysis import (
+    _EVENT_BLOCK,
+    _EVENT_STEP,
+    _EVENT_T_MAX,
+    INV_SQRT3,
+    TWO_PI,
+    _rk4_matrix,
+)
 from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
-from tiltsim.simulator import TRAJECTORY_COLUMNS, _block, _trajectory, _yaw
+from tiltsim.simulator import TRAJECTORY_COLUMNS, _trajectory, _yaw
 
 SQRT3 = math.sqrt(3.0)
 
@@ -693,26 +700,31 @@ def kernel_step(state, t, config):
 
 
 def kernel_run(config):
-    """``simulator.run`` through ``kernel`` and ``kernel_rk4``: one call per stage."""
+    """``simulator.run`` through ``kernel`` and ``kernel_rk4``: one call per stage.
+
+    Each row appends its nine table floats (see ``simulator._fill``), its
+    ``angle_des`` computed as the row is logged, to one flat log.
+    """
     params, gait, dt = config.params, config.gait, config.dt
     n, m = config.n_steps, config.steps_per_half
     s0 = config.initial_state
     x, y, vx, vy = s0.x, s0.y, s0.vx, s0.vy
     log = []
-    blocks = []
+
+    def table():
+        return np.reshape(np.array(log, dtype=float), (-1, 9))
+
     try:
         for k in range(n + 1):
             t = k * dt
             if k % m == 0:
-                blocks.append(_block(log))
                 f = kernel(params, _yaw(k, m, gait))
             ax_d, ay_d, sq1, sq2, ax, ay = f(t, x, y, vx, vy)
-            log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
+            angle = math.atan2(ay_d, ax_d) % TWO_PI if ax_d or ay_d else math.nan
+            log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2, angle)
             if k < n:
                 x, y, vx, vy = kernel_rk4(f, t, dt, x, y, vx, vy, ax, ay)
     except ValueError as exc:
-        blocks.append(_block(log))
         state = VehicleState(x, y, vx, vy)
-        raise DivergenceError(t, _trajectory(blocks, config), state, k, _yaw(k, m, gait)) from exc
-    blocks.append(_block(log))
-    return _trajectory(blocks, config)
+        raise DivergenceError(t, _trajectory(table(), config), state, k, _yaw(k, m, gait)) from exc
+    return _trajectory(table(), config)

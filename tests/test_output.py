@@ -12,16 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from tiltsim import ModelParams, delta_l_grid, output
+from tiltsim import ModelParams, VehicleState, cli, delta_l_grid, output, simulator
 from tiltsim.analysis import DeltaLGrid
 from tiltsim.gait import preset
 from tiltsim.output import (
     _CHUNK_ROWS,
     atomic_write_text,
+    streamed_trajectory_csv,
     write_grid_csv,
     write_trajectory_csv,
 )
-from tiltsim.simulator import TRAJECTORY_COLUMNS, SimConfig, Trajectory, run
+from tiltsim.simulator import TRAJECTORY_COLUMNS, DivergenceError, SimConfig, Trajectory, run
 
 # a numpy overflow or invalid value in the writers fails the test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -324,16 +325,24 @@ def assert_no_child():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """One entry per ``os.fork`` call made since the test started."""
-    calls = []
+    """The pid of the child of each ``os.fork`` call made since the test started."""
+    pids = []
     real_fork = os.fork
 
     def fork():
-        calls.append(1)
-        return real_fork()
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    return calls
+    return pids
+
+
+needs_a_child = pytest.mark.skipif(
+    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the writer forks no child without os.fork and two allowed CPUs",
+)
 
 
 def bad_p_trajectory(n, row):
@@ -351,10 +360,7 @@ def assert_failed_write_left_nothing(tmp_path, path):
     assert_no_child()
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork") or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
-    reason="the writer forks no child without os.fork and two allowed CPUs",
-)
+@needs_a_child
 class TestSplitWrite:
     """A table of two chunks or more is split with one forked child, with the same bytes.
 
@@ -378,6 +384,26 @@ class TestSplitWrite:
         joined(table, tmp_path / "joined.csv")
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
         assert len(forks) == (n > _CHUNK_ROWS)
+        assert_no_child()
+
+    def test_any_meeting_chunk_gives_the_same_bytes(self, tmp_path, forks, monkeypatch):
+        # each process pauses for 0-2 ms before each chunk, the pause read off
+        # its own clock, so the two meet at different chunks from one write to
+        # the next; a chunk written twice or lost would change the bytes
+        real_chunk_text = output._chunk_text
+
+        def chunk_text(hows, part):
+            time.sleep(time.perf_counter_ns() % 2000 * 1e-6)
+            return real_chunk_text(hows, part)
+
+        grid = awkward_grid(8 * _CHUNK_ROWS + 7)
+        oc.joined_grid_csv(grid, tmp_path / "joined.csv")
+        joined = (tmp_path / "joined.csv").read_bytes()
+        monkeypatch.setattr(output, "_chunk_text", chunk_text)
+        for _ in range(30):
+            write_grid_csv(grid, tmp_path / "written.csv")
+            assert (tmp_path / "written.csv").read_bytes() == joined
+        assert len(forks) == 30
         assert_no_child()
 
     def test_no_split_beside_a_second_thread(self, tmp_path, forks):
@@ -404,8 +430,9 @@ class TestSplitWrite:
         assert forks == []
 
     def test_failure_in_the_parents_half(self, tmp_path, forks, monkeypatch):
-        # the child stalls for 20 s before formatting: the failed write kills
-        # it rather than waiting for it
+        # the child stalls for 20 s in its first chunk while this process
+        # fails on the last one: the failed write kills the child rather
+        # than waiting for it
         real_texts = output._texts
         parent, stalled = os.getpid(), []
 
@@ -420,33 +447,34 @@ class TestSplitWrite:
         path.write_text("old\n")
         start = time.monotonic()
         with pytest.raises(ValueError, match="NaN") as failed:
-            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 5), path)
+            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 5), path)
         assert time.monotonic() - start < 10
         assert len(forks) == 1
         assert_failed_write_left_nothing(tmp_path, path)
 
     def test_failure_in_the_childs_half(self, tmp_path, forks):
+        # the bad value is in the first chunk, which the child starts with
         path = tmp_path / "trajectory.csv"
         path.write_text("old\n")
         with pytest.raises(ValueError, match="NaN") as failed:
-            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 5), path)
+            write_trajectory_csv(bad_p_trajectory(3 * _CHUNK_ROWS, 5), path)
         assert len(forks) == 1
         assert_failed_write_left_nothing(tmp_path, path)
 
     def test_writer_closed_early(self, tmp_path, forks, monkeypatch):
-        # the file takes the header and one chunk, then the disk is full
-        real_write = output.atomic_write_chunks
+        # the file takes the header, then the disk is full for every later
+        # write of this process: its own chunks, and the one-process rewrite
+        real_write = output._write_all
+        parent, writes = os.getpid(), []
 
-        def fill_disk(path, chunks):
-            def texts():
-                for i, text in enumerate(chunks):
-                    if i == 2:
-                        raise OSError(errno.ENOSPC, "No space left on device")
-                    yield text
+        def fill_disk(fd, data):
+            if os.getpid() == parent:
+                writes.append(len(data))
+                if len(writes) > 1:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+            real_write(fd, data)
 
-            real_write(path, texts())
-
-        monkeypatch.setattr(output, "atomic_write_chunks", fill_disk)
+        monkeypatch.setattr(output, "_write_all", fill_disk)
         path = tmp_path / "trajectory.csv"
         path.write_text("old\n")
         with pytest.raises(OSError, match="No space") as failed:
@@ -471,22 +499,166 @@ class TestSplitWrite:
         assert len(forks) == 1
         assert_no_child()
 
-    def test_child_failing_after_sending_raises(self, tmp_path, forks, monkeypatch):
-        # the child's last chunk, of 5 rows, cannot be sent as ASCII: the
-        # child has sent its first chunk by then
-        real_texts = output._texts
-        parent = os.getpid()
+    def test_child_failing_after_writing_is_recovered(self, tmp_path, forks, monkeypatch):
+        # the child writes its first chunk and fails on its second; this
+        # process then formats every chunk itself
+        real_chunk_text = output._chunk_text
+        parent, chunks = os.getpid(), []
 
-        def texts(values, repeats_only=False):
-            printed = real_texts(values, repeats_only)
-            if os.getpid() != parent and len(values) == 5 and printed is not None:
-                printed = printed + "\u00e9"
-            return printed
+        def chunk_text(hows, part):
+            if os.getpid() != parent:
+                chunks.append(1)
+                if len(chunks) == 2:
+                    raise MemoryError
+            return real_chunk_text(hows, part)
 
-        monkeypatch.setattr(output, "_texts", texts)
-        path = tmp_path / "trajectory.csv"
-        path.write_text("old\n")
-        with pytest.raises(OSError, match="after sending part of its text") as failed:
-            write_trajectory_csv(awkward_trajectory(3 * _CHUNK_ROWS + 5), path)
+        monkeypatch.setattr(output, "_chunk_text", chunk_text)
+        traj = awkward_trajectory(6 * _CHUNK_ROWS + 5)
+        write_trajectory_csv(traj, tmp_path / "written.csv")
+        oc.joined_trajectory_csv(traj, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
         assert len(forks) == 1
-        assert_failed_write_left_nothing(tmp_path, path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["joined.csv", "written.csv"]
+        assert_no_child()
+
+
+# lateral start offsets (y0, vy0) of the kind the benchmark draws
+START_OFFSETS = [(0.0, 0.0), (0.01, 0.0), (0.02, -0.01)]
+# diverges in its third half period, after one whole CSV chunk: 2238 rows
+DIVERGING_IN_THIRD_HALF = SimConfig(
+    params=ModelParams(ky2=2.4e7),
+    gait=preset("small"),
+    duration=6.0,
+    initial_state=VehicleState(0.0, 0.5, 0.0, 0.0),
+)
+
+
+def streamed_run(config, path, logged=None):
+    """``run(config)``, its CSV written to ``path`` as it runs; ``logged`` wraps the writer's."""
+    with streamed_trajectory_csv(path, config) as (table, writer_logged):
+        return run(config, table, logged(writer_logged) if logged else writer_logged)
+
+
+def assert_printed(traj, path, tmp_path):
+    oc.joined_trajectory_csv(traj, tmp_path / "printed.csv")
+    assert path.read_bytes() == (tmp_path / "printed.csv").read_bytes()
+
+
+@needs_a_child
+class TestStreamedCsv:
+    """The CSV formatted while ``run`` integrates has the bytes of every value printed."""
+
+    @pytest.mark.parametrize("offset", START_OFFSETS, ids=str)
+    @pytest.mark.parametrize("name", ["large", "small"])
+    def test_same_bytes_as_every_value_printed(self, tmp_path, forks, name, offset):
+        start = VehicleState(0.0, *offset, 0.0)
+        cfg = SimConfig(gait=preset(name), duration=10.0, initial_state=start)
+        traj = streamed_run(cfg, tmp_path / "trajectory.csv")
+        assert len(forks) == 1
+        plain = run(cfg)
+        assert_printed(plain, tmp_path / "trajectory.csv", tmp_path)
+        for f in dataclasses.fields(Trajectory):
+            assert getattr(traj, f.name).tobytes() == getattr(plain, f.name).tobytes(), f.name
+        assert_no_child()
+
+    def test_divergence_in_the_third_half_period(self, tmp_path, forks):
+        cfg = DIVERGING_IN_THIRD_HALF
+        path = tmp_path / "trajectory.csv"
+        with streamed_trajectory_csv(path, cfg) as (table, logged):
+            with pytest.raises(DivergenceError) as streamed:
+                run(cfg, table, logged)
+        with pytest.raises(DivergenceError) as plain:
+            run(cfg)
+        partial = plain.value.trajectory
+        m = cfg.steps_per_half
+        assert 2 * m < len(partial) < 3 * m and len(partial) > _CHUNK_ROWS
+        assert len(streamed.value.trajectory) == len(partial)
+        assert len(forks) == 1
+        write_trajectory_csv(partial, tmp_path / "whole.csv")
+        assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
+        assert_printed(partial, path, tmp_path)
+        assert_no_child()
+
+    def test_child_failing_in_mid_run(self, tmp_path, forks, monkeypatch):
+        # the child fails on its second chunk while the run goes on; the run
+        # ends only once the child has exited, and this process then formats
+        # every chunk itself
+        real_chunk_text = output._chunk_text
+        parent, chunks, exits = os.getpid(), [], []
+
+        def chunk_text(hows, part):
+            if os.getpid() != parent:
+                chunks.append(1)
+                if len(chunks) == 2:
+                    raise MemoryError
+            return real_chunk_text(hows, part)
+
+        def wait_for_the_child(logged):
+            def wrapped(rows):
+                logged(rows)
+                if rows == cfg.n_steps + 1:
+                    # wait for its exit, but leave it for the writer to reap
+                    deadline = time.monotonic() + 30
+                    flags = os.WEXITED | os.WNOWAIT | os.WNOHANG
+                    while (info := os.waitid(os.P_PID, forks[0], flags)) is None:
+                        assert time.monotonic() < deadline, "the child did not exit"
+                        time.sleep(1e-3)
+                    exits.append(info)
+
+            return wrapped
+
+        monkeypatch.setattr(output, "_chunk_text", chunk_text)
+        cfg = SimConfig(gait=preset("large"), duration=10.0)
+        traj = streamed_run(cfg, tmp_path / "trajectory.csv", wait_for_the_child)
+        assert [e.si_status for e in exits] == [1]
+        assert_printed(traj, tmp_path / "trajectory.csv", tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["printed.csv", "trajectory.csv"]
+        assert_no_child()
+
+    def test_exception_in_run_leaves_the_old_csv(self, tmp_path, forks, monkeypatch):
+        # a failure inside run(), not a divergence, after three half periods
+        real_integrate = simulator._integrate
+        calls = []
+
+        def integrate(*args):
+            calls.append(1)
+            if len(calls) == 4:
+                raise RuntimeError("integrator failed")
+            return real_integrate(*args)
+
+        monkeypatch.setattr(simulator, "_integrate", integrate)
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "trajectory.csv").write_text("old\n")
+        argv = ["simulate", "--duration", "10", "--out-dir", str(out)]
+        with pytest.raises(RuntimeError, match="integrator failed"):
+            cli.main(argv)
+        assert len(forks) == 1
+        assert sorted(f.name for f in out.iterdir()) == ["manifest.ini", "trajectory.csv"]
+        assert (out / "trajectory.csv").read_text() == "old\n"
+        assert_no_child()
+
+
+class TestStreamedCsvInOneProcess:
+    """Where no child may be forked, the streamed CSV is formatted after the run."""
+
+    def test_no_fork_on_one_cpu(self, tmp_path, forks, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cfg = SimConfig(gait=preset("large"), duration=6.0)
+        traj = streamed_run(cfg, tmp_path / "trajectory.csv")
+        assert_printed(traj, tmp_path / "trajectory.csv", tmp_path)
+        assert forks == []
+
+    def test_no_fork_beside_a_parked_thread(self, tmp_path, forks):
+        parked = threading.Event()
+        thread = threading.Thread(target=parked.wait)
+        thread.start()
+        try:
+            cfg = SimConfig(gait=preset("large"), duration=6.0)
+            traj = streamed_run(cfg, tmp_path / "trajectory.csv")
+        finally:
+            parked.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert_printed(traj, tmp_path / "trajectory.csv", tmp_path)
+        assert forks == []
