@@ -183,6 +183,11 @@ def cmd_hitting_time(args) -> int:
         return EXIT_CONFIG
     sign = 1 if args.branch == "pos" else -1
     admissible = analysis.in_admissible_region(state, sign, cfg.params)
+    pd_output = analysis._pd_output(state.e, state.edot, cfg.params)
+    if admissible and not math.isfinite(pd_output):
+        # neither hitting time means anything once ky1*edot + ky2*e overflows
+        print(f"divergence: PD output ky1*edot + ky2*e is {fmt(pd_output)}", file=sys.stderr)
+        return EXIT_DIVERGED
     try:
         # a state far out overflows the closed form, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):

@@ -20,11 +20,12 @@ every value.
 
 A table of two chunks or more is formatted by this process and one forked
 child, when ``os.fork`` exists, ``os.sched_getaffinity`` allows two CPUs or
-more and this is the only Python thread. The child formats each chunk as
-soon as all of its rows are logged and writes it into the temporary file;
-``streamed_trajectory_csv`` forks it before the simulation starts, so it
-formats while ``simulator.run`` integrates. Both processes format with the
-same code, so the bytes are those of a write in one process (see
+more and this is the only Python thread. The child formats each whole
+chunk as soon as all of its rows are logged and writes it into the
+temporary file; a short last chunk is always this process's.
+``streamed_trajectory_csv`` forks the child before the simulation starts,
+so it formats while ``simulator.run`` integrates. Both processes format
+with the same code, so the bytes are those of a write in one process (see
 ``_table_file``).
 """
 
@@ -32,14 +33,18 @@ from __future__ import annotations
 
 import contextlib
 import json
+import locale
 import mmap
 import os
 import signal
+import tempfile
 import threading
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+
+from .simulator import ROW_WIDTH, TRAJECTORY_COLUMNS, _trajectory
 
 __all__ = [
     "fmt",
@@ -55,22 +60,37 @@ def fmt(value: float) -> str:
     return format(value, ".17g")
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write ``text`` to a temporary sibling, then rename it onto ``path``.
+@contextlib.contextmanager
+def _atomic_file(path):
+    """Yield a descriptor on a temporary sibling of ``path``, renamed onto it on a clean exit.
 
-    Any exception, from encoding or writing the text, unlinks the temporary
-    file, leaves ``path`` untouched and propagates.
+    Any exception, from the block or from closing and renaming the file,
+    unlinks the temporary file, leaves ``path`` untouched and propagates.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", newline="\n") as fh:
-            fh.write(text)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write ``text`` to a temporary sibling, then rename it onto ``path``.
+
+    The text is encoded as ``open`` would encode it before any file is made,
+    so an exception from encoding it, or writing it, leaves no file behind.
+    """
+    data = text.encode(locale.getpreferredencoding(False))
+    with _atomic_file(path) as fd:
+        _write_all(fd, data)
 
 
 def write_json(path, obj) -> None:
@@ -80,7 +100,7 @@ def write_json(path, obj) -> None:
 _CHUNK_ROWS = 2048
 _SIGNS = np.array(["", "-"], dtype=object)
 # the words of the block a table's writer shares with its child (see ``_Child``)
-_ROWS, _STARTED, _STOP = range(3)
+_STARTED, _STOP = range(2)
 
 
 class Copy(NamedTuple):
@@ -181,56 +201,47 @@ def _child_cpus() -> set[int] | None:
 
 
 class _Child:
-    """A forked process that writes a table's chunks, first to last, into its temporary file.
+    """A forked process that writes a table's whole chunks, first to last, into its file.
 
     The child formats chunk j once this process has sent it the j-th byte
-    down the ``ready`` pipe (every row of the chunk is logged), unless this
-    process has claimed the chunk by setting the shared word ``_STOP`` to j
-    or below; it sets ``_STARTED`` to j + 1 first. ``_ROWS`` is the table's
-    row count, set before the byte of its last chunk. Each word has one
+    down the ``ready`` pipe (all 2048 rows of the chunk are logged), unless
+    this process has claimed the chunk by setting the shared word ``_STOP``
+    to j or below; it sets ``_STARTED`` to j + 1 first. Each word has one
     writer and moves one way, so a stale read makes both processes format a
     chunk, never neither (see ``finish``).
     """
 
-    def __init__(self, pid: int, ready: int, shared: np.ndarray):
-        self.pid, self.ready, self.shared = pid, ready, shared
-        self.sent = 0
-
-    @classmethod
-    def start(cls, cpus: set[int], fd: int, chunk, capacity: int) -> _Child | None:
-        """Fork a child on ``cpus`` writing ``chunk(j, rows)`` to ``fd``; None if no pipe or fork.
+    def __init__(self, cpus: set[int], fd: int, chunk):
+        """Fork a child on ``cpus`` writing ``chunk(j, rows)`` to ``fd``; OSError if it cannot.
 
         The child leaves through ``os._exit``, 0 once the pipe is closed or
         its next chunk is claimed and 1 on any error, so it never returns
         into the caller or flushes an inherited buffer.
         """
-        shared = np.frombuffer(mmap.mmap(-1, 3 * 8), dtype=np.int64)
-        shared[_ROWS] = shared[_STOP] = capacity
+        self.fd, self.chunk, self.sent = fd, chunk, 0
+        self.shared = np.frombuffer(mmap.mmap(-1, 2 * 8), dtype=np.int64)
+        self.shared[_STOP] = np.iinfo(np.int64).max  # no chunk is claimed yet
+        r, self.ready = os.pipe()
         try:
-            r, w = os.pipe()
-        except OSError:
-            return None
-        try:
-            pid = os.fork()
+            self.pid = os.fork()
         except OSError:
             os.close(r)
-            os.close(w)
-            return None
-        if pid == 0:
+            os.close(self.ready)
+            raise
+        if self.pid == 0:
             status = 1
             try:
-                os.close(w)
+                os.close(self.ready)
                 os.sched_setaffinity(0, cpus)
                 j = 0
-                while os.read(r, 1) and j < shared[_STOP]:
-                    shared[_STARTED] = j + 1
-                    _write_all(fd, chunk(j, int(shared[_ROWS])))
+                while os.read(r, 1) and j < self.shared[_STOP]:
+                    self.shared[_STARTED] = j + 1
+                    _write_all(fd, chunk(j, (j + 1) * _CHUNK_ROWS))
                     j += 1
                 status = 0
             finally:
                 os._exit(status)
         os.close(r)
-        return cls(pid, w, shared)
 
     def send(self, ready: int) -> None:
         """Tell the child that every row of the first ``ready`` chunks is logged."""
@@ -239,34 +250,31 @@ class _Child:
                 _write_all(self.ready, b"\0" * (ready - self.sent))
             self.sent = ready
 
-    def finish(self, rows: int, chunk, fd: int, tail: Path) -> bool:
-        """Share the chunks left with the child, reap it, and append this process's to ``fd``.
+    def finish(self, rows: int, scratch_dir: Path) -> bool:
+        """Share the chunks left with the child, reap it, and append this process's chunks.
 
-        Sends the last chunks and closes the pipe; then claims and formats,
-        from the last chunk back, each chunk the child has not started, into
-        ``tail``, which is unlinked as soon as it is made. Once the child is
-        reaped, the chunks from its last one on are copied after its text. A
-        chunk both formatted is taken from the child. False, with nothing
-        appended, if either process failed: the caller formats every chunk.
+        Sends the last whole chunks and closes the pipe; then claims and
+        formats, from the last chunk back, each chunk the child has not
+        started, into an unnamed scratch file in ``scratch_dir``. Once the
+        child is reaped, the chunks from its last one on are copied after
+        its text. A chunk both formatted is taken from the child. False,
+        with nothing appended, if either process failed: the caller formats
+        every chunk.
         """
-        n = -(-rows // _CHUNK_ROWS)
-        self.shared[_ROWS] = rows
-        self.send(n)
+        self.send(rows // _CHUNK_ROWS)
         os.close(self.ready)
         self.ready = None
-        claimed, tail_fd, failed = [], None, False
-        try:
+        claimed, failed = [], False
+        with tempfile.TemporaryFile(dir=scratch_dir) as scratch:
+            tail = scratch.fileno()
             try:
-                for j in range(n - 1, -1, -1):
+                for j in range(-(-rows // _CHUNK_ROWS) - 1, -1, -1):
                     if j < self.shared[_STARTED]:
                         break
                     self.shared[_STOP] = j
-                    if tail_fd is None:
-                        tail_fd = os.open(tail, os.O_RDWR | os.O_CREAT | os.O_TRUNC, 0o600)
-                        os.unlink(tail)
-                    offset = os.lseek(tail_fd, 0, os.SEEK_CUR)
-                    _write_all(tail_fd, chunk(j, rows))  # no chunk's text outlives its write
-                    claimed.append((j, offset, os.lseek(tail_fd, 0, os.SEEK_CUR) - offset))
+                    offset = os.lseek(tail, 0, os.SEEK_CUR)
+                    _write_all(tail, self.chunk(j, rows))  # no chunk's text outlives its write
+                    claimed.append((j, offset, os.lseek(tail, 0, os.SEEK_CUR) - offset))
             except Exception:  # the caller's one-process write raises it again, if it recurs
                 failed = True
                 os.kill(self.pid, signal.SIGKILL)
@@ -277,11 +285,8 @@ class _Child:
             first = int(self.shared[_STARTED])
             for j, offset, size in reversed(claimed):
                 if j >= first:
-                    _write_all(fd, os.pread(tail_fd, size, offset))
-            return True
-        finally:
-            if tail_fd is not None:
-                os.close(tail_fd)
+                    _write_all(self.fd, os.pread(tail, size, offset))
+        return True
 
     def close(self) -> None:
         """Close the pipe, and kill and reap the child unless it has been reaped."""
@@ -305,20 +310,17 @@ def _table_file(path, header: str, hows, part, capacity: int):
     write, leaves ``path`` as it was and no temporary file.
 
     With ``_child_cpus`` allowing a child and room for two chunks, a child
-    is forked at the start, and formats each chunk once all of its rows are
-    logged. After the block, this process shares the chunks left with it
-    (see ``_Child.finish``); the split follows which process gets to a chunk
-    first, so it holds for any host speed. With no pipe or process to be
-    had, this process formats every chunk after the block. If the child
-    fails, or this process fails on its part, the child is reaped and this
-    process truncates the file to its header and formats every chunk
-    itself, so a formatting error raises what it would raise in one
-    process. The child is killed and reaped before the block's exception,
-    or the write's, propagates, so no process outlives the write.
+    is forked at the start and formats each whole chunk once its rows are
+    logged. After the block, this process formats a short last chunk and
+    shares the chunks left with the child (see ``_Child.finish``), by which
+    gets to a chunk first, so the split holds for any host speed. With no
+    pipe or process to be had, this process formats every chunk after the
+    block. If either process fails, the child is reaped and this process
+    truncates the file to its header and formats every chunk itself, so a
+    formatting error raises what it would raise in one process. The child
+    is killed and reaped before the block's exception, or the write's,
+    propagates, so no process outlives the write.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
     head = header.encode("ascii")
     rows, child = 0, None
 
@@ -330,19 +332,17 @@ def _table_file(path, header: str, hows, part, capacity: int):
         nonlocal rows
         rows = n
         if child is not None:
-            # a full table's last chunk is complete too, however short
-            child.send(-(-n // _CHUNK_ROWS) if n == capacity else n // _CHUNK_ROWS)
+            child.send(n // _CHUNK_ROWS)
 
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    with _atomic_file(path) as fd:
+        _write_all(fd, head)
+        cpus = _child_cpus() if capacity > _CHUNK_ROWS else None
         try:
-            _write_all(fd, head)
-            cpus = _child_cpus() if capacity > _CHUNK_ROWS else None
             if cpus is not None:
-                child = _Child.start(cpus, fd, chunk, capacity)
+                with contextlib.suppress(OSError):  # no pipe or process to be had
+                    child = _Child(cpus, fd, chunk)
             yield logged
-            tail = path.parent / f".{path.name}.{os.getpid()}.tail"
-            if child is None or not child.finish(rows, chunk, fd, tail):
+            if child is None or not child.finish(rows, Path(path).parent):
                 os.ftruncate(fd, len(head))
                 os.lseek(fd, len(head), os.SEEK_SET)
                 for j in range(-(-rows // _CHUNK_ROWS)):
@@ -350,11 +350,6 @@ def _table_file(path, header: str, hows, part, capacity: int):
         finally:
             if child is not None:
                 child.close()
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _write_table(path, header: str, hows, columns) -> None:
@@ -370,26 +365,18 @@ def _write_table(path, header: str, hows, columns) -> None:
 # have the magnitudes of y and vy, and each clamped command is its raw command
 # or +0.0
 _COPIES = {"ey": "y", "eydot": "vy", "w1sq": "w1sq_raw", "w2sq": "w2sq_raw"}
-
-
-def _trajectory_hows() -> tuple[str, list]:
-    """The trajectory CSV's header, and how each of its columns is printed."""
-    from .simulator import TRAJECTORY_COLUMNS
-
-    def how(name):
-        if name in _COPIES:
-            return Copy(TRAJECTORY_COLUMNS.index(_COPIES[name]))
-        return "%d" if name in ("p", "q") else "%.17g"
-
-    return ",".join(TRAJECTORY_COLUMNS) + "\n", [how(name) for name in TRAJECTORY_COLUMNS]
+_TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS) + "\n"
+_TRAJECTORY_HOWS = [
+    Copy(TRAJECTORY_COLUMNS.index(_COPIES[name])) if name in _COPIES
+    else "%d" if name in ("p", "q") else "%.17g"
+    for name in TRAJECTORY_COLUMNS
+]
 
 
 def write_trajectory_csv(traj, path) -> None:
     """One row per sample, with ``p`` and ``q`` as integers."""
-    from .simulator import TRAJECTORY_COLUMNS
-
-    header, hows = _trajectory_hows()
-    _write_table(path, header, hows, [traj.column(name) for name in TRAJECTORY_COLUMNS])
+    columns = [traj.column(name) for name in TRAJECTORY_COLUMNS]
+    _write_table(path, _TRAJECTORY_HEADER, _TRAJECTORY_HOWS, columns)
 
 
 @contextlib.contextmanager
@@ -398,22 +385,19 @@ def streamed_trajectory_csv(path, config):
 
     ``simulator.run(config, table, logged)`` logs into ``table``, a row
     table in shared memory, and reports its rows to ``logged``; a forked
-    child (see ``_table_file``) formats each chunk of rows as it lands. On
-    a clean exit ``path`` holds the CSV of the rows last reported, the bytes
-    ``write_trajectory_csv`` writes for that run's trajectory, be it whole
-    or a diverged run's partial log.
+    child (see ``_table_file``) formats each whole chunk of rows as it
+    lands. On a clean exit ``path`` holds the CSV of the rows last
+    reported, the bytes ``write_trajectory_csv`` writes for that run's
+    trajectory, be it whole or a diverged run's partial log.
     """
-    from .simulator import ROW_WIDTH, TRAJECTORY_COLUMNS, _trajectory
-
     capacity = config.n_steps + 1
     table = np.frombuffer(mmap.mmap(-1, capacity * ROW_WIDTH * 8)).reshape(capacity, ROW_WIDTH)
-    header, hows = _trajectory_hows()
 
     def part(lo, hi):
         traj = _trajectory(table[lo:hi], config, lo)
         return [traj.column(name) for name in TRAJECTORY_COLUMNS]
 
-    with _table_file(path, header, hows, part, capacity) as logged:
+    with _table_file(path, _TRAJECTORY_HEADER, _TRAJECTORY_HOWS, part, capacity) as logged:
         yield table, logged
 
 

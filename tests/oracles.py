@@ -120,20 +120,6 @@ def rk4_linear_flow(e0, ed0, ky1, ky2, t_final, n_steps):
     return e, ed
 
 
-def rk4_constant_accel_flow(e0, ed0, accel, t_final, n_steps):
-    """Fixed-step RK4 on constant-acceleration error dynamics."""
-    h = t_final / n_steps
-    e, ed = np.asarray(e0, dtype=float), np.asarray(ed0, dtype=float)
-    for _ in range(n_steps):
-        k1e, k1d = ed, accel
-        k2e = ed + 0.5 * h * k1d
-        k3e = ed + 0.5 * h * k1d
-        k4e = ed + h * k1d
-        e = e + h * (k1e + 2 * k2e + 2 * k3e + k4e) / 6.0
-        ed = ed + h * accel
-    return e, ed
-
-
 def switched_error_deriv(e, ed, lam, params):
     """Lateral error derivative through the full clamped controller.
 

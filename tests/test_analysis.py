@@ -109,7 +109,7 @@ class TestSaturatedFlow:
         assert (out.e, out.edot) == (s.e, s.edot)
 
     def test_against_rk4_oracle(self):
-        # frozen from the constant-acceleration RK4 oracle
+        # frozen from a fixed-step RK4 run of the constant-acceleration flow
         out = saturated_flow(ErrorState(0.2, -0.1), 0.5, -1)
         assert out.e == pytest.approx(0.07783121635129628, abs=1e-10)
         assert out.edot == pytest.approx(-0.388675134594809, abs=1e-10)

@@ -644,14 +644,24 @@ class TestHittingTime:
         assert capsys.readouterr().err.startswith("inadmissible state: ")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("e, edot", [("1e160", "0"), ("1e300", "1e300")])
-    def test_overflowing_closed_form_is_a_divergence(self, e, edot, capsys):
-        # the closed form's quadratic overflows to an infinite time, which
-        # must not print as a hitting time with exit 0
+    @pytest.mark.parametrize(
+        "e, edot, message",
+        [
+            ("1e160", "0", "closed-form hitting time inf, event-detected "),
+            ("1e300", "1e300", "closed-form hitting time inf, event-detected "),
+            ("1.7e308", "0", "PD output ky1*edot + ky2*e is inf"),
+            ("1e308", "1e308", "PD output ky1*edot + ky2*e is inf"),
+        ],
+        ids=["1e160-0", "1e300-1e300", "1.7e308-0", "1e308-1e308"],
+    )
+    def test_overflowing_closed_form_is_a_divergence(self, e, edot, message, capsys):
+        # the closed form's quadratic overflows to an infinite time, or the
+        # PD output itself overflows and both times read NaN; neither may
+        # print as a hitting time with exit 0, or as a missed threshold
         assert main(["hitting-time", e, edot]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("divergence: closed-form hitting time inf, event-detected ")
+        assert err.startswith("divergence: " + message)
 
 
 class TestNegativeNumbers:

@@ -406,6 +406,37 @@ class TestSplitWrite:
         assert len(forks) == 30
         assert_no_child()
 
+    def test_a_chunk_both_format_is_taken_once(self, tmp_path, forks, monkeypatch):
+        # the child pauses for 0.3 s between reading _STOP and storing
+        # _STARTED for chunk 0, so this process claims all four chunks while
+        # the child formats chunk 0 too; the file must take that chunk once
+        real_frombuffer, real_chunk_text = np.frombuffer, output._chunk_text
+        parent, claimed = os.getpid(), []
+
+        class SlowStart(np.ndarray):
+            def __setitem__(self, key, value):
+                if os.getpid() != parent and key == output._STARTED and value == 1:
+                    time.sleep(0.3)
+                super().__setitem__(key, value)
+
+        def chunk_text(hows, part):
+            if os.getpid() == parent:
+                claimed.append(1)
+            return real_chunk_text(hows, part)
+
+        def frombuffer(*args, **kwargs):
+            return real_frombuffer(*args, **kwargs).view(SlowStart)
+
+        monkeypatch.setattr(output.np, "frombuffer", frombuffer)
+        monkeypatch.setattr(output, "_chunk_text", chunk_text)
+        grid = awkward_grid(4 * _CHUNK_ROWS)
+        write_grid_csv(grid, tmp_path / "written.csv")
+        oc.joined_grid_csv(grid, tmp_path / "joined.csv")
+        assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert len(claimed) == 4
+        assert len(forks) == 1
+        assert_no_child()
+
     def test_no_split_beside_a_second_thread(self, tmp_path, forks):
         parked = threading.Event()
         thread = threading.Thread(target=parked.wait)
@@ -577,6 +608,46 @@ class TestStreamedCsv:
         write_trajectory_csv(partial, tmp_path / "whole.csv")
         assert path.read_bytes() == (tmp_path / "whole.csv").read_bytes()
         assert_printed(partial, path, tmp_path)
+        assert_no_child()
+
+    @pytest.mark.parametrize("case", ["diverging run", "grid of one chunk and a row"])
+    def test_the_child_formats_whole_chunks_only(self, tmp_path, forks, monkeypatch, case):
+        # this process starts its share 0.3 s after the last row is logged,
+        # so the child has formatted every chunk it was sent; the short last
+        # chunk (190 rows of the run's 2238, one of the grid's 2049) is this
+        # process's
+        real_chunk_text, real_finish = output._chunk_text, output._Child.finish
+        parent, child_rows = os.getpid(), tmp_path / "child_rows"
+
+        def chunk_text(hows, part):
+            if os.getpid() != parent:
+                with open(child_rows, "a") as fh:
+                    fh.write(f"{len(part[0])}\n")
+            return real_chunk_text(hows, part)
+
+        def finish(self, *args):
+            time.sleep(0.3)
+            return real_finish(self, *args)
+
+        monkeypatch.setattr(output, "_chunk_text", chunk_text)
+        monkeypatch.setattr(output._Child, "finish", finish)
+        path = tmp_path / "written.csv"
+        if case == "diverging run":
+            cfg = DIVERGING_IN_THIRD_HALF
+            with streamed_trajectory_csv(path, cfg) as (table, logged):
+                with pytest.raises(DivergenceError):
+                    run(cfg, table, logged)
+            with pytest.raises(DivergenceError) as plain:
+                run(cfg)
+            assert len(plain.value.trajectory) == 2238
+            oc.joined_trajectory_csv(plain.value.trajectory, tmp_path / "joined.csv")
+        else:
+            grid = awkward_grid(_CHUNK_ROWS + 1)
+            write_grid_csv(grid, path)
+            oc.joined_grid_csv(grid, tmp_path / "joined.csv")
+        assert path.read_bytes() == (tmp_path / "joined.csv").read_bytes()
+        assert child_rows.read_text().split() == [str(_CHUNK_ROWS)]
+        assert len(forks) == 1
         assert_no_child()
 
     def test_child_failing_in_mid_run(self, tmp_path, forks, monkeypatch):
