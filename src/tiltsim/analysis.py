@@ -25,17 +25,18 @@ point, then Newton steps on the closed-form slope of the PD output, 6 to
 
 ``_map`` takes arrays of start cells, mirrors the yaw sign -1 into +1
 exactly, and is what every grid, capture check, critical-level search and
-single-state map goes through. A grid is mapped once (``_map_grid``) for
-the Lyapunov-change grid, the capture check and the grid checks of
-``verify-lemmas`` alike.
+single-state map goes through. ``_map_grid`` maps a grid once and returns
+the ``DeltaLGrid``, the admissible cells and their images as plain arrays,
+which ``_capture`` and the grid checks of ``verify-lemmas`` read.
 
-The critical-level search grows a bracket from the grid maximum by 1.25x,
-up to 60 times. A level's region cells are mapped in one call per yaw
-sign. Once the first level meets the nonnegative-change set, the first
-+1-region ellipse cell of each further level is mapped in one call; a
-level whose first cell gains energy meets the set for sure and is skipped.
-``sweep-delta-l`` hands its own grid to the search (``_critical_from``),
-so only the other sign's grid is computed again.
+The critical-level search grows a bracket by 1.25x, up to 60 times, from
+the grid maximum: the largest level of a nonnegative-change cell of either
+yaw sign's grid, found in one pass. A level's region cells are mapped in
+one call per yaw sign. Once the first level meets the nonnegative-change
+set, the first +1-region ellipse cell of each further level is mapped in
+one call; a level whose first cell gains energy meets the set for sure and
+is skipped. ``sweep-delta-l`` hands its own grid to the search
+(``_critical_from``), so only the other sign's grid is computed again.
 
 No command loads ``scipy.optimize``: the map and the event oracle solve with
 numpy alone.
@@ -601,34 +602,10 @@ class CaptureReport:
         }
 
 
-@dataclass
-class _GridMap:
-    """One half-period map of the admissible cells of a grid.
-
-    ``delta_l_grid``, ``verify_quadrant_capture`` and the grid checks of
-    ``verify-lemmas`` read it, so each grid is mapped once. ``e0``, ``ed0``
-    are the admissible start cells in row-major order, ``e1``, ``ed1`` their
-    images; ``grid`` holds the Lyapunov change, NaN on masked cells.
-    """
-
-    grid: DeltaLGrid
-    e0: np.ndarray
-    ed0: np.ndarray
-    e1: np.ndarray
-    ed1: np.ndarray
-
-    def capture(self, params: ModelParams) -> CaptureReport:
-        """Cells whose image is not finite or not in the mirrored region are violations."""
-        sign = self.grid.lambda_sign
-        report = CaptureReport(lambda_sign=sign, n_admissible=self.e0.size)
-        captured = _region_mask(self.e1, self.ed1, -sign, params)
-        captured &= np.isfinite(self.e1) & np.isfinite(self.ed1)
-        for k in np.nonzero(~captured)[0]:
-            report.violations.append((float(self.e0[k]), float(self.ed0[k])))
-        return report
-
-
 def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
+    """Map a grid once: ``(grid, e0, ed0, e1, ed1)``, the Lyapunov-change grid
+    (NaN on masked cells), the admissible cells in row-major order and their images.
+    """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
     if resolution < 1:
@@ -642,8 +619,14 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     values = np.full(E.shape, np.nan)
     l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
     values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
-    grid = DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign)
-    return _GridMap(grid, e0, ed0, e1, ed1)
+    return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
+
+
+def _capture(grid: DeltaLGrid, e0, ed0, e1, ed1, params: ModelParams) -> CaptureReport:
+    """Capture of a ``_map_grid`` result: an image not finite or not in the mirrored region fails."""
+    captured = _region_mask(e1, ed1, -grid.lambda_sign, params) & np.isfinite(e1) & np.isfinite(ed1)
+    violations = list(zip(e0[~captured].tolist(), ed0[~captured].tolist()))
+    return CaptureReport(grid.lambda_sign, e0.size, violations)
 
 
 def delta_l_grid(
@@ -659,7 +642,7 @@ def delta_l_grid(
     ``resolution`` is the number of samples per axis. Cells outside the
     capture region for ``lambda_sign`` are masked rather than rejected.
     """
-    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).grid
+    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period)[0]
 
 
 def verify_quadrant_capture(
@@ -677,9 +660,8 @@ def verify_quadrant_capture(
     (``verify-lemmas`` maps its grid once): it is paper API, and a benchmark
     span until ROADMAP item 1.
     """
-    return _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period).capture(
-        params
-    )
+    cells = _map_grid(e_range, edot_range, resolution, lambda_sign, params, half_period)
+    return _capture(*cells, params)
 
 
 @dataclass(frozen=True)
@@ -728,7 +710,9 @@ def critical_lyapunov(
     nonnegative-change set", sampling the ellipse at ``_N_ANGLES`` angles in
     both capture regions. When no cell has nonnegative change there is no
     level to refine: the result is a degenerate zero level with
-    ``bracketed`` false and ``n_positive_cells`` 0, and a warning.
+    ``bracketed`` false and ``n_positive_cells`` 0, and a warning. An
+    admissible cell whose change is not finite raises ``FloatingPointError``
+    with the count of such cells.
     """
     grid = delta_l_grid(e_range, edot_range, resolution, +1, params, half_period)
     return _critical_from(grid, params, half_period)
@@ -743,30 +727,27 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
     e_vals, ed_vals, resolution = grid.e_values, grid.edot_values, len(grid.e_values)
     ranges = (e_vals[0], e_vals[-1]), (ed_vals[0], ed_vals[-1])
     other = delta_l_grid(*ranges, resolution, -grid.lambda_sign, params, half_period)
-    witness_phi = None
-    grid_max = -math.inf
-    n_pos = 0
-    for g in (grid, other) if grid.lambda_sign > 0 else (other, grid):
-        pos = g.mask & (g.values >= 0.0)
-        n_pos += int(pos.sum())
-        if not pos.any():
-            continue
-        E, Ed = np.meshgrid(g.e_values, g.edot_values, indexing="ij")
-        levels = 0.5 * Ed[pos] ** 2 + 0.5 * params.ky2 * E[pos] ** 2
-        k = int(np.argmax(levels))
-        if levels[k] > grid_max:
-            grid_max = float(levels[k])
-            ew, edw = float(E[pos][k]), float(Ed[pos][k])
-            witness_phi = math.atan2(
-                edw / math.sqrt(2.0 * grid_max), ew / math.sqrt(2.0 * grid_max / params.ky2)
-            )
+    grids = (grid, other) if grid.lambda_sign > 0 else (other, grid)
+    n_bad = sum(np.count_nonzero(g.mask & ~np.isfinite(g.values)) for g in grids)
+    if n_bad:
+        raise FloatingPointError(
+            f"{n_bad} admissible cells have a half-period Lyapunov change that is not finite"
+        )
+    # the nonnegative-change cells of the +1 grid, then of the -1 grid, so the
+    # first cell of the largest level is the witness
+    pos = np.stack([g.mask & (g.values >= 0.0) for g in grids])
+    n_pos = int(np.count_nonzero(pos))
     if n_pos == 0:
         warnings.warn("no grid cell has nonnegative half-period Lyapunov change")
         return CriticalLyapunov(0.0, 0.0, 0, resolution, bracketed=False)
-
-    phis = np.linspace(0.0, TWO_PI, _N_ANGLES, endpoint=False)
-    if witness_phi is not None:
-        phis = np.append(phis, witness_phi)
+    e, ed = (np.broadcast_to(v, pos.shape)[pos] for v in (e_vals[:, None], ed_vals))
+    levels = 0.5 * ed ** 2 + 0.5 * params.ky2 * e ** 2
+    k = int(np.argmax(levels))
+    grid_max = float(levels[k])
+    witness_phi = math.atan2(
+        ed[k] / math.sqrt(2.0 * grid_max), e[k] / math.sqrt(2.0 * grid_max / params.ky2)
+    )
+    phis = np.append(np.linspace(0.0, TWO_PI, _N_ANGLES, endpoint=False), witness_phi)
     # level sets of the Lyapunov function: ky2*e^2/2 + edot^2/2 = level
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 

@@ -30,6 +30,7 @@ from .analysis import (
     DELTA_L_CAP,
     INV_SQRT3,
     _NO_EVENT_ERROR,
+    _capture,
     _event_hitting_times,
     _hit_times,
     _linear_flow,
@@ -173,28 +174,19 @@ def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     return worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
 
 
-def _grid_maps(resolution, params):
-    """The resolution x resolution grid on [-2, 2]^2 of each yaw sign, mapped once."""
-    return {
-        sign: _map_grid((-2.0, 2.0), (-2.0, 2.0), resolution, sign, params, 1.0)
-        for sign in (+1, -1)
-    }
-
-
 def _check_capture(maps, params) -> tuple[bool, dict]:
-    reports = {sign: m.capture(params) for sign, m in maps.items()}
+    reports = {sign: _capture(*m, params) for sign, m in maps.items()}
     passed = all(r.passed for r in reports.values())
     return passed, {str(sign): rep.to_dict() for sign, rep in reports.items()}
 
 
 def _check_self_map(maps, params) -> tuple[bool, dict]:
-    start = maps[+1]
-    mid_e, mid_ed = start.e1, start.ed1
+    _, e0, _, mid_e, mid_ed = maps[+1]
     mid_ok = _region_mask(mid_e, mid_ed, -1, params)
     end_e, end_ed = _map(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
     end_ok = _region_mask(end_e, end_ed, +1, params)
     bad = int((~mid_ok).sum() + (~end_ok).sum())
-    return bad == 0, {"n_checked": int(start.e0.size), "n_violations": bad}
+    return bad == 0, {"n_checked": int(e0.size), "n_violations": bad}
 
 
 def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
@@ -202,7 +194,7 @@ def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
     details = {}
     ok = True
     for sign in (+1, -1):
-        grid = maps[sign].grid
+        grid = maps[sign][0]
         peak = grid.max_delta_l()
         arg = grid.argmax_state()
         if peak is None:
@@ -241,8 +233,11 @@ def _check_local_max(rng, n, params) -> tuple[bool, dict]:
         e = np.where(on_lin, e_lin, e_sat)
         edot = np.where(on_lin, edot_lin, edot_sat)
         values = 0.5 * edot * edot + 0.5 * params.ky2 * e * e
-        endpoint = np.maximum(values[:, 0], values[:, -1])
-        worst = max(worst, float(np.max(values.max(axis=1) - endpoint)))
+        overshoot = values.max(axis=1) - np.maximum(values[:, 0], values[:, -1])
+        n_nan = int(np.isnan(overshoot).sum())
+        if n_nan:  # Python's max would drop a NaN and pass on nothing
+            raise ValueError(f"Lyapunov overshoot is NaN at {n_nan} of {n} states, yaw sign {sign}")
+        worst = max(worst, float(np.max(overshoot)))
     return worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
 
 
@@ -270,9 +265,12 @@ def run_lemma_checks(
     map a ``resolution`` x ``resolution`` grid per yaw sign.
     """
     rng = np.random.default_rng(seed)
-    # the three grid checks share one map per sign; an exception is not
-    # cached, so a map that raises fails each of them, as it did one by one
-    grid_maps = functools.cache(lambda: _grid_maps(resolution, params))
+    # the three grid checks share one map of the grid on [-2, 2]^2 per sign; an
+    # exception is not cached, so a map that raises fails each of them
+    box = (-2.0, 2.0)
+    grid_maps = functools.cache(
+        lambda: {sign: _map_grid(box, box, resolution, sign, params, 1.0) for sign in (+1, -1)}
+    )
     few = max(10, _N_SAMPLES // 10)
     suite = {
         "clamp_switch_consistency": lambda: _check_clamp_rule(rng, _N_SAMPLES, params),

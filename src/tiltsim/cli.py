@@ -146,8 +146,6 @@ def cmd_sweep_delta_l(args) -> int:
         cfg.params,
         cfg.gait.half_period,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_grid_csv(grid, out_dir / "delta_l_grid.csv")
     summary = grid.summary()
     if grid.n_admissible == 0:
         summary["note"] = "no admissible cells in the requested ranges"
@@ -160,6 +158,8 @@ def cmd_sweep_delta_l(args) -> int:
         summary["l_critical"] = crit.l_critical
         summary["sup_bound"] = crit.sup_bound
         summary["bracketed"] = crit.bracketed
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_grid_csv(grid, out_dir / "delta_l_grid.csv")
     write_json(out_dir / "delta_l_summary.json", summary)
     peak = summary["max_delta_l"]
     print(f"admissible cells: {summary['n_admissible']}")
@@ -253,6 +253,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"configuration error: cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except FloatingPointError as exc:  # raised before a command writes any file
+        print(f"divergence: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

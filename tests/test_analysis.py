@@ -28,7 +28,7 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _event_hitting_times, _hit_times, _map
+from tiltsim.analysis import _event_hitting_times, _hit_times, _map, _map_grid
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
@@ -36,7 +36,6 @@ from tiltsim.checks import (
     _check_local_max,
     _check_region_rule,
     _check_self_map,
-    _grid_maps,
     _sample_region,
     run_lemma_checks,
 )
@@ -385,7 +384,8 @@ class TestArrayEngine:
     def test_self_map_check_matches_scalar_loop(self, ky1, ky2, res):
         p = ModelParams(ky1=ky1, ky2=ky2)
         n, bad = oc.self_map_counts(res, p)
-        passed, detail = _check_self_map(_grid_maps(res, p), p)
+        maps = {sign: _map_grid((-2.0, 2.0), (-2.0, 2.0), res, sign, p, 1.0) for sign in (1, -1)}
+        passed, detail = _check_self_map(maps, p)
         assert detail == {"n_checked": n, "n_violations": bad}
         assert passed == (bad == 0)
 
@@ -634,6 +634,18 @@ class TestLemmaChecks:
             residual = next(c for c in report["checks"] if c["name"] == "hitting_time_residual")
             assert residual["detail"]["max_residual"] < 1e-12
 
+    @pytest.mark.parametrize("ky1, ky2", [(1e300, 18.0), (9.0, 1e300)])
+    def test_local_max_fails_on_nan_overshoot(self, ky1, ky2):
+        # every sampled Lyapunov value is NaN at the yaw sign +1, so there is
+        # no overshoot to judge: that may not pass as max_overshoot -inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_lemma_checks(ModelParams(ky1=ky1, ky2=ky2), resolution=8, seed=0)
+        check = next(c for c in report["checks"] if c["name"] == "lyapunov_local_max")
+        assert (check["passed"], check["detail"]) == (
+            False,
+            {"error": "ValueError: Lyapunov overshoot is NaN at 20 of 20 states, yaw sign 1"},
+        )
 
     def test_no_crossing_fails_range_check_with_the_error(self, monkeypatch):
         # a horizon shorter than most hitting times: the first sampled state
@@ -861,7 +873,8 @@ class TestCriticalLyapunov:
         )
 
     @pytest.mark.parametrize(
-        "ky1, ky2", [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0), (6.0, 12.0)]
+        "ky1, ky2",
+        [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0), (6.0, 12.0), (9.0, 18.0)],
     )
     def test_search_matches_scalar_loop(self, ky1, ky2):
         # the batched upward bracket and the chunked ellipse maps against one

@@ -596,6 +596,22 @@ class TestSweepDeltaL:
         assert "both yaw signs" not in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["sweep-delta-l", "critical-lyapunov"])
+def test_nonfinite_change_is_a_divergence(command, tmp_path, capsys):
+    # at ky1 = 1e300 every admissible cell's change is NaN: no sign for the
+    # grid CSV, and not a negative change that makes the level 0
+    cfg = tmp_path / "gains.ini"
+    cfg.write_text("[model]\nky1 = 1e300\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--grid-res", "20", "--out-dir", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "divergence: 200 admissible cells have a half-period Lyapunov change that is not finite\n",
+    )
+    assert not out.exists()
+
+
 class TestHittingTime:
     def test_known_state(self, capsys):
         rc = main(["hitting-time", "0.1", "0"])
