@@ -327,14 +327,14 @@ def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
     is the bracket. One ``_newton`` call refines all brackets, with the
     gap's slope in closed form (``_gap_and_slope``). A state gets 0.0 if its
     gap is negative, or zero with a slope that is not positive; a state
-    whose gap is still positive at its bracket's end gets NaN.
+    whose gap is NaN, or still positive at its bracket's end, gets NaN.
     """
     e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
     if _has_default_rates(params):
         return _hit_time_default_pos(e, edot)
     horizon = _EVENT_T_MAX if horizon is None else float(horizon)
     g0, slope0 = _gap_and_slope(e, edot, 0.0, params)
-    t = np.zeros(e.shape)
+    t = np.where(np.isnan(g0), np.nan, 0.0)
     live = np.flatnonzero((g0 > 0.0) | ((g0 == 0.0) & (slope0 > 0.0)))
     e, edot, g0, slope0 = e[live], edot[live], g0[live], slope0[live]
     end = np.full(live.shape, horizon)

@@ -6,7 +6,9 @@ written to a temporary sibling and renamed into place so interrupted runs
 never leave truncated output behind; a write that fails removes the
 temporary file and leaves any earlier file in place. The CSV tables are
 formatted and written into the temporary file one chunk of rows at a
-time, so the whole text is never held in memory.
+time, so the whole text is never held in memory. A chunk is formatted
+straight to ASCII bytes with bytes ``%`` formatting (PEP 461), which prints
+the digits that ``str`` formatting prints, so no text is encoded.
 
 Four trajectory columns are printed from another column's text (see
 ``Copy``): ``ey = 0 - y`` and ``eydot = 0 - vy`` have the magnitudes of
@@ -98,7 +100,7 @@ def write_json(path, obj) -> None:
 
 
 _CHUNK_ROWS = 2048
-_SIGNS = np.array(["", "-"], dtype=object)
+_SIGNS = np.array([b"", b"-"], dtype=object)
 # the words of the block a table's writer shares with its child (see ``_Child``)
 _STARTED, _STOP = range(2)
 
@@ -121,37 +123,37 @@ def _signs(values: np.ndarray) -> np.ndarray:
 
 
 def _texts(values: np.ndarray, repeats_only: bool = False) -> np.ndarray | None:
-    """``fmt`` of each double, formatted once per distinct bit pattern.
+    """``fmt`` of each double as ASCII bytes, formatted once per distinct bit pattern.
 
     With ``repeats_only``, None where more than half of the values are distinct.
     """
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     if repeats_only and 2 * len(bits) > len(values):
         return None
-    printed = ("%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split()
+    printed = (b"%.17g " * len(bits) % tuple(bits.view(np.float64).tolist())).split()
     return np.array(printed, dtype=object)[inverse]
 
 
-def _chunk_text(hows, part) -> str:
-    """One chunk of rows as CSV text; its ``%`` arguments are freed on return.
+def _chunk_text(hows, part) -> bytes:
+    """One chunk of rows as ASCII CSV bytes; its ``%`` arguments are freed on return.
 
-    A column is printed as ``hows[i]`` says: a ``%`` code (``%.17g`` prints
-    as ``fmt`` does, ``%d`` an integer-valued column) or a ``Copy``; every
-    column but a ``%d`` one is printed as doubles. The chunk is formatted
-    with one ``%`` call. The magnitudes of each ``Copy`` source, and each
-    ``%.17g`` column that holds at most half as many distinct values as
-    rows, are formatted once per distinct value and passed as ``%s`` texts.
-    The same double always prints the same text, so the bytes are those of
-    formatting every value.
+    A column is printed as ``hows[i]`` says: a bytes ``%`` code (``%.17g``
+    prints as ``fmt`` does, ``%d`` an integer-valued column) or a ``Copy``;
+    every column but a ``%d`` one is printed as doubles. The chunk is
+    formatted with one bytes ``%`` call. The magnitudes of each ``Copy``
+    source, and each ``%.17g`` column that holds at most half as many
+    distinct values as rows, are formatted once per distinct value and
+    passed as ``%s`` texts. The same double always prints the same text, so
+    the bytes are those of formatting every value.
     """
     part = [
-        values if how == "%d" else np.asarray(values, dtype=np.float64)
+        values if how == b"%d" else np.asarray(values, dtype=np.float64)
         for how, values in zip(hows, part)
     ]
     size = len(part[0])
     sources = sorted({h.source for h in hows if isinstance(h, Copy)})
     digits = {i: _texts(np.abs(part[i])) for i in sources}
-    codes = ["%s"] * len(part)
+    codes = [b"%s"] * len(part)
     out = np.empty((size, len(part)), dtype=object)
     for i, (how, values) in enumerate(zip(hows, part)):
         if i in digits:
@@ -161,10 +163,10 @@ def _chunk_text(hows, part) -> str:
             out[copied, i] = _signs(values[copied]) + digits[how.source][copied]
             out[~copied, i] = _texts(values[~copied])
         else:
-            shared = _texts(values, repeats_only=True) if how == "%.17g" else None
-            codes[i] = how if shared is None else "%s"
+            shared = _texts(values, repeats_only=True) if how == b"%.17g" else None
+            codes[i] = how if shared is None else b"%s"
             out[:, i] = values if shared is None else shared
-    return (",".join(codes) + "\n") * size % tuple(out.ravel().tolist())
+    return (b",".join(codes) + b"\n") * size % tuple(out.ravel().tolist())
 
 
 def _write_all(fd: int, data: bytes) -> None:
@@ -326,7 +328,7 @@ def _table_file(path, header: str, hows, part, capacity: int):
 
     def chunk(j, n_rows):
         lo = j * _CHUNK_ROWS
-        return _chunk_text(hows, part(lo, min(lo + _CHUNK_ROWS, n_rows))).encode("ascii")
+        return _chunk_text(hows, part(lo, min(lo + _CHUNK_ROWS, n_rows)))
 
     def logged(n):
         nonlocal rows
@@ -368,7 +370,7 @@ _COPIES = {"ey": "y", "eydot": "vy", "w1sq": "w1sq_raw", "w2sq": "w2sq_raw"}
 _TRAJECTORY_HEADER = ",".join(TRAJECTORY_COLUMNS) + "\n"
 _TRAJECTORY_HOWS = [
     Copy(TRAJECTORY_COLUMNS.index(_COPIES[name])) if name in _COPIES
-    else "%d" if name in ("p", "q") else "%.17g"
+    else b"%d" if name in ("p", "q") else b"%.17g"
     for name in TRAJECTORY_COLUMNS
 ]
 
@@ -404,7 +406,7 @@ def streamed_trajectory_csv(path, config):
 def write_grid_csv(grid, path) -> None:
     """One row per grid cell, row-major."""
     E, Ed = np.meshgrid(grid.e_values, grid.edot_values, indexing="ij")
-    codes = ("%.17g", "%.17g", "%d", "%.17g", "%d")
+    codes = (b"%.17g", b"%.17g", b"%d", b"%.17g", b"%d")
     columns = (E, Ed, grid.mask, grid.values, grid.sign_map())
     header = "e,edot,admissible,delta_L,sign\n"
     _write_table(path, header, codes, [np.ravel(c) for c in columns])

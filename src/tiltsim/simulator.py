@@ -170,23 +170,26 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
     raw_inversion -> clamp -> accelerate`` operation for operation. Raises
     ``DivergenceError``, naming it as the cause, when a stage's desired
     acceleration or raw command, or the new state, is non-finite (a
-    non-finite state always makes the controller output so).
+    non-finite state always makes the controller output so, and a
+    non-finite desired acceleration the raw command). Each stage tests the
+    sum of its raw commands, and the new state the sum of its floats, term
+    by term only where the sum is not finite, as finite terms can overflow.
     """
     kx1, kx2, ky1, ky2, mass = params.kx1, params.kx2, params.ky1, params.ky2, params.m
     cos_th, sin_th = math.cos(params.theta), math.sin(params.theta)
     scale = 0.5 * params.m / params.k_thrust
     kc, ks = params.k_thrust * cos_th, params.k_thrust * sin_th
     c, s = math.cos(lam), math.sin(lam)
-    h2 = 0.5 * dt
+    ns, h2 = -s, 0.5 * dt
     isfinite = math.isfinite
     for k in range(k, k + rows):
         # stage 1 at t; reference_at(t): xr = t*t/2, vxr = t, axr = 1, zero laterally
         ax_d = 1.0 + kx1 * (t - vx) + kx2 * (0.5 * t * t - x)
         ay_d = 0.0 + ky1 * (0.0 - vy) + ky2 * (0.0 - y)
         u = (c * ax_d + s * ay_d) / cos_th
-        v = (-s * ax_d + c * ay_d) / sin_th
+        v = (ns * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
-        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+        if not isfinite(sq1 + sq2) and not all(map(isfinite, (ax_d, ay_d, sq1, sq2))):
             stage = 1
             break
         log += (x, y, vx, vy, ax_d, ay_d, sq1, sq2)
@@ -203,9 +206,9 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         ax_d = 1.0 + kx1 * (th - v2x) + kx2 * (xr - (x + h2 * vx))
         ay_d = 0.0 + ky1 * (0.0 - v2y) + ky2 * (0.0 - (y + h2 * vy))
         u = (c * ax_d + s * ay_d) / cos_th
-        v = (-s * ax_d + c * ay_d) / sin_th
+        v = (ns * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
-        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+        if not isfinite(sq1 + sq2) and not all(map(isfinite, (ax_d, ay_d, sq1, sq2))):
             stage = 2
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
@@ -216,9 +219,9 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         ax_d = 1.0 + kx1 * (th - v3x) + kx2 * (xr - (x + h2 * v2x))
         ay_d = 0.0 + ky1 * (0.0 - v3y) + ky2 * (0.0 - (y + h2 * v2y))
         u = (c * ax_d + s * ay_d) / cos_th
-        v = (-s * ax_d + c * ay_d) / sin_th
+        v = (ns * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
-        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+        if not isfinite(sq1 + sq2) and not all(map(isfinite, (ax_d, ay_d, sq1, sq2))):
             stage = 3
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
@@ -230,9 +233,9 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         ax_d = 1.0 + kx1 * (th - v4x) + kx2 * (0.5 * th * th - (x + dt * v3x))
         ay_d = 0.0 + ky1 * (0.0 - v4y) + ky2 * (0.0 - (y + dt * v3y))
         u = (c * ax_d + s * ay_d) / cos_th
-        v = (-s * ax_d + c * ay_d) / sin_th
+        v = (ns * ax_d + c * ay_d) / sin_th
         sq1, sq2 = scale * (u + v), scale * (u - v)
-        if not (isfinite(ax_d) and isfinite(ay_d) and isfinite(sq1) and isfinite(sq2)):
+        if not isfinite(sq1 + sq2) and not all(map(isfinite, (ax_d, ay_d, sq1, sq2))):
             stage = 4
             break
         w1, w2 = sq1 if sq1 >= 0.0 else 0.0, sq2 if sq2 >= 0.0 else 0.0
@@ -242,7 +245,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
         ny = y + dt * (vy + 2.0 * v2y + 2.0 * v3y + v4y) / 6.0
         nvx = vx + dt * (a1x + 2.0 * a2x + 2.0 * a3x + a4x) / 6.0
         nvy = vy + dt * (a1y + 2.0 * a2y + 2.0 * a3y + a4y) / 6.0
-        if not (isfinite(nx) and isfinite(ny) and isfinite(nvx) and isfinite(nvy)):
+        if not isfinite(nx + ny + nvx + nvy) and not all(map(isfinite, (nx, ny, nvx, nvy))):
             stage = None
             break
         x, y, vx, vy = nx, ny, nvx, nvy
@@ -283,7 +286,7 @@ def _fill(table: np.ndarray, rows: int, log: list[float]) -> int:
     """
     width, ax_d = len(_LOGGED), _LOGGED.index("ax_d")
     block = table[rows : rows + len(log) // width]
-    block[:, :width] = np.reshape(log, (-1, width))
+    block[:, :width] = np.fromiter(log, float, len(log)).reshape(-1, width)
     # math.atan2, not np.arctan2: the two differ in the last bit on some rows
     block[:, width] = [
         math.atan2(ay, ax) % TWO_PI if ax or ay else math.nan

@@ -612,6 +612,35 @@ def test_nonfinite_change_is_a_divergence(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        (
+            "hitting_time_range",
+            "ValueError: unsaturated flow does not reach the threshold within 8.0 s for gains "
+            "ky1=1e+300, ky2=18.0",
+        ),
+        (
+            "delta_l_bound",
+            "ValueError: half-period Lyapunov change is not finite at 225 of 225 admissible "
+            "cells, yaw sign 1",
+        ),
+    ],
+    ids=["hitting_time_range", "delta_l_bound"],
+)
+def test_nonfinite_flow_fails_lemma_checks_with_an_error(name, error, tmp_path):
+    # at ky1 = 1e300 the decay rates overflow and the flow is NaN from t = 0:
+    # no state may pass with hitting time 0, and no -inf maximum may be reported
+    cfg = tmp_path / "gains.ini"
+    cfg.write_text("[model]\nky1 = 1e300\n")
+    argv = ["verify-lemmas", "--config", str(cfg), "--grid-res", "30", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    report = read_json(tmp_path / "lemma_report.json")
+    check = next(c for c in report["checks"] if c["name"] == name)
+    assert (check["passed"], check["detail"]) == (False, {"error": error})
+
+
 class TestHittingTime:
     def test_known_state(self, capsys):
         rc = main(["hitting-time", "0.1", "0"])

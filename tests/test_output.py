@@ -17,7 +17,10 @@ from tiltsim.analysis import DeltaLGrid
 from tiltsim.gait import preset
 from tiltsim.output import (
     _CHUNK_ROWS,
+    Copy,
+    _chunk_text,
     atomic_write_text,
+    fmt,
     streamed_trajectory_csv,
     write_grid_csv,
     write_trajectory_csv,
@@ -274,6 +277,46 @@ class TestRepeatedValues:
         write_grid_csv(grid, tmp_path / "written.csv")
         oc.joined_grid_csv(grid, tmp_path / "joined.csv")
         assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+
+# signed zeros, NaN, signed infinities, the smallest subnormal, a larger
+# subnormal and the largest double
+EDGES = [
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072e-309, 1.7976931348623157e308
+]
+
+
+class TestChunkBytes:
+    """One chunk of edge values, in every kind of column, prints as ``fmt`` of every value."""
+
+    def chunk(self):
+        edges = np.array(EDGES)
+        hows = [b"%.17g", b"%.17g", b"%.17g", Copy(2), b"%d"]
+        columns = [
+            np.concatenate([edges, -edges]),  # 16 distinct bit patterns: printed inline
+            np.resize(edges[[0, 2, 4, 7]], 16),  # 4 distinct values: printed once each
+            np.concatenate([edges, -edges[::-1]]),  # a Copy source ...
+            np.concatenate([-edges[:4], edges[4:], edges[::-1]]),  # ... copied on some rows
+            np.resize([0.0, -0.0, 1.0, -1.0, 1e16, 1.7976931348623157e308], 16),
+        ]
+        return hows, columns
+
+    def test_same_bytes_as_fmt_of_every_value(self):
+        hows, columns = self.chunk()
+        assert 2 * len(np.unique(columns[0].view(np.uint64))) > 16 > 2 * 4
+        assert 0 < (np.abs(columns[3]) == np.abs(columns[2])).sum() < 16
+        rows = zip(*[c.tolist() for c in columns])
+        expected = "".join(",".join(map(fmt, r[:4])) + ",%d\n" % r[4] for r in rows)
+        assert _chunk_text(hows, columns) == expected.encode("ascii")
+
+    def test_nan_in_an_integer_column_raises_as_str_formatting(self):
+        hows, columns = self.chunk()
+        columns[4][5] = math.nan
+        with pytest.raises(ValueError) as expected:
+            "%d" % math.nan
+        with pytest.raises(ValueError) as got:
+            _chunk_text(hows, columns)
+        assert str(got.value) == str(expected.value)
 
 
 class TestFailedWrite:

@@ -261,6 +261,17 @@ _DIVERGING = [
 ]
 
 
+# finite raw commands whose sum overflows, and finite states whose sum does, on
+# every row: both are clamped to zero thrust, so each step is finite until the
+# position overflows in stage 4 of row 790
+_OVERFLOWING_SUMS = SimConfig(
+    params=ModelParams(1.0, math.pi / 4, 0.5, 2.0, 0.3, 0.1, 0.1),
+    gait=GaitSchedule(amplitude=0.1, period=0.004),
+    duration=1.0,
+    initial_state=VehicleState(1.6e308, 0.0, 2.5e307, 0.0),
+)
+
+
 class TestFusedLoop:
     """``run`` and ``step`` equal the kernel call chain of ``oracles`` bit for bit."""
 
@@ -272,6 +283,7 @@ class TestFusedLoop:
     @example(config=_DIVERGING[3])
     @example(config=_DIVERGING[4])
     @example(config=_DIVERGING[5])
+    @example(config=_OVERFLOWING_SUMS)
     def test_run_matches_kernel_chain(self, config):
         assert _outcome(run, config) == _outcome(oc.kernel_run, config)
 
@@ -282,6 +294,7 @@ class TestFusedLoop:
         state=st.tuples(_start, _start, _start, _start),
     )
     @example(config=_DIVERGING[5], t=0, state=(0.0, 0.0, 1e308, 0.0))
+    @example(config=_OVERFLOWING_SUMS, t=0, state=(1.6e308, 0.0, 2.5e307, 0.0))
     def test_step_matches_kernel_chain(self, config, t, state):
         # an integer t is a grid step index
         t = t * config.dt if isinstance(t, int) else t
@@ -319,6 +332,21 @@ class TestFusedLoop:
             "stage 1 desired acceleration",
             "new state",
         ]
+
+
+    def test_overflowing_sums_are_tested_term_by_term(self):
+        # a finiteness test on the sums alone would stop at row 0
+        with pytest.raises(DivergenceError) as info:
+            run(_OVERFLOWING_SUMS)
+        err, traj = info.value, info.value.trajectory
+        assert (err.step, len(traj), err.cause) == (790, 791, "stage 4 desired acceleration")
+        assert np.isfinite(np.column_stack([traj.w1sq_raw, traj.w2sq_raw])).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(traj.w1sq_raw + traj.w2sq_raw).all()
+            assert np.isinf(traj.x + traj.y + traj.vx + traj.vy).all()
+        with pytest.raises(DivergenceError) as again:
+            step(err.state, err.t, _OVERFLOWING_SUMS)
+        assert again.value.cause == err.cause
 
 
 class TestYawSchedule:
