@@ -9,28 +9,9 @@ dynamics, threshold hitting times, the half-period return map, Lyapunov
 change grids, and the critical-level supremum bound.
 """
 
-from .plant import (
-    DEFAULT_PARAMS,
-    ModelParams,
-    RotorCommand,
-    VehicleState,
-    accelerate,
-)
+from .plant import DEFAULT_PARAMS, ModelParams, VehicleState, accelerate
 from .gait import GaitSchedule, PRESETS, ReferenceSample, preset, reference_at
-from .controller import (
-    DesiredAccel,
-    RawCommand,
-    S00,
-    S01,
-    S10,
-    S11,
-    SwitchMatrix,
-    clamp,
-    classify_region,
-    desired_accel,
-    raw_inversion,
-    switch_matrix_of,
-)
+from .controller import clamp, classify_region, desired_accel, raw_inversion, switch_matrix_of
 from .analysis import (
     DELTA_L_CAP,
     CaptureReport,
@@ -69,7 +50,6 @@ from .config import ConfigError, ExperimentConfig, SweepSpec, resolve_config, wr
 __all__ = [
     "DEFAULT_PARAMS",
     "ModelParams",
-    "RotorCommand",
     "VehicleState",
     "accelerate",
     "GaitSchedule",
@@ -77,13 +57,6 @@ __all__ = [
     "ReferenceSample",
     "preset",
     "reference_at",
-    "DesiredAccel",
-    "RawCommand",
-    "S00",
-    "S01",
-    "S10",
-    "S11",
-    "SwitchMatrix",
     "clamp",
     "classify_region",
     "desired_accel",

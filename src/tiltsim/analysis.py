@@ -244,14 +244,16 @@ def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT
     Requires the start state in the capture region of ``lambda_sign``; the
     result then lies in [0, 1) for the default gains, reaching 0 exactly on
     the threshold. Default gains use the closed form, other gains an exact
-    bracket and root solve on the analytic flow (``_hit_times``), which
-    raises ``ValueError`` when the flow does not reach the threshold within
-    8 s. A state on the threshold gets 0 unless its PD output rises.
+    bracket and root solve on the analytic flow (``_hit_times``). A flow
+    that does not reach the threshold within 8 s raises ``ValueError``, and
+    one that is not finite from t = 0 ``FloatingPointError``. A state on the
+    threshold gets 0 unless its PD output rises.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))
-    t = _hit_times(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params)
-    _require_hits(t, params)
+    e, edot = np.array([s0.e]), np.array([s0.edot])
+    t = _hit_times(e, edot, lambda_sign, params)
+    _require_hits(t, e, edot, params)
     return float(t[0])
 
 
@@ -358,13 +360,24 @@ def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
     return t
 
 
-def _require_hits(t, params: ModelParams) -> None:
-    """Raise the no-crossing ``ValueError`` if any time from ``_hit_times`` is NaN."""
-    if np.isnan(t).any():
-        raise ValueError(
-            f"unsaturated flow does not reach the threshold within {_EVENT_T_MAX} s for "
-            f"gains ky1={params.ky1}, ky2={params.ky2}"
-        )
+def _require_hits(t, e, edot, params: ModelParams) -> None:
+    """Raise if any time ``_hit_times`` gave the states ``(e, edot)`` is NaN.
+
+    A NaN time whose gap is NaN at t = 0 means the linear flow is not finite
+    (at ky1 = 1e300 its decay rates overflow): ``FloatingPointError``. Any
+    other NaN time is a flow that misses the threshold: the no-crossing
+    ``ValueError``. The flow is linear, so a state and its mirror, which
+    ``_hit_times`` takes, have NaN gaps alike.
+    """
+    nan = np.isnan(t)
+    if not nan.any():
+        return
+    gains = f"gains ky1={params.ky1}, ky2={params.ky2}"
+    if (nan & np.isnan(_gap_and_slope(e, edot, 0.0, params)[0])).any():
+        raise FloatingPointError(f"unsaturated flow is not finite at t = 0 for {gains}")
+    raise ValueError(
+        f"unsaturated flow does not reach the threshold within {_EVENT_T_MAX} s for {gains}"
+    )
 
 
 def _rk4_matrix(h, params: ModelParams):
@@ -550,16 +563,17 @@ class DeltaLGrid:
     def n_positive(self) -> int:
         return int(((self.values >= 0.0) & self.mask).sum())
 
+    # over the admissible cells only, where a NaN change is the maximum, as
+    # np.max and np.argmax have it
     def max_delta_l(self) -> float | None:
         if not self.mask.any():
             return None
-        return float(np.nanmax(np.where(self.mask, self.values, -np.inf)))
+        return float(np.max(self.values[self.mask]))
 
     def argmax_state(self) -> ErrorState | None:
         if not self.mask.any():
             return None
-        flat = int(np.nanargmax(np.where(self.mask, self.values, -np.inf)))
-        i, j = np.unravel_index(flat, self.values.shape)
+        i, j = np.argwhere(self.mask)[np.argmax(self.values[self.mask])]
         return ErrorState(float(self.e_values[i]), float(self.edot_values[j]))
 
     def sign_map(self) -> np.ndarray:

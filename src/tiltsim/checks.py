@@ -41,14 +41,7 @@ from .analysis import (
     _require_hits,
     _saturated_flow,
 )
-from .controller import (
-    RawCommand,
-    clamp,
-    classify_region,
-    desired_accel,
-    raw_inversion,
-    switch_matrix_of,
-)
+from .controller import clamp, classify_region, desired_accel, raw_inversion, switch_matrix_of
 from .gait import reference_at
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
@@ -121,10 +114,10 @@ def _sample_region(rng, n, lambda_sign, params):
 
 
 def _check_clamp_rule(rng, n, params) -> tuple[bool, dict]:
-    raw = RawCommand(*rng.uniform(-1000.0, 1000.0, size=(n, 2)).T)
-    cmd, sm = clamp(raw), switch_matrix_of(raw)
+    sq1, sq2 = rng.uniform(-1000.0, 1000.0, size=(n, 2)).T
+    (w1sq, w2sq), (p, q) = clamp(sq1, sq2), switch_matrix_of(sq1, sq2)
     # the diagonal switch matrix applied to the raw command
-    diffs = np.abs(np.concatenate([sm.p * raw.sq1 - cmd.w1sq, sm.q * raw.sq2 - cmd.w2sq]))
+    diffs = np.abs(np.concatenate([p * sq1 - w1sq, q * sq2 - w2sq]))
     worst = float(np.max(diffs, initial=0.0))
     return worst == 0.0, {"max_abs_diff": worst, "n": n}
 
@@ -136,12 +129,12 @@ def _check_region_rule(rng, n, params) -> tuple[bool, dict]:
     e, edot = e[far], edot[far]
     ref = reference_at(0.7)
     state = VehicleState(ref.xr, -e, ref.vxr, -edot)
-    acc = desired_accel(state, ref, params)
+    ax_d, ay_d = desired_accel(state, ref, params)
     bad = 0
     for sign in (-1, 1):
-        raw = raw_inversion(acc, sign * math.pi / 3, params)
-        rule, exact = classify_region(e, edot, sign, params), switch_matrix_of(raw)
-        bad += int(np.count_nonzero((rule.p != exact.p) | (rule.q != exact.q)))
+        sq1, sq2 = raw_inversion(ax_d, ay_d, sign * math.pi / 3, params)
+        rule, exact = classify_region(e, edot, sign, params), switch_matrix_of(sq1, sq2)
+        bad += int(np.count_nonzero((rule[0] != exact[0]) | (rule[1] != exact[1])))
     return bad == 0, {"n_checked": 2 * e.size, "n_violations": bad}
 
 
@@ -153,7 +146,7 @@ def _check_hitting_range(rng, n, params) -> tuple[bool, dict]:
         bad = ~((0.0 <= t) & (t < 1.0))
         if bad.any():
             k = bad.argmax()
-            _require_hits(t[k], params)
+            _require_hits(t[k], e[k], edot[k], params)
             return False, {"state": [float(e[k]), float(edot[k])], "t": float(t[k])}
         worst_t = max(worst_t, float(np.max(t, initial=-math.inf)))
     return True, {"n_per_region": n, "max_t": worst_t}
@@ -165,8 +158,8 @@ def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     t_closed = np.concatenate(
         [_hit_times(e, ed, sign, params) for sign, (e, ed) in zip(signs, samples)]
     )
-    _require_hits(t_closed, params)
     e, edot = np.concatenate(samples, axis=1)
+    _require_hits(t_closed, e, edot, params)
     t_event = _event_hitting_times(e, edot, np.repeat(signs, n), params)
     if np.isnan(t_event).any():
         raise ValueError(_NO_EVENT_ERROR)

@@ -10,7 +10,6 @@ import numpy as np
 __all__ = [
     "ModelParams",
     "VehicleState",
-    "RotorCommand",
     "DEFAULT_PARAMS",
     "accelerate",
 ]
@@ -56,9 +55,10 @@ class ModelParams:
 DEFAULT_PARAMS = ModelParams()
 
 
-def _finite(*values) -> bool:
-    """Whether every element of every float or array in ``values`` is finite."""
-    return all(np.isfinite(v).all() for v in values)
+def _require_finite(what: str, *values) -> None:
+    """Raise ``ValueError`` naming ``what`` unless every float or array element is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"{what} must be finite, got ({', '.join(map(str, values))})")
 
 
 @dataclass(frozen=True)
@@ -71,37 +71,24 @@ class VehicleState:
     vy: float
 
     def __post_init__(self) -> None:
-        if not _finite(self.x, self.y, self.vx, self.vy):
-            raise ValueError(
-                f"state components must be finite, got ({self.x}, {self.y}, {self.vx}, {self.vy})"
-            )
+        _require_finite("state components", self.x, self.y, self.vx, self.vy)
 
 
-@dataclass(frozen=True)
-class RotorCommand:
-    """Squared rotor speeds after the zero lower bound has been applied (floats or arrays)."""
-
-    w1sq: float
-    w2sq: float
-
-    def __post_init__(self) -> None:
-        if not _finite(self.w1sq, self.w2sq):
-            raise ValueError(f"rotor command must be finite, got ({self.w1sq}, {self.w2sq})")
-        if np.any(self.w1sq < 0.0) or np.any(self.w2sq < 0.0):
-            raise ValueError(f"rotor command must be nonnegative, got ({self.w1sq}, {self.w2sq})")
-
-
-def accelerate(cmd: RotorCommand, lam: float, params: ModelParams) -> tuple[float, float]:
-    """World-frame acceleration produced by a clamped rotor command.
+def accelerate(w1sq, w2sq, lam: float, params: ModelParams) -> tuple[float, float]:
+    """World-frame acceleration ``(ax, ay)`` produced by a clamped rotor command.
 
     Equals (1/m) * R(lam) @ T @ [w1sq, w2sq], written out in scalars, for the
     matrix oracles R = ``rotation_matrix`` and T = ``thrust_map`` of
     ``tests/oracles.py``; the simulator's RK4 loop repeats these operations.
-    No command calls it: it stays for a benchmark span until ROADMAP item 1.
+    Raises ``ValueError`` on a non-finite or negative command. No command
+    calls it: it stays for a benchmark span until ROADMAP item 1.
     """
+    _require_finite("rotor command", w1sq, w2sq)
+    if np.any(w1sq < 0.0) or np.any(w2sq < 0.0):
+        raise ValueError(f"rotor command must be nonnegative, got ({w1sq}, {w2sq})")
     kc = params.k_thrust * math.cos(params.theta)
     ks = params.k_thrust * math.sin(params.theta)
-    fx = kc * (cmd.w1sq + cmd.w2sq)
-    fy = ks * (cmd.w1sq - cmd.w2sq)
+    fx = kc * (w1sq + w2sq)
+    fy = ks * (w1sq - w2sq)
     c, s = math.cos(lam), math.sin(lam)
     return (c * fx - s * fy) / params.m, (s * fx + c * fy) / params.m

@@ -166,7 +166,7 @@ def _integrate(params, lam, dt, k, t, x, y, vx, vy, rows, n, log):
     Each row appends its state and its RK4 stage 1 to ``log`` (see
     ``_LOGGED``); a row other than step ``n`` is then stepped to grid time
     ``(k + 1) * dt``. Returns the state after the last row. Each of the four
-    stages repeats the dataclass pipeline ``reference_at -> desired_accel ->
+    stages repeats the controller chain ``reference_at -> desired_accel ->
     raw_inversion -> clamp -> accelerate`` operation for operation. Raises
     ``DivergenceError``, naming it as the cause, when a stage's desired
     acceleration or raw command, or the new state, is non-finite (a

@@ -39,7 +39,6 @@ from tiltsim import (
     DELTA_L_CAP,
     DivergenceError,
     ErrorState,
-    RawCommand,
     VehicleState,
     clamp,
     classify_region,
@@ -353,11 +352,10 @@ def scalar_clamp_rule(rng, n, params):
     """``clamp_switch_consistency``'s ``(passed, detail)``, one raw command at a time."""
     worst = 0.0
     for _ in range(n):
-        raw = RawCommand(rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0))
-        cmd = clamp(raw)
-        sm = switch_matrix_of(raw)
-        via_matrix = (sm.p * raw.sq1, sm.q * raw.sq2)
-        worst = max(worst, abs(via_matrix[0] - cmd.w1sq), abs(via_matrix[1] - cmd.w2sq))
+        sq1, sq2 = rng.uniform(-1000.0, 1000.0), rng.uniform(-1000.0, 1000.0)
+        w1sq, w2sq = clamp(sq1, sq2)
+        p, q = switch_matrix_of(sq1, sq2)
+        worst = max(worst, abs(p * sq1 - w1sq), abs(q * sq2 - w2sq))
     return worst == 0.0, {"max_abs_diff": worst, "n": n}
 
 
@@ -374,8 +372,8 @@ def scalar_region_rule(rng, n, params):
             continue
         for sign in (-1, 1):
             state = VehicleState(ref.xr, -e, ref.vxr, -edot)
-            raw = raw_inversion(desired_accel(state, ref, params), sign * math.pi / 3, params)
-            if classify_region(e, edot, sign, params) != switch_matrix_of(raw):
+            raw = raw_inversion(*desired_accel(state, ref, params), sign * math.pi / 3, params)
+            if classify_region(e, edot, sign, params) != switch_matrix_of(*raw):
                 bad += 1
             checked += 1
     return bad == 0, {"n_checked": checked, "n_violations": bad}
@@ -621,8 +619,8 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
 def kernel(params, lam):
     """Float-only ``f(t, x, y, vx, vy) -> (ax_d, ay_d, sq1, sq2, ax, ay)`` at yaw ``lam``.
 
-    Same floating-point operations, in the same order, as the dataclass
-    oracle ``reference_at -> desired_accel -> raw_inversion -> clamp ->
+    Same floating-point operations, in the same order, as the controller
+    chain ``reference_at -> desired_accel -> raw_inversion -> clamp ->
     accelerate``, and the same ``ValueError`` on a non-finite desired
     acceleration or raw command (which a non-finite state always causes).
     """

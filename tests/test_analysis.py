@@ -11,6 +11,7 @@ from tiltsim import analysis, checks
 from tiltsim import (
     DEFAULT_PARAMS,
     DELTA_L_CAP,
+    DeltaLGrid,
     ErrorState,
     ModelParams,
     acceleration_angle,
@@ -609,9 +610,9 @@ class TestLemmaChecks:
         for module, log in logs.items():
             real = module.switch_matrix_of
 
-            def spy(raw, real=real, log=log):
-                log.append(np.broadcast_arrays(raw.sq1, raw.sq2))
-                return real(raw)
+            def spy(sq1, sq2, real=real, log=log):
+                log.append(np.broadcast_arrays(sq1, sq2))
+                return real(sq1, sq2)
 
             monkeypatch.setattr(module, "switch_matrix_of", spy)
         p = ModelParams(ky1=6.0, ky2=12.0)
@@ -778,6 +779,33 @@ class TestDeltaLGrid:
         assert not (sign[-1, :] > 0).any()
         assert not (sign[:, -1] > 0).any()
         assert grid.max_delta_l() <= DELTA_L_CAP + 1e-3
+
+    def test_nonfinite_change_is_the_maximum(self):
+        # at ky1 = 1e300 every admissible change is NaN: the maximum is NaN at
+        # the first admissible cell, not -inf at a masked corner
+        params = ModelParams(ky1=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            grid = delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 20, +1, params)
+        assert grid.n_admissible > 0 and np.isnan(grid.values[grid.mask]).all()
+        assert math.isnan(grid.max_delta_l())
+        i, j = np.argwhere(grid.mask)[0]
+        assert grid.argmax_state() == ErrorState(grid.e_values[i], grid.edot_values[j])
+        assert in_admissible_region(grid.argmax_state(), +1, params)
+
+    def test_maximum_over_admissible_cells(self):
+        # a masked cell's value never counts; ties go to the first cell in row-major order
+        grid = DeltaLGrid(
+            np.array([0.0, 1.0]),
+            np.array([0.0, 1.0]),
+            np.array([[5.0, 1.0], [1.0, 0.5]]),
+            np.array([[False, True], [True, True]]),
+            +1,
+        )
+        assert (grid.max_delta_l(), grid.argmax_state()) == (1.0, ErrorState(0.0, 1.0))
+        grid.values[1, 0] = math.nan
+        assert math.isnan(grid.max_delta_l())
+        assert grid.argmax_state() == ErrorState(1.0, 0.0)
 
     def test_quadrant_mirror_symmetry(self):
         g1 = delta_l_grid((0.0, 2.0), (0.0, 2.0), 120, +1)

@@ -618,7 +618,12 @@ def test_nonfinite_change_is_a_divergence(command, tmp_path, capsys):
     [
         (
             "hitting_time_range",
-            "ValueError: unsaturated flow does not reach the threshold within 8.0 s for gains "
+            "FloatingPointError: unsaturated flow is not finite at t = 0 for gains "
+            "ky1=1e+300, ky2=18.0",
+        ),
+        (
+            "hitting_time_residual",
+            "FloatingPointError: unsaturated flow is not finite at t = 0 for gains "
             "ky1=1e+300, ky2=18.0",
         ),
         (
@@ -627,11 +632,12 @@ def test_nonfinite_change_is_a_divergence(command, tmp_path, capsys):
             "cells, yaw sign 1",
         ),
     ],
-    ids=["hitting_time_range", "delta_l_bound"],
+    ids=["hitting_time_range", "hitting_time_residual", "delta_l_bound"],
 )
 def test_nonfinite_flow_fails_lemma_checks_with_an_error(name, error, tmp_path):
     # at ky1 = 1e300 the decay rates overflow and the flow is NaN from t = 0:
-    # no state may pass with hitting time 0, and no -inf maximum may be reported
+    # no state may pass with hitting time 0, a NaN flow is not a slow one, and
+    # no -inf maximum may be reported
     cfg = tmp_path / "gains.ini"
     cfg.write_text("[model]\nky1 = 1e300\n")
     argv = ["verify-lemmas", "--config", str(cfg), "--grid-res", "30", "--out-dir", str(tmp_path)]
@@ -687,6 +693,30 @@ class TestHittingTime:
         assert "inadmissible" not in err
         assert main(["hitting-time", "-1", "1", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("inadmissible state: ")
+
+    def test_slowest_decay_misses_the_threshold(self, tmp_path, capsys):
+        # a finite flow that is merely slow: exit 2, not a divergence
+        cfg = tmp_path / "slowest.ini"
+        cfg.write_text("[model]\nky1 = 0.01\nky2 = 1e-4\n")
+        assert main(["hitting-time", "10000", "0", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "no threshold crossing: unsaturated flow does not reach the threshold within "
+            "8.0 s for gains ky1=0.01, ky2=0.0001\n",
+        )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [["0.5", "0.2"], ["-0.5", "-0.2", "--branch", "neg"]])
+    def test_nonfinite_flow_is_a_divergence(self, argv, tmp_path, capsys):
+        # at ky1 = 1e300 the flow is NaN from t = 0: not a missed threshold
+        cfg = tmp_path / "gains.ini"
+        cfg.write_text("[model]\nky1 = 1e300\n")
+        assert main(["hitting-time", *argv, "--config", str(cfg)]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "divergence: unsaturated flow is not finite at t = 0 for gains ky1=1e+300, "
+            "ky2=18.0\n",
+        )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(

@@ -6,14 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tiltsim import (
     DEFAULT_PARAMS,
-    DesiredAccel,
     ModelParams,
-    RawCommand,
-    S00,
-    S01,
-    S10,
-    S11,
-    SwitchMatrix,
     VehicleState,
     accelerate,
     clamp,
@@ -33,47 +26,66 @@ class TestDesiredAccel:
         t = 3.7
         ref = reference_at(t)
         state = VehicleState(ref.xr, 0.0, ref.vxr, 0.0)
-        acc = desired_accel(state, ref, DEFAULT_PARAMS)
-        assert acc.ax_d == pytest.approx(1.0)
-        assert acc.ay_d == pytest.approx(0.0)
+        ax_d, ay_d = desired_accel(state, ref, DEFAULT_PARAMS)
+        assert ax_d == pytest.approx(1.0)
+        assert ay_d == pytest.approx(0.0)
 
     def test_lateral_offset(self):
         # e_y = 0.1 with zero rate: PD output is ky2 * 0.1
         ref = reference_at(1.0)
         state = VehicleState(ref.xr, -0.1, ref.vxr, 0.0)
-        acc = desired_accel(state, ref, DEFAULT_PARAMS)
-        assert acc.ay_d == pytest.approx(1.8)
+        assert desired_accel(state, ref, DEFAULT_PARAMS)[1] == pytest.approx(1.8)
 
     def test_longitudinal_offset(self):
         # e_x = -0.5 with zero rate: 1 + kx2 * (-0.5)
         ref = reference_at(1.0)
         state = VehicleState(ref.xr + 0.5, 0.0, ref.vxr, 0.0)
-        acc = desired_accel(state, ref, DEFAULT_PARAMS)
-        assert acc.ax_d == pytest.approx(-2.0)
+        assert desired_accel(state, ref, DEFAULT_PARAMS)[0] == pytest.approx(-2.0)
+
+    def test_overflow_raises(self):
+        # a finite state whose PD law overflows
+        ref = reference_at(1.0)
+        state = VehicleState(ref.xr, -1e308, ref.vxr, 0.0)
+        with pytest.raises(
+            ValueError, match=r"^desired acceleration must be finite, got \(1\.0, inf\)$"
+        ):
+            desired_accel(state, ref, DEFAULT_PARAMS)
 
 
 class TestRawInversion:
     def test_straight_ahead(self):
-        raw = raw_inversion(DesiredAccel(1.0, 0.0), 0.0, DEFAULT_PARAMS)
+        sq1, sq2 = raw_inversion(1.0, 0.0, 0.0, DEFAULT_PARAMS)
         # hand oracle: u = 1/cos(pi/6), v = 0, both commands (m/K) u/2
         expected = 0.5 * (1.0 / math.cos(math.pi / 6)) * 1000.0
-        assert raw.sq1 == pytest.approx(expected, rel=1e-14)
-        assert raw.sq2 == pytest.approx(expected, rel=1e-14)
+        assert sq1 == pytest.approx(expected, rel=1e-14)
+        assert sq2 == pytest.approx(expected, rel=1e-14)
         assert expected == pytest.approx(1000.0 / SQRT3)
 
     def test_zero_accel(self):
-        raw = raw_inversion(DesiredAccel(0.0, 0.0), 0.7, DEFAULT_PARAMS)
-        assert raw.sq1 == 0.0 and raw.sq2 == 0.0
+        assert raw_inversion(0.0, 0.0, 0.7, DEFAULT_PARAMS) == (0.0, 0.0)
 
     def test_yawed_signs(self):
         # hand oracle: u = 0.5/cos(pi/6), v = -(sqrt(3)/2)/sin(pi/6) = -sqrt(3)
-        raw = raw_inversion(DesiredAccel(1.0, 0.0), math.pi / 3, DEFAULT_PARAMS)
-        assert raw.sq1 < 0.0
-        assert raw.sq2 > 0.0
+        sq1, sq2 = raw_inversion(1.0, 0.0, math.pi / 3, DEFAULT_PARAMS)
+        assert sq1 < 0.0
+        assert sq2 > 0.0
         u = 0.5 / math.cos(math.pi / 6)
         v = -SQRT3
-        assert raw.sq1 == pytest.approx(500.0 * (u + v), rel=1e-12)
-        assert raw.sq2 == pytest.approx(500.0 * (u - v), rel=1e-12)
+        assert sq1 == pytest.approx(500.0 * (u + v), rel=1e-12)
+        assert sq2 == pytest.approx(500.0 * (u - v), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "ax_d, ay_d, got",
+        [
+            (1e308, 0.0, "inf, inf"),
+            (math.nan, 0.0, "nan, nan"),
+            (0.0, np.array([0.0, math.nan]), r"\["),
+        ],
+        ids=["overflow", "nan", "array"],
+    )
+    def test_non_finite_raises(self, ax_d, ay_d, got):
+        with pytest.raises(ValueError, match=r"^raw command must be finite, got \(" + got):
+            raw_inversion(ax_d, ay_d, 0.0, DEFAULT_PARAMS)
 
     def test_matrix_oracle(self):
         from oracles import rotation_matrix, thrust_map
@@ -81,80 +93,52 @@ class TestRawInversion:
         rng = np.random.default_rng(5)
         p = DEFAULT_PARAMS
         for _ in range(100):
-            acc = DesiredAccel(*rng.uniform(-3, 3, 2))
+            acc = rng.uniform(-3, 3, 2)
             lam = rng.uniform(-math.pi, math.pi)
-            raw = raw_inversion(acc, lam, p)
+            raw = raw_inversion(*acc, lam, p)
             expected = (
-                np.linalg.inv(thrust_map(p))
-                @ np.linalg.inv(rotation_matrix(lam))
-                @ (p.m * np.array([acc.ax_d, acc.ay_d]))
+                np.linalg.inv(thrust_map(p)) @ np.linalg.inv(rotation_matrix(lam)) @ (p.m * acc)
             )
-            np.testing.assert_allclose([raw.sq1, raw.sq2], expected, rtol=1e-9, atol=1e-9)
+            np.testing.assert_allclose(raw, expected, rtol=1e-9, atol=1e-9)
 
 
 class TestClamp:
     def test_passthrough(self):
-        cmd = clamp(RawCommand(577.35, 577.35))
-        assert (cmd.w1sq, cmd.w2sq) == (577.35, 577.35)
+        assert clamp(577.35, 577.35) == (577.35, 577.35)
 
     def test_one_sided(self):
-        cmd = clamp(RawCommand(-3.0, 5.0))
-        assert (cmd.w1sq, cmd.w2sq) == (0.0, 5.0)
+        assert clamp(-3.0, 5.0) == (0.0, 5.0)
 
     def test_full(self):
-        cmd = clamp(RawCommand(-1.0, -1.0))
-        assert (cmd.w1sq, cmd.w2sq) == (0.0, 0.0)
+        assert clamp(-1.0, -1.0) == (0.0, 0.0)
 
 
 class TestSwitchMatrix:
     def test_of_raw(self):
-        assert switch_matrix_of(RawCommand(577.35, 577.35)) == S11
-        assert switch_matrix_of(RawCommand(-3.0, 5.0)) == S01
-        assert switch_matrix_of(RawCommand(0.0, 0.0)) == S00
+        assert switch_matrix_of(577.35, 577.35) == (1, 1)
+        assert switch_matrix_of(-3.0, 5.0) == (0, 1)
+        assert switch_matrix_of(0.0, 0.0) == (0, 0)
 
     def test_zero_counts_as_clamped(self):
-        assert switch_matrix_of(RawCommand(0.0, 5.0)) == S01
-        assert switch_matrix_of(RawCommand(5.0, 0.0)) == S10
-
-    def test_invalid_entries(self):
-        with pytest.raises(ValueError):
-            SwitchMatrix(2, 0)
-
-    def test_scalar_labels_and_equality(self):
-        # each named pattern S<p><q> holds its label's entries; equality and
-        # hash are the dataclass's, on (p, q)
-        named = {"S00": S00, "S01": S01, "S10": S10, "S11": S11}
-        for label, sm in named.items():
-            assert label == f"S{sm.p}{sm.q}"
-            raw = RawCommand(2.0 * sm.p - 1.0, 2.0 * sm.q - 1.0)
-            for got in (switch_matrix_of(raw), SwitchMatrix(np.int64(sm.p), np.int64(sm.q))):
-                assert got == sm and hash(got) == hash(sm)
-                assert [other for other in named.values() if other == got] == [sm]
-
-    def test_array_entries_need_scalars(self):
-        # == on array entries is ambiguous: compare the p and q arrays instead
-        sm = switch_matrix_of(RawCommand(np.array([1.0, -1.0]), np.array([2.0, 3.0])))
-        np.testing.assert_array_equal(sm.p, [1, 0])
-        np.testing.assert_array_equal(sm.q, [1, 1])
-        with pytest.raises(ValueError, match="truth value of an array"):
-            sm == S11
+        assert switch_matrix_of(0.0, 5.0) == (0, 1)
+        assert switch_matrix_of(5.0, 0.0) == (1, 0)
 
     def test_clamp_equals_switch_matrix_product(self):
         # the clamped command is exactly the switch matrix applied to raw
         rng = np.random.default_rng(11)
-        raw = RawCommand(*rng.uniform(-1000, 1000, size=(500, 2)).T)
-        sm = switch_matrix_of(raw)
-        cmd = clamp(raw)
-        np.testing.assert_array_equal(sm.p * raw.sq1, cmd.w1sq)
-        np.testing.assert_array_equal(sm.q * raw.sq2, cmd.w2sq)
-        assert set(zip(sm.p.tolist(), sm.q.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+        sq1, sq2 = rng.uniform(-1000, 1000, size=(500, 2)).T
+        p, q = switch_matrix_of(sq1, sq2)
+        w1sq, w2sq = clamp(sq1, sq2)
+        np.testing.assert_array_equal(p * sq1, w1sq)
+        np.testing.assert_array_equal(q * sq2, w2sq)
+        assert set(zip(p.tolist(), q.tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 class TestClassifyRegion:
     def test_examples(self):
-        assert classify_region(0.0, 0.0, -1) == S10
-        assert classify_region(0.1, 0.0, +1) == S11
-        assert classify_region(0.0, 0.0, +1) == S01
+        assert classify_region(0.0, 0.0, -1) == (1, 0)
+        assert classify_region(0.1, 0.0, +1) == (1, 1)
+        assert classify_region(0.0, 0.0, +1) == (0, 1)
 
     def test_invalid_sign(self):
         with pytest.raises(ValueError):
@@ -180,10 +164,10 @@ class TestClassifyRegion:
             INV_SQRT3,
             -INV_SQRT3,
         ]
-        assert classify_region(e, 0.0, 1) == S01
-        assert classify_region(-e, 0.0, -1) == S10
-        rule = classify_region(np.array([e, -e]), np.zeros(2), 1)
-        assert (rule.p.tolist(), rule.q.tolist()) == ([0, 0], [1, 1])
+        assert classify_region(e, 0.0, 1) == (0, 1)
+        assert classify_region(-e, 0.0, -1) == (1, 0)
+        p, q = classify_region(np.array([e, -e]), np.zeros(2), 1)
+        assert (p.tolist(), q.tolist()) == ([0, 0], [1, 1])
 
     def test_agrees_with_exact_rule(self):
         # under exact x tracking the analytic region rule must match the
@@ -197,10 +181,9 @@ class TestClassifyRegion:
         e, edot = e[far], edot[far]
         state = VehicleState(ref.xr, -e, ref.vxr, -edot)
         for sign in (-1, 1):
-            raw = raw_inversion(desired_accel(state, ref, p), sign * math.pi / 3, p)
-            rule, exact = classify_region(e, edot, sign, p), switch_matrix_of(raw)
-            np.testing.assert_array_equal(rule.p, exact.p)
-            np.testing.assert_array_equal(rule.q, exact.q)
+            raw = raw_inversion(*desired_accel(state, ref, p), sign * math.pi / 3, p)
+            rule, exact = classify_region(e, edot, sign, p), switch_matrix_of(*raw)
+            np.testing.assert_array_equal(rule, exact)
         assert 2 * e.size > 7000
 
 
@@ -231,31 +214,30 @@ class TestArrayCalls:
     def test_pd_law_and_inversion(self, states, t, lam, params):
         ref = reference_at(t)
         acc = desired_accel(VehicleState(*np.array(states).T), ref, params)
-        raw = raw_inversion(acc, lam, params)
+        raw = raw_inversion(*acc, lam, params)
         accs = [desired_accel(VehicleState(*s), ref, params) for s in states]
-        raws = [raw_inversion(a, lam, params) for a in accs]
-        assert _hex(acc.ax_d) == _hex([a.ax_d for a in accs])
-        assert _hex(acc.ay_d) == _hex([a.ay_d for a in accs])
-        assert _hex(raw.sq1) == _hex([r.sq1 for r in raws])
-        assert _hex(raw.sq2) == _hex([r.sq2 for r in raws])
+        raws = [raw_inversion(*a, lam, params) for a in accs]
+        for i in range(2):
+            assert _hex(acc[i]) == _hex([a[i] for a in accs])
+            assert _hex(raw[i]) == _hex([r[i] for r in raws])
 
     @settings(max_examples=200, deadline=None)
     @given(raws=st.lists(st.tuples(_value, _value), min_size=1, max_size=8))
     @example(raws=[(0.0, -0.0), (-0.0, 0.0), (-3.0, 5.0)])
     def test_clamp_and_switch_matrix(self, raws):
-        raw = RawCommand(*np.array(raws).T)
-        cmd, sm = clamp(raw), switch_matrix_of(raw)
-        scalar = [(clamp(RawCommand(*r)), switch_matrix_of(RawCommand(*r))) for r in raws]
-        assert _hex(cmd.w1sq) == _hex([c.w1sq for c, _ in scalar])
-        assert _hex(cmd.w2sq) == _hex([c.w2sq for c, _ in scalar])
-        assert list(zip(sm.p.tolist(), sm.q.tolist())) == [(m.p, m.q) for _, m in scalar]
+        raw = np.array(raws).T
+        cmd, sm = clamp(*raw), switch_matrix_of(*raw)
+        scalar = [(clamp(*r), switch_matrix_of(*r)) for r in raws]
+        for i in range(2):
+            assert _hex(cmd[i]) == _hex([c[i] for c, _ in scalar])
+        assert list(zip(sm[0].tolist(), sm[1].tolist())) == [m for _, m in scalar]
         for (sq1, sq2), (c, m) in zip(raws, scalar):
             # max(sq, 0.0): a raw -0.0 or 0.0 passes through and counts as clamped
-            assert (float(c.w1sq).hex(), float(c.w2sq).hex()) == (
+            assert (float(c[0]).hex(), float(c[1]).hex()) == (
                 max(sq1, 0.0).hex(),
                 max(sq2, 0.0).hex(),
             )
-            assert (m.p, m.q) == (int(sq1 > 0.0), int(sq2 > 0.0))
+            assert m == (int(sq1 > 0.0), int(sq2 > 0.0))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -267,13 +249,13 @@ class TestArrayCalls:
     @example([(INV_SQRT3 / 18.0, -0.0), (-INV_SQRT3 / 18.0, 0.0)], -1, DEFAULT_PARAMS)
     def test_classify_region(self, errors, sign, params):
         e, edot = np.array(errors).T
-        rule = classify_region(e, edot, sign, params)
+        p, q = classify_region(e, edot, sign, params)
         scalar = [classify_region(*err, sign, params) for err in errors]
-        assert list(zip(rule.p.tolist(), rule.q.tolist())) == [(m.p, m.q) for m in scalar]
+        assert list(zip(p.tolist(), q.tolist())) == scalar
         for err, m in zip(errors, scalar):
             if _pd_output(*err, params) == sign * INV_SQRT3:
                 # the threshold itself counts as inside the clamped band
-                assert m == (S01 if sign > 0 else S10)
+                assert m == ((0, 1) if sign > 0 else (1, 0))
 
 
 class TestExactInversionRoundTrip:
@@ -282,12 +264,12 @@ class TestExactInversionRoundTrip:
         p = DEFAULT_PARAMS
         done = 0
         while done < 200:
-            acc = DesiredAccel(*rng.uniform(-3, 3, 2))
+            ax_d, ay_d = rng.uniform(-3, 3, 2)
             lam = rng.uniform(-math.pi, math.pi)
-            raw = raw_inversion(acc, lam, p)
-            if raw.sq1 < 0.0 or raw.sq2 < 0.0:
+            sq1, sq2 = raw_inversion(ax_d, ay_d, lam, p)
+            if sq1 < 0.0 or sq2 < 0.0:
                 continue
-            ax, ay = accelerate(clamp(raw), lam, p)
-            assert ax == pytest.approx(acc.ax_d, abs=1e-12)
-            assert ay == pytest.approx(acc.ay_d, abs=1e-12)
+            ax, ay = accelerate(*clamp(sq1, sq2), lam, p)
+            assert ax == pytest.approx(ax_d, abs=1e-12)
+            assert ay == pytest.approx(ay_d, abs=1e-12)
             done += 1

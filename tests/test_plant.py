@@ -7,7 +7,6 @@ from oracles import rotation_matrix, thrust_map, thrust_matrix
 from tiltsim import (
     DEFAULT_PARAMS,
     ModelParams,
-    RotorCommand,
     VehicleState,
     accelerate,
     acceleration_angle,
@@ -47,12 +46,14 @@ class TestStateAndCommand:
     def test_finite_required(self):
         with pytest.raises(ValueError):
             VehicleState(math.nan, 0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            RotorCommand(math.inf, 0.0)
+        with pytest.raises(ValueError, match="rotor command must be finite"):
+            accelerate(math.inf, 0.0, 0.0, DEFAULT_PARAMS)
 
     def test_command_nonnegative(self):
-        with pytest.raises(ValueError):
-            RotorCommand(-1.0, 0.0)
+        with pytest.raises(ValueError, match="rotor command must be nonnegative"):
+            accelerate(-1.0, 0.0, 0.0, DEFAULT_PARAMS)
+        with pytest.raises(ValueError, match="rotor command must be nonnegative"):
+            accelerate(np.array([1.0, -1.0]), np.zeros(2), 0.0, DEFAULT_PARAMS)
 
 
 class TestRotationMatrix:
@@ -93,20 +94,19 @@ class TestThrustMap:
 class TestAccelerate:
     def test_symmetric_commands_cancel_laterally(self):
         p = DEFAULT_PARAMS
-        ax, ay = accelerate(RotorCommand(500.0, 500.0), 0.0, p)
+        ax, ay = accelerate(500.0, 500.0, 0.0, p)
         assert ay == pytest.approx(0.0, abs=1e-18)
         assert ax == pytest.approx(2 * p.k_thrust * 500.0 * math.cos(p.theta) / p.m)
 
     def test_zero_input(self):
-        assert accelerate(RotorCommand(0.0, 0.0), 1.234, DEFAULT_PARAMS) == (0.0, 0.0)
+        assert accelerate(0.0, 0.0, 1.234, DEFAULT_PARAMS) == (0.0, 0.0)
 
     def test_matrix_product_oracle(self):
         # independent oracle: explicit 2x2 matrix products
         p = DEFAULT_PARAMS
         lam = -math.pi / 3
-        cmd = RotorCommand(1000.0, 0.0)
         expected = (1.0 / p.m) * rotation_matrix(lam) @ thrust_map(p) @ np.array([1000.0, 0.0])
-        ax, ay = accelerate(cmd, lam, p)
+        ax, ay = accelerate(1000.0, 0.0, lam, p)
         np.testing.assert_allclose([ax, ay], expected, rtol=1e-14)
         # frozen exact-arithmetic values: (sqrt(3)/2, -1/2)
         assert ax == pytest.approx(SQRT3 / 2, abs=1e-15)
@@ -120,11 +120,9 @@ class TestAccelerate:
             c2 = rng.uniform(0, 1000, 2)
             a, b = rng.uniform(0, 3, 2)
             lam = rng.uniform(-math.pi, math.pi)
-            mixed = accelerate(
-                RotorCommand(a * c1[0] + b * c2[0], a * c1[1] + b * c2[1]), lam, p
-            )
-            first = accelerate(RotorCommand(*c1), lam, p)
-            second = accelerate(RotorCommand(*c2), lam, p)
+            mixed = accelerate(*(a * c1 + b * c2), lam, p)
+            first = accelerate(*c1, lam, p)
+            second = accelerate(*c2, lam, p)
             np.testing.assert_allclose(
                 mixed, [a * f + b * s for f, s in zip(first, second)], rtol=1e-12
             )
@@ -132,9 +130,9 @@ class TestAccelerate:
     def test_norm_invariant_under_yaw(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            cmd = RotorCommand(*rng.uniform(0, 1000, 2))
+            cmd = rng.uniform(0, 1000, 2)
             norms = {
-                round(math.hypot(*accelerate(cmd, lam, DEFAULT_PARAMS)), 12)
+                round(math.hypot(*accelerate(*cmd, lam, DEFAULT_PARAMS)), 12)
                 for lam in rng.uniform(-math.pi, math.pi, 5)
             }
             assert len(norms) == 1
@@ -144,8 +142,7 @@ class TestAccelerate:
         rng = np.random.default_rng(9)
         for _ in range(200):
             lam = rng.uniform(-math.pi, math.pi)
-            cmd = RotorCommand(*rng.uniform(0.0, 1000.0, 2))
-            ax, ay = accelerate(cmd, lam, DEFAULT_PARAMS)
+            ax, ay = accelerate(*rng.uniform(0.0, 1000.0, 2), lam, DEFAULT_PARAMS)
             if ax == 0.0 and ay == 0.0:
                 continue
             lo, hi = feasible_cone(lam, DEFAULT_PARAMS)

@@ -6,12 +6,14 @@ The test then parses each module of the package with ``ast`` and asserts
 that the ``def`` bodies no command called are exactly the keys of
 ``KEPT``. Code that no command reaches either leaves ``src/`` (a reference
 copy that tests compare against goes to ``tests/oracles.py``) or gets its
-reason in ``KEPT``.
+reason in ``KEPT``. Every name in a module's ``__all__`` must resolve, so a
+deleted function or type cannot linger there.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import sys
 import warnings
@@ -125,3 +127,11 @@ def test_unreached_functions_are_exactly_the_kept_ones(tmp_path, monkeypatch, ca
         f"reached but kept: {sorted(set(KEPT) - unreached)}; "
         f"unreached and not kept: {sorted(unreached - set(KEPT))}"
     )
+
+
+def test_every_exported_name_resolves():
+    modules = [tiltsim] + [importlib.import_module(f"tiltsim.{p.stem}") for p in SRC.glob("*.py")]
+    missing = [
+        f"{m.__name__}.{name}" for m in modules for name in m.__all__ if not hasattr(m, name)
+    ]
+    assert missing == []

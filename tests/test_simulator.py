@@ -142,11 +142,11 @@ class TestStep:
 
 
 def _pipeline(params, lam, t, x, y, vx, vy):
-    """The public dataclass path that ``oracles.kernel`` must reproduce."""
-    acc = desired_accel(VehicleState(x, y, vx, vy), reference_at(t), params)
-    raw = raw_inversion(acc, lam, params)
-    ax, ay = accelerate(clamp(raw), lam, params)
-    return acc.ax_d, acc.ay_d, raw.sq1, raw.sq2, ax, ay
+    """The public controller chain that ``oracles.kernel`` must reproduce."""
+    ax_d, ay_d = desired_accel(VehicleState(x, y, vx, vy), reference_at(t), params)
+    sq1, sq2 = raw_inversion(ax_d, ay_d, lam, params)
+    ax, ay = accelerate(*clamp(sq1, sq2), lam, params)
+    return ax_d, ay_d, sq1, sq2, ax, ay
 
 
 _coord = st.one_of(
