@@ -443,21 +443,24 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     if start_idx:
         idx, y0 = np.concatenate(start_idx), np.concatenate(start_y).T
         a, b = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
-        ga, gb = np.split(_substep_gap(np.tile(y0, 2), np.r_[a, b], params)[0], 2)
+        mat = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
+        terms = {  # _substep_gap's Taylor terms A^j/j!, built once for every Newton pass
+            j: np.linalg.matrix_power(mat, j)[..., None] / math.factorial(j) for j in range(1, 5)
+        }
+        ga, gb = np.split(_substep_gap(np.tile(y0, 2), np.r_[a, b], terms, params)[0], 2)
         ga, gb = np.maximum(ga, 0.0), np.minimum(gb, 0.0)  # a wrong-sign end is the root
-        times[idx] += _newton(lambda t, k: _substep_gap(y0[:, k], t, params), a, b, ga, gb)
+        times[idx] += _newton(lambda t, k: _substep_gap(y0[:, k], t, terms, params), a, b, ga, gb)
     return times
 
 
-def _substep_gap(y, h, params: ModelParams):
+def _substep_gap(y, h, terms, params: ModelParams):
     """Gap to 1/sqrt(3) after eight RK4 steps of ``h``/8 from each column of ``y``, and its slope.
 
     One step is M(s) = sum of (sA)^j/j! for j <= 4, so the slope in h is
-    M'(h/8) M(h/8)^7 y. The steps add up the change from ``y`` through M - I,
-    so the gap rounds like the change, not like the state.
+    M'(h/8) M(h/8)^7 y; ``terms[j]`` is A^j/j!, with a trailing axis for the
+    columns. The steps add up the change from ``y`` through M - I, so the
+    gap rounds like the change, not like the state.
     """
-    a = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
-    terms = {j: np.linalg.matrix_power(a, j)[..., None] / math.factorial(j) for j in range(1, 5)}
     s, m, dm = h / 8.0, terms[4], 4.0 * terms[4]
     for j in (3, 2, 1):
         m, dm = terms[j] + s * m, j * terms[j] + s * dm
@@ -619,6 +622,8 @@ class CaptureReport:
 def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
     """Map a grid once: ``(grid, e0, ed0, e1, ed1)``, the Lyapunov-change grid
     (NaN on masked cells), the admissible cells in row-major order and their images.
+    Only the block in the yaw sign's closed quadrant, which holds the capture
+    region, is masked and mapped.
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
@@ -626,13 +631,17 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     e_vals = np.linspace(e_range[0], e_range[1], resolution)
     ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
-    E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
-    mask = _region_mask(E, Ed, lambda_sign, params)
-    e0, ed0 = E[mask], Ed[mask]
+    rows = np.flatnonzero(lambda_sign * e_vals >= 0.0)
+    cols = np.flatnonzero(lambda_sign * ed_vals >= 0.0)
+    i, j = np.nonzero(_region_mask(e_vals[rows, None], ed_vals[cols], lambda_sign, params))
+    i, j = rows[i], cols[j]
+    e0, ed0 = e_vals[i], ed_vals[j]
     e1, ed1 = _map(e0, ed0, lambda_sign, params, half_period)
-    values = np.full(E.shape, np.nan)
+    mask = np.zeros((resolution, resolution), dtype=bool)
+    mask[i, j] = True
+    values = np.full(mask.shape, np.nan)
     l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
-    values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
+    values[i, j] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
     return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
 
 

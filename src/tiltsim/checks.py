@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,7 @@ class Check:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))  # the fields in order; asdict would deep-copy the detail
 
 
 class NotApplicable(Exception):
@@ -94,6 +94,8 @@ def _sample_region(rng, n, lambda_sign, params):
     1000*n attempts. Attempts are drawn in blocks of n, n, 2n, 4n, ...
     pairs; then the generator is reset and redraws exactly the attempts
     used, so it leaves the stream where one scalar draw per value would.
+    A first block that is all admissible is returned as drawn: the redraw
+    would repeat it.
     """
     start = rng.bit_generator.state
     limit = 1000 * n
@@ -107,9 +109,10 @@ def _sample_region(rng, n, lambda_sign, params):
         ok = _region_mask(e, edot, lambda_sign, params)
         hits = np.concatenate([hits, drawn + np.flatnonzero(ok)])
         drawn += e.size
-    rng.bit_generator.state = start
-    used = hits[n - 1] + 1 if n else 0
-    e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(used, 2)).T
+    if not n or hits.size < drawn:
+        rng.bit_generator.state = start
+        used = hits[n - 1] + 1 if n else 0
+        e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(used, 2)).T
     return e[hits[:n]], edot[hits[:n]]
 
 
@@ -124,8 +127,13 @@ def _check_clamp_rule(rng, n, params) -> tuple[bool, dict]:
 
 def _check_region_rule(rng, n, params) -> tuple[bool, dict]:
     e, edot = rng.uniform(-2.0, 2.0, size=(n, 2)).T
-    # states on a threshold line are left out: rounding decides their pattern
-    far = np.abs(np.abs(_pd_output(e, edot, params)) - INV_SQRT3) >= 1e-9
+    # a state is checked where the float command resolves the rule to 1e-9 in
+    # the PD output g: g is that far from a threshold line, and the command
+    # terms, of g's size, round by less (else one command cancels to a residue)
+    g = np.abs(_pd_output(e, edot, params))
+    far = (np.abs(g - INV_SQRT3) >= 1e-9) & (g * np.finfo(float).eps < 1e-9)
+    if not far.any():
+        raise NotApplicable(f"float rounding cannot resolve the rule at any of {n} states")
     e, edot = e[far], edot[far]
     ref = reference_at(0.7)
     state = VehicleState(ref.xr, -e, ref.vxr, -edot)
@@ -187,32 +195,33 @@ def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
     details = {}
     ok = True
     for sign in (+1, -1):
-        grid = maps[sign][0]
-        n_bad = int((~np.isfinite(grid.values[grid.mask])).sum())
+        grid, e0, ed0 = maps[sign][:3]
+        # the admissible changes, in the row-major order of e0 and ed0
+        changes = grid.values[grid.mask]
+        n_bad = changes.size - int(np.count_nonzero(np.isfinite(changes)))
         if n_bad:  # nanmax would skip them, and report -inf when all are
             raise ValueError(
                 f"half-period Lyapunov change is not finite at {n_bad} of "
-                f"{grid.n_admissible} admissible cells, yaw sign {sign}"
+                f"{changes.size} admissible cells, yaw sign {sign}"
             )
-        peak = grid.max_delta_l()
-        arg = grid.argmax_state()
-        if peak is None:
+        if not changes.size:
             details[str(sign)] = {"max_delta_l": None}
             continue
+        peak = float(np.max(changes))
+        k = int(np.argmax(changes))
+        arg = [float(e0[k]), float(ed0[k])]
         de = float(grid.e_values[1] - grid.e_values[0]) if len(grid.e_values) > 1 else 0.0
-        line_dist = None
-        if arg is not None:
-            g = _pd_output(arg.e, arg.edot, params)
-            line_dist = abs(g - sign * INV_SQRT3) / math.hypot(params.ky2, params.ky1)
+        g = _pd_output(*arg, params)
+        line_dist = abs(g - sign * INV_SQRT3) / math.hypot(params.ky2, params.ky1)
         details[str(sign)] = {
             "max_delta_l": peak,
-            "argmax": None if arg is None else [arg.e, arg.edot],
+            "argmax": arg,
             "distance_to_threshold_line": line_dist,
             "cell_size": de,
         }
         if peak > DELTA_L_CAP + tol:
             ok = False
-        if line_dist is not None and de > 0.0 and line_dist > math.hypot(de, de):
+        if de > 0.0 and line_dist > math.hypot(de, de):
             ok = False
     return ok, details
 
@@ -249,6 +258,9 @@ def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
     fwd_e, fwd_ed = _map(e, edot, +1, params, 1.0)
     mirrored_e, mirrored_ed = _map(-e, -edot, -1, params, 1.0)
     diffs = np.abs(np.concatenate([fwd_e + mirrored_e, fwd_ed + mirrored_ed]))
+    n_bad = diffs.size - int(np.count_nonzero(np.isfinite(diffs)))
+    if n_bad:  # np.max would report NaN, which strict JSON cannot hold
+        raise ValueError(f"odd-symmetry difference is not finite at {n_bad} of {diffs.size} values")
     worst = float(np.max(diffs, initial=0.0))
     return worst < 1e-12, {"max_abs_diff": worst}
 

@@ -14,7 +14,9 @@ analysis module.
 
 The scalar-loop oracles at the end are the reference for the array paths:
 they call the half-period map, or the flows, one cell at a time, as the
-array code did before it took whole grids. ``scalar_clamp_rule`` and
+array code did before it took whole grids. ``full_grid_map`` is
+``_map_grid`` on the whole meshgrid, as it was before it took only the
+block in the yaw sign's quadrant. ``scalar_clamp_rule`` and
 ``scalar_region_rule`` make one scalar controller call per state and
 function, as the two controller-rule checks once did. ``scalar_verify_trajectory``
 checks a logged run one half-period boundary at a time, and
@@ -60,12 +62,17 @@ from tiltsim.analysis import (
     _EVENT_T_MAX,
     INV_SQRT3,
     TWO_PI,
+    DeltaLGrid,
+    _map,
+    _region_mask,
     _rk4_matrix,
 )
+from tiltsim.checks import NotApplicable
 from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
 from tiltsim.simulator import TRAJECTORY_COLUMNS, _trajectory, _yaw
 
 SQRT3 = math.sqrt(3.0)
+EPS = np.finfo(float).eps
 
 
 def rotation_matrix(lam):
@@ -302,6 +309,20 @@ def self_map_counts(resolution, params):
     return n, bad
 
 
+def full_grid_map(e_range, edot_range, resolution, lambda_sign, params, half_period):
+    """``_map_grid``'s ``(grid, e0, ed0, e1, ed1)`` from a mask of the whole meshgrid."""
+    e_vals = np.linspace(e_range[0], e_range[1], resolution)
+    ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
+    E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
+    mask = _region_mask(E, Ed, lambda_sign, params)
+    e0, ed0 = E[mask], Ed[mask]
+    e1, ed1 = _map(e0, ed0, lambda_sign, params, half_period)
+    values = np.full(E.shape, np.nan)
+    l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
+    values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
+    return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
+
+
 def scalar_sample_region(rng, n, lambda_sign, params):
     """``n`` admissible states drawn one value at a time, as the checks' sampler once did.
 
@@ -368,7 +389,8 @@ def scalar_region_rule(rng, n, params):
         e = rng.uniform(-2.0, 2.0)
         edot = rng.uniform(-2.0, 2.0)
         g = params.ky1 * edot + params.ky2 * e
-        if min(abs(g - INV_SQRT3), abs(g + INV_SQRT3)) < 1e-9:
+        # the threshold lines, and PD outputs whose rounding reaches 1e-9
+        if min(abs(g - INV_SQRT3), abs(g + INV_SQRT3)) < 1e-9 or not abs(g) * EPS < 1e-9:
             continue
         for sign in (-1, 1):
             state = VehicleState(ref.xr, -e, ref.vxr, -edot)
@@ -376,6 +398,8 @@ def scalar_region_rule(rng, n, params):
             if classify_region(e, edot, sign, params) != switch_matrix_of(*raw):
                 bad += 1
             checked += 1
+    if not checked:
+        raise NotApplicable(f"float rounding cannot resolve the rule at any of {n} states")
     return bad == 0, {"n_checked": checked, "n_violations": bad}
 
 

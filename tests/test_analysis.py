@@ -1,4 +1,6 @@
+import dataclasses
 import inspect
+import json
 import math
 import warnings
 
@@ -33,11 +35,14 @@ from tiltsim.analysis import _event_hitting_times, _hit_times, _map, _map_grid
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
+    Check,
     _check_clamp_rule,
+    _check_delta_l_bound,
     _check_local_max,
     _check_region_rule,
     _check_self_map,
     _sample_region,
+    check,
     run_lemma_checks,
 )
 
@@ -526,8 +531,8 @@ class TestEventEngine:
         assert k.size > 10
         substep_gap = analysis._substep_gap
 
-        def stub(y, h, params):
-            g, slope = substep_gap(y, h, params)
+        def stub(y, h, terms, params):
+            g, slope = substep_gap(y, h, terms, params)
             return np.where(h == end * step, shift, g), slope
 
         monkeypatch.setattr(analysis, "_substep_gap", stub)
@@ -573,7 +578,9 @@ class TestLemmaChecks:
     @pytest.mark.parametrize(
         "ky1, ky2, seeds",
         [(9.0, 18.0, range(32))]
-        + [(k1, k2, range(8)) for k1, k2 in ((5.0, 20.0), (6.0, 12.0), (20.0, 30.0), (2.0, 5.0))],
+        + [(k1, k2, range(8)) for k1, k2 in ((5.0, 20.0), (6.0, 12.0), (20.0, 30.0), (2.0, 5.0))]
+        # |ky1*edot| passes 1e-9/eps, where rounding leaves states out, at |edot| > 0.45
+        + [(1e7, 18.0, range(4))],
     )
     def test_controller_rules_match_scalar_loops(self, ky1, ky2, seeds):
         # same reports as one scalar controller call per state, and the
@@ -588,6 +595,70 @@ class TestLemmaChecks:
             for check, oracle in pairs:
                 assert check(rng, _N_SAMPLES, p) == oracle(rng_scalar, _N_SAMPLES, p)
                 assert rng.bit_generator.state == rng_scalar.bit_generator.state
+
+    def test_region_rule_does_not_apply_where_rounding_decides(self):
+        # at ky1 = 1e300 one rotor's command, constant in real arithmetic,
+        # cancels to a rounding residue of its terms, which are of the PD
+        # output's size: no state is left to check
+        rng, p = np.random.default_rng(0), ModelParams(ky1=1e300)
+        got = check("region_rule_consistency", None, lambda: _check_region_rule(rng, 200, p))
+        assert got == Check(
+            "region_rule_consistency",
+            False,
+            True,
+            {"note": "float rounding cannot resolve the rule at any of 200 states"},
+        )
+
+    @pytest.mark.parametrize(
+        "ranges, resolution",
+        [
+            (((-2.0, 2.0), (-2.0, 2.0)), 200),
+            (((2.0, -2.0), (-2.0, 2.0)), 31),
+            # one admissible cell for the yaw sign +1, none for -1
+            (((0.5, 0.5), (0.2, 0.2)), 1),
+        ],
+        ids=["box", "descending", "one-cell"],
+    )
+    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0)])
+    def test_delta_l_detail_matches_grid_reductions(self, ranges, resolution, ky1, ky2):
+        # one gather of each grid's changes gives the grid's own maximum and argmax
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        maps = {sign: _map_grid(*ranges, resolution, sign, p, 1.0) for sign in (1, -1)}
+        _, detail = _check_delta_l_bound(maps, p)
+        for sign in (1, -1):
+            grid = maps[sign][0]
+            peak, arg = grid.max_delta_l(), grid.argmax_state()
+            got = detail[str(sign)]
+            if peak is None:
+                assert got == {"max_delta_l": None} and grid.n_admissible == 0
+                continue
+            assert np.float64(got["max_delta_l"]).tobytes() == np.float64(peak).tobytes()
+            assert got["argmax"] == [arg.e, arg.edot]
+        assert maps[1][0].n_admissible > 0
+
+    def test_delta_l_error_counts_the_admissible_cells(self):
+        # at ky1 = 1e300 every admissible change is NaN
+        p = ModelParams(ky1=1e300)
+        with np.errstate(all="ignore"):
+            maps = {sign: _map_grid((-2.0, 2.0), (-2.0, 2.0), 30, sign, p, 1.0) for sign in (1, -1)}
+        n = maps[1][0].n_admissible
+        with pytest.raises(ValueError) as err:
+            _check_delta_l_bound(maps, p)
+        assert str(err.value) == (
+            f"half-period Lyapunov change is not finite at {n} of {n} admissible cells, yaw sign 1"
+        )
+
+    @pytest.mark.parametrize("ky1", [9.0, 1e300])
+    def test_check_dict_is_asdict(self, ky1, monkeypatch):
+        made = []
+        real = checks.check
+        monkeypatch.setattr(checks, "check", lambda *a: made.append(real(*a)) or made[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_lemma_checks(ModelParams(ky1=ky1), resolution=30, seed=0)
+        assert len(made) == 9
+        for c in made:
+            assert json.dumps(c.to_dict()) == json.dumps(dataclasses.asdict(c))
 
     def test_region_rule_applies_the_pd_law_once(self, monkeypatch):
         # the PD law does not depend on the yaw, so both signs share one call
@@ -829,6 +900,35 @@ class TestDeltaLGrid:
                 function((0, 1), (0, 1), 0, +1)
             with pytest.raises(ValueError, match="lambda_sign must be"):
                 function((0, 1), (0, 1), 10, 0)
+
+
+_grid_end = st.one_of(st.sampled_from((0.0, -0.0, 2.0, -2.0)), st.floats(-3.0, 3.0))
+
+
+class TestMapGrid:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        e_range=st.tuples(_grid_end, _grid_end),
+        edot_range=st.tuples(_grid_end, _grid_end),
+        resolution=st.integers(1, 40),
+        sign=st.sampled_from((1, -1)),
+        gains=st.one_of(st.sampled_from(((9.0, 18.0), (1e300, 18.0))), _gains),
+    )
+    @example(e_range=(2.0, -2.0), edot_range=(2.0, -2.0), resolution=40, sign=-1, gains=(9.0, 18.0))
+    @example(e_range=(-0.0, 1.0), edot_range=(1.5, 0.0), resolution=21, sign=1, gains=(9.0, 18.0))
+    @example(e_range=(0.0, -1.0), edot_range=(-0.0, -2.0), resolution=21, sign=-1, gains=(6.0, 12.0))
+    @example(e_range=(-2.0, 2.0), edot_range=(-2.0, 2.0), resolution=30, sign=1, gains=(1e300, 18.0))
+    def test_quadrant_block_matches_full_grid(self, e_range, edot_range, resolution, sign, gains):
+        # the same cells in the same order, and the same bytes, as a mask of the whole grid
+        p = ModelParams(ky1=gains[0], ky2=gains[1])
+        with np.errstate(all="ignore"):
+            got = _map_grid(e_range, edot_range, resolution, sign, p, 1.0)
+            want = oc.full_grid_map(e_range, edot_range, resolution, sign, p, 1.0)
+        fields = ("e_values", "edot_values", "values", "mask")
+        pairs = [(getattr(got[0], f), getattr(want[0], f)) for f in fields]
+        for a, b in pairs + list(zip(got[1:], want[1:])):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        assert got[0].lambda_sign == want[0].lambda_sign
 
 
 class TestQuadrantCapture:

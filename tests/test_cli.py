@@ -631,8 +631,9 @@ def test_nonfinite_change_is_a_divergence(command, tmp_path, capsys):
             "ValueError: half-period Lyapunov change is not finite at 225 of 225 admissible "
             "cells, yaw sign 1",
         ),
+        ("odd_symmetry", "ValueError: odd-symmetry difference is not finite at 100 of 100 values"),
     ],
-    ids=["hitting_time_range", "hitting_time_residual", "delta_l_bound"],
+    ids=["hitting_time_range", "hitting_time_residual", "delta_l_bound", "odd_symmetry"],
 )
 def test_nonfinite_flow_fails_lemma_checks_with_an_error(name, error, tmp_path):
     # at ky1 = 1e300 the decay rates overflow and the flow is NaN from t = 0:
@@ -645,6 +646,29 @@ def test_nonfinite_flow_fails_lemma_checks_with_an_error(name, error, tmp_path):
     report = read_json(tmp_path / "lemma_report.json")
     check = next(c for c in report["checks"] if c["name"] == name)
     assert (check["passed"], check["detail"]) == (False, {"error": error})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extreme_gain_lemma_report_is_strict_json(tmp_path):
+    # at ky1 = 1e300 no check may write a bare NaN, and the region rule, which
+    # float rounding cannot resolve there, does not apply
+    cfg = tmp_path / "gains.ini"
+    cfg.write_text("[model]\nky1 = 1e300\n")
+    argv = ["verify-lemmas", "--config", str(cfg), "--grid-res", "30", "--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    text = (tmp_path / "lemma_report.json").read_text()
+    checks = {c["name"]: c for c in json.loads(text, parse_constant=reject)["checks"]}
+    assert "error" in checks["odd_symmetry"]["detail"]
+    assert checks["region_rule_consistency"] == {
+        "name": "region_rule_consistency",
+        "applicable": False,
+        "passed": True,
+        "detail": {"note": "float rounding cannot resolve the rule at any of 200 states"},
+    }
 
 
 class TestHittingTime:
