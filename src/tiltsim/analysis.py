@@ -95,7 +95,7 @@ DELTA_L_CAP = 0.75
 _EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
-_EVENT_STEP = 1e-4  # RK4 step of the event oracle
+_EVENT_STEP = 1e-4  # longest RK4 step of the event oracle
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 _REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
 _N_ANGLES = 4096  # ellipse angles per level of the critical-level search
@@ -392,20 +392,27 @@ def _rk4_matrix(h, params: ModelParams):
     return eye + x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
 
 
+def _event_step(params: ModelParams) -> float:
+    """The event oracle's RK4 step: 0.1 over the fastest decay rate, within [1e-6, 1e-4]."""
+    half = 0.5 * params.ky1  # the rates solve s^2 + ky1*s + ky2 = 0, complex ones |s| = sqrt(ky2)
+    r_fast = max(math.sqrt(params.ky2), half + math.sqrt(max(half * half - params.ky2, 0.0)))
+    return max(1e-6, min(_EVENT_STEP, 0.1 / r_fast))  # the floor caps a scan at 8e6 steps
+
+
 def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     """Event-detected threshold crossing times of fixed-step RK4, many states at once.
 
     ``e``, ``edot`` and ``lambda_sign`` (scalars or 1-D arrays) are broadcast
     together, and the times come back as a 1-D array. Each state
     is mirrored into the first quadrant, where the event is the PD output
-    falling to +1/sqrt(3). The scan takes RK4 steps of length ``_EVENT_STEP``
+    falling to +1/sqrt(3). The scan takes RK4 steps of length ``_event_step``
     in blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
     is one product of the rows c*R^k with the block's start states, and the
     first step whose end gap is nonpositive brackets the crossing. One
     ``_newton`` call refines all brackets on the gap after eight RK4 sub-steps
     (``_substep_gap``). States past the threshold, or on it with a PD output
     that does not rise, give 0.0; states without a crossing within
-    ``_EVENT_T_MAX`` give NaN.
+    ``_EVENT_T_MAX``, or whose gap is not finite, give NaN.
     """
     e, edot, sgn = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
@@ -414,9 +421,10 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     times = np.full(y.shape[0], np.nan)
     gap = _pd_output(y[:, 0], y[:, 1], params) - INV_SQRT3
     times[(gap < 0.0) | ((gap == 0.0) & (_pd_slope(y[:, 0], y[:, 1], params) <= 0.0))] = 0.0
-    n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
+    h = _event_step(params)
+    n_steps = int(round(_EVENT_T_MAX / h))
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
-    powers[0] = _rk4_matrix(_EVENT_STEP, params)
+    powers[0] = _rk4_matrix(h, params)
     m = 1
     while m < _EVENT_BLOCK:
         powers[m : 2 * m] = powers[:m] @ powers[m - 1]
@@ -429,20 +437,22 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
         if live.size == 0:
             break
         n_block = min(_EVENT_BLOCK, n_steps - first)
-        crossed = gap_rows[:n_block] @ y_live.T - INV_SQRT3 <= 0.0
+        gaps = gap_rows[:n_block] @ y_live.T - INV_SQRT3
+        crossed = gaps <= 0.0
         hit = crossed.any(axis=0)
         k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
-        times[live[hit]] = (first + k) * _EVENT_STEP
+        times[live[hit]] = (first + k) * h
         # the state at the start of the bracketing step
         start = y_live[hit]
         later = k > 0
         start[later] = (powers[k[later] - 1] @ start[later, :, None])[..., 0]
         start_idx.append(live[hit])
         start_y.append(start)
-        live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
+        go = ~hit & np.isfinite(gaps).all(axis=0)  # a gap that is not finite ends with NaN
+        live, y_live = live[go], y_live[go] @ powers[_EVENT_BLOCK - 1].T
     if start_idx:
         idx, y0 = np.concatenate(start_idx), np.concatenate(start_y).T
-        a, b = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
+        a, b = np.zeros(idx.size), np.full(idx.size, h)
         mat = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
         terms = {  # _substep_gap's Taylor terms A^j/j!, built once for every Newton pass
             j: np.linalg.matrix_power(mat, j)[..., None] / math.factorial(j) for j in range(1, 5)
@@ -478,7 +488,7 @@ def hitting_time_simulated(
     """Event-detected threshold crossing, independent of the closed form.
 
     Integrates the unsaturated dynamics with fixed-step RK4, step
-    ``_EVENT_STEP``, until the PD output crosses the threshold, then refines
+    ``_event_step``, until the PD output crosses the threshold, then refines
     with ``_newton`` on re-integrated sub-steps. Used as the cross-check
     channel for the closed forms; a one-state call of ``_event_hitting_times``.
     """

@@ -12,10 +12,8 @@ same ``Check`` and ``check``.
 
 The checks work on arrays; the controller-rule checks call each controller
 function once (per yaw sign) on a block of values. ``_sample_region`` draws
-blocks of (e, edot) pairs, then redraws exactly the attempts that one scalar
-draw per value would have made, so the generator stream, and with it every
-report, is the same as with scalar draws. The three grid checks share one
-half-period map per yaw sign.
+blocks of (e, edot) pairs and keeps the admissible ones in draw order. The
+three grid checks share one half-period map per yaw sign.
 """
 
 from __future__ import annotations
@@ -87,33 +85,24 @@ def check(name: str, reason: str | None, evaluate) -> Check:
 
 
 def _sample_region(rng, n, lambda_sign, params):
-    """``n`` admissible states ``(e, edot)`` for the yaw sign, as a scalar loop draws them.
+    """``n`` admissible states for the yaw sign, as the rows ``e, edot`` of a 2 x n array.
 
-    Each attempt draws e, then edot, uniform on [0, 2) and mirrors them by
-    the yaw sign; admissible pairs are kept, and the search gives up after
-    1000*n attempts. Attempts are drawn in blocks of n, n, 2n, 4n, ...
-    pairs; then the generator is reset and redraws exactly the attempts
-    used, so it leaves the stream where one scalar draw per value would.
-    A first block that is all admissible is returned as drawn: the redraw
-    would repeat it.
+    Attempts are drawn in blocks of n, n, 2n, 4n, ... pairs (e, edot),
+    uniform on [0, 2) and mirrored by the yaw sign; each block keeps its
+    admissible pairs in draw order, and the search gives up after 1000*n
+    attempts.
     """
-    start = rng.bit_generator.state
     limit = 1000 * n
     drawn = 0
-    hits = np.empty(0, dtype=np.intp)
-    while hits.size < n:
+    kept = np.empty((2, 0))
+    while kept.shape[1] < n:
         if drawn == limit:
             raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
         size = min(max(drawn, n), limit - drawn)
-        e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(size, 2)).T
-        ok = _region_mask(e, edot, lambda_sign, params)
-        hits = np.concatenate([hits, drawn + np.flatnonzero(ok)])
-        drawn += e.size
-    if not n or hits.size < drawn:
-        rng.bit_generator.state = start
-        used = hits[n - 1] + 1 if n else 0
-        e, edot = lambda_sign * rng.uniform(0.0, 2.0, size=(used, 2)).T
-    return e[hits[:n]], edot[hits[:n]]
+        pairs = lambda_sign * rng.uniform(0.0, 2.0, size=(size, 2)).T
+        kept = np.concatenate([kept, pairs[:, _region_mask(*pairs, lambda_sign, params)]], axis=1)
+        drawn += size
+    return kept[:, :n]
 
 
 def _check_clamp_rule(rng, n, params) -> tuple[bool, dict]:
@@ -163,9 +152,7 @@ def _check_hitting_range(rng, n, params) -> tuple[bool, dict]:
 def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     signs = (+1, -1)
     samples = [_sample_region(rng, n, sign, params) for sign in signs]
-    t_closed = np.concatenate(
-        [_hit_times(e, ed, sign, params) for sign, (e, ed) in zip(signs, samples)]
-    )
+    t_closed = np.concatenate([_hit_times(*s, sign, params) for sign, s in zip(signs, samples)])
     e, edot = np.concatenate(samples, axis=1)
     _require_hits(t_closed, e, edot, params)
     t_event = _event_hitting_times(e, edot, np.repeat(signs, n), params)
@@ -252,7 +239,7 @@ def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
     """The -1 map of mirrored cells against the +1 map, mirrored back.
 
     0.0 by construction: ``_map(-e, -edot, -1)`` runs as ``_map(e, edot, +1)``.
-    The check stays because ``lemma_report.json`` is pinned.
+    The check stays because the benchmark's pins list every check by name.
     """
     e, edot = _sample_region(rng, n, +1, params)
     fwd_e, fwd_ed = _map(e, edot, +1, params, 1.0)

@@ -58,11 +58,11 @@ from tiltsim import (
 )
 from tiltsim.analysis import (
     _EVENT_BLOCK,
-    _EVENT_STEP,
     _EVENT_T_MAX,
     INV_SQRT3,
     TWO_PI,
     DeltaLGrid,
+    _event_step,
     _map,
     _region_mask,
     _rk4_matrix,
@@ -234,9 +234,10 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
 
     times = np.full(y.shape[0], np.nan)
     times[gap(y) <= 0.0] = 0.0
-    n_steps = int(round(_EVENT_T_MAX / _EVENT_STEP))
+    h = _event_step(params)
+    n_steps = int(round(_EVENT_T_MAX / h))
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
-    powers[0] = _rk4_matrix(_EVENT_STEP, params)
+    powers[0] = _rk4_matrix(h, params)
     m = 1
     while m < _EVENT_BLOCK:
         powers[m : 2 * m] = powers[:m] @ powers[m - 1]
@@ -252,7 +253,7 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
         crossed = gap_rows[:n_block] @ y_live.T - INV_SQRT3 <= 0.0
         hit = crossed.any(axis=0)
         k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
-        times[live[hit]] = (first + k) * _EVENT_STEP
+        times[live[hit]] = (first + k) * h
         start = y_live[hit]
         later = k > 0
         start[later] = (powers[k[later] - 1] @ start[later, :, None])[..., 0]
@@ -261,7 +262,7 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
         live, y_live = live[~hit], y_live[~hit] @ powers[_EVENT_BLOCK - 1].T
     if start_idx:
         idx, y0 = np.concatenate(start_idx), np.concatenate(start_y)
-        lo, hi = np.zeros(idx.size), np.full(idx.size, _EVENT_STEP)
+        lo, hi = np.zeros(idx.size), np.full(idx.size, h)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
             sub = _rk4_matrix(mid / 8.0, params)
@@ -323,37 +324,17 @@ def full_grid_map(e_range, edot_range, resolution, lambda_sign, params, half_per
     return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
 
 
-def scalar_sample_region(rng, n, lambda_sign, params):
-    """``n`` admissible states drawn one value at a time, as the checks' sampler once did.
-
-    Each attempt draws e, then edot, uniform on [0, 2), mirrored by the yaw
-    sign; the search gives up after 1000*n attempts.
-    """
-    states = []
-    attempts = 0
-    while len(states) < n:
-        attempts += 1
-        if attempts > 1000 * n:
-            raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
-        e = rng.uniform(0.0, 2.0)
-        edot = rng.uniform(0.0, 2.0)
-        s = ErrorState(lambda_sign * e, lambda_sign * edot)
-        if in_admissible_region(s, lambda_sign, params):
-            states.append(s)
-    return states
-
-
-def local_max_report(rng, n, params):
+def local_max_report(samples, params):
     """``lyapunov_local_max``'s ``(passed, detail)``, one state and one tau at a time.
 
-    Samples with ``scalar_sample_region``, which draws what the check's
-    sampler draws from the same rng, then evaluates the Lyapunov log on 201 taus of the half period
-    through the scalar flow functions.
+    ``samples`` maps each yaw sign, +1 first, to the arrays ``(e, edot)`` of
+    the states the check drew for it; the Lyapunov log is evaluated on 201
+    taus of the half period through the scalar flow functions.
     """
     worst = -math.inf
     taus = np.linspace(0.0, 1.0, 201)
-    for sign in (+1, -1):
-        for s in scalar_sample_region(rng, n, sign, params):
+    for sign, (e0, edot0) in samples.items():
+        for s in map(ErrorState, e0.tolist(), edot0.tolist()):
             t_hit = hitting_time(s, sign, params)
             mid = s11_flow(s, t_hit, params)
             values = []

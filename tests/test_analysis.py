@@ -442,6 +442,41 @@ class TestEventEngine:
         with pytest.raises(ValueError, match="first-quadrant"):
             hitting_time_simulated(ErrorState(-0.1, 0.0), +1, p)
 
+    @pytest.mark.parametrize(
+        "ky1, ky2, step",
+        [
+            (9.0, 18.0, 1e-4),  # rates 3 and 6
+            (1.0, 1e6, 1e-4),  # complex rates of modulus 1000
+            (5000.0, 18.0, 0.1 / (2500.0 + math.sqrt(2500.0**2 - 18.0))),
+            (1e300, 18.0, 1e-6),  # ky1^2 overflows
+            (9.0, 1e300, 1e-6),
+            (1e200, 1e308, 1e-6),  # ky1^2 - 4*ky2 would be inf - inf
+        ],
+    )
+    def test_step_is_a_tenth_of_the_fastest_rate(self, ky1, ky2, step):
+        assert analysis._event_step(ModelParams(ky1=ky1, ky2=ky2)) == step
+
+    def test_nonfinite_gap_leaves_the_scan(self, monkeypatch):
+        # at ky2 = 1e300 the step is 1e-6 and the RK4 powers overflow, so every
+        # gap is NaN: the scan stops after its first block, not 7813 blocks on
+        scanned = []
+
+        def counting_range(*args):
+            for first in range(*args):
+                if args[-1] == analysis._EVENT_BLOCK:
+                    scanned.append(first)
+                yield first
+
+        monkeypatch.setattr(analysis, "range", counting_range, raising=False)
+        p = ModelParams(ky2=1e300)
+        with np.errstate(all="ignore"):
+            t = _event_hitting_times(np.full(40, 0.5), np.full(40, 0.2), +1, p)
+            with pytest.raises(ValueError, match=r"^no threshold crossing detected within 8\.0 s$"):
+                hitting_time_simulated(ErrorState(0.5, 0.2), +1, p)
+        assert np.isnan(t).all()
+        # per call, the first block and the empty test that ends the loop
+        assert scanned == [0, analysis._EVENT_BLOCK] * 2
+
     @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0)])
     def test_scalar_wrapper_is_one_cell_call(self, ky1, ky2):
         p = ModelParams(ky1=ky1, ky2=ky2)
@@ -569,7 +604,8 @@ class TestLemmaChecks:
     def test_local_max_matches_scalar_loop(self, ky1, ky2, seed):
         p = ModelParams(ky1=ky1, ky2=ky2)
         got = _check_local_max(np.random.default_rng(seed), 20, p)
-        want = oc.local_max_report(np.random.default_rng(seed), 20, p)
+        rng = np.random.default_rng(seed)
+        want = oc.local_max_report({sign: _sample_region(rng, 20, sign, p) for sign in (1, -1)}, p)
         assert got == want
         assert np.float64(got[1]["max_overshoot"]).tobytes() == np.float64(
             want[1]["max_overshoot"]
@@ -737,27 +773,37 @@ class TestSampler:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [0, 1, 20, 200])
     def test_same_states_and_next_draw_as_scalar_loop(self, ky1, ky2, sign, n):
+        # the first n pairs, in draw order, that the scalar in_admissible_region
+        # admits, of blocks of n, n, 2n, 4n, ... pairs (1000*n in all at most)
+        # drawn until n are found; the generator is left after the last block,
+        # so n = 0 draws nothing
         p = ModelParams(ky1=ky1, ky2=ky2)
         seed = [n, sign + 1]
-        rng, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, rng_blocks = np.random.default_rng(seed), np.random.default_rng(seed)
         e, edot = _sample_region(rng, n, sign, p)
-        want = oc.scalar_sample_region(rng_scalar, n, sign, p)
-        assert e.tobytes() == np.array([s.e for s in want], dtype=float).tobytes()
-        assert edot.tobytes() == np.array([s.edot for s in want], dtype=float).tobytes()
-        assert rng.uniform() == rng_scalar.uniform()
+        kept, drawn = [], 0
+        while len(kept) < n:
+            size = min(max(drawn, n), 1000 * n - drawn)
+            pairs = sign * rng_blocks.uniform(0.0, 2.0, size=(size, 2))
+            states = map(ErrorState, *pairs.T.tolist())
+            kept += [s for s in states if in_admissible_region(s, sign, p)]
+            drawn += len(pairs)
+        want = np.array([(s.e, s.edot) for s in kept[:n]], dtype=float).reshape(n, 2)
+        assert e.tobytes() == want[:, 0].tobytes()
+        assert edot.tobytes() == want[:, 1].tobytes()
+        assert rng.uniform() == rng_blocks.uniform()
 
     @pytest.mark.parametrize("ky1, ky2", [(0.1, 0.1), (0.145, 0.145)])
     def test_attempt_limit_error_and_stream(self, ky1, ky2):
-        # (0.1, 0.1) admits nothing in [0, 2)^2, (0.145, 0.145) about 5e-5
+        # (0.1, 0.1) admits nothing in [0, 2)^2, (0.145, 0.145) about 5e-5;
+        # the search stops after exactly 1000*n attempts
         p = ModelParams(ky1=ky1, ky2=ky2)
-        rng, rng_scalar = np.random.default_rng(3), np.random.default_rng(3)
-        with pytest.raises(ValueError) as scalar_err:
-            oc.scalar_sample_region(rng_scalar, 5, -1, p)
+        rng, rng_attempts = np.random.default_rng(3), np.random.default_rng(3)
         with pytest.raises(ValueError) as err:
             _sample_region(rng, 5, -1, p)
-        assert str(err.value) == str(scalar_err.value)
         assert str(err.value) == "could not sample 5 admissible states for yaw sign -1"
-        assert rng.uniform() == rng_scalar.uniform()
+        rng_attempts.uniform(size=(5000, 2))
+        assert rng.uniform() == rng_attempts.uniform()
 
 
 class TestLyapunovAlongHalfPeriod:

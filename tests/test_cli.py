@@ -76,6 +76,14 @@ SIMULATE_PINS = {
     if op["cmd"] == "simulate"
 }
 
+# the 36 pinned lemmas operations by test id: 32 verify-lemmas seeds at the
+# default gains, and 4 generic-gain sweeps at grid resolution 16
+LEMMAS_PINS = {
+    (f"seed-{op['seed']}" if op["cmd"] == "verify-lemmas" else f"sweep-{op['ky1']}-{op['ky2']}"): op
+    for op in map(json.loads, sorted(json.loads(PINS.read_text())))
+    if op["cmd"] != "simulate"
+}
+
 # SHA-256 of (trajectory.csv, manifest.ini) from `simulate --duration 2.0`,
 # recorded with the simulator that ran the dataclass pipeline in every RK4
 # stage; run-vs-run tests cannot see a change that alters both runs alike
@@ -114,18 +122,21 @@ REPORT_SHA256 = {
 # time; seeds 0 and 7 re-recorded when the event oracle's brackets went from
 # bisection to ``_newton``, which moved only ``max_residual`` in its last bits,
 # and all three when every check gained ``applicable`` (see
-# LEMMA_SHA256_WITHOUT_APPLICABLE)
+# LEMMA_SHA256_WITHOUT_APPLICABLE); seed 31 re-recorded when the sampler
+# stopped redrawing the attempts a scalar loop makes and kept whole blocks,
+# which gave its residual check other states and moved only ``max_residual``,
+# from 1.3211653993039363e-14 to 1.27675647831893e-14
 LEMMA_REPORT_SHA256 = {
     0: "f6598072615ee1416afd3e80c812bfd366723678eb1b185bbb890e27124e85be",
     7: "7d0d415fa47913172b3ba6a1c6078035b467a7c7323b76679d6e4de33b0c1aba",
-    31: "6df11cd6d8fab37c299923686cbe3dcc0a4ca68effcf1946a7266d5e5278a5f3",
+    31: "3ac88eca560370645c524d1aade75ab0354560f7006e9c78ee7ad6ce81508b4c",
 }
 
 # the lemma report digests from before every check carried ``applicable``:
 # argv, gains (None for the defaults), digest of the report with that key
 # removed from each check and re-dumped as ``write_json`` dumps it; the generic
 # case re-recorded when the hitting times took exact brackets, which moved its
-# values by at most 2.6e-15
+# values by at most 2.6e-15, and seed 31 with LEMMA_REPORT_SHA256[31]
 LEMMA_SHA256_WITHOUT_APPLICABLE = {
     "seed-0": (
         ["verify-lemmas", "--seed", "0"],
@@ -140,7 +151,7 @@ LEMMA_SHA256_WITHOUT_APPLICABLE = {
     "seed-31": (
         ["verify-lemmas", "--seed", "31"],
         None,
-        "7a7b3d61da97a11aa16ec0fbec2715cba86e042ec1317e4fe4f97523292f98ba",
+        "16e49ba5bbda3c9a493809b2a80a8b7d3303b6a51c5a0b6205a99bd444e7529b",
     ),
     "generic": (
         ["verify-lemmas", "--grid-res", "16", "--seed", "0"],
@@ -729,6 +740,16 @@ class TestHittingTime:
             "8.0 s for gains ky1=0.01, ky2=0.0001\n",
         )
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_fast_decay_is_resolved(self, tmp_path, capsys):
+        # at ky1 = 3e4 a fixed RK4 step of 1e-4 is past its stability bound:
+        # the oracle overflowed and found no crossing (exit 2)
+        cfg = tmp_path / "fast.ini"
+        cfg.write_text("[model]\nky1 = 3e4\n")
+        assert main(["hitting-time", "0.5", "0.2", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert float(out.splitlines()[-1].split(":")[1]) < 1e-8
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["0.5", "0.2"], ["-0.5", "-0.2", "--branch", "neg"]])
     def test_nonfinite_flow_is_a_divergence(self, argv, tmp_path, capsys):
@@ -833,6 +854,48 @@ class TestCriticalLyapunov:
 
 
 class TestVerifyLemmas:
+    @pytest.mark.parametrize("case", sorted(LEMMAS_PINS))
+    def test_benchmark_pins(self, case, tmp_path, monkeypatch):
+        # each pinned operation, from the argv and INI the benchmark passes;
+        # l_critical is refined to 1e-4 and max_delta_l agrees to 1e-6
+        for key in list(os.environ):
+            if key.startswith("TILTSIM_"):
+                monkeypatch.delenv(key)
+        op = LEMMAS_PINS[case]
+        pin = json.loads(PINS.read_text())[json.dumps(op, sort_keys=True)]
+        out = tmp_path / "run"
+        if op["cmd"] == "verify-lemmas":
+            rc = main(["verify-lemmas", "--seed", str(op["seed"]), "--out-dir", str(out)])
+            checks = read_json(out / "lemma_report.json")["checks"]
+            assert {"rc": rc, "checks": [[c["name"], c["passed"]] for c in checks]} == pin
+            return
+        ini = tmp_path / "gains.ini"
+        ini.write_text(f"[model]\nky1 = {op['ky1']}\nky2 = {op['ky2']}\n")
+        argv = ["sweep-delta-l", "--grid-res", "16", "--config", str(ini), "--out-dir", str(out)]
+        rc = main(argv)
+        summary = read_json(out / "delta_l_summary.json")
+        assert (rc, summary["n_positive"], summary["n_admissible"]) == (
+            pin["rc"],
+            pin["n_positive"],
+            pin["n_admissible"],
+        )
+        assert math.isclose(summary["l_critical"], pin["l_critical"], rel_tol=0.0, abs_tol=1e-4)
+        assert math.isclose(summary["max_delta_l"], pin["max_delta_l"], rel_tol=0.0, abs_tol=1e-6)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ky1", ["5000", "1e4"])
+    def test_fast_decay_residual_passes(self, ky1, tmp_path):
+        # the event oracle's step follows the fastest decay rate; at a fixed
+        # step of 1e-4 it missed the closed form by 1.5e-6 and 1.9e-5 here
+        cfg = tmp_path / "gains.ini"
+        cfg.write_text(f"[model]\nky1 = {ky1}\n")
+        argv = ["verify-lemmas", "--config", str(cfg), "--grid-res", "16"]
+        main([*argv, "--out-dir", str(tmp_path)])
+        checks = {c["name"]: c for c in read_json(tmp_path / "lemma_report.json")["checks"]}
+        residual = checks["hitting_time_residual"]
+        assert residual["passed"] is True
+        assert residual["detail"]["max_residual"] < 1e-8
+
     def test_defaults_pass(self, tmp_path, capsys):
         out = tmp_path / "lemmas"
         rc = main(["verify-lemmas", "--grid-res", "40", "--seed", "0", "--out-dir", str(out)])
