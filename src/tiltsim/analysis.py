@@ -42,11 +42,12 @@ No command loads ``scipy.optimize``: the map and the event oracle solve with
 numpy alone.
 
 The closed forms are cross-checked by an independent event oracle,
-``_event_hitting_times``, behind ``hitting_time_simulated``: fixed-step RK4
-on the unsaturated flow, which is linear, so one step is a 2x2 matrix R.
-The scan evaluates every state's threshold gap at each step of a block of
-steps from the powers R^1..R^B, and the bracketing steps of all states are
-refined together by ``_newton`` on the gap after eight RK4 sub-steps.
+``_event_hitting_times``, behind ``hitting_time_simulated``. The unsaturated
+flow is linear, so one step of it is exactly the 2x2 matrix P = exp(hA),
+from a Taylor series by scaling and squaring, with no eigenvalues. The scan
+evaluates every state's threshold gap at each step of a block of steps from
+the powers P^1..P^B, and ``_newton`` refines the bracketing steps of all
+states together on exp(sA).
 """
 
 from __future__ import annotations
@@ -92,10 +93,10 @@ TWO_PI = 2.0 * math.pi
 # attained on the switching threshold at edot = 0.
 DELTA_L_CAP = 0.75
 
-_EVENT_BLOCK = 1024  # RK4 steps per scan block of the event oracle; a power of two
+_EVENT_BLOCK = 1024  # steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
-_EVENT_STEP = 1e-4  # longest RK4 step of the event oracle
+_EVENT_STEP = 1e-2  # longest step of the event oracle
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 _REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
 _N_ANGLES = 4096  # ellipse angles per level of the critical-level search
@@ -279,13 +280,14 @@ def _newton(gap, a, b, ga, gb):
     between two midpoints, each of which halves the bracket, the steps halve
     down to half the tolerance, and every cell stops: after 6 to 12 passes
     on the hitting-time brackets of a sweep's grid, up to about 15 on 8 s
-    brackets at real rates, and after three or four on the brackets of
-    the event oracle, its second caller. Far-apart rates and large states,
-    such as gains (40, 0.5) at states up to 2000, take up to about 50 passes,
-    as many as bisection. A cell stops on an exact zero or on brentq's test
-    |b - a| <= 1e-14 + 4*eps*|x|, which is wider than the float spacing, and
-    returns the end with the smaller gap, as brentq does. Stopped cells leave
-    the arrays, so a cell's root does not depend on the other cells.
+    brackets at real rates, and after four or five on the 1e-2 s brackets
+    of the event oracle, its second caller (about 25 at ky1 = 1e7). Far-apart
+    rates and large states, such as gains (40, 0.5) at states up to 2000,
+    take up to about 50 passes, as many as bisection. A cell stops on an
+    exact zero or on brentq's test |b - a| <= 1e-14 + 4*eps*|x|, which is
+    wider than the float spacing, and returns the end with the smaller gap,
+    as brentq does. Stopped cells leave the arrays, so a cell's root does not
+    depend on the other cells.
     """
     root = np.where(gb == 0.0, b, a)
     live = np.flatnonzero((ga != 0.0) & (gb != 0.0))
@@ -380,39 +382,59 @@ def _require_hits(t, e, edot, params: ModelParams) -> None:
     )
 
 
-def _rk4_matrix(h, params: ModelParams):
-    """One RK4 step of the linear flow as a matrix on (e, edot); ``h`` may be an array.
+def _flow_matrix(h, params: ModelParams):
+    """exp(hA) of the linear flow y' = Ay on y = (e, edot); ``h`` may be an array.
 
-    RK4 on y' = Ay is exact on the Taylor polynomial
-    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24, built here by Horner's rule.
+    Scaling and squaring (Moler and Van Loan, SIAM Rev. 2003; Higham, SIMAX
+    2005): the degree-10 Taylor polynomial of X = hA/2^q, ||X||_1 <= 1/8 for
+    the largest h, squared q times. It computes no eigenvalue, so it shares
+    no branch with ``_linear_flow``. An ||hA|| that is not finite gives NaN.
     """
     a = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
-    x = np.asarray(h, dtype=float)[..., None, None] * a
-    eye = np.eye(2)
-    return eye + x @ (eye + x / 2.0 @ (eye + x / 3.0 @ (eye + x / 4.0)))
+    h = np.asarray(h, dtype=float)
+    norm = np.abs(h).max(initial=0.0) * np.abs(a).sum(axis=0).max()
+    q = max(0, int(np.frexp(8.0 * norm)[1]))  # frexp(inf) gives 0
+    x, eye = np.ldexp(h, -q)[..., None, None] * a, np.eye(2)
+    p = eye
+    for j in range(10, 0, -1):
+        p = eye + x @ p / j
+    for _ in range(q):
+        p = p @ p
+    return p
+
+
+def _flow_gap(y, s, params: ModelParams):
+    """The gap to 1/sqrt(3) at exp(sA)y, for rows ``y`` and times ``s``, and its slope."""
+    e, edot = (_flow_matrix(s, params) @ y[:, :, None])[..., 0].T
+    return _pd_output(e, edot, params) - INV_SQRT3, _pd_slope(e, edot, params)
 
 
 def _event_step(params: ModelParams) -> float:
-    """The event oracle's RK4 step: 0.1 over the fastest decay rate, within [1e-6, 1e-4]."""
-    half = 0.5 * params.ky1  # the rates solve s^2 + ky1*s + ky2 = 0, complex ones |s| = sqrt(ky2)
-    r_fast = max(math.sqrt(params.ky2), half + math.sqrt(max(half * half - params.ky2, 0.0)))
-    return max(1e-6, min(_EVENT_STEP, 0.1 / r_fast))  # the floor caps a scan at 8e6 steps
+    """The event oracle's step: 1e-2, at complex rates at most half a radian of their turn.
+
+    The PD output crosses the threshold once at real rates, and at complex
+    rates stays below it for over pi/omega after its first crossing. The
+    floor of 1e-6 caps a scan at 8e6 steps.
+    """
+    disc = params.ky1 * params.ky1 - 4.0 * params.ky2
+    half_radian = 1.0 / math.sqrt(-disc) if disc < 0.0 else math.inf  # 0.5/omega
+    return max(1e-6, min(_EVENT_STEP, half_radian))
 
 
 def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
-    """Event-detected threshold crossing times of fixed-step RK4, many states at once.
+    """Event-detected threshold crossing times on the exact linear flow, many states at once.
 
     ``e``, ``edot`` and ``lambda_sign`` (scalars or 1-D arrays) are broadcast
-    together, and the times come back as a 1-D array. Each state
-    is mirrored into the first quadrant, where the event is the PD output
-    falling to +1/sqrt(3). The scan takes RK4 steps of length ``_event_step``
-    in blocks of ``_EVENT_BLOCK``: the gap at the end of every step of a block
-    is one product of the rows c*R^k with the block's start states, and the
-    first step whose end gap is nonpositive brackets the crossing. One
-    ``_newton`` call refines all brackets on the gap after eight RK4 sub-steps
-    (``_substep_gap``). States past the threshold, or on it with a PD output
-    that does not rise, give 0.0; states without a crossing within
-    ``_EVENT_T_MAX``, or whose gap is not finite, give NaN.
+    together, and the times come back as a 1-D array. Each state is mirrored
+    into the first quadrant, where the event is the PD output falling to
+    +1/sqrt(3). One step of ``_event_step`` is P = exp(hA) (``_flow_matrix``).
+    The scan gets the gap after every step of a block of ``_EVENT_BLOCK``
+    from the rows c*P^k and the block's start states, and the first
+    nonpositive gap brackets the crossing. One ``_newton`` call refines all
+    brackets on exp(sA) of their start states (``_flow_gap``), with the
+    scan's gaps at the ends. States past the threshold, or on it with a PD
+    output that does not rise, give 0.0; states without a crossing within
+    ``_EVENT_T_MAX``, or whose gap is not finite before it, give NaN.
     """
     e, edot, sgn = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
@@ -423,63 +445,36 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     times[(gap < 0.0) | ((gap == 0.0) & (_pd_slope(y[:, 0], y[:, 1], params) <= 0.0))] = 0.0
     h = _event_step(params)
     n_steps = int(round(_EVENT_T_MAX / h))
-    powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
-    powers[0] = _rk4_matrix(h, params)
+    powers = np.empty((_EVENT_BLOCK + 1, 2, 2))  # P^0 .. P^B, by doubling
+    powers[0], powers[1] = np.eye(2), _flow_matrix(h, params)
     m = 1
     while m < _EVENT_BLOCK:
-        powers[m : 2 * m] = powers[:m] @ powers[m - 1]
+        powers[m + 1 : 2 * m + 1] = powers[1 : m + 1] @ powers[m]
         m *= 2
-    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k - 1 is c*R^k
+    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k is c*P^k
     live = np.nonzero(np.isnan(times))[0]
     y_live = y[live]
-    start_idx, start_y = [], []
+    brackets = []  # per block: indices, start states, and the gaps at both ends
     for first in range(0, n_steps, _EVENT_BLOCK):
         if live.size == 0:
             break
         n_block = min(_EVENT_BLOCK, n_steps - first)
-        gaps = gap_rows[:n_block] @ y_live.T - INV_SQRT3
-        crossed = gaps <= 0.0
-        hit = crossed.any(axis=0)
-        k = crossed.argmax(axis=0)[hit]  # the bracket is step first + k
+        gaps = gap_rows[: n_block + 1] @ y_live.T - INV_SQRT3  # row k: k steps into the block
+        gaps[0] = np.maximum(gaps[0], np.nextafter(0.0, 1.0))  # a zero gap at the start is no root
+        stop = ~(gaps[1:] > 0.0) | np.isinf(gaps[1:])  # a crossing, or a gap that is not finite
+        k, cols = stop.argmax(axis=0), np.arange(live.size)  # the first such step is first + k
+        hit = gaps[k + 1, cols] <= 0.0
+        k, cols = k[hit], cols[hit]
         times[live[hit]] = (first + k) * h
-        # the state at the start of the bracketing step
-        start = y_live[hit]
-        later = k > 0
-        start[later] = (powers[k[later] - 1] @ start[later, :, None])[..., 0]
-        start_idx.append(live[hit])
-        start_y.append(start)
-        go = ~hit & np.isfinite(gaps).all(axis=0)  # a gap that is not finite ends with NaN
-        live, y_live = live[go], y_live[go] @ powers[_EVENT_BLOCK - 1].T
-    if start_idx:
-        idx, y0 = np.concatenate(start_idx), np.concatenate(start_y).T
+        start = (powers[k] @ y_live[hit, :, None])[..., 0]  # the bracketing step's start state
+        brackets.append((live[hit], start, gaps[k, cols], gaps[k + 1, cols]))
+        go = ~stop.any(axis=0)
+        live, y_live = live[go], y_live[go] @ powers[-1].T
+    if brackets:
+        idx, y0, ga, gb = (np.concatenate(v) for v in zip(*brackets))
         a, b = np.zeros(idx.size), np.full(idx.size, h)
-        mat = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
-        terms = {  # _substep_gap's Taylor terms A^j/j!, built once for every Newton pass
-            j: np.linalg.matrix_power(mat, j)[..., None] / math.factorial(j) for j in range(1, 5)
-        }
-        ga, gb = np.split(_substep_gap(np.tile(y0, 2), np.r_[a, b], terms, params)[0], 2)
-        ga, gb = np.maximum(ga, 0.0), np.minimum(gb, 0.0)  # a wrong-sign end is the root
-        times[idx] += _newton(lambda t, k: _substep_gap(y0[:, k], t, terms, params), a, b, ga, gb)
+        times[idx] += _newton(lambda s, k: _flow_gap(y0[k], s, params), a, b, ga, gb)
     return times
-
-
-def _substep_gap(y, h, terms, params: ModelParams):
-    """Gap to 1/sqrt(3) after eight RK4 steps of ``h``/8 from each column of ``y``, and its slope.
-
-    One step is M(s) = sum of (sA)^j/j! for j <= 4, so the slope in h is
-    M'(h/8) M(h/8)^7 y; ``terms[j]`` is A^j/j!, with a trailing axis for the
-    columns. The steps add up the change from ``y`` through M - I, so the
-    gap rounds like the change, not like the state.
-    """
-    s, m, dm = h / 8.0, terms[4], 4.0 * terms[4]
-    for j in (3, 2, 1):
-        m, dm = terms[j] + s * m, j * terms[j] + s * dm
-    m, change = s * m, np.zeros_like(y)  # m is M - I, per column
-    for _ in range(8):
-        x = y + change  # the state after the steps so far
-        change = change + m[:, 0] * x[0] + m[:, 1] * x[1]
-    gap = (_pd_output(*y, params) - INV_SQRT3) + _pd_output(*change, params)
-    return gap, _pd_output(*(dm[:, 0] * x[0] + dm[:, 1] * x[1]), params)
 
 
 def hitting_time_simulated(
@@ -487,10 +482,10 @@ def hitting_time_simulated(
 ) -> float:
     """Event-detected threshold crossing, independent of the closed form.
 
-    Integrates the unsaturated dynamics with fixed-step RK4, step
-    ``_event_step``, until the PD output crosses the threshold, then refines
-    with ``_newton`` on re-integrated sub-steps. Used as the cross-check
-    channel for the closed forms; a one-state call of ``_event_hitting_times``.
+    Steps the unsaturated dynamics by the exact propagator exp(hA) until the
+    PD output crosses the threshold, then refines with ``_newton`` on
+    exp(sA). Used as the cross-check channel for the closed forms; a
+    one-state call of ``_event_hitting_times``.
     """
     if not in_admissible_region(s0, lambda_sign, params):
         raise ValueError(_region_error(lambda_sign))

@@ -20,10 +20,10 @@ block in the yaw sign's quadrant. ``scalar_clamp_rule`` and
 ``scalar_region_rule`` make one scalar controller call per state and
 function, as the two controller-rule checks once did. ``scalar_verify_trajectory``
 checks a logged run one half-period boundary at a time, and
-``bisect_event_hitting_times`` is the array event oracle with its brackets
-bisected instead of solved. ``joined_trajectory_csv`` and
-``joined_grid_csv`` build the whole CSV text and write it in one call, as
-the writers did before they streamed it.
+``bisect_event_hitting_times`` is the array event oracle, with the same
+propagator exp(hA), but with its brackets bisected instead of solved.
+``joined_trajectory_csv`` and ``joined_grid_csv`` build the whole CSV text
+and write it in one call, as the writers did before they streamed it.
 
 ``kernel`` and ``kernel_rk4`` are the simulator's closed-loop arithmetic as
 a chain of calls: one float-only controller closure per yaw, called once
@@ -63,9 +63,9 @@ from tiltsim.analysis import (
     TWO_PI,
     DeltaLGrid,
     _event_step,
+    _flow_matrix,
     _map,
     _region_mask,
-    _rk4_matrix,
 )
 from tiltsim.checks import NotApplicable
 from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
@@ -220,9 +220,9 @@ def event_hitting_times(e0, ed0, lambda_sign, ky1, ky2, step=1e-4, t_max=1.5):
 def bisect_event_hitting_times(e, edot, lambda_sign, params):
     """``analysis._event_hitting_times`` with its brackets halved 60 times.
 
-    The same block scan on the powers of the RK4 step matrix; each bracket
-    [0, step] is then bisected, all cells at once, on the gap after eight
-    RK4 sub-steps of a trial length from the bracket's start state.
+    The same block scan on the powers of the step matrix exp(hA); each
+    bracket [0, step] is then bisected, all cells at once, on the gap at
+    exp(sA) times the bracket's start state, for a trial length s.
     """
     e, edot, sgn = np.broadcast_arrays(
         np.asarray(e, dtype=float), np.asarray(edot, dtype=float), np.asarray(lambda_sign, float)
@@ -236,13 +236,13 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
     times[gap(y) <= 0.0] = 0.0
     h = _event_step(params)
     n_steps = int(round(_EVENT_T_MAX / h))
-    powers = np.empty((_EVENT_BLOCK, 2, 2))  # R^1 .. R^B, by doubling
-    powers[0] = _rk4_matrix(h, params)
+    powers = np.empty((_EVENT_BLOCK, 2, 2))  # P^1 .. P^B, by doubling
+    powers[0] = _flow_matrix(h, params)
     m = 1
     while m < _EVENT_BLOCK:
         powers[m : 2 * m] = powers[:m] @ powers[m - 1]
         m *= 2
-    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k - 1 is c*R^k
+    gap_rows = np.array([params.ky2, params.ky1]) @ powers  # row k - 1 is c*P^k
     live = np.nonzero(np.isnan(times))[0]
     y_live = y[live]
     start_idx, start_y = [], []
@@ -265,11 +265,7 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
         lo, hi = np.zeros(idx.size), np.full(idx.size, h)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            sub = _rk4_matrix(mid / 8.0, params)
-            ym = y0[:, :, None]
-            for _ in range(8):
-                ym = sub @ ym
-            below = gap(ym[:, :, 0]) <= 0.0
+            below = gap((_flow_matrix(mid, params) @ y0[:, :, None])[..., 0]) <= 0.0
             hi = np.where(below, mid, hi)
             lo = np.where(below, lo, mid)
         times[idx] += 0.5 * (lo + hi)

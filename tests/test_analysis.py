@@ -360,6 +360,8 @@ _gains = st.one_of(
 _near_repeated_gains = st.tuples(_gain, st.sampled_from((1.0 - 1e-12, 1.0 + 1e-12))).map(
     lambda g: (g[0], g[0] * g[0] / 4.0 * g[1])
 )
+# ky1 log-uniform in [1e3, 1e8]: real rates as far apart as 1e16
+_stiff_gains = st.tuples(st.floats(3.0, 8.0).map(lambda x: 10.0**x), _gain)
 _cell = st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
 _quadrant_cell = st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 
@@ -394,6 +396,21 @@ class TestArrayEngine:
         passed, detail = _check_self_map(maps, p)
         assert detail == {"n_checked": n, "n_violations": bad}
         assert passed == (bad == 0)
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The first step of each block that the event oracle's scan starts."""
+    firsts = []
+
+    def counting_range(*args):
+        for first in range(*args):
+            if args[-1] == analysis._EVENT_BLOCK:
+                firsts.append(first)
+            yield first
+
+    monkeypatch.setattr(analysis, "range", counting_range, raising=False)
+    return firsts
 
 
 class TestEventEngine:
@@ -445,29 +462,23 @@ class TestEventEngine:
     @pytest.mark.parametrize(
         "ky1, ky2, step",
         [
-            (9.0, 18.0, 1e-4),  # rates 3 and 6
-            (1.0, 1e6, 1e-4),  # complex rates of modulus 1000
-            (5000.0, 18.0, 0.1 / (2500.0 + math.sqrt(2500.0**2 - 18.0))),
-            (1e300, 18.0, 1e-6),  # ky1^2 overflows
-            (9.0, 1e300, 1e-6),
-            (1e200, 1e308, 1e-6),  # ky1^2 - 4*ky2 would be inf - inf
+            (9.0, 18.0, 1e-2),  # real rates 3 and 6
+            (6.0, 9.0, 1e-2),  # a repeated rate
+            (2.0, 5.0, 1e-2),  # complex rates, omega = 2
+            (5000.0, 18.0, 1e-2),  # real rates far apart: the fast one does not count
+            (2.0, 1e6 + 1.0, 5e-4),  # omega = 1000
+            (1e300, 18.0, 1e-2),  # ky1^2 overflows: real rates
+            (9.0, 1e300, 1e-6),  # the floor
+            (1e200, 1e308, 1e-2),  # ky1^2 - 4*ky2 is inf - inf: no turn to resolve
         ],
     )
-    def test_step_is_a_tenth_of_the_fastest_rate(self, ky1, ky2, step):
+    def test_step_is_half_a_radian_of_the_turn(self, ky1, ky2, step):
         assert analysis._event_step(ModelParams(ky1=ky1, ky2=ky2)) == step
 
-    def test_nonfinite_gap_leaves_the_scan(self, monkeypatch):
-        # at ky2 = 1e300 the step is 1e-6 and the RK4 powers overflow, so every
-        # gap is NaN: the scan stops after its first block, not 7813 blocks on
-        scanned = []
-
-        def counting_range(*args):
-            for first in range(*args):
-                if args[-1] == analysis._EVENT_BLOCK:
-                    scanned.append(first)
-                yield first
-
-        monkeypatch.setattr(analysis, "range", counting_range, raising=False)
+    def test_nonfinite_gap_leaves_the_scan(self, scanned):
+        # at ky2 = 1e300 the step is 1e-6, and the 980 squarings of exp(hA)
+        # overflow, so every gap is NaN: the scan stops after its first block,
+        # not 7813 blocks on
         p = ModelParams(ky2=1e300)
         with np.errstate(all="ignore"):
             t = _event_hitting_times(np.full(40, 0.5), np.full(40, 0.2), +1, p)
@@ -476,6 +487,22 @@ class TestEventEngine:
         assert np.isnan(t).all()
         # per call, the first block and the empty test that ends the loop
         assert scanned == [0, analysis._EVENT_BLOCK] * 2
+
+    @pytest.mark.parametrize(
+        "ky1, ky2", [(1e300, 18.0), (9.0, 1e300), (1e200, 1e308), (1.7e308, 1.7e308)]
+    )
+    def test_extreme_gains_scan_one_block(self, ky1, ky2, scanned):
+        # no exception and one block; the times are NaN, except at (1e300, 18),
+        # where the fast rate crosses at about 7e-298 s and the refinement
+        # stops within its tolerance of 1e-14
+        p = ModelParams(ky1=ky1, ky2=ky2)
+        with np.errstate(all="ignore"):
+            t = _event_hitting_times(np.full(40, 0.5), np.full(40, 0.2), +1, p)
+        assert scanned in ([0], [0, analysis._EVENT_BLOCK])
+        if ky2 == 18.0:
+            assert ((0.0 < t) & (t < 1e-14)).all()
+        else:
+            assert np.isnan(t).all()
 
     @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0)])
     def test_scalar_wrapper_is_one_cell_call(self, ky1, ky2):
@@ -500,13 +527,14 @@ class TestEventEngine:
 
     @settings(max_examples=80, deadline=None)
     @given(
-        gains=st.one_of(_gains, _near_repeated_gains),
+        gains=st.one_of(_gains, _near_repeated_gains, _stiff_gains),
         sign=st.sampled_from((1, -1)),
         cells=st.lists(_quadrant_cell, min_size=1, max_size=8),
         horizon=st.sampled_from((1.0, 8.0)),
     )
     @example(gains=(2.0, 1.0 + 1e-12), sign=1, cells=[(0.5, 0.2), (1.0, 1.5)], horizon=8.0)
     @example(gains=(2.0, 5.0), sign=-1, cells=[(0.5, 0.2), (2.0, 2.0)], horizon=1.0)
+    @example(gains=(1e8, 18.0), sign=1, cells=[(0.5, 0.2), (2.0, 2.0)], horizon=1.0)
     def test_bracketed_search_matches_event_oracle(self, gains, sign, cells, horizon):
         p = ModelParams(ky1=gains[0], ky2=gains[1])
         assume(not analysis._has_default_rates(p))  # the closed form has no horizon
@@ -554,8 +582,9 @@ class TestEventEngine:
 
     @pytest.mark.parametrize("end, shift", [(0, -1.0), (1, 1.0)], ids=["start", "end"])
     def test_wrong_sign_bracket_end_is_the_root(self, end, shift, monkeypatch):
-        # a sub-stepped end gap of the wrong sign can only come from rounding;
-        # a stub shifts it, and the bracket end itself is returned
+        # the bracket ends' gaps come from the scan, so only the refinement's
+        # gap can disagree with them; a stub gives it one sign inside the whole
+        # bracket, that of the other end, and the bracket end itself is returned
         rng = np.random.default_rng(89)
         e0, ed0 = oc.sample_capture_region(rng, 20, +1, 9.0, 18.0)
         plain = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
@@ -564,17 +593,17 @@ class TestEventEngine:
         inner = np.abs(plain / step - k - 0.5) < 0.45  # no crossing near a step end
         e0, ed0, k = e0[inner], ed0[inner], k[inner]
         assert k.size > 10
-        substep_gap = analysis._substep_gap
+        flow_gap = analysis._flow_gap
 
-        def stub(y, h, terms, params):
-            g, slope = substep_gap(y, h, terms, params)
-            return np.where(h == end * step, shift, g), slope
+        def stub(y, s, params):
+            g, slope = flow_gap(y, s, params)
+            return np.full_like(g, shift), slope
 
-        monkeypatch.setattr(analysis, "_substep_gap", stub)
+        monkeypatch.setattr(analysis, "_flow_gap", stub)
         got = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
         assert got.tolist() == (k * step + end * step).tolist()
 
-    @pytest.mark.parametrize("ky1, ky2, most", [(9.0, 18.0, 4), (20.0, 30.0, 16)])
+    @pytest.mark.parametrize("ky1, ky2, most", [(9.0, 18.0, 5), (20.0, 30.0, 5)])
     def test_refinement_passes(self, ky1, ky2, most, monkeypatch):
         # the residual check's 40 states, one call each; bisection took 60 passes
         p = ModelParams(ky1=ky1, ky2=ky2)
@@ -631,6 +660,15 @@ class TestLemmaChecks:
             for check, oracle in pairs:
                 assert check(rng, _N_SAMPLES, p) == oracle(rng_scalar, _N_SAMPLES, p)
                 assert rng.bit_generator.state == rng_scalar.bit_generator.state
+
+    @pytest.mark.parametrize("ky1", [3e6, 1e7, 1e8])
+    def test_residual_passes_at_stiff_gains(self, ky1):
+        # an RK4 event oracle, past its stability bound here, failed the check:
+        # residual 2.3e-3, no crossing, residual 4.9e-5; the closed-form side
+        # is off by up to 5e-9 at 1e8
+        rep = run_lemma_checks(ModelParams(ky1=ky1), 30, 0)
+        residual = next(c for c in rep["checks"] if c["name"] == "hitting_time_residual")
+        assert residual["passed"] and residual["detail"]["max_residual"] < 1e-8
 
     def test_region_rule_does_not_apply_where_rounding_decides(self):
         # at ky1 = 1e300 one rotor's command, constant in real arithmetic,
