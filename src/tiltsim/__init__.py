@@ -17,12 +17,9 @@ from .analysis import (
     CaptureReport,
     CriticalLyapunov,
     DeltaLGrid,
-    ErrorState,
     INV_SQRT3,
     acceleration_angle,
-    angle_in_cone,
     critical_lyapunov,
-    delta_l,
     delta_l_grid,
     feasible_cone,
     half_period_map,
@@ -66,12 +63,9 @@ __all__ = [
     "CaptureReport",
     "CriticalLyapunov",
     "DeltaLGrid",
-    "ErrorState",
     "INV_SQRT3",
     "acceleration_angle",
-    "angle_in_cone",
     "critical_lyapunov",
-    "delta_l",
     "delta_l_grid",
     "feasible_cone",
     "half_period_map",

@@ -15,7 +15,7 @@ decay up to the first threshold crossing, capped at the half period, then
 the push for the rest of it: under the push the PD output is concave and
 keeps falling once it is at or below the threshold. The linear flow is
 evaluated analytically (2x2 linear ODE) for any positive gains, and only
-the hitting time depends on them. ``_hit_times`` takes the closed form at
+the hitting time depends on them. ``hitting_time`` takes the closed form at
 the default gain pair (ky1, ky2) = (9, 18), whose decay rates are -3 and
 -6. Elsewhere it brackets each cell's first crossing exactly, from the ODE
 that the PD output shares with the flow, and one array root solve
@@ -23,9 +23,9 @@ that the PD output shares with the flow, and one array root solve
 point, then Newton steps on the closed-form slope of the PD output, 6 to
 12 passes on a sweep's grid.
 
-``_map`` takes arrays of start cells, mirrors the yaw sign -1 into +1
-exactly, and is what every grid, capture check, critical-level search and
-single-state map goes through. ``_map_grid`` maps a grid once and returns
+``half_period_map`` takes arrays of start cells, mirrors the yaw sign -1
+into +1 exactly, and is what every grid, capture check and critical-level
+search goes through. ``_map_grid`` maps a grid once and returns
 the ``DeltaLGrid``, the admissible cells and their images as plain arrays,
 which ``_capture`` and the grid checks of ``verify-lemmas`` read.
 
@@ -42,12 +42,17 @@ No command loads ``scipy.optimize``: the map and the event oracle solve with
 numpy alone.
 
 The closed forms are cross-checked by an independent event oracle,
-``_event_hitting_times``, behind ``hitting_time_simulated``. The unsaturated
-flow is linear, so one step of it is exactly the 2x2 matrix P = exp(hA),
-from a Taylor series by scaling and squaring, with no eigenvalues. The scan
+``hitting_time_simulated``. The unsaturated flow is linear, so one step of
+it is exactly the 2x2 matrix P = exp(hA), from a Taylor series by scaling
+and squaring, with no eigenvalues. The scan
 evaluates every state's threshold gap at each step of a block of steps from
 the powers P^1..P^B, and ``_newton`` refines the bracketing steps of all
 states together on exp(sA).
+
+The functions work on floats or arrays of states. ``hitting_time``,
+``hitting_time_simulated`` and ``half_period_map`` take 1-D arrays (a float
+counts as one state) and return 1-D arrays; the others work element by
+element.
 """
 
 from __future__ import annotations
@@ -64,7 +69,6 @@ import scipy
 from .plant import DEFAULT_PARAMS, ModelParams
 
 __all__ = [
-    "ErrorState",
     "INV_SQRT3",
     "DELTA_L_CAP",
     "lyapunov",
@@ -74,7 +78,6 @@ __all__ = [
     "hitting_time",
     "hitting_time_simulated",
     "half_period_map",
-    "delta_l",
     "DeltaLGrid",
     "delta_l_grid",
     "CaptureReport",
@@ -83,7 +86,6 @@ __all__ = [
     "critical_lyapunov",
     "acceleration_angle",
     "feasible_cone",
-    "angle_in_cone",
 ]
 
 INV_SQRT3 = 1.0 / math.sqrt(3.0)
@@ -113,34 +115,27 @@ def brentq(f, a, b, **kwargs):
     return scipy.optimize.brentq(f, a, b, **kwargs)
 
 
-@dataclass(frozen=True)
-class ErrorState:
-    """Lateral position error and its rate."""
-
-    e: float
-    edot: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.e) and math.isfinite(self.edot)):
-            raise ValueError(f"error state must be finite, got ({self.e}, {self.edot})")
-
-
-def lyapunov(s: ErrorState, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """Lateral error energy edot^2/2 + ky2*e^2/2 (paper API; no command calls it)."""
-    return 0.5 * s.edot * s.edot + 0.5 * params.ky2 * s.e * s.e
+def lyapunov(e, edot, params: ModelParams = DEFAULT_PARAMS):
+    """Lateral error energy edot^2/2 + ky2*e^2/2."""
+    return 0.5 * edot * edot + 0.5 * params.ky2 * e * e
 
 
 def _has_default_rates(params: ModelParams) -> bool:
     return params.ky1 == 9.0 and params.ky2 == 18.0
 
 
-def _linear_flow(e0, edot0, t, params: ModelParams):
-    """Analytic flow of edotdot = -ky1*edot - ky2*e; array friendly."""
+def s11_flow(e0, edot0, t, params: ModelParams = DEFAULT_PARAMS):
+    """Propagate the unsaturated (both rotors active) error dynamics by ``t``.
+
+    The analytic flow of edotdot = -ky1*edot - ky2*e: with the default gains
+    the two-exponential decay with rates -3 and -6, elsewhere the matching
+    branch (distinct, repeated, or complex rates).
+    """
     k1, k2 = params.ky1, params.ky2
     disc = k1 * k1 - 4.0 * k2
     if disc > 0.0:
-        rad = math.sqrt(disc)
-        r1, r2 = (-k1 + rad) / 2.0, (-k1 - rad) / 2.0
+        r2 = (-k1 - math.sqrt(disc)) / 2.0
+        r1 = k2 / r2  # r1*r2 = ky2; (-k1 + sqrt(disc))/2 would cancel at stiff gains
         c1 = (edot0 - r2 * e0) / (r1 - r2)
         c2 = (r1 * e0 - edot0) / (r1 - r2)
         x1, x2 = np.exp(r1 * t), np.exp(r2 * t)
@@ -160,28 +155,10 @@ def _linear_flow(e0, edot0, t, params: ModelParams):
     return e, edot
 
 
-def s11_flow(s0: ErrorState, t: float, params: ModelParams = DEFAULT_PARAMS) -> ErrorState:
-    """Propagate the unsaturated (both rotors active) error dynamics by ``t``.
-
-    With the default gains this is the two-exponential decay with rates -3
-    and -6; other gain pairs use the matching analytic branch (distinct,
-    repeated, or complex rates). Paper API; no command calls it, the engines use ``_linear_flow``.
-    """
-    e, edot = _linear_flow(s0.e, s0.edot, t, params)
-    return ErrorState(float(e), float(edot))
-
-
-def _saturated_flow(e0, edot0, t, accel):
+def saturated_flow(e0, edot0, t, accel):
+    """Propagate the one-rotor-clamped flow, a constant push ``accel`` (+/-1/sqrt(3)), by ``t``."""
     e = e0 + edot0 * t + 0.5 * accel * t * t
     return e, edot0 + accel * t
-
-
-def saturated_flow(s0: ErrorState, t: float, sign: int) -> ErrorState:
-    """Propagate the one-rotor-clamped flow, push sign/sqrt(3) (paper API; no command calls it)."""
-    if sign not in (-1, 1):
-        raise ValueError(f"sign must be -1 or +1, got {sign}")
-    e, edot = _saturated_flow(s0.e, s0.edot, t, sign * INV_SQRT3)
-    return ErrorState(float(e), float(edot))
 
 
 def _pd_output(e, edot, params: ModelParams):
@@ -193,37 +170,16 @@ def _pd_slope(e, edot, params: ModelParams):
     return (params.ky2 - params.ky1 * params.ky1) * edot - params.ky1 * params.ky2 * e
 
 
-def _region_mask(e, edot, lambda_sign: int, params: ModelParams):
-    """Capture-region membership of arrays of states; boundaries count as inside."""
-    g = _pd_output(e, edot, params)
-    if lambda_sign > 0:
-        return (g >= INV_SQRT3) & (e >= 0.0) & (edot >= 0.0)
-    return (g <= -INV_SQRT3) & (e <= 0.0) & (edot <= 0.0)
-
-
-def in_admissible_region(
-    s: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS
-) -> bool:
-    """Membership in the half-period capture region for the given yaw sign.
+def in_admissible_region(e, edot, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS):
+    """Membership in the half-period capture region of the yaw sign; boundaries count as inside.
 
     For yaw sign +1 this is the first-quadrant set where the PD output is
     at or above +1/sqrt(3); for -1 the point-mirrored third-quadrant set.
     """
-    if lambda_sign not in (-1, 1):
-        raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
-    return bool(_region_mask(s.e, s.edot, lambda_sign, params))
-
-
-def _region_error(lambda_sign: int) -> str:
+    g = _pd_output(e, edot, params)
     if lambda_sign > 0:
-        return (
-            "state must satisfy ky1*edot + ky2*e >= 1/sqrt(3) with e >= 0 and "
-            "edot >= 0 (first-quadrant capture region)"
-        )
-    return (
-        "state must satisfy ky1*edot + ky2*e <= -1/sqrt(3) with e <= 0 and "
-        "edot <= 0 (third-quadrant capture region)"
-    )
+        return (g >= INV_SQRT3) & (e >= 0.0) & (edot >= 0.0)
+    return (g <= -INV_SQRT3) & (e <= 0.0) & (edot <= 0.0)
 
 
 def _hit_time_default_pos(e0, edot0):
@@ -239,28 +195,9 @@ def _hit_time_default_pos(e0, edot0):
     return np.log(np.maximum(z, 1.0)) / 3.0
 
 
-def hitting_time(s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS) -> float:
-    """Time for the unsaturated decay to reach ky1*edot + ky2*e = lambda_sign/sqrt(3).
-
-    Requires the start state in the capture region of ``lambda_sign``; the
-    result then lies in [0, 1) for the default gains, reaching 0 exactly on
-    the threshold. Default gains use the closed form, other gains an exact
-    bracket and root solve on the analytic flow (``_hit_times``). A flow
-    that does not reach the threshold within 8 s raises ``ValueError``, and
-    one that is not finite from t = 0 ``FloatingPointError``. A state on the
-    threshold gets 0 unless its PD output rises.
-    """
-    if not in_admissible_region(s0, lambda_sign, params):
-        raise ValueError(_region_error(lambda_sign))
-    e, edot = np.array([s0.e]), np.array([s0.edot])
-    t = _hit_times(e, edot, lambda_sign, params)
-    _require_hits(t, e, edot, params)
-    return float(t[0])
-
-
 def _gap_and_slope(e, edot, t, params: ModelParams):
     """The PD output's gap to 1/sqrt(3) at time ``t`` along the linear flow, and its slope."""
-    e, edot = _linear_flow(e, edot, t, params)
+    e, edot = s11_flow(e, edot, t, params)
     return _pd_output(e, edot, params) - INV_SQRT3, _pd_slope(e, edot, params)
 
 
@@ -317,11 +254,13 @@ def _newton(gap, a, b, ga, gb):
     return root
 
 
-def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
-    """Threshold hitting times of 1-D arrays of states in the ``lambda_sign`` region.
+def hitting_time(e, edot, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS, horizon=None):
+    """Times for the unsaturated decay to reach ky1*edot + ky2*e = lambda_sign/sqrt(3).
 
-    Each state is mirrored into the first quadrant. The default gains take
-    the closed form. Other gains bracket each state's first crossing within
+    For states in the capture region of ``lambda_sign``, the times lie in
+    [0, 1) at the default gains, 0 exactly on the threshold. Each state is
+    mirrored into the first quadrant. The default gains take the closed
+    form. Other gains bracket each state's first crossing within
     ``horizon`` (``_EVENT_T_MAX`` when None) from the flow's own ODE, which
     the PD output g solves too, so it decays to 0. At real or repeated
     rates g has at most one extremum, so it crosses the threshold at most
@@ -331,9 +270,10 @@ def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
     is the bracket. One ``_newton`` call refines all brackets, with the
     gap's slope in closed form (``_gap_and_slope``). A state gets 0.0 if its
     gap is negative, or zero with a slope that is not positive; a state
-    whose gap is NaN, or still positive at its bracket's end, gets NaN.
+    whose gap is NaN, or still positive at its bracket's end, gets NaN;
+    ``_require_hits`` turns a NaN into the error that explains it.
     """
-    e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
+    e, edot = (lambda_sign * np.atleast_1d(np.asarray(v, dtype=float)) for v in (e, edot))
     if _has_default_rates(params):
         return _hit_time_default_pos(e, edot)
     horizon = _EVENT_T_MAX if horizon is None else float(horizon)
@@ -363,13 +303,13 @@ def _hit_times(e, edot, lambda_sign: int, params: ModelParams, horizon=None):
 
 
 def _require_hits(t, e, edot, params: ModelParams) -> None:
-    """Raise if any time ``_hit_times`` gave the states ``(e, edot)`` is NaN.
+    """Raise if any time ``hitting_time`` gave the states ``(e, edot)`` is NaN.
 
     A NaN time whose gap is NaN at t = 0 means the linear flow is not finite
     (at ky1 = 1e300 its decay rates overflow): ``FloatingPointError``. Any
     other NaN time is a flow that misses the threshold: the no-crossing
     ``ValueError``. The flow is linear, so a state and its mirror, which
-    ``_hit_times`` takes, have NaN gaps alike.
+    ``hitting_time`` takes, have NaN gaps alike.
     """
     nan = np.isnan(t)
     if not nan.any():
@@ -388,7 +328,7 @@ def _flow_matrix(h, params: ModelParams):
     Scaling and squaring (Moler and Van Loan, SIAM Rev. 2003; Higham, SIMAX
     2005): the degree-10 Taylor polynomial of X = hA/2^q, ||X||_1 <= 1/8 for
     the largest h, squared q times. It computes no eigenvalue, so it shares
-    no branch with ``_linear_flow``. An ||hA|| that is not finite gives NaN.
+    no branch with ``s11_flow``. An ||hA|| that is not finite gives NaN.
     """
     a = np.array([[0.0, 1.0], [-params.ky2, -params.ky1]])
     h = np.asarray(h, dtype=float)
@@ -421,8 +361,8 @@ def _event_step(params: ModelParams) -> float:
     return max(1e-6, min(_EVENT_STEP, half_radian))
 
 
-def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
-    """Event-detected threshold crossing times on the exact linear flow, many states at once.
+def hitting_time_simulated(e, edot, lambda_sign, params: ModelParams = DEFAULT_PARAMS):
+    """Event-detected threshold crossing times: the independent cross-check of ``hitting_time``.
 
     ``e``, ``edot`` and ``lambda_sign`` (scalars or 1-D arrays) are broadcast
     together, and the times come back as a 1-D array. Each state is mirrored
@@ -477,31 +417,15 @@ def _event_hitting_times(e, edot, lambda_sign, params: ModelParams):
     return times
 
 
-def hitting_time_simulated(
-    s0: ErrorState, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS
-) -> float:
-    """Event-detected threshold crossing, independent of the closed form.
-
-    Steps the unsaturated dynamics by the exact propagator exp(hA) until the
-    PD output crosses the threshold, then refines with ``_newton`` on
-    exp(sA). Used as the cross-check channel for the closed forms; a
-    one-state call of ``_event_hitting_times``.
-    """
-    if not in_admissible_region(s0, lambda_sign, params):
-        raise ValueError(_region_error(lambda_sign))
-    t = _event_hitting_times(s0.e, s0.edot, lambda_sign, params)[0]
-    if np.isnan(t):
-        raise ValueError(_NO_EVENT_ERROR)
-    return float(t)
-
-
-def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
-    """Half-period map of 1-D arrays of start cells in the ``lambda_sign`` capture region.
+def half_period_map(
+    e, edot, lambda_sign: int, params: ModelParams = DEFAULT_PARAMS, half_period: float = 1.0
+):
+    """Advance 1-D arrays of start cells in the ``lambda_sign`` capture region by one half period.
 
     Cells and images are multiplied by ``lambda_sign``, so the map runs at
     yaw +1 only; negation is exact, so only the sign of a zero can differ from
     a sign-switched map. A cell follows the linear flow up to its first
-    threshold crossing (``_hit_times``, bracketed within the half period at
+    threshold crossing (``hitting_time``, bracketed within the half period at
     other than the default gains), capped at the half period, then the push
     -1/sqrt(3) for the rest of it. That is exact in the capture region: the
     PD output starts at or above the threshold, and under the push it is
@@ -510,42 +434,11 @@ def _map(e, edot, lambda_sign: int, params: ModelParams, half_period: float):
     clamped, unless its PD output rises (possible only where ky2 > ky1^2):
     then it runs linear to its crossing.
     """
-    e, edot = lambda_sign * np.asarray(e, dtype=float), lambda_sign * np.asarray(edot, dtype=float)
-    t = np.fmin(_hit_times(e, edot, +1, params, half_period), half_period)
-    e_m, edot_m = _linear_flow(e, edot, t, params)
-    e1, ed1 = _saturated_flow(e_m, edot_m, half_period - t, -INV_SQRT3)
+    e, edot = (lambda_sign * np.atleast_1d(np.asarray(v, dtype=float)) for v in (e, edot))
+    t = np.fmin(hitting_time(e, edot, +1, params, half_period), half_period)
+    e_m, edot_m = s11_flow(e, edot, t, params)
+    e1, ed1 = saturated_flow(e_m, edot_m, half_period - t, -INV_SQRT3)
     return lambda_sign * e1, lambda_sign * ed1
-
-
-def half_period_map(
-    s0: ErrorState,
-    lambda_sign: int,
-    params: ModelParams = DEFAULT_PARAMS,
-    half_period: float = 1.0,
-) -> ErrorState:
-    """Advance the lateral error by one half period of the large gait.
-
-    The start state must lie in the capture region matching ``lambda_sign``.
-    The trajectory is one unsaturated decay segment up to the threshold
-    followed by the constant push for the rest of the half period. No command
-    calls it: it is paper API, and a benchmark span until ROADMAP item 1.
-    """
-    if not in_admissible_region(s0, lambda_sign, params):
-        raise ValueError(_region_error(lambda_sign))
-    e, edot = _map(np.array([s0.e]), np.array([s0.edot]), lambda_sign, params, half_period)
-    return ErrorState(float(e[0]), float(edot[0]))
-
-
-def delta_l(
-    s0: ErrorState,
-    lambda_sign: int,
-    params: ModelParams = DEFAULT_PARAMS,
-    half_period: float = 1.0,
-) -> float:
-    """Lyapunov change over one half period from ``s0`` (paper API; no command calls it)."""
-    return lyapunov(half_period_map(s0, lambda_sign, params, half_period), params) - lyapunov(
-        s0, params
-    )
 
 
 @dataclass
@@ -578,11 +471,11 @@ class DeltaLGrid:
             return None
         return float(np.max(self.values[self.mask]))
 
-    def argmax_state(self) -> ErrorState | None:
+    def argmax_state(self) -> tuple[float, float] | None:
         if not self.mask.any():
             return None
         i, j = np.argwhere(self.mask)[np.argmax(self.values[self.mask])]
-        return ErrorState(float(self.e_values[i]), float(self.edot_values[j]))
+        return float(self.e_values[i]), float(self.edot_values[j])
 
     def sign_map(self) -> np.ndarray:
         return np.where(self.mask, np.sign(self.values), 0.0)
@@ -598,7 +491,7 @@ class DeltaLGrid:
             "n_admissible": self.n_admissible,
             "n_positive": self.n_positive,
             "max_delta_l": m,
-            "argmax": None if arg is None else [arg.e, arg.edot],
+            "argmax": None if arg is None else list(arg),
         }
 
 
@@ -638,21 +531,21 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
     rows = np.flatnonzero(lambda_sign * e_vals >= 0.0)
     cols = np.flatnonzero(lambda_sign * ed_vals >= 0.0)
-    i, j = np.nonzero(_region_mask(e_vals[rows, None], ed_vals[cols], lambda_sign, params))
+    i, j = np.nonzero(in_admissible_region(e_vals[rows, None], ed_vals[cols], lambda_sign, params))
     i, j = rows[i], cols[j]
     e0, ed0 = e_vals[i], ed_vals[j]
-    e1, ed1 = _map(e0, ed0, lambda_sign, params, half_period)
+    e1, ed1 = half_period_map(e0, ed0, lambda_sign, params, half_period)
     mask = np.zeros((resolution, resolution), dtype=bool)
     mask[i, j] = True
     values = np.full(mask.shape, np.nan)
-    l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
-    values[i, j] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
+    values[i, j] = lyapunov(e1, ed1, params) - lyapunov(e0, ed0, params)
     return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
 
 
 def _capture(grid: DeltaLGrid, e0, ed0, e1, ed1, params: ModelParams) -> CaptureReport:
     """Capture of a ``_map_grid`` result: an image not finite or not in the mirrored region fails."""
-    captured = _region_mask(e1, ed1, -grid.lambda_sign, params) & np.isfinite(e1) & np.isfinite(ed1)
+    captured = in_admissible_region(e1, ed1, -grid.lambda_sign, params)
+    captured &= np.isfinite(e1) & np.isfinite(ed1)
     violations = list(zip(e0[~captured].tolist(), ed0[~captured].tolist()))
     return CaptureReport(grid.lambda_sign, e0.size, violations)
 
@@ -780,15 +673,15 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
     cos_phi, sin_phi = np.cos(phis), np.sin(phis)
 
     def grows(e1, ed1, level):
-        return 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - level >= 0.0
+        return lyapunov(e1, ed1, params) - level >= 0.0
 
     def intersects(level: float) -> bool:
         # the region cells of the level's ellipse, one map call per yaw sign
         e = math.sqrt(2.0 * level / params.ky2) * cos_phi
         edot = math.sqrt(2.0 * level) * sin_phi
         for sign in (+1, -1):
-            sel = _region_mask(e, edot, sign, params)
-            if grows(*_map(e[sel], edot[sel], sign, params, half_period), level).any():
+            sel = in_admissible_region(e, edot, sign, params)
+            if grows(*half_period_map(e[sel], edot[sel], sign, params, half_period), level).any():
                 return True
         return False
 
@@ -801,10 +694,10 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
         quad = np.flatnonzero((cos_phi >= 0.0) & (sin_phi >= 0.0))
         e = np.sqrt(2.0 * levels[:, None] / params.ky2) * cos_phi[quad]
         edot = np.sqrt(2.0 * levels[:, None]) * sin_phi[quad]
-        sel = _region_mask(e, edot, +1, params)
+        sel = in_admissible_region(e, edot, +1, params)
         rows = np.flatnonzero(sel.any(axis=1))
         cols = sel.argmax(axis=1)[rows]
-        e1, ed1 = _map(e[rows, cols], edot[rows, cols], +1, params, half_period)
+        e1, ed1 = half_period_map(e[rows, cols], edot[rows, cols], +1, params, half_period)
         out = np.zeros(levels.shape, dtype=bool)
         out[rows] = grows(e1, ed1, levels[rows])
         return out
@@ -854,9 +747,3 @@ def feasible_cone(lam: float, params: ModelParams = DEFAULT_PARAMS) -> tuple[flo
     cone (or its magnitude is zero).
     """
     return (lam - params.theta) % TWO_PI, (lam + params.theta) % TWO_PI
-
-
-def angle_in_cone(angle: float, lo: float, hi: float) -> bool:
-    """``angle`` in the wrapped cone [lo, hi], ends included (paper API; no command calls it)."""
-    width = (hi - lo) % TWO_PI
-    return (angle - lo) % TWO_PI <= width

@@ -29,15 +29,16 @@ from .analysis import (
     INV_SQRT3,
     _NO_EVENT_ERROR,
     _capture,
-    _event_hitting_times,
-    _hit_times,
-    _linear_flow,
-    _map,
     _map_grid,
     _pd_output,
-    _region_mask,
     _require_hits,
-    _saturated_flow,
+    half_period_map,
+    hitting_time,
+    hitting_time_simulated,
+    in_admissible_region,
+    lyapunov,
+    s11_flow,
+    saturated_flow,
 )
 from .controller import clamp, classify_region, desired_accel, raw_inversion, switch_matrix_of
 from .gait import reference_at
@@ -100,7 +101,8 @@ def _sample_region(rng, n, lambda_sign, params):
             raise ValueError(f"could not sample {n} admissible states for yaw sign {lambda_sign}")
         size = min(max(drawn, n), limit - drawn)
         pairs = lambda_sign * rng.uniform(0.0, 2.0, size=(size, 2)).T
-        kept = np.concatenate([kept, pairs[:, _region_mask(*pairs, lambda_sign, params)]], axis=1)
+        inside = in_admissible_region(*pairs, lambda_sign, params)
+        kept = np.concatenate([kept, pairs[:, inside]], axis=1)
         drawn += size
     return kept[:, :n]
 
@@ -139,7 +141,7 @@ def _check_hitting_range(rng, n, params) -> tuple[bool, dict]:
     worst_t = -math.inf
     for sign in (+1, -1):
         e, edot = _sample_region(rng, n, sign, params)
-        t = _hit_times(e, edot, sign, params)
+        t = hitting_time(e, edot, sign, params)
         bad = ~((0.0 <= t) & (t < 1.0))
         if bad.any():
             k = bad.argmax()
@@ -152,10 +154,10 @@ def _check_hitting_range(rng, n, params) -> tuple[bool, dict]:
 def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     signs = (+1, -1)
     samples = [_sample_region(rng, n, sign, params) for sign in signs]
-    t_closed = np.concatenate([_hit_times(*s, sign, params) for sign, s in zip(signs, samples)])
+    t_closed = np.concatenate([hitting_time(*s, sign, params) for sign, s in zip(signs, samples)])
     e, edot = np.concatenate(samples, axis=1)
     _require_hits(t_closed, e, edot, params)
-    t_event = _event_hitting_times(e, edot, np.repeat(signs, n), params)
+    t_event = hitting_time_simulated(e, edot, np.repeat(signs, n), params)
     if np.isnan(t_event).any():
         raise ValueError(_NO_EVENT_ERROR)
     worst = float(np.max(np.abs(t_closed - t_event), initial=0.0))
@@ -170,9 +172,9 @@ def _check_capture(maps, params) -> tuple[bool, dict]:
 
 def _check_self_map(maps, params) -> tuple[bool, dict]:
     _, e0, _, mid_e, mid_ed = maps[+1]
-    mid_ok = _region_mask(mid_e, mid_ed, -1, params)
-    end_e, end_ed = _map(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
-    end_ok = _region_mask(end_e, end_ed, +1, params)
+    mid_ok = in_admissible_region(mid_e, mid_ed, -1, params)
+    end_e, end_ed = half_period_map(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
+    end_ok = in_admissible_region(end_e, end_ed, +1, params)
     bad = int((~mid_ok).sum() + (~end_ok).sum())
     return bad == 0, {"n_checked": int(e0.size), "n_violations": bad}
 
@@ -218,15 +220,15 @@ def _check_local_max(rng, n, params) -> tuple[bool, dict]:
     taus = np.linspace(0.0, 1.0, 201)
     for sign in (+1, -1):
         e0, edot0 = _sample_region(rng, n, sign, params)
-        t_hit = _hit_times(e0, edot0, sign, params)[:, None]  # NaN where there is no crossing
+        t_hit = hitting_time(e0, edot0, sign, params)[:, None]  # NaN where there is no crossing
         e0, edot0 = e0[:, None], edot0[:, None]
-        e_mid, edot_mid = _linear_flow(e0, edot0, t_hit, params)
-        e_lin, edot_lin = _linear_flow(e0, edot0, taus, params)
-        e_sat, edot_sat = _saturated_flow(e_mid, edot_mid, taus - t_hit, -sign * INV_SQRT3)
+        e_mid, edot_mid = s11_flow(e0, edot0, t_hit, params)
+        e_lin, edot_lin = s11_flow(e0, edot0, taus, params)
+        e_sat, edot_sat = saturated_flow(e_mid, edot_mid, taus - t_hit, -sign * INV_SQRT3)
         on_lin = taus <= t_hit
         e = np.where(on_lin, e_lin, e_sat)
         edot = np.where(on_lin, edot_lin, edot_sat)
-        values = 0.5 * edot * edot + 0.5 * params.ky2 * e * e
+        values = lyapunov(e, edot, params)
         overshoot = values.max(axis=1) - np.maximum(values[:, 0], values[:, -1])
         n_nan = int(np.isnan(overshoot).sum())
         if n_nan:  # no crossing, or a NaN flow: Python's max would drop a NaN and pass on nothing
@@ -238,12 +240,13 @@ def _check_local_max(rng, n, params) -> tuple[bool, dict]:
 def _check_odd_symmetry(rng, n, params) -> tuple[bool, dict]:
     """The -1 map of mirrored cells against the +1 map, mirrored back.
 
-    0.0 by construction: ``_map(-e, -edot, -1)`` runs as ``_map(e, edot, +1)``.
+    0.0 by construction: ``half_period_map(-e, -edot, -1)`` runs as
+    ``half_period_map(e, edot, +1)``.
     The check stays because the benchmark's pins list every check by name.
     """
     e, edot = _sample_region(rng, n, +1, params)
-    fwd_e, fwd_ed = _map(e, edot, +1, params, 1.0)
-    mirrored_e, mirrored_ed = _map(-e, -edot, -1, params, 1.0)
+    fwd_e, fwd_ed = half_period_map(e, edot, +1, params, 1.0)
+    mirrored_e, mirrored_ed = half_period_map(-e, -edot, -1, params, 1.0)
     diffs = np.abs(np.concatenate([fwd_e + mirrored_e, fwd_ed + mirrored_ed]))
     n_bad = diffs.size - int(np.count_nonzero(np.isfinite(diffs)))
     if n_bad:  # np.max would report NaN, which strict JSON cannot hold

@@ -19,10 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .analysis import ErrorState, critical_lyapunov, delta_l_grid
+from .analysis import critical_lyapunov, delta_l_grid
 from .checks import run_lemma_checks
 from .config import KEYS, ConfigError, ENV_PREFIX, resolve_config, write_manifest
 from .output import fmt, streamed_trajectory_csv, write_grid_csv, write_json
+from .plant import _require_finite
 from .simulator import DivergenceError, run, verify_trajectory
 
 __all__ = ["main"]
@@ -42,6 +43,13 @@ DEGENERATE_NOTE = (
     "note: L_critical is 0, not a critical level "
     "(no grid cell has a nonnegative half-period Lyapunov change)"
 )
+# the capture region that a hitting-time start state must lie in, by yaw sign
+REGION_ERROR = {
+    1: "state must satisfy ky1*edot + ky2*e >= 1/sqrt(3) with e >= 0 and "
+    "edot >= 0 (first-quadrant capture region)",
+    -1: "state must satisfy ky1*edot + ky2*e <= -1/sqrt(3) with e <= 0 and "
+    "edot <= 0 (third-quadrant capture region)",
+}
 
 
 def _print_level_note(crit) -> None:
@@ -177,28 +185,32 @@ def cmd_sweep_delta_l(args) -> int:
 def cmd_hitting_time(args) -> int:
     cfg = _resolve(args)
     try:
-        state = ErrorState(args.e, args.edot)
+        _require_finite("error state", args.e, args.edot)
     except ValueError as exc:
         print(f"invalid state: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     sign = 1 if args.branch == "pos" else -1
-    admissible = analysis.in_admissible_region(state, sign, cfg.params)
-    pd_output = analysis._pd_output(state.e, state.edot, cfg.params)
-    if admissible and not math.isfinite(pd_output):
+    if not analysis.in_admissible_region(args.e, args.edot, sign, cfg.params):
+        print(f"inadmissible state: {REGION_ERROR[sign]}", file=sys.stderr)
+        return EXIT_CONFIG
+    pd_output = analysis._pd_output(args.e, args.edot, cfg.params)
+    if not math.isfinite(pd_output):
         # neither hitting time means anything once ky1*edot + ky2*e overflows
         print(f"divergence: PD output ky1*edot + ky2*e is {fmt(pd_output)}", file=sys.stderr)
         return EXIT_DIVERGED
+    e, edot = np.array([args.e]), np.array([args.edot])
     try:
         # a state far out overflows the closed form, which the check below reports
         with np.errstate(over="ignore", invalid="ignore"):
-            t_closed = analysis.hitting_time(state, sign, cfg.params)
-        t_event = analysis.hitting_time_simulated(state, sign, cfg.params)
-    except ValueError as exc:
-        # both hitting times raise ValueError for an inadmissible state and for
-        # a flow that never reaches the threshold
-        label = "no threshold crossing" if admissible else "inadmissible state"
-        print(f"{label}: {exc}", file=sys.stderr)
+            t_closed = analysis.hitting_time(e, edot, sign, cfg.params)
+            analysis._require_hits(t_closed, e, edot, cfg.params)
+        t_event = analysis.hitting_time_simulated(e, edot, sign, cfg.params)
+        if np.isnan(t_event[0]):
+            raise ValueError(analysis._NO_EVENT_ERROR)
+    except ValueError as exc:  # a flow that does not reach the threshold
+        print(f"no threshold crossing: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    t_closed, t_event = float(t_closed[0]), float(t_event[0])
     residual = abs(t_closed - t_event)
     if not math.isfinite(residual):
         print(

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .analysis import DELTA_L_CAP, TWO_PI, _region_mask, critical_lyapunov, feasible_cone
+from .analysis import DELTA_L_CAP, TWO_PI, critical_lyapunov, feasible_cone
+from .analysis import in_admissible_region, lyapunov
 from .checks import Check, NotApplicable, check
 from .gait import GaitSchedule, PRESETS
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
@@ -362,7 +363,7 @@ def _trajectory(rows: np.ndarray, config: SimConfig, lo: int = 0) -> Trajectory:
             w2sq=np.where(sq2 >= 0.0, sq2, 0.0),
             p=(sq1 > 0.0).astype(np.int64),
             q=(sq2 > 0.0).astype(np.int64),
-            lyap=0.5 * eydot * eydot + 0.5 * params.ky2 * ey * ey,
+            lyap=lyapunov(ey, eydot, params),
             angle_lo=lo_of[half],
             angle_hi=hi_of[half],
             lam=yaws[half],
@@ -460,7 +461,8 @@ def verify_trajectory(
 
     def boundary_state_capture():
         ey, eydot = traj.ey[b], traj.eydot[b]
-        captured = _region_mask(ey, eydot, +1, params) | _region_mask(ey, eydot, -1, params)
+        captured = in_admissible_region(ey, eydot, +1, params)
+        captured |= in_admissible_region(ey, eydot, -1, params)
         bad = (np.flatnonzero(~captured) + 1).tolist()
         return not bad, {"n_boundaries": n_half, "violating_half_periods": bad[:20]}
 

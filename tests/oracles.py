@@ -2,6 +2,7 @@
 
 ``rotation_matrix``, ``thrust_map`` and ``thrust_matrix`` are the plant's
 maps as 2x2 matrices, the oracles of the scalar inversion and acceleration,
+``angle_in_cone`` tests an angle against the feasible cone of those maps,
 and ``yaw_at`` is the yaw schedule as a function of time, the oracle of the
 simulator's step-indexed schedule.
 
@@ -40,7 +41,6 @@ import numpy as np
 from tiltsim import (
     DELTA_L_CAP,
     DivergenceError,
-    ErrorState,
     VehicleState,
     clamp,
     classify_region,
@@ -64,8 +64,6 @@ from tiltsim.analysis import (
     DeltaLGrid,
     _event_step,
     _flow_matrix,
-    _map,
-    _region_mask,
 )
 from tiltsim.checks import NotApplicable
 from tiltsim.output import _CHUNK_ROWS, atomic_write_text, fmt
@@ -106,6 +104,11 @@ def yaw_at(t, gait):
     tau = math.fmod(t, gait.period)
     sign = gait.phase_sign if tau < gait.half_period else -gait.phase_sign
     return sign * gait.amplitude
+
+
+def angle_in_cone(angle, lo, hi):
+    """``angle`` in the wrapped cone [lo, hi] of ``analysis.feasible_cone``, ends included."""
+    return (angle - lo) % TWO_PI <= (hi - lo) % TWO_PI
 
 
 def _linear_deriv(e, ed, ky1, ky2):
@@ -218,7 +221,7 @@ def event_hitting_times(e0, ed0, lambda_sign, ky1, ky2, step=1e-4, t_max=1.5):
 
 
 def bisect_event_hitting_times(e, edot, lambda_sign, params):
-    """``analysis._event_hitting_times`` with its brackets halved 60 times.
+    """``analysis.hitting_time_simulated`` with its brackets halved 60 times.
 
     The same block scan on the powers of the step matrix exp(hA); each
     bracket [0, step] is then bisected, all cells at once, on the gap at
@@ -290,18 +293,17 @@ def self_map_counts(resolution, params):
     e_vals = np.linspace(-2.0, 2.0, resolution)
     bad = 0
     n = 0
-    for e in e_vals:
-        for edot in e_vals:
-            s = ErrorState(float(e), float(edot))
-            if not in_admissible_region(s, +1, params):
+    for e in e_vals.tolist():
+        for edot in e_vals.tolist():
+            if not in_admissible_region(e, edot, +1, params):
                 continue
             n += 1
-            mid = half_period_map(s, +1, params)
-            if not in_admissible_region(mid, -1, params):
+            mid = half_period_map(e, edot, +1, params)
+            if not in_admissible_region(*mid, -1, params)[0]:
                 bad += 1
                 continue
-            end = half_period_map(mid, -1, params)
-            if not in_admissible_region(end, +1, params):
+            end = half_period_map(*mid, -1, params)
+            if not in_admissible_region(*end, +1, params)[0]:
                 bad += 1
     return n, bad
 
@@ -311,9 +313,9 @@ def full_grid_map(e_range, edot_range, resolution, lambda_sign, params, half_per
     e_vals = np.linspace(e_range[0], e_range[1], resolution)
     ed_vals = np.linspace(edot_range[0], edot_range[1], resolution)
     E, Ed = np.meshgrid(e_vals, ed_vals, indexing="ij")
-    mask = _region_mask(E, Ed, lambda_sign, params)
+    mask = in_admissible_region(E, Ed, lambda_sign, params)
     e0, ed0 = E[mask], Ed[mask]
-    e1, ed1 = _map(e0, ed0, lambda_sign, params, half_period)
+    e1, ed1 = half_period_map(e0, ed0, lambda_sign, params, half_period)
     values = np.full(E.shape, np.nan)
     l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
     values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
@@ -325,22 +327,21 @@ def local_max_report(samples, params):
 
     ``samples`` maps each yaw sign, +1 first, to the arrays ``(e, edot)`` of
     the states the check drew for it; the Lyapunov log is evaluated on 201
-    taus of the half period through the scalar flow functions.
+    taus of the half period through the flow functions, on floats.
     """
     worst = -math.inf
-    taus = np.linspace(0.0, 1.0, 201)
+    taus = np.linspace(0.0, 1.0, 201).tolist()
     for sign, (e0, edot0) in samples.items():
-        for s in map(ErrorState, e0.tolist(), edot0.tolist()):
-            t_hit = hitting_time(s, sign, params)
-            mid = s11_flow(s, t_hit, params)
+        for e, edot in zip(e0.tolist(), edot0.tolist()):
+            t_hit = float(hitting_time(e, edot, sign, params)[0])
+            mid = s11_flow(e, edot, t_hit, params)
             values = []
             for tau in taus:
                 if tau <= t_hit:
-                    values.append(lyapunov(s11_flow(s, float(tau), params), params))
+                    values.append(lyapunov(*s11_flow(e, edot, tau, params), params))
                 else:
-                    values.append(
-                        lyapunov(saturated_flow(mid, float(tau - t_hit), -sign), params)
-                    )
+                    push = -sign * INV_SQRT3
+                    values.append(lyapunov(*saturated_flow(*mid, tau - t_hit, push), params))
             endpoint = max(values[0], values[-1])
             worst = max(worst, max(values) - endpoint)
     return worst <= 1e-9, {"max_overshoot": worst, "tolerance": 1e-9}
@@ -589,8 +590,8 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
             h
             for h, e, ed in boundary_states
             if not (
-                in_admissible_region(ErrorState(e, ed), +1, params)
-                or in_admissible_region(ErrorState(e, ed), -1, params)
+                in_admissible_region(e, ed, +1, params)
+                or in_admissible_region(e, ed, -1, params)
             )
         ]
         checks.append(

@@ -14,12 +14,9 @@ from tiltsim import (
     DEFAULT_PARAMS,
     DELTA_L_CAP,
     DeltaLGrid,
-    ErrorState,
     ModelParams,
     acceleration_angle,
-    angle_in_cone,
     critical_lyapunov,
-    delta_l,
     delta_l_grid,
     feasible_cone,
     half_period_map,
@@ -31,7 +28,7 @@ from tiltsim import (
     saturated_flow,
     verify_quadrant_capture,
 )
-from tiltsim.analysis import _event_hitting_times, _hit_times, _map, _map_grid
+from tiltsim.analysis import _map_grid, _require_hits
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
@@ -55,137 +52,123 @@ INV3 = 1.0 / SQRT3
 
 class TestLyapunov:
     def test_zero(self):
-        assert lyapunov(ErrorState(0.0, 0.0)) == 0.0
+        assert lyapunov(0.0, 0.0) == 0.0
 
     def test_position_term(self):
-        assert lyapunov(ErrorState(0.1, 0.0)) == pytest.approx(0.09)
+        assert lyapunov(0.1, 0.0) == pytest.approx(0.09)
 
     def test_kinetic_term(self):
-        assert lyapunov(ErrorState(0.0, 1.0)) == pytest.approx(0.5)
+        assert lyapunov(0.0, 1.0) == pytest.approx(0.5)
 
 
 class TestS11Flow:
     def test_initial_condition(self):
-        s = ErrorState(0.3, -0.7)
-        out = s11_flow(s, 0.0)
-        assert out.e == pytest.approx(s.e, abs=1e-15)
-        assert out.edot == pytest.approx(s.edot, abs=1e-15)
+        e, edot = s11_flow(0.3, -0.7, 0.0)
+        assert e == pytest.approx(0.3, abs=1e-15)
+        assert edot == pytest.approx(-0.7, abs=1e-15)
 
     def test_decay(self):
         # slow mode decays at rate 3, so e(t) ~ 2 exp(-3 t) from (1, 0)
-        out = s11_flow(ErrorState(1.0, 0.0), 8.0)
-        assert abs(out.e) < 1e-9
-        assert abs(out.edot) < 1e-9
+        e, edot = s11_flow(1.0, 0.0, 8.0)
+        assert abs(e) < 1e-9
+        assert abs(edot) < 1e-9
 
     def test_against_rk4_oracle(self):
         # frozen from the fixed-step RK4 oracle at 1e-6 step
-        out = s11_flow(ErrorState(0.1, 0.0), 0.1)
-        assert out.e == pytest.approx(0.09328248052693948, abs=1e-8)
-        assert out.edot == pytest.approx(-0.11520395075261305, abs=1e-8)
+        e, edot = s11_flow(0.1, 0.0, 0.1)
+        assert e == pytest.approx(0.09328248052693948, abs=1e-8)
+        assert edot == pytest.approx(-0.11520395075261305, abs=1e-8)
 
     def test_many_states_against_oracle(self):
         rng = np.random.default_rng(3)
         e0 = rng.uniform(-2, 2, 1000)
         ed0 = rng.uniform(-2, 2, 1000)
         eo, edo = oc.rk4_linear_flow(e0, ed0, 9.0, 18.0, 0.37, 4000)
-        for i in range(0, 1000, 7):
-            out = s11_flow(ErrorState(e0[i], ed0[i]), 0.37)
-            assert out.e == pytest.approx(eo[i], abs=1e-6)
-            assert out.edot == pytest.approx(edo[i], abs=1e-6)
+        e, edot = s11_flow(e0, ed0, 0.37)
+        np.testing.assert_allclose(e, eo, rtol=0.0, atol=1e-6)
+        np.testing.assert_allclose(edot, edo, rtol=0.0, atol=1e-6)
 
     def test_nondefault_gains_match_oracle(self):
         for ky1, ky2 in [(4.0, 3.0), (6.0, 9.0), (2.0, 30.0)]:
             p = ModelParams(ky1=ky1, ky2=ky2)
             eo, edo = oc.rk4_linear_flow(0.8, -0.4, ky1, ky2, 0.9, 20000)
-            out = s11_flow(ErrorState(0.8, -0.4), 0.9, p)
-            assert out.e == pytest.approx(float(eo), abs=1e-10)
-            assert out.edot == pytest.approx(float(edo), abs=1e-10)
+            e, edot = s11_flow(0.8, -0.4, 0.9, p)
+            assert e == pytest.approx(float(eo), abs=1e-10)
+            assert edot == pytest.approx(float(edo), abs=1e-10)
 
 
 class TestSaturatedFlow:
     def test_first_half_period_from_rest(self):
-        out = saturated_flow(ErrorState(0.0, 0.0), 1.0, +1)
-        assert out.e == pytest.approx(1 / (2 * SQRT3), abs=1e-15)
-        assert out.edot == pytest.approx(INV3, abs=1e-15)
+        e, edot = saturated_flow(0.0, 0.0, 1.0, INV3)
+        assert e == pytest.approx(1 / (2 * SQRT3), abs=1e-15)
+        assert edot == pytest.approx(INV3, abs=1e-15)
 
     def test_identity_at_zero(self):
-        s = ErrorState(0.2, -0.1)
-        out = saturated_flow(s, 0.0, -1)
-        assert (out.e, out.edot) == (s.e, s.edot)
+        assert saturated_flow(0.2, -0.1, 0.0, -INV3) == (0.2, -0.1)
 
     def test_against_rk4_oracle(self):
         # frozen from a fixed-step RK4 run of the constant-acceleration flow
-        out = saturated_flow(ErrorState(0.2, -0.1), 0.5, -1)
-        assert out.e == pytest.approx(0.07783121635129628, abs=1e-10)
-        assert out.edot == pytest.approx(-0.388675134594809, abs=1e-10)
-
-    def test_bad_sign(self):
-        with pytest.raises(ValueError):
-            saturated_flow(ErrorState(0.0, 0.0), 1.0, 0)
+        e, edot = saturated_flow(0.2, -0.1, 0.5, -INV3)
+        assert e == pytest.approx(0.07783121635129628, abs=1e-10)
+        assert edot == pytest.approx(-0.388675134594809, abs=1e-10)
 
 
 class TestHittingTimes:
     def test_on_threshold_is_zero(self):
         e = INV3 / 18.0  # ky2*e = 1/sqrt(3) with edot = 0
-        assert hitting_time(ErrorState(e, 0.0), +1) == pytest.approx(0.0, abs=1e-12)
-        assert hitting_time(ErrorState(-e, 0.0), -1) == pytest.approx(0.0, abs=1e-12)
+        assert hitting_time(e, 0.0, +1)[0] == pytest.approx(0.0, abs=1e-12)
+        assert hitting_time(-e, 0.0, -1)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_known_value(self):
         # frozen from the event-detection oracle (RK4 sweep plus bisection)
-        t = hitting_time(ErrorState(0.1, 0.0), +1)
+        t = hitting_time(0.1, 0.0, +1)[0]
         assert t == pytest.approx(0.10853217910009144, abs=1e-9)
 
     def test_inside_unit_interval(self):
-        assert 0.0 < hitting_time(ErrorState(1.0, 1.0), +1) < 1.0
-        assert 0.0 < hitting_time(ErrorState(-1.0, -1.0), -1) < 1.0
+        assert 0.0 < hitting_time(1.0, 1.0, +1)[0] < 1.0
+        assert 0.0 < hitting_time(-1.0, -1.0, -1)[0] < 1.0
 
     def test_point_symmetry(self):
         rng = np.random.default_rng(23)
         e0, ed0 = oc.sample_capture_region(rng, 100, +1, 9.0, 18.0)
-        for e, ed in zip(e0, ed0):
-            tp = hitting_time(ErrorState(e, ed), +1)
-            tn = hitting_time(ErrorState(-e, -ed), -1)
-            assert tn == pytest.approx(tp, abs=1e-13)
+        tp = hitting_time(e0, ed0, +1)
+        tn = hitting_time(-e0, -ed0, -1)
+        np.testing.assert_allclose(tn, tp, rtol=0.0, atol=1e-13)
 
     def test_neg_mirrors_pos_exactly(self):
         rng = np.random.default_rng(61)
         for ky1, ky2, n in ((9.0, 18.0, 5000), (6.0, 10.0, 40)):
             p = ModelParams(ky1=ky1, ky2=ky2)
             e0, ed0 = oc.sample_capture_region(rng, n, +1, ky1, ky2)
-            for e, ed in zip(e0, ed0):
-                tp = hitting_time(ErrorState(e, ed), +1, p)
-                assert hitting_time(ErrorState(-e, -ed), -1, p) == tp
+            tp = hitting_time(e0, ed0, +1, p)
+            assert hitting_time(-e0, -ed0, -1, p).tobytes() == tp.tobytes()
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError, match="first-quadrant"):
-            hitting_time(ErrorState(-0.1, 0.0), +1)
-        with pytest.raises(ValueError, match="third-quadrant"):
-            hitting_time(ErrorState(0.1, 0.0), -1)
-        with pytest.raises(ValueError):
-            hitting_time(ErrorState(0.001, 0.001), +1)  # below the threshold
+        # the states that have no hitting time: the wrong quadrant, or below the threshold
+        e = np.array([-0.1, 0.1, 0.001, INV3 / 18.0])
+        edot = np.array([0.0, 0.0, 0.001, 0.0])
+        assert in_admissible_region(e, edot, +1).tolist() == [False, True, False, True]
+        assert in_admissible_region(-e, -edot, -1).tolist() == [False, True, False, True]
+        assert not in_admissible_region(0.1, 0.0, -1)
 
     def test_against_event_oracle(self):
         rng = np.random.default_rng(29)
         for sign in (+1, -1):
             e0, ed0 = oc.sample_capture_region(rng, 100, sign, 9.0, 18.0)
             t_oracle = oc.event_hitting_times(e0, ed0, sign, 9.0, 18.0)
-            for i in range(len(e0)):
-                s = ErrorState(e0[i], ed0[i])
-                t = hitting_time(s, sign)
-                assert t == pytest.approx(t_oracle[i], abs=1e-6)
-                assert 0.0 <= t < 1.0
+            t = hitting_time(e0, ed0, sign)
+            np.testing.assert_allclose(t, t_oracle, rtol=0.0, atol=1e-6)
+            assert ((0.0 <= t) & (t < 1.0)).all()
 
     def test_simulated_channel_agrees(self):
-        s = ErrorState(0.4, 0.9)
-        t_closed = hitting_time(s, +1)
-        t_event = hitting_time_simulated(s, +1)
-        assert abs(t_closed - t_event) < 1e-8
+        t_closed = hitting_time(0.4, 0.9, +1)
+        t_event = hitting_time_simulated(0.4, 0.9, +1)
+        assert abs(t_closed - t_event)[0] < 1e-8
 
     def test_nondefault_gains_against_oracle(self):
         p = ModelParams(ky1=6.0, ky2=10.0)
-        s = ErrorState(0.5, 0.2)
-        assert in_admissible_region(s, +1, p)
-        t = hitting_time(s, +1, p)
+        assert in_admissible_region(0.5, 0.2, +1, p)
+        t = hitting_time(0.5, 0.2, +1, p)[0]
         t_oracle = float(oc.event_hitting_times([0.5], [0.2], +1, 6.0, 10.0)[0])
         assert t == pytest.approx(t_oracle, abs=1e-6)
 
@@ -196,63 +179,62 @@ class TestHittingTimes:
         rng = np.random.default_rng(83)
         for sign in (+1, -1):
             e0, ed0 = oc.sample_capture_region(rng, 30, sign, ky1, ky2)
-            want = [analysis.hitting_time(ErrorState(e, ed), sign, p) for e, ed in zip(e0, ed0)]
-            assert _hit_times(e0, ed0, sign, p).tobytes() == np.array(want).tobytes()
+            want = [hitting_time(e, ed, sign, p)[0] for e, ed in zip(e0, ed0)]
+            assert hitting_time(e0, ed0, sign, p).tobytes() == np.array(want).tobytes()
 
     def test_no_crossing_error_names_the_horizon(self):
         p = ModelParams(ky1=0.05, ky2=0.04)
         # the second state starts below the threshold
-        t = _hit_times(np.array([20.0, 0.5]), np.array([20.0, 0.2]), +1, p)
+        e, edot = np.array([20.0, 0.5]), np.array([20.0, 0.2])
+        t = hitting_time(e, edot, +1, p)
         assert np.isnan(t[0]) and t[1] == 0.0
         message = r"^unsaturated flow does not reach the threshold within 8\.0 s for gains"
         with pytest.raises(ValueError, match=message):
-            hitting_time(ErrorState(20.0, 20.0), +1, p)
+            _require_hits(t, e, edot, p)
         with pytest.raises(ValueError, match=message):
-            hitting_time(ErrorState(-20.0, -20.0), -1, p)
+            _require_hits(hitting_time(-e, -edot, -1, p), -e, -edot, p)
 
 
 class TestHalfPeriodMap:
     def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            half_period_map(ErrorState(0.0, 0.0), +1)
+        # the origin lies in neither capture region, so no map starts there
+        assert not in_admissible_region(0.0, 0.0, +1)
+        assert not in_admissible_region(0.0, 0.0, -1)
 
     def test_first_boundary_state_lands_in_mirror_region(self):
-        s1 = ErrorState(1 / (2 * SQRT3), INV3)
-        out = half_period_map(s1, +1)
-        assert in_admissible_region(out, -1)
+        e, edot = half_period_map(1 / (2 * SQRT3), INV3, +1)
+        assert in_admissible_region(e, edot, -1).all()
 
     def test_against_switched_loop_oracle(self):
         # frozen from the RK4 oracle through the full clamped controller
-        out = half_period_map(ErrorState(0.5, 0.5), +1)
-        assert out.e == pytest.approx(-0.33131365931481366, abs=1e-6)
-        assert out.edot == pytest.approx(-1.1947081709008267, abs=1e-6)
+        e, edot = half_period_map(0.5, 0.5, +1)
+        assert e[0] == pytest.approx(-0.33131365931481366, abs=1e-6)
+        assert edot[0] == pytest.approx(-1.1947081709008267, abs=1e-6)
 
     def test_many_states_against_switched_oracle(self):
         rng = np.random.default_rng(31)
         for sign, lam in ((+1, math.pi / 3), (-1, -math.pi / 3)):
             e0, ed0 = oc.sample_capture_region(rng, 250, sign, 9.0, 18.0)
             eo, edo = oc.rk4_switched_flow(e0, ed0, lam, DEFAULT_PARAMS, 1.0, 10000)
-            for i in range(len(e0)):
-                out = half_period_map(ErrorState(e0[i], ed0[i]), sign)
-                assert out.e == pytest.approx(eo[i], abs=1e-6)
-                assert out.edot == pytest.approx(edo[i], abs=1e-6)
+            e, edot = half_period_map(e0, ed0, sign)
+            np.testing.assert_allclose(e, eo, rtol=0.0, atol=1e-6)
+            np.testing.assert_allclose(edot, edo, rtol=0.0, atol=1e-6)
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(37)
         e0, ed0 = oc.sample_capture_region(rng, 200, +1, 9.0, 18.0)
-        for e, ed in zip(e0, ed0):
-            fwd = half_period_map(ErrorState(e, ed), +1)
-            mir = half_period_map(ErrorState(-e, -ed), -1)
-            assert mir.e == pytest.approx(-fwd.e, abs=1e-13)
-            assert mir.edot == pytest.approx(-fwd.edot, abs=1e-13)
+        fwd_e, fwd_edot = half_period_map(e0, ed0, +1)
+        mir_e, mir_edot = half_period_map(-e0, -ed0, -1)
+        np.testing.assert_allclose(mir_e, -fwd_e, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(mir_edot, -fwd_edot, rtol=0.0, atol=1e-13)
 
     def test_generic_engine_matches_default_path(self, monkeypatch):
         # the bracketed crossing search at the default gains against their closed form
         rng = np.random.default_rng(41)
         e0, ed0 = oc.sample_capture_region(rng, 200, +1, 9.0, 18.0)
-        de, ded = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
+        de, ded = half_period_map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)  # the closed form
         monkeypatch.setattr(analysis, "_has_default_rates", lambda params: False)
-        ge, ged = _map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)
+        ge, ged = half_period_map(e0, ed0, +1, DEFAULT_PARAMS, 1.0)
         np.testing.assert_allclose(ge, de, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(ged, ded, rtol=0.0, atol=1e-12)
 
@@ -265,17 +247,16 @@ class TestHalfPeriodMap:
                 rng = np.random.default_rng(43)
                 e0, ed0 = oc.sample_capture_region(rng, 40, sign, ky1, ky2)
                 eo, edo = oc.rk4_switched_flow(e0, ed0, lam, p, 1.0, 20000)
-                for i in range(len(e0)):
-                    out = half_period_map(ErrorState(e0[i], ed0[i]), sign, p)
-                    assert out.e == pytest.approx(eo[i], abs=1e-6)
-                    assert out.edot == pytest.approx(edo[i], abs=1e-6)
+                e, edot = half_period_map(e0, ed0, sign, p)
+                np.testing.assert_allclose(e, eo, rtol=0.0, atol=1e-6)
+                np.testing.assert_allclose(edot, edo, rtol=0.0, atol=1e-6)
 
     def test_large_state_at_generic_gains_against_switched_oracle(self):
         # the gap a root solve leaves grows with the state (slope ky1*ky2*e, 4e4
         # here): a solver that returned the wrong bracket end sent this cell
         # through an extra linear segment, to (-42.9, 103.1)
         p = ModelParams(ky1=5.0, ky2=20.0)
-        got = _map(np.array([434.0]), np.array([0.0]), +1, p, 1.0)
+        got = half_period_map(np.array([434.0]), np.array([0.0]), +1, p, 1.0)
         eo, edo = oc.rk4_switched_flow(np.array([434.0]), np.array([0.0]), math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose(np.ravel(got), [eo[0], edo[0]], rtol=1e-7)
 
@@ -287,7 +268,7 @@ class TestHalfPeriodMap:
         p = ModelParams(ky1=5.0, ky2=20.0)
         e0 = np.array([434.0])
         ed0 = (analysis.INV_SQRT3 + gap - p.ky2 * e0) / p.ky1
-        e1, ed1 = _map(e0, ed0, +1, p, 1.0)
+        e1, ed1 = half_period_map(e0, ed0, +1, p, 1.0)
         eo, edo = oc.rk4_switched_flow(e0, ed0, math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=1e-7)
 
@@ -307,7 +288,7 @@ class TestHalfPeriodMap:
         # period, to (0.4710, 0.1774) against (-0.4240, -0.9790) at (0.5, 40)
         p = ModelParams(ky1=ky1, ky2=ky2)
         e0, ed0 = np.array([sign * e0]), np.array([sign * ed0])
-        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        e1, ed1 = half_period_map(e0, ed0, sign, p, 1.0)
         eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
 
@@ -328,13 +309,12 @@ class TestHalfPeriodMap:
         p = ModelParams(ky1=ky1, ky2=ky2)
         e0, ed0 = np.array([sign * e0]), np.array([sign * ed0])
         assert analysis._gap_and_slope(sign * e0, sign * ed0, 0.0, p)[0][0] == 0.0
-        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        e1, ed1 = half_period_map(e0, ed0, sign, p, 1.0)
         eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
         np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
-        s = ErrorState(float(e0[0]), float(ed0[0]))
-        t = hitting_time(s, sign, p)
-        assert t > 0.1
-        assert abs(t - hitting_time_simulated(s, sign, p)) <= 1e-9
+        t = hitting_time(e0, ed0, sign, p)
+        assert t[0] > 0.1
+        assert abs(t - hitting_time_simulated(e0, ed0, sign, p))[0] <= 1e-9
 
     def test_first_crossing_of_a_fast_oscillation(self):
         # at (1, 4e6) the PD output oscillates with a period of about 3 ms and
@@ -344,7 +324,7 @@ class TestHalfPeriodMap:
         p = ModelParams(ky1=1.0, ky2=4e6)
         for sign in (1, -1):
             e0, ed0 = np.array([sign * 1e-6]), np.array([0.0])
-            e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+            e1, ed1 = half_period_map(e0, ed0, sign, p, 1.0)
             eo, edo = oc.rk4_switched_flow(e0, ed0, sign * math.pi / 3, p, 1.0, 20000)
             np.testing.assert_allclose([e1[0], ed1[0]], [eo[0], edo[0]], rtol=0.0, atol=1e-6)
 
@@ -380,12 +360,12 @@ class TestArrayEngine:
         p = ModelParams(ky1=gains[0], ky2=gains[1])
         e0 = sign * np.array([c[0] for c in cells])
         ed0 = sign * np.array([c[1] for c in cells])
-        inside = analysis._region_mask(e0, ed0, sign, p)
+        inside = in_admissible_region(e0, ed0, sign, p)
         assume(inside.any())
         e0, ed0 = e0[inside], ed0[inside]
-        e1, ed1 = _map(e0, ed0, sign, p, 1.0)
+        e1, ed1 = half_period_map(e0, ed0, sign, p, 1.0)
         for k in range(e0.size):
-            want = _map(e0[k : k + 1], ed0[k : k + 1], sign, p, 1.0)
+            want = half_period_map(e0[k : k + 1], ed0[k : k + 1], sign, p, 1.0)
             assert np.array([e1[k], ed1[k]]).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("ky1, ky2, res", [(9.0, 18.0, 101), (6.0, 12.0, 37), (1.0, 2.0, 21)])
@@ -423,7 +403,7 @@ class TestEventEngine:
             e0, ed0 = oc.sample_capture_region(rng, 30, sign, ky1, ky2)
             want = oc.event_hitting_times(e0, ed0, sign, ky1, ky2)
             assert np.isfinite(want).all()
-            got = _event_hitting_times(e0, ed0, sign, p)
+            got = hitting_time_simulated(e0, ed0, sign, p)
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
     def test_both_signs_in_one_call(self):
@@ -432,10 +412,10 @@ class TestEventEngine:
         e_neg, ed_neg = oc.sample_capture_region(rng, 20, -1, 9.0, 18.0)
         sign = np.repeat([1.0, -1.0], 20)
         e0, ed0 = np.r_[e_pos, e_neg], np.r_[ed_pos, ed_neg]
-        both = _event_hitting_times(e0, ed0, sign, DEFAULT_PARAMS)
+        both = hitting_time_simulated(e0, ed0, sign, DEFAULT_PARAMS)
         apart = np.r_[
-            _event_hitting_times(e_pos, ed_pos, +1, DEFAULT_PARAMS),
-            _event_hitting_times(e_neg, ed_neg, -1, DEFAULT_PARAMS),
+            hitting_time_simulated(e_pos, ed_pos, +1, DEFAULT_PARAMS),
+            hitting_time_simulated(e_neg, ed_neg, -1, DEFAULT_PARAMS),
         ]
         assert both.tobytes() == apart.tobytes()
 
@@ -443,21 +423,16 @@ class TestEventEngine:
         e = INV3 / 18.0
         while 18.0 * e - INV3 > 0.0:
             e = math.nextafter(e, 0.0)
-        t = _event_hitting_times([e, 0.0, 1.0], [0.0, INV3 / 9.0, -3.0], +1, DEFAULT_PARAMS)
+        t = hitting_time_simulated([e, 0.0, 1.0], [0.0, INV3 / 9.0, -3.0], +1, DEFAULT_PARAMS)
         assert t.tolist() == [0.0, 0.0, 0.0]
-        t = _event_hitting_times([-e, 0.0], [0.0, -INV3 / 9.0], -1, DEFAULT_PARAMS)
+        t = hitting_time_simulated([-e, 0.0], [0.0, -INV3 / 9.0], -1, DEFAULT_PARAMS)
         assert t.tolist() == [0.0, 0.0]
-        assert hitting_time_simulated(ErrorState(e, 0.0), +1) == 0.0
 
     def test_no_crossing_is_nan(self):
         # admissible, but the slow decay stays above the threshold for 8 s
         p = ModelParams(ky1=0.05, ky2=0.04)
-        t = _event_hitting_times([20.0, 0.5], [20.0, 0.2], +1, p)
+        t = hitting_time_simulated([20.0, 0.5], [20.0, 0.2], +1, p)
         assert np.isnan(t[0]) and np.isfinite(t[1])
-        with pytest.raises(ValueError, match=r"^no threshold crossing detected within 8\.0 s$"):
-            hitting_time_simulated(ErrorState(20.0, 20.0), +1, p)
-        with pytest.raises(ValueError, match="first-quadrant"):
-            hitting_time_simulated(ErrorState(-0.1, 0.0), +1, p)
 
     @pytest.mark.parametrize(
         "ky1, ky2, step",
@@ -481,12 +456,10 @@ class TestEventEngine:
         # not 7813 blocks on
         p = ModelParams(ky2=1e300)
         with np.errstate(all="ignore"):
-            t = _event_hitting_times(np.full(40, 0.5), np.full(40, 0.2), +1, p)
-            with pytest.raises(ValueError, match=r"^no threshold crossing detected within 8\.0 s$"):
-                hitting_time_simulated(ErrorState(0.5, 0.2), +1, p)
+            t = hitting_time_simulated(np.full(40, 0.5), np.full(40, 0.2), +1, p)
         assert np.isnan(t).all()
-        # per call, the first block and the empty test that ends the loop
-        assert scanned == [0, analysis._EVENT_BLOCK] * 2
+        # the first block and the empty test that ends the loop
+        assert scanned == [0, analysis._EVENT_BLOCK]
 
     @pytest.mark.parametrize(
         "ky1, ky2", [(1e300, 18.0), (9.0, 1e300), (1e200, 1e308), (1.7e308, 1.7e308)]
@@ -497,23 +470,12 @@ class TestEventEngine:
         # stops within its tolerance of 1e-14
         p = ModelParams(ky1=ky1, ky2=ky2)
         with np.errstate(all="ignore"):
-            t = _event_hitting_times(np.full(40, 0.5), np.full(40, 0.2), +1, p)
+            t = hitting_time_simulated(np.full(40, 0.5), np.full(40, 0.2), +1, p)
         assert scanned in ([0], [0, analysis._EVENT_BLOCK])
         if ky2 == 18.0:
             assert ((0.0 < t) & (t < 1e-14)).all()
         else:
             assert np.isnan(t).all()
-
-    @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 10.0)])
-    def test_scalar_wrapper_is_one_cell_call(self, ky1, ky2):
-        p = ModelParams(ky1=ky1, ky2=ky2)
-        rng = np.random.default_rng(79)
-        for sign in (+1, -1):
-            e0, ed0 = oc.sample_capture_region(rng, 10, sign, ky1, ky2)
-            for e, ed in zip(e0, ed0):
-                want = _event_hitting_times(np.array([e]), np.array([ed]), sign, p)
-                got = hitting_time_simulated(ErrorState(e, ed), sign, p)
-                assert np.float64(got).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(gains=_gains, cells=st.lists(_cell, min_size=1, max_size=8))
@@ -521,8 +483,8 @@ class TestEventEngine:
         p = ModelParams(ky1=gains[0], ky2=gains[1])
         e0 = np.array([c[0] for c in cells])
         ed0 = np.array([c[1] for c in cells])
-        pos = _event_hitting_times(e0, ed0, +1, p)
-        neg = _event_hitting_times(-e0, -ed0, -1, p)
+        pos = hitting_time_simulated(e0, ed0, +1, p)
+        neg = hitting_time_simulated(-e0, -ed0, -1, p)
         assert pos.tobytes() == neg.tobytes()
 
     @settings(max_examples=80, deadline=None)
@@ -540,13 +502,13 @@ class TestEventEngine:
         assume(not analysis._has_default_rates(p))  # the closed form has no horizon
         e0 = sign * np.array([c[0] for c in cells])
         ed0 = sign * np.array([c[1] for c in cells])
-        inside = analysis._region_mask(e0, ed0, sign, p)
+        inside = in_admissible_region(e0, ed0, sign, p)
         assume(inside.any())
         e0, ed0 = e0[inside], ed0[inside]
-        want = _event_hitting_times(e0, ed0, sign, p)
+        want = hitting_time_simulated(e0, ed0, sign, p)
         assume(not (np.abs(want - horizon) < 1e-6).any())  # a crossing at the horizon
         want[want > horizon] = np.nan
-        got = _hit_times(e0, ed0, sign, p, horizon)
+        got = hitting_time(e0, ed0, sign, p, horizon)
         np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-6)
 
@@ -562,7 +524,7 @@ class TestEventEngine:
             e_box, ed_box = rng.uniform(-2.0, 2.0, size=(2, 60))
             e0, ed0 = np.r_[e0, e_box, 20.0 * sign], np.r_[ed0, ed_box, 20.0 * sign]
             want = oc.bisect_event_hitting_times(e0, ed0, sign, p)
-            got = _event_hitting_times(e0, ed0, sign, p)
+            got = hitting_time_simulated(e0, ed0, sign, p)
             np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
@@ -575,7 +537,7 @@ class TestEventEngine:
         for seed in range(32):
             got, got_residual = report(seed)
             with monkeypatch.context() as m:
-                m.setattr(checks, "_event_hitting_times", oc.bisect_event_hitting_times)
+                m.setattr(checks, "hitting_time_simulated", oc.bisect_event_hitting_times)
                 want, want_residual = report(seed)
             assert got == want
             assert abs(got_residual - want_residual) <= 1e-14
@@ -587,7 +549,7 @@ class TestEventEngine:
         # bracket, that of the other end, and the bracket end itself is returned
         rng = np.random.default_rng(89)
         e0, ed0 = oc.sample_capture_region(rng, 20, +1, 9.0, 18.0)
-        plain = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
+        plain = hitting_time_simulated(e0, ed0, +1, DEFAULT_PARAMS)
         step = analysis._EVENT_STEP
         k = np.floor(plain / step)
         inner = np.abs(plain / step - k - 0.5) < 0.45  # no crossing near a step end
@@ -600,7 +562,7 @@ class TestEventEngine:
             return np.full_like(g, shift), slope
 
         monkeypatch.setattr(analysis, "_flow_gap", stub)
-        got = _event_hitting_times(e0, ed0, +1, DEFAULT_PARAMS)
+        got = hitting_time_simulated(e0, ed0, +1, DEFAULT_PARAMS)
         assert got.tolist() == (k * step + end * step).tolist()
 
     @pytest.mark.parametrize("ky1, ky2, most", [(9.0, 18.0, 5), (20.0, 30.0, 5)])
@@ -622,7 +584,7 @@ class TestEventEngine:
         for seed in range(32):
             rng = np.random.default_rng(seed)
             e, edot = np.concatenate([_sample_region(rng, 20, sign, p) for sign in (+1, -1)], axis=1)
-            _event_hitting_times(e, edot, np.repeat([1, -1], 20), p)
+            hitting_time_simulated(e, edot, np.repeat([1, -1], 20), p)
         assert len(passes) == 32
         assert 0 < max(passes) <= most
 
@@ -664,11 +626,12 @@ class TestLemmaChecks:
     @pytest.mark.parametrize("ky1", [3e6, 1e7, 1e8])
     def test_residual_passes_at_stiff_gains(self, ky1):
         # an RK4 event oracle, past its stability bound here, failed the check:
-        # residual 2.3e-3, no crossing, residual 4.9e-5; the closed-form side
-        # is off by up to 5e-9 at 1e8
+        # residual 2.3e-3, no crossing, residual 4.9e-5; a linear flow that took
+        # the slow rate as (-ky1 + sqrt(ky1^2 - 4*ky2))/2 lost it to cancellation,
+        # with residuals 1.5e-10, 8.1e-10 and 5.0e-9, where r1 = ky2/r2 gives 2.5e-15
         rep = run_lemma_checks(ModelParams(ky1=ky1), 30, 0)
         residual = next(c for c in rep["checks"] if c["name"] == "hitting_time_residual")
-        assert residual["passed"] and residual["detail"]["max_residual"] < 1e-8
+        assert residual["passed"] and residual["detail"]["max_residual"] < 1e-13
 
     def test_region_rule_does_not_apply_where_rounding_decides(self):
         # at ky1 = 1e300 one rotor's command, constant in real arithmetic,
@@ -707,7 +670,7 @@ class TestLemmaChecks:
                 assert got == {"max_delta_l": None} and grid.n_admissible == 0
                 continue
             assert np.float64(got["max_delta_l"]).tobytes() == np.float64(peak).tobytes()
-            assert got["argmax"] == [arg.e, arg.edot]
+            assert got["argmax"] == list(arg)
         assert maps[1][0].n_admissible > 0
 
     def test_delta_l_error_counts_the_admissible_cells(self):
@@ -811,8 +774,8 @@ class TestSampler:
     @pytest.mark.parametrize("sign", [1, -1])
     @pytest.mark.parametrize("n", [0, 1, 20, 200])
     def test_same_states_and_next_draw_as_scalar_loop(self, ky1, ky2, sign, n):
-        # the first n pairs, in draw order, that the scalar in_admissible_region
-        # admits, of blocks of n, n, 2n, 4n, ... pairs (1000*n in all at most)
+        # the first n pairs, in draw order, that in_admissible_region admits one
+        # pair at a time, of blocks of n, n, 2n, 4n, ... pairs (1000*n in all at most)
         # drawn until n are found; the generator is left after the last block,
         # so n = 0 draws nothing
         p = ModelParams(ky1=ky1, ky2=ky2)
@@ -823,10 +786,9 @@ class TestSampler:
         while len(kept) < n:
             size = min(max(drawn, n), 1000 * n - drawn)
             pairs = sign * rng_blocks.uniform(0.0, 2.0, size=(size, 2))
-            states = map(ErrorState, *pairs.T.tolist())
-            kept += [s for s in states if in_admissible_region(s, sign, p)]
+            kept += [(e, ed) for e, ed in pairs.tolist() if in_admissible_region(e, ed, sign, p)]
             drawn += len(pairs)
-        want = np.array([(s.e, s.edot) for s in kept[:n]], dtype=float).reshape(n, 2)
+        want = np.array(kept[:n], dtype=float).reshape(n, 2)
         assert e.tobytes() == want[:, 0].tobytes()
         assert edot.tobytes() == want[:, 1].tobytes()
         assert rng.uniform() == rng_blocks.uniform()
@@ -848,39 +810,33 @@ class TestLyapunovAlongHalfPeriod:
     def test_unsaturated_energy_never_increases(self):
         # finite differences of the energy along the decay flow
         rng = np.random.default_rng(47)
+        taus = np.linspace(0.0, 1.0, 300)
         for _ in range(50):
-            s = ErrorState(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            taus = np.linspace(0.0, 1.0, 300)
-            vals = [lyapunov(s11_flow(s, float(t))) for t in taus]
-            diffs = np.diff(vals)
-            assert (diffs <= 1e-12).all()
+            vals = lyapunov(*s11_flow(rng.uniform(-2, 2), rng.uniform(-2, 2), taus))
+            assert (np.diff(vals) <= 1e-12).all()
 
     def test_unsaturated_energy_rate_identity(self):
         # central differences of the energy match -ky1 * edot^2
         h = 1e-6
-        for s0 in (ErrorState(0.5, -0.3), ErrorState(-1.2, 0.8), ErrorState(0.05, 0.0)):
+        for e0, ed0 in ((0.5, -0.3), (-1.2, 0.8), (0.05, 0.0)):
             for tau in (0.1, 0.4, 0.9):
-                plus = lyapunov(s11_flow(s0, tau + h))
-                minus = lyapunov(s11_flow(s0, tau - h))
+                plus = lyapunov(*s11_flow(e0, ed0, tau + h))
+                minus = lyapunov(*s11_flow(e0, ed0, tau - h))
                 rate_fd = (plus - minus) / (2 * h)
-                mid = s11_flow(s0, tau)
-                assert rate_fd == pytest.approx(-9.0 * mid.edot**2, abs=1e-6)
+                _, edot = s11_flow(e0, ed0, tau)
+                assert rate_fd == pytest.approx(-9.0 * edot**2, abs=1e-6)
 
     def test_peak_at_endpoints(self):
         rng = np.random.default_rng(53)
+        taus = np.linspace(0.0, 1.0, 201)
         for sign in (+1, -1):
             e0, ed0 = oc.sample_capture_region(rng, 60, sign, 9.0, 18.0)
-            for e, ed in zip(e0, ed0):
-                s = ErrorState(float(e), float(ed))
-                t_hit = hitting_time(s, sign)
-                mid = s11_flow(s, t_hit)
-                vals = []
-                for tau in np.linspace(0.0, 1.0, 201):
-                    if tau <= t_hit:
-                        vals.append(lyapunov(s11_flow(s, float(tau))))
-                    else:
-                        vals.append(lyapunov(saturated_flow(mid, float(tau - t_hit), -sign)))
-                assert max(vals) <= max(vals[0], vals[-1]) + 1e-9
+            for e, ed, t_hit in zip(e0, ed0, hitting_time(e0, ed0, sign)):
+                mid = s11_flow(e, ed, t_hit)
+                lin = lyapunov(*s11_flow(e, ed, taus))
+                sat = lyapunov(*saturated_flow(*mid, taus - t_hit, -sign * INV3))
+                vals = np.where(taus <= t_hit, lin, sat)
+                assert vals.max() <= max(vals[0], vals[-1]) + 1e-9
 
 
 class TestDeltaL:
@@ -888,29 +844,29 @@ class TestDeltaL:
         rng = np.random.default_rng(59)
         for sign in (+1, -1):
             e0, ed0 = oc.sample_capture_region(rng, 200, sign, 9.0, 18.0)
-            for e, ed in zip(e0, ed0):
-                assert delta_l(ErrorState(float(e), float(ed)), sign) <= DELTA_L_CAP + 1e-12
+            change = lyapunov(*half_period_map(e0, ed0, sign)) - lyapunov(e0, ed0)
+            assert (change <= DELTA_L_CAP + 1e-12).all()
 
     def test_cap_attained_on_threshold_corner(self):
         # the maximizer sits on the threshold line at edot = 0
-        s = ErrorState(INV3 / 18.0, 0.0)
-        assert delta_l(s, +1) == pytest.approx(DELTA_L_CAP, abs=1e-12)
+        e = INV3 / 18.0
+        change = lyapunov(*half_period_map(e, 0.0, +1)) - lyapunov(e, 0.0)
+        assert change[0] == pytest.approx(DELTA_L_CAP, abs=1e-12)
 
     def test_threshold_sweep_peaks_at_cap(self):
         # sweep along the first-quadrant threshold segment; the tiny nudge
         # keeps rounded points on the admissible side of the line
-        best = -math.inf
-        for w in np.linspace(0.0, INV3 / 9.0, 400):
-            e = (INV3 - 9.0 * w) / 18.0 + 1e-12
-            if e < 0.0 or w < 0.0:
-                continue
-            best = max(best, delta_l(ErrorState(float(e), float(w)), +1))
-        assert best == pytest.approx(DELTA_L_CAP, abs=1e-3)
+        w = np.linspace(0.0, INV3 / 9.0, 400)
+        e = (INV3 - 9.0 * w) / 18.0 + 1e-12
+        e, w = e[e >= 0.0], w[e >= 0.0]
+        change = lyapunov(*half_period_map(e, w, +1)) - lyapunov(e, w)
+        assert change.max() == pytest.approx(DELTA_L_CAP, abs=1e-3)
 
     def test_first_boundary_state_value(self):
         # frozen from the switched-loop RK4 oracle
-        s1 = ErrorState(1 / (2 * SQRT3), INV3)
-        assert delta_l(s1, +1) == pytest.approx(-0.006132518117316743, abs=1e-7)
+        e, edot = 1 / (2 * SQRT3), INV3
+        change = lyapunov(*half_period_map(e, edot, +1)) - lyapunov(e, edot)
+        assert change[0] == pytest.approx(-0.006132518117316743, abs=1e-7)
 
     def test_threshold_line_identity(self):
         # on the threshold, dividing by ky1 gives edot + 2 e = 1/(9 sqrt(3))
@@ -945,8 +901,8 @@ class TestDeltaLGrid:
         assert grid.n_admissible > 0 and np.isnan(grid.values[grid.mask]).all()
         assert math.isnan(grid.max_delta_l())
         i, j = np.argwhere(grid.mask)[0]
-        assert grid.argmax_state() == ErrorState(grid.e_values[i], grid.edot_values[j])
-        assert in_admissible_region(grid.argmax_state(), +1, params)
+        assert grid.argmax_state() == (grid.e_values[i], grid.edot_values[j])
+        assert in_admissible_region(*grid.argmax_state(), +1, params)
 
     def test_maximum_over_admissible_cells(self):
         # a masked cell's value never counts; ties go to the first cell in row-major order
@@ -957,10 +913,10 @@ class TestDeltaLGrid:
             np.array([[False, True], [True, True]]),
             +1,
         )
-        assert (grid.max_delta_l(), grid.argmax_state()) == (1.0, ErrorState(0.0, 1.0))
+        assert (grid.max_delta_l(), grid.argmax_state()) == (1.0, (0.0, 1.0))
         grid.values[1, 0] = math.nan
         assert math.isnan(grid.max_delta_l())
-        assert grid.argmax_state() == ErrorState(1.0, 0.0)
+        assert grid.argmax_state() == (1.0, 0.0)
 
     def test_quadrant_mirror_symmetry(self):
         g1 = delta_l_grid((0.0, 2.0), (0.0, 2.0), 120, +1)
@@ -1036,7 +992,7 @@ def _map_cell(p):
     """One-cell maps at gains ``p`` for ``oracles.scalar_critical_search``."""
 
     def map_cell(e, edot, sign):
-        e1, ed1 = _map(np.array([e]), np.array([edot]), sign, p, 1.0)
+        e1, ed1 = half_period_map(np.array([e]), np.array([edot]), sign, p, 1.0)
         return float(e1[0]), float(ed1[0])
 
     return map_cell
@@ -1165,8 +1121,8 @@ class TestRootSolver:
         p = ModelParams(ky1=6.0, ky2=12.0)
         crit = critical_lyapunov(resolution=12, params=p)
         assert crit.bracketed and crit.l_critical > crit.grid_max
-        half_period_map(ErrorState(0.5, 0.2), +1, p)
-        assert 0.0 < hitting_time(ErrorState(-0.5, -0.2), -1, p) < 8.0
+        half_period_map(0.5, 0.2, +1, p)
+        assert 0.0 < hitting_time(-0.5, -0.2, -1, p)[0] < 8.0
 
     def test_solver_call_and_pass_counts(self, monkeypatch):
         # one generic sweep-delta-l: the lambda = +1 grid, then the search
@@ -1272,7 +1228,7 @@ class TestRootSolver:
         import scipy.optimize  # the test oracle; the package never calls it
 
         p = ModelParams(ky1=gains[0], ky2=gains[1])
-        # the gap is to +1/sqrt(3): a sign -1 cell is mirrored as ``_map`` mirrors it
+        # the gap is to +1/sqrt(3): a sign -1 cell is mirrored as ``half_period_map`` mirrors it
         e0 = sign * np.array([c[0] for c in cells])
         ed0 = sign * np.array([c[1] for c in cells])
         t = np.linspace(0.0, 8.0, n + 1)
@@ -1317,13 +1273,13 @@ class TestAngles:
 
     def test_wraparound_membership(self):
         lo, hi = feasible_cone(0.0)
-        assert angle_in_cone(0.0, lo, hi)
-        assert angle_in_cone(2 * math.pi - 0.1, lo, hi)
-        assert not angle_in_cone(math.pi, lo, hi)
+        assert oc.angle_in_cone(0.0, lo, hi)
+        assert oc.angle_in_cone(2 * math.pi - 0.1, lo, hi)
+        assert not oc.angle_in_cone(math.pi, lo, hi)
 
     def test_small_gait_never_leaves_cone(self):
         # on-reference desired acceleration points along +x; at a small yaw
         # the cone always contains it
         for lam in (math.pi / 8, -math.pi / 8):
             lo, hi = feasible_cone(lam)
-            assert angle_in_cone(0.0, lo, hi)
+            assert oc.angle_in_cone(0.0, lo, hi)

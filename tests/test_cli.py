@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles as oc
 import tiltsim
@@ -30,6 +33,9 @@ UNBRACKETED_GAINS_CONFIG = """\
 ky1 = 5.0
 ky2 = 20.0
 """
+
+# a gain or a state magnitude, log-uniform over [1e-6, 1e8]
+_LOG_UNIFORM = st.floats(-6.0, 8.0).map(lambda x: 10.0**x)
 
 # gains whose unsaturated decay is too slow to reach the threshold in 8 s
 SLOW_DECAY_CONFIG = """\
@@ -167,7 +173,7 @@ GENERIC_SHA256 = {
         "delta_l_summary.json",
         "237ddc2609e6ee76da4313a5d6fdf6f34338e3e394427a3a42b7104853912dea",
     ),
-    # yaw sign -1: real rates, unbracketed
+    # yaw sign -1: complex rates (ky1^2 - 4*ky2 = -52), unbracketed
     "sweep-grid-neg": (
         ["sweep-delta-l", "--grid-res", "16", "--lambda-sign", "-1"],
         (6, 22),
@@ -198,6 +204,25 @@ GENERIC_SHA256 = {
         (6, 12),
         "lemma_report.json",
         "6d11027e7e07d20e69cb943fbb7141430be2b41bfc329f34120e4fa3735ea85b",
+    ),
+    # real rates (ky1^2 - 4*ky2 = 280), bracketed: every other pair here has complex rates
+    "sweep-grid-real": (
+        ["sweep-delta-l", "--grid-res", "16"],
+        (20, 30),
+        "delta_l_grid.csv",
+        "8093720c9aad2a713ae6af633de523dd9c27f84f8f27b568f694bef255871e79",
+    ),
+    "sweep-summary-real": (
+        ["sweep-delta-l", "--grid-res", "16"],
+        (20, 30),
+        "delta_l_summary.json",
+        "5f14a9c6c1231b67cc4257515b22b2b32dde713b060162bb32a56651332abfc4",
+    ),
+    "critical-lyapunov-real": (
+        ["critical-lyapunov", "--grid-res", "40"],
+        (20, 30),
+        "critical_lyapunov.json",
+        "e4b6c0459f8e202b2ef0a4a1bf7450f3391920cf9ef05770bccb3c2080cb63c6",
     ),
 }
 
@@ -690,6 +715,8 @@ class TestHittingTime:
         rc = main(["hitting-time", "-0.1", "0"])
         assert rc == 2
         assert "first-quadrant" in capsys.readouterr().err
+        assert main(["hitting-time", "0.1", "0", "--branch", "neg"]) == 2
+        assert "third-quadrant" in capsys.readouterr().err
 
     @pytest.mark.parametrize("e, edot", [("nan", "0.2"), ("inf", "0.2"), ("0.1", "nan")])
     def test_nonfinite_state_rejected(self, e, edot, capsys):
@@ -765,6 +792,47 @@ class TestHittingTime:
         assert out == ""
         assert err.startswith("divergence: " + message)
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        ky1=_LOG_UNIFORM,
+        ky2=_LOG_UNIFORM,
+        e=_LOG_UNIFORM,
+        edot=_LOG_UNIFORM,
+        signs=st.tuples(st.sampled_from((1, -1)), st.sampled_from((1, -1))),
+        branch=st.sampled_from(("pos", "neg")),
+    )
+    # two draws of a log-uniform probe, residuals 1.4e-5 and 1.5e-5 before the mend
+    @example(
+        ky1=369085.3904410721,
+        ky2=7.342722158401528e-06,
+        e=30517154.3558762,
+        edot=35246.48831717204,
+        signs=(-1, -1),
+        branch="neg",
+    )
+    @example(
+        ky1=324355.4950024735,
+        ky2=0.2512874865774807,
+        e=14263009.767754234,
+        edot=0.040780307621145095,
+        signs=(1, 1),
+        branch="pos",
+    )
+    def test_fuzzed_gains_and_states(self, tmp_path_factory, ky1, ky2, e, edot, signs, branch):
+        # any gains and any state: a config error, an inadmissible state, a
+        # missed threshold or a divergence exits 2 or 3, and a printed hitting
+        # time agrees with the event oracle; at stiff real rates a slow rate
+        # taken as (-ky1 + sqrt(ky1^2 - 4*ky2))/2 cancelled
+        cfg = tmp_path_factory.getbasetemp() / "fuzzed_gains.ini"
+        cfg.write_text(f"[model]\nky1 = {ky1!r}\nky2 = {ky2!r}\n")
+        argv = ["hitting-time", repr(signs[0] * e), repr(signs[1] * edot), "--branch", branch]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*argv, "--config", str(cfg)])
+        assert rc in (0, 2, 3)
+        if rc == 0:
+            assert float(out.getvalue().splitlines()[-1].split(":")[1]) < 1e-6
+
 
 class TestNegativeNumbers:
     # argparse alone takes a negative number with an exponent, or -inf, for a flag
@@ -776,7 +844,7 @@ class TestNegativeNumbers:
     def test_exponent_positionals(self, capsys):
         assert main(["hitting-time", "-5e-1", "-2e-1", "--branch", "neg"]) == 0
         t = float(capsys.readouterr().out.splitlines()[0].split(":")[1])
-        assert t == tiltsim.hitting_time(tiltsim.ErrorState(0.5, 0.2), +1)
+        assert t == tiltsim.hitting_time(0.5, 0.2, +1)[0]
 
     def test_infinite_flag_value_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep-delta-l", "--e-min", "-inf", "--out-dir", str(tmp_path / "o")]) == 2

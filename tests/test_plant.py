@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import rotation_matrix, thrust_map, thrust_matrix
+from oracles import angle_in_cone, rotation_matrix, thrust_map, thrust_matrix
 from tiltsim import (
     DEFAULT_PARAMS,
     ModelParams,
     VehicleState,
     accelerate,
     acceleration_angle,
-    angle_in_cone,
     feasible_cone,
 )
 

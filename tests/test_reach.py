@@ -32,13 +32,7 @@ KEPT = {
     "plant.accelerate": _SPAN,
     "analysis.acceleration_angle": _SPAN,
     "analysis.brentq": _SPAN,
-    "analysis.half_period_map": _SPAN + "; " + _PAPER,
     "analysis.verify_quadrant_capture": _SPAN + "; " + _PAPER,
-    "analysis.lyapunov": _PAPER,
-    "analysis.s11_flow": _PAPER,
-    "analysis.saturated_flow": _PAPER,
-    "analysis.delta_l": _PAPER,
-    "analysis.angle_in_cone": _PAPER,
     "simulator.step": _PAPER + ": one closed-loop step, which reproduces a divergence report",
     "output.write_trajectory_csv": _SPAN
     + "; writes a trajectory already in memory (simulate streams its CSV instead)",

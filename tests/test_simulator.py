@@ -11,7 +11,6 @@ import oracles as oc
 from tiltsim import (
     DEFAULT_PARAMS,
     DivergenceError,
-    ErrorState,
     GaitSchedule,
     ModelParams,
     SimConfig,
@@ -393,9 +392,9 @@ class TestRun:
         traj = run(cfg)
         assert not traj.clamped.any()
         for k in (100, 500, 1500, 2000):
-            expected = s11_flow(ErrorState(1e-3, 0.0), k * cfg.dt)
-            assert traj.ey[k] == pytest.approx(expected.e, abs=1e-9)
-            assert traj.eydot[k] == pytest.approx(expected.edot, abs=1e-9)
+            e, edot = s11_flow(1e-3, 0.0, k * cfg.dt)
+            assert traj.ey[k] == pytest.approx(e, abs=1e-9)
+            assert traj.eydot[k] == pytest.approx(edot, abs=1e-9)
 
     def test_large_gait_x_channel_exact(self, large_run):
         assert np.abs(large_run.ex).max() < 1e-6
@@ -442,13 +441,13 @@ class TestRun:
     def test_boundary_states_match_iterated_map(self, large_run):
         # the simulated lateral error at half-period boundaries must agree
         # with the analytic return map iterated from the first boundary
-        s = ErrorState(1 / (2 * SQRT3), 1 / SQRT3)
+        e, edot = 1 / (2 * SQRT3), 1 / SQRT3
         sign = +1
         for h in range(1, 8):
             k = h * 1000
-            assert large_run.ey[k] == pytest.approx(s.e, abs=1e-5)
-            assert large_run.eydot[k] == pytest.approx(s.edot, abs=1e-5)
-            s = half_period_map(s, sign)
+            assert large_run.ey[k] == pytest.approx(e, abs=1e-5)
+            assert large_run.eydot[k] == pytest.approx(edot, abs=1e-5)
+            (e,), (edot,) = half_period_map(e, edot, sign)
             sign = -sign
 
     def test_switch_matrix_restriction(self, large_run):
