@@ -14,8 +14,6 @@ from .gait import GaitSchedule, PRESETS, ReferenceSample, preset, reference_at
 from .controller import clamp, classify_region, desired_accel, raw_inversion, switch_matrix_of
 from .analysis import (
     DELTA_L_CAP,
-    CaptureReport,
-    CriticalLyapunov,
     DeltaLGrid,
     INV_SQRT3,
     acceleration_angle,
@@ -36,7 +34,6 @@ from .simulator import (
     SimConfig,
     TRAJECTORY_COLUMNS,
     Trajectory,
-    VerificationReport,
     run,
     step,
     verify_trajectory,
@@ -60,8 +57,6 @@ __all__ = [
     "raw_inversion",
     "switch_matrix_of",
     "DELTA_L_CAP",
-    "CaptureReport",
-    "CriticalLyapunov",
     "DeltaLGrid",
     "INV_SQRT3",
     "acceleration_angle",
@@ -80,7 +75,6 @@ __all__ = [
     "SimConfig",
     "TRAJECTORY_COLUMNS",
     "Trajectory",
-    "VerificationReport",
     "run",
     "step",
     "verify_trajectory",

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # No code path uses scipy. The benchmark reads ``sys.modules["scipy"]`` and
@@ -80,9 +80,7 @@ __all__ = [
     "half_period_map",
     "DeltaLGrid",
     "delta_l_grid",
-    "CaptureReport",
     "verify_quadrant_capture",
-    "CriticalLyapunov",
     "critical_lyapunov",
     "acceleration_angle",
     "feasible_cone",
@@ -99,6 +97,7 @@ _EVENT_BLOCK = 1024  # steps per scan block of the event oracle; a power of two
 _EVENT_T_MAX = 8.0
 _RTOL = 4.0 * np.finfo(float).eps  # brentq's relative tolerance
 _EVENT_STEP = 1e-2  # longest step of the event oracle
+_EVENT_MAX_STEPS = 8_000_000  # longest scan: 8 s at a step of 1e-6
 _NO_EVENT_ERROR = f"no threshold crossing detected within {_EVENT_T_MAX} s"
 _REFINE_TOL = 1e-4  # width at which the critical-level bisection stops
 _N_ANGLES = 4096  # ellipse angles per level of the critical-level search
@@ -353,12 +352,13 @@ def _event_step(params: ModelParams) -> float:
     """The event oracle's step: 1e-2, at complex rates at most half a radian of their turn.
 
     The PD output crosses the threshold once at real rates, and at complex
-    rates stays below it for over pi/omega after its first crossing. The
-    floor of 1e-6 caps a scan at 8e6 steps.
+    rates stays below it for over pi/omega after its first crossing.
     """
-    disc = params.ky1 * params.ky1 - 4.0 * params.ky2
-    half_radian = 1.0 / math.sqrt(-disc) if disc < 0.0 else math.inf  # 0.5/omega
-    return max(1e-6, min(_EVENT_STEP, half_radian))
+    k1, k2 = params.ky1, params.ky2
+    if not k1 * k1 < 4.0 * k2:  # real or repeated rates, or inf - inf
+        return _EVENT_STEP
+    # 0.5/omega, the same bits as 1/sqrt(4*ky2 - ky1^2) where 4*ky2 does not overflow
+    return min(_EVENT_STEP, 0.5 / math.sqrt(k2 - k1 * k1 / 4.0))
 
 
 def hitting_time_simulated(e, edot, lambda_sign, params: ModelParams = DEFAULT_PARAMS):
@@ -384,7 +384,7 @@ def hitting_time_simulated(e, edot, lambda_sign, params: ModelParams = DEFAULT_P
     gap = _pd_output(y[:, 0], y[:, 1], params) - INV_SQRT3
     times[(gap < 0.0) | ((gap == 0.0) & (_pd_slope(y[:, 0], y[:, 1], params) <= 0.0))] = 0.0
     h = _event_step(params)
-    n_steps = int(round(_EVENT_T_MAX / h))
+    n_steps = min(round(_EVENT_T_MAX / h), _EVENT_MAX_STEPS)
     powers = np.empty((_EVENT_BLOCK + 1, 2, 2))  # P^0 .. P^B, by doubling
     powers[0], powers[1] = np.eye(2), _flow_matrix(h, params)
     m = 1
@@ -495,28 +495,6 @@ class DeltaLGrid:
         }
 
 
-@dataclass
-class CaptureReport:
-    """Outcome of mapping every admissible grid cell across a half period."""
-
-    lambda_sign: int
-    n_admissible: int
-    violations: list[tuple[float, float]] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_sign": self.lambda_sign,
-            "n_admissible": self.n_admissible,
-            "n_violations": len(self.violations),
-            "violations_head": [list(v) for v in self.violations[:20]],
-            "passed": self.passed,
-        }
-
-
 def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
     """Map a grid once: ``(grid, e0, ed0, e1, ed1)``, the Lyapunov-change grid
     (NaN on masked cells), the admissible cells in row-major order and their images.
@@ -542,12 +520,22 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
 
 
-def _capture(grid: DeltaLGrid, e0, ed0, e1, ed1, params: ModelParams) -> CaptureReport:
-    """Capture of a ``_map_grid`` result: an image not finite or not in the mirrored region fails."""
+def _capture(grid: DeltaLGrid, e0, ed0, e1, ed1, params: ModelParams) -> dict:
+    """Capture of a ``_map_grid`` result: an image not finite or not in the mirrored region fails.
+
+    ``violations_head`` lists the first 20 failing start cells.
+    """
     captured = in_admissible_region(e1, ed1, -grid.lambda_sign, params)
     captured &= np.isfinite(e1) & np.isfinite(ed1)
-    violations = list(zip(e0[~captured].tolist(), ed0[~captured].tolist()))
-    return CaptureReport(grid.lambda_sign, e0.size, violations)
+    failed = np.flatnonzero(~captured)
+    head = failed[:20]
+    return {
+        "lambda_sign": grid.lambda_sign,
+        "n_admissible": e0.size,
+        "n_violations": failed.size,
+        "violations_head": np.stack([e0[head], ed0[head]], axis=1).tolist(),
+        "passed": not failed.size,
+    }
 
 
 def delta_l_grid(
@@ -573,7 +561,7 @@ def verify_quadrant_capture(
     lambda_sign: int,
     params: ModelParams = DEFAULT_PARAMS,
     half_period: float = 1.0,
-) -> CaptureReport:
+) -> dict:
     """Check that the half-period map sends its capture region to the mirror.
 
     Every admissible start cell must land in the opposite-sign capture
@@ -585,44 +573,20 @@ def verify_quadrant_capture(
     return _capture(*cells, params)
 
 
-@dataclass(frozen=True)
-class CriticalLyapunov:
-    """Largest Lyapunov level whose ellipse still meets the nonneg-change set."""
-
-    l_critical: float
-    grid_max: float
-    n_positive_cells: int
-    resolution: int
-    # False when l_critical is not a critical level: either no level above the
-    # grid maximum cleared the nonnegative-change set (l_critical is the last
-    # search bound), or no grid cell has nonnegative change (n_positive_cells
-    # is 0 and l_critical is 0.0)
-    bracketed: bool = True
-
-    @property
-    def sup_bound(self) -> float:
-        """Steady-state Lyapunov supremum bound: level plus the 3/4 cap."""
-        return self.l_critical + DELTA_L_CAP
-
-    def to_dict(self) -> dict:
-        return {
-            "l_critical": self.l_critical,
-            "grid_max": self.grid_max,
-            "n_positive_cells": self.n_positive_cells,
-            "resolution": self.resolution,
-            "sup_bound": self.sup_bound,
-            "bracketed": self.bracketed,
-        }
-
-
 def critical_lyapunov(
     e_range: tuple[float, float] = (-2.0, 2.0),
     edot_range: tuple[float, float] = (-2.0, 2.0),
     resolution: int = 200,
     params: ModelParams = DEFAULT_PARAMS,
     half_period: float = 1.0,
-) -> CriticalLyapunov:
+) -> dict:
     """Compute the critical Lyapunov level by grid pass plus level bisection.
+
+    Returns the dict of ``critical_lyapunov.json``: ``l_critical``, the
+    largest level whose ellipse still meets the nonnegative-change set;
+    ``grid_max``, the largest level of a nonnegative-change grid cell;
+    ``n_positive_cells``, those cells of both yaw signs; ``resolution``;
+    ``sup_bound``, the level plus the 3/4 cap; and ``bracketed``.
 
     A coarse grid over both capture regions locates cells whose half-period
     Lyapunov change is nonnegative; the largest level among them brackets
@@ -631,7 +595,9 @@ def critical_lyapunov(
     nonnegative-change set", sampling the ellipse at ``_N_ANGLES`` angles in
     both capture regions. When no cell has nonnegative change there is no
     level to refine: the result is a degenerate zero level with
-    ``bracketed`` false and ``n_positive_cells`` 0, and a warning. An
+    ``bracketed`` false and ``n_positive_cells`` 0, and a warning. When no
+    level of the upper-bracket search clears the set, ``l_critical`` is the
+    last search bound, ``bracketed`` is false, and a warning says so. An
     admissible cell whose change is not finite raises ``FloatingPointError``
     with the count of such cells.
     """
@@ -639,7 +605,7 @@ def critical_lyapunov(
     return _critical_from(grid, params, half_period)
 
 
-def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) -> CriticalLyapunov:
+def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) -> dict:
     """``critical_lyapunov`` from the grid of one yaw sign, as a sweep has it.
 
     The grid of the other sign is computed here, over the grid's own ranges
@@ -658,13 +624,25 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
     # first cell of the largest level is the witness
     pos = np.stack([g.mask & (g.values >= 0.0) for g in grids])
     n_pos = int(np.count_nonzero(pos))
-    if n_pos == 0:
-        warnings.warn("no grid cell has nonnegative half-period Lyapunov change")
-        return CriticalLyapunov(0.0, 0.0, 0, resolution, bracketed=False)
     e, ed = (np.broadcast_to(v, pos.shape)[pos] for v in (e_vals[:, None], ed_vals))
     levels = 0.5 * ed ** 2 + 0.5 * params.ky2 * e ** 2
+    grid_max = float(levels.max(initial=0.0))
+
+    def result(level: float, bracketed: bool = True) -> dict:
+        level = float(level)
+        return {
+            "l_critical": level,
+            "grid_max": grid_max,
+            "n_positive_cells": n_pos,
+            "resolution": resolution,
+            "sup_bound": level + DELTA_L_CAP,
+            "bracketed": bracketed,
+        }
+
+    if n_pos == 0:
+        warnings.warn("no grid cell has nonnegative half-period Lyapunov change")
+        return result(0.0, bracketed=False)
     k = int(np.argmax(levels))
-    grid_max = float(levels[k])
     witness_phi = math.atan2(
         ed[k] / math.sqrt(2.0 * grid_max), e[k] / math.sqrt(2.0 * grid_max / params.ky2)
     )
@@ -701,9 +679,6 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
         out = np.zeros(levels.shape, dtype=bool)
         out[rows] = grows(e1, ed1, levels[rows])
         return out
-
-    def result(level: float, bracketed: bool = True) -> CriticalLyapunov:
-        return CriticalLyapunov(float(level), grid_max, n_pos, resolution, bracketed)
 
     # upper bracket: the first of 60 growing levels whose ellipse misses the
     # nonnegative-change set; levels whose first cell grows are skipped

@@ -5,10 +5,10 @@ switch-matrix control rule, the region classification rule, hitting-time
 range and residual, quadrant capture, the half-period Lyapunov-change cap,
 endpoint-maximality of the Lyapunov log, and odd symmetry of the
 half-period map. Each check function returns ``(passed, detail)``, and
-``check`` turns it into a ``Check``: an exception fails the check with its
-type and message, so a gain setting that breaks the analysis is flagged,
-not fatal. ``verify_trajectory`` builds the ``simulate`` report with the
-same ``Check`` and ``check``.
+``check`` turns it into the dict that the report holds: an exception fails
+the check with its type and message, so a gain setting that breaks the
+analysis is flagged, not fatal. ``verify_trajectory`` builds the
+``simulate`` report with the same ``check``.
 
 The checks work on arrays; the controller-rule checks call each controller
 function once (per yaw sign) on a block of values. ``_sample_region`` draws
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,45 +43,33 @@ from .controller import clamp, classify_region, desired_accel, raw_inversion, sw
 from .gait import reference_at
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
-__all__ = ["Check", "NotApplicable", "check", "run_lemma_checks"]
+__all__ = ["NotApplicable", "check", "run_lemma_checks"]
 
 _N_SAMPLES = 200  # states per sampled check
-
-
-@dataclass
-class Check:
-    """One property's verdict; a check that does not apply passes."""
-
-    name: str
-    applicable: bool
-    passed: bool
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))  # the fields in order; asdict would deep-copy the detail
 
 
 class NotApplicable(Exception):
     """Raised while evaluating a check that turns out not to apply; the message is the reason."""
 
 
-def check(name: str, reason: str | None, evaluate) -> Check:
+def check(name: str, reason: str | None, evaluate) -> dict:
     """The verdict of ``evaluate() -> (passed, detail)``, unless ``reason`` says it does not apply.
 
-    A not-applicable reason, given or raised as ``NotApplicable``, gives a
-    passing check with ``applicable`` false and the reason in ``note``; any
-    other exception gives a failing check with ``"<Type>: <message>"`` in
-    ``error``.
+    The verdict is the dict ``{"name", "applicable", "passed", "detail"}``
+    that the reports write. A not-applicable reason, given or raised as
+    ``NotApplicable``, gives a passing check with ``applicable`` false and
+    the reason in ``note``; any other exception gives a failing check with
+    ``"<Type>: <message>"`` in ``error``.
     """
     try:
         if reason:
             raise NotApplicable(reason)
         passed, detail = evaluate()
     except NotApplicable as exc:
-        return Check(name, False, True, {"note": str(exc)})
+        return {"name": name, "applicable": False, "passed": True, "detail": {"note": str(exc)}}
     except Exception as exc:  # a check that cannot be computed is reported, not fatal
-        return Check(name, True, False, {"error": f"{type(exc).__name__}: {exc}"})
-    return Check(name, True, passed, detail)
+        passed, detail = False, {"error": f"{type(exc).__name__}: {exc}"}
+    return {"name": name, "applicable": True, "passed": passed, "detail": detail}
 
 
 def _sample_region(rng, n, lambda_sign, params):
@@ -165,9 +152,8 @@ def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
 
 
 def _check_capture(maps, params) -> tuple[bool, dict]:
-    reports = {sign: _capture(*m, params) for sign, m in maps.items()}
-    passed = all(r.passed for r in reports.values())
-    return passed, {str(sign): rep.to_dict() for sign, rep in reports.items()}
+    reports = {str(sign): _capture(*m, params) for sign, m in maps.items()}
+    return all(r["passed"] for r in reports.values()), reports
 
 
 def _check_self_map(maps, params) -> tuple[bool, dict]:
@@ -184,21 +170,18 @@ def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
     details = {}
     ok = True
     for sign in (+1, -1):
-        grid, e0, ed0 = maps[sign][:3]
-        # the admissible changes, in the row-major order of e0 and ed0
-        changes = grid.values[grid.mask]
-        n_bad = changes.size - int(np.count_nonzero(np.isfinite(changes)))
-        if n_bad:  # nanmax would skip them, and report -inf when all are
+        grid = maps[sign][0]
+        n_bad = int(np.count_nonzero(grid.mask & ~np.isfinite(grid.values)))
+        if n_bad:  # the maximum would be NaN, which strict JSON cannot hold
             raise ValueError(
                 f"half-period Lyapunov change is not finite at {n_bad} of "
-                f"{changes.size} admissible cells, yaw sign {sign}"
+                f"{grid.n_admissible} admissible cells, yaw sign {sign}"
             )
-        if not changes.size:
+        peak = grid.max_delta_l()
+        if peak is None:
             details[str(sign)] = {"max_delta_l": None}
             continue
-        peak = float(np.max(changes))
-        k = int(np.argmax(changes))
-        arg = [float(e0[k]), float(ed0[k])]
+        arg = list(grid.argmax_state())
         de = float(grid.e_values[1] - grid.e_values[0]) if len(grid.e_values) > 1 else 0.0
         g = _pd_output(*arg, params)
         line_dist = abs(g - sign * INV_SQRT3) / math.hypot(params.ky2, params.ky1)
@@ -285,9 +268,9 @@ def run_lemma_checks(
     }
     checks = [check(name, None, evaluate) for name, evaluate in suite.items()]
     return {
-        "passed": all(c.passed for c in checks),
+        "passed": all(c["passed"] for c in checks),
         "seed": seed,
         "resolution": resolution,
         "gains": {"ky1": params.ky1, "ky2": params.ky2, "kx1": params.kx1, "kx2": params.kx2},
-        "checks": [c.to_dict() for c in checks],
+        "checks": checks,
     }

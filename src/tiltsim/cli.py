@@ -54,8 +54,8 @@ REGION_ERROR = {
 
 def _print_level_note(crit) -> None:
     """Say why an unbracketed level is not a critical level; nothing for a bracketed one."""
-    if not crit.bracketed:
-        print(DEGENERATE_NOTE if crit.n_positive_cells == 0 else UNBRACKETED_NOTE)
+    if not crit["bracketed"]:
+        print(DEGENERATE_NOTE if crit["n_positive_cells"] == 0 else UNBRACKETED_NOTE)
 
 
 def _print_checks(report: dict) -> None:
@@ -130,7 +130,6 @@ def cmd_simulate(args) -> int:
             report.update(step=exc.step, yaw=exc.yaw, state=dataclasses.asdict(exc.state))
         else:
             report = verify_trajectory(traj, sim_cfg, grid_resolution=cfg.sweep.resolution)
-            report = report.to_dict()
     write_json(out_dir / "report.json", report)
     if report.get("diverged"):
         return EXIT_DIVERGED
@@ -163,9 +162,7 @@ def cmd_sweep_delta_l(args) -> int:
     else:
         # the search takes this grid and computes only the other sign's
         crit = analysis._critical_from(grid, cfg.params, cfg.gait.half_period)
-        summary["l_critical"] = crit.l_critical
-        summary["sup_bound"] = crit.sup_bound
-        summary["bracketed"] = crit.bracketed
+        summary.update((k, crit[k]) for k in ("l_critical", "sup_bound", "bracketed"))
     out_dir.mkdir(parents=True, exist_ok=True)
     write_grid_csv(grid, out_dir / "delta_l_grid.csv")
     write_json(out_dir / "delta_l_summary.json", summary)
@@ -173,7 +170,7 @@ def cmd_sweep_delta_l(args) -> int:
     print(f"admissible cells: {summary['n_admissible']}")
     print(f"nonnegative-change cells: {summary['n_positive']}")
     if summary["l_critical"] is not None:
-        print(f"nonnegative-change cells, both yaw signs: {crit.n_positive_cells}")
+        print(f"nonnegative-change cells, both yaw signs: {crit['n_positive_cells']}")
     print(f"max delta L: {'n/a' if peak is None else fmt(peak)}")
     if summary["l_critical"] is not None:
         print(f"L_critical: {fmt(summary['l_critical'])}")
@@ -236,11 +233,11 @@ def cmd_critical_lyapunov(args) -> int:
         half_period=cfg.gait.half_period,
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "critical_lyapunov.json", crit.to_dict())
-    print(f"L_critical: {fmt(crit.l_critical)}")
-    print(f"grid max: {fmt(crit.grid_max)}")
-    print(f"nonnegative-change cells: {crit.n_positive_cells}")
-    print(f"supremum bound: {fmt(crit.sup_bound)}")
+    write_json(out_dir / "critical_lyapunov.json", crit)
+    print(f"L_critical: {fmt(crit['l_critical'])}")
+    print(f"grid max: {fmt(crit['grid_max'])}")
+    print(f"nonnegative-change cells: {crit['n_positive_cells']}")
+    print(f"supremum bound: {fmt(crit['sup_bound'])}")
     _print_level_note(crit)
     return EXIT_OK
 

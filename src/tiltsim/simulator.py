@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .analysis import DELTA_L_CAP, TWO_PI, critical_lyapunov, feasible_cone
 from .analysis import in_admissible_region, lyapunov
-from .checks import Check, NotApplicable, check
+from .checks import NotApplicable, check
 from .gait import GaitSchedule, PRESETS
 from .plant import DEFAULT_PARAMS, ModelParams, VehicleState
 
@@ -30,7 +30,6 @@ __all__ = [
     "TRAJECTORY_COLUMNS",
     "step",
     "run",
-    "VerificationReport",
     "verify_trajectory",
 ]
 
@@ -371,32 +370,16 @@ def _trajectory(rows: np.ndarray, config: SimConfig, lo: int = 0) -> Trajectory:
         )
 
 
-@dataclass
-class VerificationReport:
-    """Per-property pass/fail record for one completed run."""
-
-    checks: list[Check]
-    summary: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
-            "summary": self.summary,
-        }
-
-
 def verify_trajectory(
     traj: Trajectory,
     config: SimConfig,
     l_critical: float | None = None,
     grid_resolution: int = 200,
-) -> VerificationReport:
+) -> dict:
     """Check the logged run against the saturation-stability properties.
+
+    Returns the ``simulate`` report ``{"passed", "checks", "summary"}``, one
+    ``checks.check`` verdict per property:
 
     (a) from the second half period on, the saturation pattern stays in the
         two-element set allowed by the yaw sign; (b) within each complete
@@ -407,13 +390,13 @@ def verify_trajectory(
         boundaries stays inside the union of the two capture regions.
 
     All four work on the boundary rows ``b = m, 2m, ..., n_half*m`` (``m``
-    steps per half period) and on whole columns of the log. Each is built
-    with ``checks.check``: a check that does not apply passes with
-    ``applicable`` false and its reason in ``note``, and an exception fails
-    it with the error. (a) and (b) need one complete half period, and (c)
-    and (d) also need a run where clamping actually occurred. If
-    ``l_critical`` is not given, (c) computes it at ``grid_resolution``, and
-    does not apply if the search could not bracket the level.
+    steps per half period) and on whole columns of the log. A check that
+    does not apply passes with ``applicable`` false and its reason in
+    ``note``, and an exception fails it with the error. (a) and (b) need one
+    complete half period, and (c) and (d) also need a run where clamping
+    actually occurred. If ``l_critical`` is not given, (c) computes it at
+    ``grid_resolution``, and does not apply if the search could not bracket
+    the level.
     """
     params, m, lyap = config.params, config.steps_per_half, traj.lyap
     size = len(traj)
@@ -447,9 +430,9 @@ def verify_trajectory(
             crit = critical_lyapunov(
                 resolution=grid_resolution, params=params, half_period=config.gait.half_period
             )
-            if not crit.bracketed:
+            if not crit["bracketed"]:
                 raise NotApplicable("critical level not bracketed")
-            l_critical = crit.l_critical
+            l_critical = crit["l_critical"]
         bound = l_critical + DELTA_L_CAP
         sup_tail = float(lyap[(settle_h or 1) * m :].max())
         return sup_tail <= bound, {
@@ -481,4 +464,5 @@ def verify_trajectory(
         "settling_half_period": settle_h,
         "l_critical": l_critical if saturated_run else None,
     }
-    return VerificationReport(checks=checks, summary=summary)
+    passed = all(c["passed"] for c in checks)
+    return {"passed": passed, "checks": checks, "summary": summary}

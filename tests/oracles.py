@@ -58,6 +58,7 @@ from tiltsim import (
 )
 from tiltsim.analysis import (
     _EVENT_BLOCK,
+    _EVENT_MAX_STEPS,
     _EVENT_T_MAX,
     INV_SQRT3,
     TWO_PI,
@@ -238,7 +239,7 @@ def bisect_event_hitting_times(e, edot, lambda_sign, params):
     times = np.full(y.shape[0], np.nan)
     times[gap(y) <= 0.0] = 0.0
     h = _event_step(params)
-    n_steps = int(round(_EVENT_T_MAX / h))
+    n_steps = min(round(_EVENT_T_MAX / h), _EVENT_MAX_STEPS)
     powers = np.empty((_EVENT_BLOCK, 2, 2))  # P^1 .. P^B, by doubling
     powers[0] = _flow_matrix(h, params)
     m = 1
@@ -482,7 +483,7 @@ def joined_grid_csv(grid, path):
 
 
 def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200):
-    """``verify_trajectory(...).to_dict()``, one half-period boundary at a time.
+    """``verify_trajectory(...)``, one half-period boundary at a time.
 
     Each window, boundary and capture test is a loop over half periods with
     scalar region tests; a check that does not apply carries its reason in
@@ -559,11 +560,11 @@ def scalar_verify_trajectory(traj, config, l_critical=None, grid_resolution=200)
         crit = critical_lyapunov(
             resolution=grid_resolution, params=params, half_period=config.gait.half_period
         )
-        if crit.bracketed:
-            l_critical = crit.l_critical
+        if crit["bracketed"]:
+            l_critical = crit["l_critical"]
     if not saturated_run or empty:
         checks.append(skipped("lyapunov_sup_bound", "empty" if empty else "no clamping occurred"))
-    elif crit is not None and not crit.bracketed:
+    elif crit is not None and not crit["bracketed"]:
         checks.append(skipped("lyapunov_sup_bound", "critical level not bracketed"))
     else:
         bound = l_critical + DELTA_L_CAP

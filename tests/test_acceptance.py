@@ -79,7 +79,7 @@ def test_criterion_2_large_gait_bounded_not_convergent(large_result, lcrit_200):
     max_ex = float(np.abs(traj.ex).max())
     tail = np.abs(traj.ey[10000:])
     max_ey_tail = float(tail.max())
-    ellipse_extent = math.sqrt(lcrit_200.l_critical + DELTA_L_CAP) / 3.0
+    ellipse_extent = math.sqrt(lcrit_200["l_critical"] + DELTA_L_CAP) / 3.0
     ok = max_ex < 1e-6 and max_ey_tail > 1e-3 and max_ey_tail < ellipse_extent + 1e-3
     report(
         2,
@@ -141,11 +141,11 @@ def test_criterion_6_quadrant_capture_and_self_map():
             n_composed += 1
             back = half_period_map(*half_period_map(e, ed, +1), -1)
             self_map_ok &= bool(in_admissible_region(*back, +1)[0])
-    ok = rep1.passed and rep3.passed and self_map_ok
+    ok = rep1["passed"] and rep3["passed"] and self_map_ok
     report(
         6,
         ok,
-        f"QI {rep1.n_admissible} cells, QIII {rep3.n_admissible} cells, "
+        f"QI {rep1['n_admissible']} cells, QIII {rep3['n_admissible']} cells, "
         f"composition checked on {n_composed} cells",
     )
 
@@ -181,8 +181,8 @@ def test_criterion_9_supremum_bound(large_result, lcrit_200, lcrit_400):
         1,
     )
     sup_tail = float(traj.lyap[settle * m :].max())
-    bound = lcrit_200.l_critical + DELTA_L_CAP
-    rel_drift = abs(lcrit_200.l_critical - lcrit_400.l_critical) / lcrit_400.l_critical
+    bound = lcrit_200["l_critical"] + DELTA_L_CAP
+    rel_drift = abs(lcrit_200["l_critical"] - lcrit_400["l_critical"]) / lcrit_400["l_critical"]
     ok = sup_tail <= bound and rel_drift < 0.01
     report(
         9,

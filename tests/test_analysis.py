@@ -1,6 +1,4 @@
-import dataclasses
 import inspect
-import json
 import math
 import warnings
 
@@ -32,7 +30,6 @@ from tiltsim.analysis import _map_grid, _require_hits
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
     _N_SAMPLES,
-    Check,
     _check_clamp_rule,
     _check_delta_l_bound,
     _check_local_max,
@@ -443,7 +440,8 @@ class TestEventEngine:
             (5000.0, 18.0, 1e-2),  # real rates far apart: the fast one does not count
             (2.0, 1e6 + 1.0, 5e-4),  # omega = 1000
             (1e300, 18.0, 1e-2),  # ky1^2 overflows: real rates
-            (9.0, 1e300, 1e-6),  # the floor
+            (9.0, 1e300, 5e-151),  # no floor: half a radian at omega = 1e150
+            (9.0, 1e308, 5e-155),  # 4*ky2 overflows, ky2 - ky1^2/4 does not
             (1e200, 1e308, 1e-2),  # ky1^2 - 4*ky2 is inf - inf: no turn to resolve
         ],
     )
@@ -451,31 +449,47 @@ class TestEventEngine:
         assert analysis._event_step(ModelParams(ky1=ky1, ky2=ky2)) == step
 
     def test_nonfinite_gap_leaves_the_scan(self, scanned):
-        # at ky2 = 1e300 the step is 1e-6, and the 980 squarings of exp(hA)
-        # overflow, so every gap is NaN: the scan stops after its first block,
-        # not 7813 blocks on
-        p = ModelParams(ky2=1e300)
+        # at (1.7e308, 1.7e308) the squarings of exp(hA) overflow, so every
+        # gap is NaN, in the one block of an 800-step scan
+        p = ModelParams(ky1=1.7e308, ky2=1.7e308)
         with np.errstate(all="ignore"):
             t = hitting_time_simulated(np.full(40, 0.5), np.full(40, 0.2), +1, p)
+        assert np.isnan(t).all() and scanned == [0]
+        # at ky2 = 1e12 the scan has 7813 blocks of steps 5e-7; a state at
+        # 1e300 has an infinite gap, and the scan stops after its first block
+        # (then the empty test that ends the loop)
+        scanned.clear()
+        with np.errstate(all="ignore"):
+            far = np.full(40, 1e300)
+            t = hitting_time_simulated(far, far, +1, ModelParams(ky2=1e12))
         assert np.isnan(t).all()
-        # the first block and the empty test that ends the loop
         assert scanned == [0, analysis._EVENT_BLOCK]
 
     @pytest.mark.parametrize(
         "ky1, ky2", [(1e300, 18.0), (9.0, 1e300), (1e200, 1e308), (1.7e308, 1.7e308)]
     )
     def test_extreme_gains_scan_one_block(self, ky1, ky2, scanned):
-        # no exception and one block; the times are NaN, except at (1e300, 18),
-        # where the fast rate crosses at about 7e-298 s and the refinement
-        # stops within its tolerance of 1e-14
+        # no exception and one block; the times are NaN where ky1^2 and 4*ky2
+        # both overflow, and tiny elsewhere: at (1e300, 18) the fast rate
+        # crosses at about 7e-298 s and the refinement stops within its
+        # tolerance of 1e-14; at (9, 1e300) the turn crosses at about 1.6e-150 s
         p = ModelParams(ky1=ky1, ky2=ky2)
         with np.errstate(all="ignore"):
             t = hitting_time_simulated(np.full(40, 0.5), np.full(40, 0.2), +1, p)
         assert scanned in ([0], [0, analysis._EVENT_BLOCK])
-        if ky2 == 18.0:
+        if ky2 in (18.0, 1e300):
             assert ((0.0 < t) & (t < 1e-14)).all()
         else:
             assert np.isnan(t).all()
+
+    @pytest.mark.parametrize("ky2", [1e300, 1e308])
+    def test_fastest_turns_give_finite_times(self, ky2):
+        # a step of 1e-6 overflowed exp(hA) here, and every time was NaN; the
+        # PD output, ky2*e of size 1e300, crosses the threshold a hair before
+        # a quarter turn
+        with np.errstate(all="ignore"):
+            t = hitting_time_simulated(0.5, 0.2, +1, ModelParams(ky2=ky2))
+        assert t[0] == pytest.approx(0.5 * math.pi / math.sqrt(ky2), rel=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(gains=_gains, cells=st.lists(_cell, min_size=1, max_size=8))
@@ -633,18 +647,27 @@ class TestLemmaChecks:
         residual = next(c for c in rep["checks"] if c["name"] == "hitting_time_residual")
         assert residual["passed"] and residual["detail"]["max_residual"] < 1e-13
 
+    @pytest.mark.parametrize("ky2", [3e13, 1e16])
+    def test_residual_passes_at_fast_turns(self, ky2):
+        # a floor of 1e-6 on the event oracle's step, over a turn of omega =
+        # 5.5e6 and 1e8, put the crossing inside a step it could not resolve:
+        # residuals 1.15e-6 and 2.95e-6
+        rep = run_lemma_checks(ModelParams(ky2=ky2), 30, 0)
+        residual = next(c for c in rep["checks"] if c["name"] == "hitting_time_residual")
+        assert residual["passed"] and residual["detail"]["max_residual"] < 1e-13
+
     def test_region_rule_does_not_apply_where_rounding_decides(self):
         # at ky1 = 1e300 one rotor's command, constant in real arithmetic,
         # cancels to a rounding residue of its terms, which are of the PD
         # output's size: no state is left to check
         rng, p = np.random.default_rng(0), ModelParams(ky1=1e300)
         got = check("region_rule_consistency", None, lambda: _check_region_rule(rng, 200, p))
-        assert got == Check(
-            "region_rule_consistency",
-            False,
-            True,
-            {"note": "float rounding cannot resolve the rule at any of 200 states"},
-        )
+        assert got == {
+            "name": "region_rule_consistency",
+            "applicable": False,
+            "passed": True,
+            "detail": {"note": "float rounding cannot resolve the rule at any of 200 states"},
+        }
 
     @pytest.mark.parametrize(
         "ranges, resolution",
@@ -684,18 +707,6 @@ class TestLemmaChecks:
         assert str(err.value) == (
             f"half-period Lyapunov change is not finite at {n} of {n} admissible cells, yaw sign 1"
         )
-
-    @pytest.mark.parametrize("ky1", [9.0, 1e300])
-    def test_check_dict_is_asdict(self, ky1, monkeypatch):
-        made = []
-        real = checks.check
-        monkeypatch.setattr(checks, "check", lambda *a: made.append(real(*a)) or made[-1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            run_lemma_checks(ModelParams(ky1=ky1), resolution=30, seed=0)
-        assert len(made) == 9
-        for c in made:
-            assert json.dumps(c.to_dict()) == json.dumps(dataclasses.asdict(c))
 
     def test_region_rule_applies_the_pd_law_once(self, monkeypatch):
         # the PD law does not depend on the yaw, so both signs share one call
@@ -974,18 +985,18 @@ class TestMapGrid:
 class TestQuadrantCapture:
     def test_first_quadrant(self):
         rep = verify_quadrant_capture((-2.0, 2.0), (-2.0, 2.0), 150, +1)
-        assert rep.n_admissible > 0
-        assert rep.passed
+        assert rep["n_admissible"] > 0
+        assert rep["passed"]
 
     def test_third_quadrant(self):
         rep = verify_quadrant_capture((-2.0, 2.0), (-2.0, 2.0), 150, -1)
-        assert rep.n_admissible > 0
-        assert rep.passed
+        assert rep["n_admissible"] > 0
+        assert rep["passed"]
 
     def test_empty_grid_trivially_passes(self):
         rep = verify_quadrant_capture((-1.0, -0.5), (-0.1, 0.0), 20, +1)
-        assert rep.n_admissible == 0
-        assert rep.passed
+        assert rep["n_admissible"] == 0
+        assert rep["passed"]
 
 
 def _map_cell(p):
@@ -1001,21 +1012,21 @@ def _map_cell(p):
 class TestCriticalLyapunov:
     def test_positive_and_refined(self):
         crit = critical_lyapunov(resolution=150)
-        assert crit.l_critical > 0.0
-        assert crit.l_critical >= crit.grid_max - 1e-12
-        assert crit.sup_bound == pytest.approx(crit.l_critical + DELTA_L_CAP)
+        assert crit["l_critical"] > 0.0
+        assert crit["l_critical"] >= crit["grid_max"] - 1e-12
+        assert crit["sup_bound"] == pytest.approx(crit["l_critical"] + DELTA_L_CAP)
 
     def test_stable_under_refinement(self):
         c1 = critical_lyapunov(resolution=100)
         c2 = critical_lyapunov(resolution=200)
-        assert abs(c1.l_critical - c2.l_critical) / c2.l_critical < 0.01
+        assert abs(c1["l_critical"] - c2["l_critical"]) / c2["l_critical"] < 0.01
 
     def test_generic_gains_regression(self):
         # recorded with the cell-by-cell engine this replaced
         crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=6.0, ky2=12.0))
-        assert crit.l_critical == 0.8713017756479291
-        assert crit.grid_max == 0.7744904667981592
-        assert crit.n_positive_cells == 30
+        assert crit["l_critical"] == 0.8713017756479291
+        assert crit["grid_max"] == 0.7744904667981592
+        assert crit["n_positive_cells"] == 30
 
     @pytest.mark.parametrize(
         "ky1, ky2, l_critical, grid_max, n_positive",
@@ -1034,7 +1045,7 @@ class TestCriticalLyapunov:
         assert [str(w.message) for w in caught] == [
             "could not bracket the critical level from above"
         ]
-        assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
+        assert (crit["l_critical"], crit["grid_max"], crit["n_positive_cells"]) == (
             l_critical,
             grid_max,
             n_positive,
@@ -1053,19 +1064,19 @@ class TestCriticalLyapunov:
             crit = critical_lyapunov(resolution=16, params=p)
         grids = [delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, sign, p) for sign in (+1, -1)]
         level, witness = oc.grid_level_and_witness(grids, ky2)
-        assert level == crit.grid_max
+        assert level == crit["grid_max"]
         want = oc.scalar_critical_search(
             _map_cell(p), level, witness, ky1, ky2
         )
-        assert (crit.l_critical, 0, crit.bracketed) == want  # no cell skipped
+        assert (crit["l_critical"], 0, crit["bracketed"]) == want  # no cell skipped
 
     def test_degenerate_when_no_positive_cells(self):
         # far corner of the admissible region: every cell loses energy
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             crit = critical_lyapunov((1.5, 2.0), (1.5, 2.0), 40)
-        assert crit.l_critical == 0.0
-        assert crit.n_positive_cells == 0
+        assert crit["l_critical"] == 0.0
+        assert crit["n_positive_cells"] == 0
 
     @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0)])
     def test_degenerate_level_not_bracketed(self, ky1, ky2):
@@ -1073,24 +1084,21 @@ class TestCriticalLyapunov:
         # loses energy, so there is no level to search from
         with pytest.warns(UserWarning, match="no grid cell has nonnegative"):
             crit = critical_lyapunov(resolution=1, params=ModelParams(ky1=ky1, ky2=ky2))
-        assert (crit.l_critical, crit.n_positive_cells) == (0.0, 0)
-        assert crit.bracketed is False
-        assert crit.to_dict()["bracketed"] is False
+        assert (crit["l_critical"], crit["n_positive_cells"]) == (0.0, 0)
+        assert crit["bracketed"] is False
 
     @pytest.mark.parametrize("ky1, ky2", [(5.0, 20.0), (6.0, 22.0), (7.0, 23.0), (8.0, 24.0)])
     def test_unbracketed_level_flagged(self, ky1, ky2):
         with pytest.warns(UserWarning, match="could not bracket"):
             crit = critical_lyapunov(resolution=16, params=ModelParams(ky1=ky1, ky2=ky2))
-        assert crit.bracketed is False
-        assert crit.to_dict()["bracketed"] is False
+        assert crit["bracketed"] is False
 
     @pytest.mark.parametrize("ky1, ky2", [(9.0, 18.0), (6.0, 12.0)])
     def test_bracketed_level_flagged(self, ky1, ky2):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=ky1, ky2=ky2))
-        assert crit.bracketed is True
-        assert crit.to_dict()["bracketed"] is True
+        assert crit["bracketed"] is True
 
 
 class TestRootSolver:
@@ -1120,7 +1128,7 @@ class TestRootSolver:
         monkeypatch.setattr(analysis, "brentq", refuse)
         p = ModelParams(ky1=6.0, ky2=12.0)
         crit = critical_lyapunov(resolution=12, params=p)
-        assert crit.bracketed and crit.l_critical > crit.grid_max
+        assert crit["bracketed"] and crit["l_critical"] > crit["grid_max"]
         half_period_map(0.5, 0.2, +1, p)
         assert 0.0 < hitting_time(-0.5, -0.2, -1, p)[0] < 8.0
 
@@ -1152,7 +1160,7 @@ class TestRootSolver:
         assert calls[:n_grid] == [(64, 6)]
         assert calls[n_grid:] == [(64, 6), (64, 6), (1026, 5), (59, 5)]
         np.testing.assert_array_equal(grid_again.values, grid.values)
-        assert (crit.l_critical, crit.grid_max, crit.n_positive_cells) == (
+        assert (crit["l_critical"], crit["grid_max"], crit["n_positive_cells"]) == (
             27406278.768203944,
             42.0,
             122,
@@ -1191,7 +1199,7 @@ class TestRootSolver:
 
         monkeypatch.setattr(analysis, "_newton", counting)
         crit = critical_lyapunov(resolution=40, params=ModelParams(ky1=2.0, ky2=5.0))
-        assert crit.l_critical == 0.35186218971492833
+        assert crit["l_critical"] == 0.35186218971492833
         assert len(passes) == 25
         assert max(passes) == 6
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -759,6 +760,16 @@ class TestHittingTime:
             out = capsys.readouterr().out
             assert float(out.splitlines()[-1].split(":")[1]) < 1e-8
 
+    @pytest.mark.filterwarnings("error")
+    def test_fast_turn_is_resolved(self, tmp_path, capsys):
+        # at ky2 = 3e13 the turn takes 0.18 us per radian; an event step held
+        # at a floor of 1e-6 detected 1.434e-6 s against 2.868e-7 s
+        cfg = tmp_path / "turn.ini"
+        cfg.write_text("[model]\nky2 = 3e13\n")
+        assert main(["hitting-time", "0.5", "0.2", "--config", str(cfg)]) == 0
+        out = capsys.readouterr().out
+        assert float(out.splitlines()[-1].split(":")[1]) < 1e-12
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("argv", [["0.5", "0.2"], ["-0.5", "-0.2", "--branch", "neg"]])
     def test_nonfinite_flow_is_a_divergence(self, argv, tmp_path, capsys):
@@ -1024,6 +1035,69 @@ def test_both_reports_share_the_check_shape(preset, tmp_path):
     assert len(checks) == 4 + 9
     for check in checks:
         assert set(check) == {"name", "applicable", "passed", "detail"}
+
+
+def _numbers(value):
+    """Every float in a JSON value, however deeply nested."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _numbers(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _numbers(v)
+
+
+_OPEN_ANGLE = st.floats(0.0, math.pi / 2, exclude_min=True, exclude_max=True)
+# the four commands that write files, with the report whose checks each writes
+_WRITERS = {
+    "simulate": "report.json",
+    "sweep-delta-l": None,
+    "critical-lyapunov": None,
+    "verify-lemmas": "lemma_report.json",
+}
+
+
+@pytest.mark.filterwarnings("ignore")
+@settings(max_examples=100, deadline=None)
+@given(
+    model=st.fixed_dictionaries(
+        {k: _LOG_UNIFORM for k in ("m", "k_thrust", "kx1", "kx2", "ky1", "ky2")}
+        | {"theta": _OPEN_ANGLE}
+    ),
+    amplitude=_OPEN_ANGLE,
+    half_period_steps=st.integers(1, 1000),
+    duration_steps=st.integers(1, 1500),
+    resolution=st.integers(1, 12),
+    lambda_sign=st.sampled_from((1, -1)),
+    phase_sign=st.sampled_from((1, -1)),
+)
+def test_fuzzed_configs_of_the_writing_commands(
+    tmp_path_factory, model, amplitude, half_period_steps, duration_steps, resolution,
+    lambda_sign, phase_sign,
+):
+    # any model, gait and grid: each command exits with one of its four codes
+    # and raises nothing, and no applicable check passes on a number that is
+    # not finite; the step dt = 1e-3 divides the half period and the duration
+    ini = "[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in model.items())
+    ini += f"[gait]\npreset = large\namplitude = {amplitude!r}\n"
+    ini += f"period = {2 * half_period_steps / 1000!r}\nphase_sign = {phase_sign}\n"
+    ini += f"[sim]\ndt = 0.001\nduration = {duration_steps / 1000!r}\n"
+    ini += f"[sweep]\nresolution = {resolution}\nlambda_sign = {lambda_sign}\n"
+    base = tmp_path_factory.getbasetemp()
+    cfg = base / "fuzzed_config.ini"
+    cfg.write_text(ini)
+    for command, report in _WRITERS.items():
+        with tempfile.TemporaryDirectory(dir=base) as out:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                rc = main([command, "--config", str(cfg), "--out-dir", out])
+            written = Path(out, report or "none")
+            checks = read_json(written).get("checks", []) if written.exists() else []
+        assert rc in (0, 1, 2, 3), command
+        for check in checks:
+            if check["applicable"] and check["passed"]:
+                assert all(map(math.isfinite, _numbers(check["detail"]))), (command, check)
 
 
 class TestGenericGainGoldens:

@@ -44,8 +44,8 @@ def record(ky1: float, ky2: float) -> dict:
             c["name"]: {"passed": c["passed"], "applicable": c["applicable"]}
             for c in report["checks"]
         },
-        "bracketed": crit.bracketed,
-        "n_positive": crit.n_positive_cells,
+        "bracketed": crit["bracketed"],
+        "n_positive": crit["n_positive_cells"],
     }
 
 
