@@ -25,9 +25,10 @@ point, then Newton steps on the closed-form slope of the PD output, 6 to
 
 ``half_period_map`` takes arrays of start cells, mirrors the yaw sign -1
 into +1 exactly, and is what every grid, capture check and critical-level
-search goes through. ``_map_grid`` maps a grid once and returns
-the ``DeltaLGrid``, the admissible cells and their images as plain arrays,
-which ``_capture`` and the grid checks of ``verify-lemmas`` read.
+search goes through. ``_map_grid`` maps a grid once and returns the
+``DeltaLGrid`` (the admissible cells' indices and Lyapunov changes; only the
+grid CSV reads the dense views, built on first read), those cells and their
+images, which ``_capture`` and the grid checks of ``verify-lemmas`` read.
 
 The critical-level search grows a bracket by 1.25x, up to 60 times, from
 the grid maximum: the largest level of a nonnegative-change cell of either
@@ -57,6 +58,7 @@ element.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -445,36 +447,50 @@ def half_period_map(
 class DeltaLGrid:
     """Half-period Lyapunov change sampled on a rectangular error grid.
 
-    ``values[i, j]`` is the change starting from (e_values[i],
-    edot_values[j]); cells outside the capture region are masked and carry
-    NaN. ``sign_map`` is -1/0/+1 on admissible cells and 0 elsewhere.
+    The grid holds its admissible cells only: ``cells`` are their flat
+    row-major indices, ascending, and ``delta_l`` their changes, so cell
+    ``cells[k]`` = i * len(edot_values) + j starts from (e_values[i],
+    edot_values[j]). The dense views ``values`` (NaN on cells outside the
+    capture region) and ``mask`` are built on first read and not updated
+    after; ``sign_map`` is -1/0/+1 on admissible cells and 0 elsewhere.
     """
 
     e_values: np.ndarray
     edot_values: np.ndarray
-    values: np.ndarray
-    mask: np.ndarray
     lambda_sign: int
+    cells: np.ndarray
+    delta_l: np.ndarray
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        mask = np.zeros((len(self.e_values), len(self.edot_values)), dtype=bool)
+        mask.flat[self.cells] = True
+        return mask
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = np.full((len(self.e_values), len(self.edot_values)), np.nan)
+        values.flat[self.cells] = self.delta_l
+        return values
 
     @property
     def n_admissible(self) -> int:
-        return int(self.mask.sum())
+        return self.cells.size
 
     @property
     def n_positive(self) -> int:
-        return int(((self.values >= 0.0) & self.mask).sum())
+        return int(np.count_nonzero(self.delta_l >= 0.0))
 
-    # over the admissible cells only, where a NaN change is the maximum, as
-    # np.max and np.argmax have it
+    # a NaN change is the maximum, as np.max and np.argmax have it
     def max_delta_l(self) -> float | None:
-        if not self.mask.any():
+        if not self.cells.size:
             return None
-        return float(np.max(self.values[self.mask]))
+        return float(np.max(self.delta_l))
 
     def argmax_state(self) -> tuple[float, float] | None:
-        if not self.mask.any():
+        if not self.cells.size:
             return None
-        i, j = np.argwhere(self.mask)[np.argmax(self.values[self.mask])]
+        i, j = divmod(int(self.cells[np.argmax(self.delta_l)]), len(self.edot_values))
         return float(self.e_values[i]), float(self.edot_values[j])
 
     def sign_map(self) -> np.ndarray:
@@ -496,10 +512,10 @@ class DeltaLGrid:
 
 
 def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, half_period):
-    """Map a grid once: ``(grid, e0, ed0, e1, ed1)``, the Lyapunov-change grid
-    (NaN on masked cells), the admissible cells in row-major order and their images.
-    Only the block in the yaw sign's closed quadrant, which holds the capture
-    region, is masked and mapped.
+    """Map a grid once: ``(grid, e0, ed0, e1, ed1)``, the ``DeltaLGrid``, the
+    admissible cells in row-major order and their images. Only the block in
+    the yaw sign's closed quadrant, which holds the capture region, is tested
+    and mapped.
     """
     if lambda_sign not in (-1, 1):
         raise ValueError(f"lambda_sign must be -1 or +1, got {lambda_sign}")
@@ -513,11 +529,9 @@ def _map_grid(e_range, edot_range, resolution: int, lambda_sign: int, params, ha
     i, j = rows[i], cols[j]
     e0, ed0 = e_vals[i], ed_vals[j]
     e1, ed1 = half_period_map(e0, ed0, lambda_sign, params, half_period)
-    mask = np.zeros((resolution, resolution), dtype=bool)
-    mask[i, j] = True
-    values = np.full(mask.shape, np.nan)
-    values[i, j] = lyapunov(e1, ed1, params) - lyapunov(e0, ed0, params)
-    return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
+    delta_l = lyapunov(e1, ed1, params) - lyapunov(e0, ed0, params)
+    grid = DeltaLGrid(e_vals, ed_vals, lambda_sign, i * resolution + j, delta_l)
+    return grid, e0, ed0, e1, ed1
 
 
 def _capture(grid: DeltaLGrid, e0, ed0, e1, ed1, params: ModelParams) -> dict:
@@ -615,16 +629,16 @@ def _critical_from(grid: DeltaLGrid, params: ModelParams, half_period: float) ->
     ranges = (e_vals[0], e_vals[-1]), (ed_vals[0], ed_vals[-1])
     other = delta_l_grid(*ranges, resolution, -grid.lambda_sign, params, half_period)
     grids = (grid, other) if grid.lambda_sign > 0 else (other, grid)
-    n_bad = sum(np.count_nonzero(g.mask & ~np.isfinite(g.values)) for g in grids)
+    n_bad = sum(np.count_nonzero(~np.isfinite(g.delta_l)) for g in grids)
     if n_bad:
         raise FloatingPointError(
             f"{n_bad} admissible cells have a half-period Lyapunov change that is not finite"
         )
-    # the nonnegative-change cells of the +1 grid, then of the -1 grid, so the
-    # first cell of the largest level is the witness
-    pos = np.stack([g.mask & (g.values >= 0.0) for g in grids])
-    n_pos = int(np.count_nonzero(pos))
-    e, ed = (np.broadcast_to(v, pos.shape)[pos] for v in (e_vals[:, None], ed_vals))
+    # the nonnegative-change cells of the +1 grid, then of the -1 grid, each
+    # in row-major order, so the first cell of the largest level is the witness
+    pos = np.concatenate([g.cells[g.delta_l >= 0.0] for g in grids])
+    n_pos = pos.size
+    e, ed = e_vals[pos // resolution], ed_vals[pos % resolution]
     levels = 0.5 * ed ** 2 + 0.5 * params.ky2 * e ** 2
     grid_max = float(levels.max(initial=0.0))
 

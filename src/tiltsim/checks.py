@@ -13,7 +13,8 @@ analysis is flagged, not fatal. ``verify_trajectory`` builds the
 The checks work on arrays; the controller-rule checks call each controller
 function once (per yaw sign) on a block of values. ``_sample_region`` draws
 blocks of (e, edot) pairs and keeps the admissible ones in draw order. The
-three grid checks share one half-period map per yaw sign.
+three grid checks share one half-period map per yaw sign, and do not apply
+when the grid of either sign holds no admissible cell.
 """
 
 from __future__ import annotations
@@ -151,12 +152,21 @@ def _check_hitting_residual(rng, n, params) -> tuple[bool, dict]:
     return worst < 1e-6, {"max_residual": worst, "tolerance": 1e-6}
 
 
+def _require_cells(maps) -> None:
+    """A grid check applies only if the grid of each yaw sign holds an admissible cell."""
+    for sign, (grid, *_) in maps.items():
+        if not grid.n_admissible:
+            raise NotApplicable(f"the grid holds no admissible cell for yaw sign {sign:+d}")
+
+
 def _check_capture(maps, params) -> tuple[bool, dict]:
+    _require_cells(maps)
     reports = {str(sign): _capture(*m, params) for sign, m in maps.items()}
     return all(r["passed"] for r in reports.values()), reports
 
 
 def _check_self_map(maps, params) -> tuple[bool, dict]:
+    _require_cells(maps)
     _, e0, _, mid_e, mid_ed = maps[+1]
     mid_ok = in_admissible_region(mid_e, mid_ed, -1, params)
     end_e, end_ed = half_period_map(mid_e[mid_ok], mid_ed[mid_ok], -1, params, 1.0)
@@ -166,23 +176,23 @@ def _check_self_map(maps, params) -> tuple[bool, dict]:
 
 
 def _check_delta_l_bound(maps, params) -> tuple[bool, dict]:
+    _require_cells(maps)
+    if len(maps[+1][0].e_values) < 2:
+        raise NotApplicable("a grid of one row has no cell size to test the argmax against")
     tol = 1e-3
     details = {}
     ok = True
     for sign in (+1, -1):
         grid = maps[sign][0]
-        n_bad = int(np.count_nonzero(grid.mask & ~np.isfinite(grid.values)))
+        n_bad = int(np.count_nonzero(~np.isfinite(grid.delta_l)))
         if n_bad:  # the maximum would be NaN, which strict JSON cannot hold
             raise ValueError(
                 f"half-period Lyapunov change is not finite at {n_bad} of "
                 f"{grid.n_admissible} admissible cells, yaw sign {sign}"
             )
         peak = grid.max_delta_l()
-        if peak is None:
-            details[str(sign)] = {"max_delta_l": None}
-            continue
         arg = list(grid.argmax_state())
-        de = float(grid.e_values[1] - grid.e_values[0]) if len(grid.e_values) > 1 else 0.0
+        de = float(grid.e_values[1] - grid.e_values[0])
         g = _pd_output(*arg, params)
         line_dist = abs(g - sign * INV_SQRT3) / math.hypot(params.ky2, params.ky1)
         details[str(sign)] = {

@@ -320,7 +320,10 @@ def full_grid_map(e_range, edot_range, resolution, lambda_sign, params, half_per
     values = np.full(E.shape, np.nan)
     l0 = 0.5 * ed0 * ed0 + 0.5 * params.ky2 * e0 * e0
     values[mask] = 0.5 * ed1 * ed1 + 0.5 * params.ky2 * e1 * e1 - l0
-    return DeltaLGrid(e_vals, ed_vals, values, mask, lambda_sign), e0, ed0, e1, ed1
+    grid = DeltaLGrid(e_vals, ed_vals, lambda_sign, np.flatnonzero(mask), values[mask])
+    # the dense views are this whole-meshgrid's own arrays, not the ones the grid builds
+    vars(grid).update(values=values, mask=mask)
+    return grid, e0, ed0, e1, ed1
 
 
 def local_max_report(samples, params):

@@ -29,6 +29,7 @@ from tiltsim import (
 from tiltsim.analysis import _map_grid, _require_hits
 from tiltsim.output import write_grid_csv
 from tiltsim.checks import (
+    NotApplicable,
     _N_SAMPLES,
     _check_clamp_rule,
     _check_delta_l_bound,
@@ -684,14 +685,16 @@ class TestLemmaChecks:
         # one gather of each grid's changes gives the grid's own maximum and argmax
         p = ModelParams(ky1=ky1, ky2=ky2)
         maps = {sign: _map_grid(*ranges, resolution, sign, p, 1.0) for sign in (1, -1)}
+        if resolution == 1:
+            with pytest.raises(NotApplicable):
+                _check_delta_l_bound(maps, p)
+            assert (maps[1][0].n_admissible, maps[-1][0].n_admissible) == (1, 0)
+            return
         _, detail = _check_delta_l_bound(maps, p)
         for sign in (1, -1):
             grid = maps[sign][0]
             peak, arg = grid.max_delta_l(), grid.argmax_state()
             got = detail[str(sign)]
-            if peak is None:
-                assert got == {"max_delta_l": None} and grid.n_admissible == 0
-                continue
             assert np.float64(got["max_delta_l"]).tobytes() == np.float64(peak).tobytes()
             assert got["argmax"] == list(arg)
         assert maps[1][0].n_admissible > 0
@@ -766,6 +769,23 @@ class TestLemmaChecks:
             False,
             {"error": "ValueError: Lyapunov overshoot is NaN at 20 of 20 states, yaw sign 1"},
         )
+
+    def test_grid_checks_without_cells_do_not_apply(self):
+        # at resolution 1 the grid is the cell (-2, -2): the yaw sign +1 has no
+        # admissible cell, and one row has no cell size for the threshold line
+        report = run_lemma_checks(resolution=1)
+        notes = {c["name"]: c["detail"] for c in report["checks"] if not c["applicable"]}
+        no_cell = {"note": "the grid holds no admissible cell for yaw sign +1"}
+        assert notes == {
+            "quadrant_capture": no_cell,
+            "two_half_period_self_map": no_cell,
+            "delta_l_bound": no_cell,
+        }
+        # one-row grids with an admissible cell for each sign
+        one = np.array([1.0])
+        maps = {s: (DeltaLGrid(s * one, s * one, s, np.array([0]), one),) for s in (1, -1)}
+        with pytest.raises(NotApplicable, match="a grid of one row"):
+            _check_delta_l_bound(maps, DEFAULT_PARAMS)
 
     def test_no_crossing_fails_range_check_with_the_error(self, monkeypatch):
         # a horizon shorter than most hitting times: the first sampled state
@@ -916,25 +936,34 @@ class TestDeltaLGrid:
         assert in_admissible_region(*grid.argmax_state(), +1, params)
 
     def test_maximum_over_admissible_cells(self):
-        # a masked cell's value never counts; ties go to the first cell in row-major order
-        grid = DeltaLGrid(
-            np.array([0.0, 1.0]),
-            np.array([0.0, 1.0]),
-            np.array([[5.0, 1.0], [1.0, 0.5]]),
-            np.array([[False, True], [True, True]]),
-            +1,
-        )
+        # cells 1, 2 and 3 of a 2 x 2 grid; ties go to the first cell in row-major order
+        axis = np.array([0.0, 1.0])
+        grid = DeltaLGrid(axis, axis, +1, np.array([1, 2, 3]), np.array([1.0, 1.0, 0.5]))
         assert (grid.max_delta_l(), grid.argmax_state()) == (1.0, (0.0, 1.0))
-        grid.values[1, 0] = math.nan
+        grid.delta_l[1] = math.nan
         assert math.isnan(grid.max_delta_l())
         assert grid.argmax_state() == (1.0, 0.0)
+
+    def test_checks_and_search_read_only_the_cells(self, monkeypatch):
+        # verify-lemmas and the critical-level search never build the dense views
+        runs = [
+            run_lemma_checks,
+            critical_lyapunov,
+            lambda: critical_lyapunov(resolution=30, params=ModelParams(ky1=6.0, ky2=12.0)),
+        ]
+        want = [run() for run in runs]
+
+        def dense(grid):
+            raise AssertionError("a dense view of the grid was built")
+
+        for name in ("mask", "values"):
+            monkeypatch.setattr(DeltaLGrid, name, property(dense))
+        assert [run() for run in runs] == want
 
     def test_quadrant_mirror_symmetry(self):
         g1 = delta_l_grid((0.0, 2.0), (0.0, 2.0), 120, +1)
         g3 = delta_l_grid((-2.0, 0.0), (-2.0, 0.0), 120, -1)
-        np.testing.assert_allclose(
-            g1.values[g1.mask], g3.values[g3.mask][::-1], atol=1e-12
-        )
+        np.testing.assert_allclose(g1.delta_l, g3.delta_l[::-1], atol=1e-12)
 
     def test_rows_roundtrip(self, tmp_path):
         grid = delta_l_grid((0.0, 1.0), (0.0, 1.0), 10, +1)
@@ -975,7 +1004,7 @@ class TestMapGrid:
         with np.errstate(all="ignore"):
             got = _map_grid(e_range, edot_range, resolution, sign, p, 1.0)
             want = oc.full_grid_map(e_range, edot_range, resolution, sign, p, 1.0)
-        fields = ("e_values", "edot_values", "values", "mask")
+        fields = ("e_values", "edot_values", "cells", "delta_l", "values", "mask")
         pairs = [(getattr(got[0], f), getattr(want[0], f)) for f in fields]
         for a, b in pairs + list(zip(got[1:], want[1:])):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

@@ -50,11 +50,12 @@ def awkward_trajectory(n):
 
 
 def awkward_grid(n):
-    # n rows: n e-values by one edot-value; NaN values sit on masked cells
+    # n rows: n e-values by one edot-value; the cells of the NaN values are not admissible
     values = np.resize(AWKWARD, n)
     e_values = np.roll(values, 3)
-    grid_values = np.roll(values, 1)[:, None]
-    return DeltaLGrid(e_values, np.array([-0.0]), grid_values, ~np.isnan(grid_values), -1)
+    delta_l = np.roll(values, 1)
+    cells = np.flatnonzero(~np.isnan(delta_l))
+    return DeltaLGrid(e_values, np.array([-0.0]), -1, cells, delta_l[cells])
 
 
 def only_file(tmp_path) -> Path:
@@ -82,10 +83,10 @@ class TestGridCsv:
     def test_generic_gains_and_awkward_values(self, tmp_path):
         p = ModelParams(ky1=6.0, ky2=12.0)
         assert_same_bytes(delta_l_grid((-2.0, 2.0), (-2.0, 2.0), 16, +1, p), tmp_path)
-        values = np.array([[math.inf, -0.0, 5e-324], [1e16, 0.1, -1.0]])
-        mask = np.array([[True, True, True], [True, True, False]])
-        grid = DeltaLGrid(np.array([-0.0, 1.0]), np.array([0.1, 0.2, 0.3]), values, mask, +1)
-        assert_same_bytes(grid, tmp_path)
+        # cells 0 to 4 of a 2 x 3 grid; the last cell is not admissible
+        delta_l = np.array([math.inf, -0.0, 5e-324, 1e16, 0.1])
+        e, edot = np.array([-0.0, 1.0]), np.array([0.1, 0.2, 0.3])
+        assert_same_bytes(DeltaLGrid(e, edot, +1, np.arange(5), delta_l), tmp_path)
 
 
 class TestStreamedWriter:
@@ -267,12 +268,12 @@ class TestRepeatedValues:
         along_e=st.booleans(),
     )
     def test_grid(self, tmp_path_factory, n, seed, along_e):
-        # n cells along e or along edot; NaN values sit on masked cells
+        # n cells along e or along edot; the cells of the NaN values are not admissible
         rng = np.random.default_rng(seed)
         e, edot, values = (repeats_column(rng, n) for _ in range(3))
         e, edot = (e, edot[:1]) if along_e else (e[:1], edot)
-        values = values.reshape(len(e), len(edot))
-        grid = DeltaLGrid(e, edot, values, ~np.isnan(values), -1)
+        cells = np.flatnonzero(~np.isnan(values))
+        grid = DeltaLGrid(e, edot, -1, cells, values[cells])
         tmp_path = tmp_path_factory.mktemp("repeats")
         write_grid_csv(grid, tmp_path / "written.csv")
         oc.joined_grid_csv(grid, tmp_path / "joined.csv")
